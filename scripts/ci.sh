@@ -148,6 +148,29 @@ echo "== memory-backend fleet gate (ext_membackends) =="
 cmp results/ext_membackends.csv goldens/ext_membackends.csv
 echo "mixed-technology fleet bit-identical; envelope CSV matches golden"
 
+echo "== benchmark surface: perfbench characterize replay =="
+# The repository benchmark (perfbench/, attached to this project through
+# perfbench/cmake/attach.cmake) compiles against the public Board,
+# checkpoint, fleet and mem API. Its traced characterize run replays
+# every Campaign job call by call in Listing-1 order, requires the
+# replay to be bit-identical to Campaign::run, and checks sampled
+# per-domain counts against the scalar reference walkers — so a change
+# to that API or to the BRAM/backend sweep semantics fails this leg.
+# Cache, ledger, timeline and temporary files stay under the build
+# directory, as perfbench/run.py arranges them.
+perf_dir="$PWD/build-perfbench"
+cmake -B "$perf_dir" -S . \
+    -DCMAKE_PROJECT_INCLUDE="$PWD/perfbench/cmake/attach.cmake"
+cmake --build "$perf_dir" -j "$jobs" --target uvolt_perfbench
+mkdir -p "$perf_dir/tmp"
+UVOLT_CACHE_DIR="$perf_dir/cache" \
+    UVOLT_LEDGER_DIR="$perf_dir/ledger" \
+    UVOLT_TIMELINE="$perf_dir/timeline.jsonl" \
+    TMPDIR="$perf_dir/tmp" \
+    "$perf_dir/uvolt_perfbench" characterize --trace 1 \
+    --out "$perf_dir" > "$perf_dir/characterize.log"
+echo "perfbench characterize replay bit-identical to Campaign::run"
+
 echo "== golden figures byte-identity (all 22 fig/tab CSVs) =="
 # Regenerate every paper figure/table CSV from scratch and require each
 # to be byte-identical to its committed golden. The figure benches are

@@ -21,9 +21,9 @@
  * catalog), HBM stacks (mem::hbmCatalog), and MoRS-SRAM chips
  * (mem::sramCatalog) are all valid `onPlatforms` entries. Non-BRAM
  * jobs run the backend sweep (mem::runMemSweep) instead of the board
- * path; noise injection and region discovery are BRAM-only and
- * fatal() if requested on a mixed fleet that includes other
- * technologies.
+ * path; noise injection and region discovery are BRAM-only, and a
+ * run that asks for either on another technology fails with
+ * Errc::invalidRequest.
  */
 
 #ifndef UVOLT_HARNESS_CAMPAIGN_HH

@@ -386,119 +386,100 @@ FleetEngine::FleetEngine(FleetOptions options)
 {
 }
 
-Expected<FleetJobOutcome>
-FleetEngine::runJob(const FleetPlan &plan, const FleetJob &job) const
+namespace
 {
-    UVOLT_TRACE_SCOPE("fleet.job", [&] {
-        return telemetry::TraceArgs{{"label", job.label()}};
-    });
-    fleetMetrics().jobs.increment();
-    if (mem::technologyOfName(job.platform) != mem::Technology::bram)
-        return runMemJob(plan, job);
-    const fpga::PlatformSpec &spec = fpga::findPlatform(job.platform);
-    auto model = pmbus::sharedChipModel(spec);
 
-    std::string ckpt_path;
-    if (!options_.checkpointDir.empty())
-        ckpt_path = strFormat("{}/{}.ckpt", options_.checkpointDir,
-                              job.label());
+/** BRAM attempt: Board, optional noise and regions, checkpointed sweep. */
+Expected<FleetJobOutcome>
+runBoardAttempt(const FleetPlan &plan, const FleetJob &job, int attempt,
+                const std::string &checkpoint_path, int slice_levels,
+                const SliceCheck &at_slice)
+{
+    const fpga::PlatformSpec &spec = fpga::findPlatform(job.platform);
+    pmbus::Board board(spec, pmbus::sharedChipModel(spec));
+    board.setAmbientC(job.ambientC);
+    if (job.noise) {
+        // Replaying the exact fault schedule that just exhausted the
+        // budgets would fail identically; deterministic in the attempt
+        // number, so the campaign stays bit-reproducible.
+        pmbus::NoiseConfig noise = *job.noise;
+        noise.seed += static_cast<std::uint64_t>(attempt - 1) * 1000003ull;
+        board.attachNoise(noise);
+    }
 
     FleetJobOutcome outcome;
     outcome.job = job;
-
-    const int max_attempts = std::max(1, options_.maxAttemptsPerJob);
-    Error last = makeError(Errc::recoveryExhausted,
-                           "fleet job {} never ran", job.label());
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        outcome.attempts = attempt;
-        UVOLT_TRACE_SCOPE("fleet.attempt", [&] {
-            return telemetry::TraceArgs{
-                {"label", job.label()},
-                {"attempt", std::to_string(attempt)}};
-        });
-        if (attempt > 1)
-            fleetMetrics().jobRetries.increment();
-
-        pmbus::Board board(spec, model);
-        board.setAmbientC(job.ambientC);
-        if (job.noise) {
-            // Later attempts face a re-seeded environment: replaying the
-            // exact fault schedule that just exhausted the budgets would
-            // fail identically. Deterministic in the attempt number, so
-            // the fleet stays bit-reproducible.
-            pmbus::NoiseConfig noise = *job.noise;
-            noise.seed += static_cast<std::uint64_t>(attempt - 1) *
-                          1000003ull;
-            board.attachNoise(noise);
-        }
-
-        if (plan.discoverRegions) {
-            auto bram_regions =
-                tryDiscoverRegions(board, fpga::RailId::VccBram);
-            if (!bram_regions.ok()) {
-                last = bram_regions.error();
-                continue;
-            }
-            auto int_regions =
-                tryDiscoverRegions(board, fpga::RailId::VccInt);
-            if (!int_regions.ok()) {
-                last = int_regions.error();
-                continue;
-            }
-            outcome.bramRegions = bram_regions.take();
-            outcome.intRegions = int_regions.take();
-        }
-
-        SweepOptions sweep_options;
-        sweep_options.pattern = job.pattern;
-        sweep_options.runsPerLevel = plan.runsPerLevel;
-        sweep_options.stepMv = plan.stepMv;
-        sweep_options.collectPerBram = plan.collectPerBram;
-        sweep_options.recovery = plan.recovery;
-
-        SweepCheckpoint checkpoint;
-        if (!ckpt_path.empty()) {
-            sweep_options.checkpointPath = ckpt_path;
-            sweep_options.checkpoint = &checkpoint;
-            if (std::filesystem::exists(ckpt_path)) {
-                auto loaded = loadCheckpointFile(ckpt_path);
-                if (loaded.ok())
-                    checkpoint = loaded.take();
-                else
-                    warnc("fleet", "ignoring unusable checkpoint '{}': {}",
-                         ckpt_path, loaded.error().message);
-            }
-        }
-        const bool resuming = checkpoint.valid;
-        if (resuming)
-            fleetMetrics().resumes.increment();
-
-        auto sweep = tryRunCriticalSweep(board, sweep_options);
-        if (!sweep.ok()) {
-            last = sweep.error();
-            continue;
-        }
-        outcome.sweep = sweep.take();
-        outcome.resumed = outcome.resumed || resuming;
-        if (!ckpt_path.empty()) {
-            std::error_code ec;
-            std::filesystem::remove(ckpt_path, ec);
-        }
-        return outcome;
+    outcome.attempts = attempt;
+    if (plan.discoverRegions) {
+        auto bram_regions = tryDiscoverRegions(board, fpga::RailId::VccBram);
+        if (!bram_regions.ok())
+            return bram_regions.error();
+        auto int_regions = tryDiscoverRegions(board, fpga::RailId::VccInt);
+        if (!int_regions.ok())
+            return int_regions.error();
+        outcome.bramRegions = bram_regions.take();
+        outcome.intRegions = int_regions.take();
     }
-    return last;
+
+    SweepOptions options;
+    options.pattern = job.pattern;
+    options.runsPerLevel = plan.runsPerLevel;
+    options.stepMv = plan.stepMv;
+    options.collectPerBram = plan.collectPerBram;
+    options.recovery = plan.recovery;
+    options.maxLevels = slice_levels;
+    options.checkpointPath = checkpoint_path;
+
+    // The in-memory checkpoint carries progress from one slice to the
+    // next; the file adds resume-after-restart.
+    SweepCheckpoint checkpoint;
+    if (!checkpoint_path.empty() || slice_levels > 0)
+        options.checkpoint = &checkpoint;
+    if (!checkpoint_path.empty() &&
+        std::filesystem::exists(checkpoint_path)) {
+        auto loaded = loadCheckpointFile(checkpoint_path);
+        if (loaded.ok())
+            checkpoint = loaded.take();
+        else
+            warnc("fleet", "ignoring unusable checkpoint '{}': {}",
+                  checkpoint_path, loaded.error().message);
+    }
+    outcome.resumed = checkpoint.valid;
+
+    for (;;) {
+        if (at_slice) {
+            if (auto go = at_slice(); !go.ok())
+                return go.error();
+        }
+        auto sweep = tryRunCriticalSweep(board, options);
+        if (!sweep.ok())
+            return sweep.error();
+        if (!sweep.value().truncated) {
+            outcome.sweep = sweep.take();
+            break;
+        }
+    }
+    if (!checkpoint_path.empty()) {
+        std::error_code ec;
+        std::filesystem::remove(checkpoint_path, ec);
+    }
+    return outcome;
 }
 
+/** HBM / SRAM attempt: program the backend, sweep it slice by slice. */
 Expected<FleetJobOutcome>
-FleetEngine::runMemJob(const FleetPlan &plan, const FleetJob &job) const
+runBackendAttempt(const FleetPlan &plan, const FleetJob &job, int attempt,
+                  std::uint64_t jitter_seed, int slice_levels,
+                  const SliceCheck &at_slice)
 {
-    // Harsh-environment injection and rail-region discovery drive a
-    // pmbus::Board; neither applies to the non-BRAM backends.
     if (job.noise)
-        fatal("fleet job {}: noise injection is BRAM-only", job.label());
+        return makeError(Errc::invalidRequest,
+                         "job {}: noise injection is BRAM-only",
+                         job.label());
     if (plan.discoverRegions)
-        fatal("fleet job {}: region discovery is BRAM-only",
-              job.label());
+        return makeError(Errc::invalidRequest,
+                         "job {}: region discovery is BRAM-only",
+                         job.label());
 
     auto device = mem::makeDevice(job.platform);
     fillMemPattern(*device, job.pattern);
@@ -508,15 +489,91 @@ FleetEngine::runMemJob(const FleetPlan &plan, const FleetJob &job) const
     options.stepMv = plan.stepMv;
     options.ambientC = job.ambientC;
     options.collectPerDomain = plan.collectPerBram;
-    // The stateless jitter stream is keyed by the job identity, like
-    // the per-board run streams of the BRAM path.
-    options.seed = hashSeed(job.label());
+    options.seed = jitter_seed;
+    if (slice_levels > 0)
+        options.maxLevels = slice_levels;
+
+    // No checkpoint file: the stateless per-(level, run) jitter stream
+    // makes every slice resumable from its first unmeasured level.
+    mem::MemSweepResult merged;
+    for (;;) {
+        if (at_slice) {
+            if (auto go = at_slice(); !go.ok())
+                return go.error();
+        }
+        mem::MemSweepResult part = mem::runMemSweep(*device, options);
+        if (!options.resumeFromMv) {
+            merged = std::move(part);
+        } else {
+            merged.points.insert(merged.points.end(), part.points.begin(),
+                                 part.points.end());
+            merged.truncated = part.truncated;
+        }
+        if (!merged.truncated)
+            break;
+        options.resumeFromMv = merged.points.back().railMv;
+    }
 
     FleetJobOutcome outcome;
     outcome.job = job;
-    outcome.sweep =
-        sweepFromMem(mem::runMemSweep(*device, options), job.pattern);
+    outcome.attempts = attempt;
+    outcome.sweep = sweepFromMem(merged, job.pattern);
     return outcome;
+}
+
+} // namespace
+
+Expected<FleetJobOutcome>
+runJobAttempt(const FleetPlan &plan, const FleetJob &job, int attempt,
+              std::uint64_t jitter_seed, const std::string &checkpoint_path,
+              int slice_levels, const SliceCheck &at_slice)
+{
+    if (mem::technologyOfName(job.platform) == mem::Technology::bram)
+        return runBoardAttempt(plan, job, attempt, checkpoint_path,
+                               slice_levels, at_slice);
+    return runBackendAttempt(plan, job, attempt, jitter_seed, slice_levels,
+                             at_slice);
+}
+
+Expected<FleetJobOutcome>
+FleetEngine::runJob(const FleetPlan &plan, const FleetJob &job) const
+{
+    UVOLT_TRACE_SCOPE("fleet.job", [&] {
+        return telemetry::TraceArgs{{"label", job.label()}};
+    });
+    fleetMetrics().jobs.increment();
+
+    std::string ckpt_path;
+    if (!options_.checkpointDir.empty())
+        ckpt_path = strFormat("{}/{}.ckpt", options_.checkpointDir,
+                              job.label());
+
+    const int max_attempts = std::max(1, options_.maxAttemptsPerJob);
+    Error last = makeError(Errc::recoveryExhausted,
+                           "fleet job {} never ran", job.label());
+    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+        UVOLT_TRACE_SCOPE("fleet.attempt", [&] {
+            return telemetry::TraceArgs{
+                {"label", job.label()},
+                {"attempt", std::to_string(attempt)}};
+        });
+        if (attempt > 1)
+            fleetMetrics().jobRetries.increment();
+        // Backend jitter is keyed by the job identity, like the
+        // per-board run streams of the BRAM path.
+        auto outcome =
+            runJobAttempt(plan, job, attempt, hashSeed(job.label()),
+                          ckpt_path);
+        if (outcome.ok()) {
+            if (outcome.value().resumed)
+                fleetMetrics().resumes.increment();
+            return outcome;
+        }
+        last = outcome.error();
+        if (last.code == Errc::invalidRequest)
+            break; // a malformed job fails identically on every attempt
+    }
+    return last;
 }
 
 namespace

@@ -117,6 +117,38 @@ void fillMemPattern(mem::MemoryDevice &device, const PatternSpec &pattern);
 SweepResult sweepFromMem(const mem::MemSweepResult &mem_result,
                          const PatternSpec &pattern);
 
+/**
+ * Stop/deadline probe of a sliced attempt, run before every sweep
+ * slice; an Error ends the attempt with that error.
+ */
+using SliceCheck = std::function<Expected<void>()>;
+
+/**
+ * One characterization attempt of @a job: the single place that maps a
+ * device name onto its technology, shared by FleetEngine and the
+ * serving tier.
+ *
+ *  - BRAM: a fresh Board around the die's shared chip model, the job's
+ *    noise re-seeded for this attempt (seed + (attempt-1)*1000003: a
+ *    retry faces a fresh but reproducible environment), Fig-1 regions
+ *    when the plan asks, then the Listing-1 sweep. It resumes from
+ *    @a checkpoint_path when that holds a usable checkpoint, flushes it
+ *    after every level, and deletes it on success.
+ *  - HBM / SRAM: build and program the MemoryDevice and sweep it on the
+ *    stateless jitter stream seeded by @a jitter_seed. No Board, no
+ *    chip model, no checkpoint I/O; noise or region discovery (both
+ *    drive a Board) is Errc::invalidRequest.
+ *
+ * @param slice_levels sweep levels per slice (0 = one unsliced sweep);
+ *        @a at_slice, when set, runs before every slice
+ * @return the outcome with attempts = @a attempt
+ */
+Expected<FleetJobOutcome>
+runJobAttempt(const FleetPlan &plan, const FleetJob &job, int attempt,
+              std::uint64_t jitter_seed,
+              const std::string &checkpoint_path = {},
+              int slice_levels = 0, const SliceCheck &at_slice = {});
+
 /** Aggregate view of one die across all its fleet jobs. */
 struct DieReport
 {
@@ -303,12 +335,9 @@ class FleetEngine
     Expected<FleetResult> run(const FleetPlan &plan);
 
   private:
+    /** runJobAttempt() under the engine's retry budget. */
     Expected<FleetJobOutcome> runJob(const FleetPlan &plan,
                                      const FleetJob &job) const;
-
-    /** Non-BRAM jobs: build the backend, program, sweep, adapt. */
-    Expected<FleetJobOutcome> runMemJob(const FleetPlan &plan,
-                                        const FleetJob &job) const;
 
     FleetOptions options_;
 };

@@ -82,8 +82,7 @@ rowMask(std::uint32_t row)
 } // namespace
 
 HbmBackend::HbmBackend(const HbmSpec &spec)
-    : MemoryDevice(hbmDeviceTraits(spec)), spec_(spec),
-      planes_(traits().domainCount, traits().wordsPerDomain)
+    : PlaneDevice(hbmDeviceTraits(spec)), spec_(spec)
 {
     const std::uint64_t stackSeed = hashSeed(spec_.stackId);
     const double vmin = spec_.vminMv / 1000.0;
@@ -134,51 +133,16 @@ HbmBackend::HbmBackend(const HbmSpec &spec)
     if (marginalThreshold > 0.0f)
         rows_[marginalBank][marginalIndex].thresholdV = cap;
 
-    ladder10_.resize(spec_.bankCount());
-    ladder01_.resize(spec_.bankCount());
     for (std::uint32_t b = 0; b < spec_.bankCount(); ++b) {
-        for (const WeakRow &weak : rows_[b]) {
-            auto &ladder = weak.oneToZero ? ladder10_[b] : ladder01_[b];
-            ladder.push(weak.thresholdV, rowWord(weak.row),
-                        rowMask(weak.row));
-        }
-        ladder10_[b].sortDescending();
-        ladder01_[b].sortDescending();
+        for (const WeakRow &weak : rows_[b])
+            ladders_[b].push(weak.oneToZero, weak.thresholdV,
+                             rowWord(weak.row), rowMask(weak.row));
+        ladders_[b].sortDescending();
         std::sort(rows_[b].begin(), rows_[b].end(),
                   [](const WeakRow &a, const WeakRow &c) {
                       return a.row < c.row;
                   });
     }
-}
-
-void
-HbmBackend::fill(std::uint16_t lane_pattern)
-{
-    planes_.fillLanes(lane_pattern);
-}
-
-fpga::WordSpan
-HbmBackend::domainWords(std::uint32_t domain) const
-{
-    if (domain >= domainCount())
-        fatal("HBM {}: bank {} out of pool of {}", name(), domain,
-              domainCount());
-    return planes_.words(domain);
-}
-
-void
-HbmBackend::assignDomainWords(std::uint32_t domain, fpga::WordSpan words)
-{
-    if (domain >= domainCount())
-        fatal("HBM {}: bank {} out of pool of {}", name(), domain,
-              domainCount());
-    planes_.assignWords(domain, words);
-}
-
-std::uint64_t
-HbmBackend::contentEpoch() const
-{
-    return planes_.epoch();
 }
 
 double
@@ -191,16 +155,6 @@ HbmBackend::effectiveVoltage(double rail_v, double temp_c,
         spec_.retentionMvPerC * (temp_c - vmodel::referenceTempC) /
         1000.0 +
         jitter_v;
-}
-
-int
-HbmBackend::countDomainFaults(std::uint32_t domain,
-                              double effective_v) const
-{
-    const fpga::WordSpan words = domainWords(domain);
-    return static_cast<int>(
-        ladder10_[domain].countFaults(words, true, effective_v) +
-        ladder01_[domain].countFaults(words, false, effective_v));
 }
 
 int
@@ -229,17 +183,6 @@ HbmBackend::countDomainFaultsReference(std::uint32_t domain,
     return total;
 }
 
-std::vector<std::uint64_t>
-HbmBackend::readDomainPacked(std::uint32_t domain,
-                             double effective_v) const
-{
-    const fpga::WordSpan words = domainWords(domain);
-    std::vector<std::uint64_t> observed(words.begin(), words.end());
-    ladder10_[domain].applyFaults(observed, true, effective_v);
-    ladder01_[domain].applyFaults(observed, false, effective_v);
-    return observed;
-}
-
 double
 HbmBackend::railPowerW(double rail_v) const
 {
@@ -260,9 +203,7 @@ HbmBackend::clone() const
 const std::vector<HbmBackend::WeakRow> &
 HbmBackend::weakRows(std::uint32_t domain) const
 {
-    if (domain >= domainCount())
-        fatal("HBM {}: bank {} out of pool of {}", name(), domain,
-              domainCount());
+    checkDomain(domain);
     return rows_[domain];
 }
 

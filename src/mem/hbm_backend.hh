@@ -71,29 +71,17 @@ const HbmSpec *findHbm(const std::string &name);
 DeviceTraits hbmDeviceTraits(const HbmSpec &spec);
 
 /** One HBM stack as a MemoryDevice; domains are banks. */
-class HbmBackend : public MemoryDevice
+class HbmBackend : public PlaneDevice
 {
   public:
     /** Synthesize the stack's weak-row map: deterministic in the spec. */
     explicit HbmBackend(const HbmSpec &spec);
 
-    void fill(std::uint16_t lane_pattern) override;
-    fpga::WordSpan domainWords(std::uint32_t domain) const override;
-    void assignDomainWords(std::uint32_t domain,
-                           fpga::WordSpan words) override;
-    std::uint64_t contentEpoch() const override;
-
     double effectiveVoltage(double rail_v, double temp_c,
                             double jitter_v = 0.0) const override;
 
-    int countDomainFaults(std::uint32_t domain,
-                          double effective_v) const override;
     int countDomainFaultsReference(std::uint32_t domain,
                                    double effective_v) const override;
-    std::vector<std::uint64_t>
-    readDomainPacked(std::uint32_t domain,
-                     double effective_v) const override;
-
     double railPowerW(double rail_v) const override;
 
     std::unique_ptr<MemoryDevice> clone() const override;
@@ -115,10 +103,7 @@ class HbmBackend : public MemoryDevice
     HbmBackend(const HbmBackend &) = default;
 
     HbmSpec spec_;
-    PlaneStore planes_;
     std::vector<std::vector<WeakRow>> rows_; // per bank, sorted by row
-    std::vector<MaskLadder> ladder10_;       // 1->0, whole-lane masks
-    std::vector<MaskLadder> ladder01_;       // 0->1
 };
 
 } // namespace uvolt::mem

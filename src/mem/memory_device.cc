@@ -1,12 +1,9 @@
 #include "mem/memory_device.hh"
 
 #include <algorithm>
-#include <bit>
-#include <numeric>
 
 #include "fpga/platform.hh"
 #include "util/logging.hh"
-#include "vmodel/chip_fault_model.hh"
 
 namespace uvolt::mem
 {
@@ -35,89 +32,32 @@ DeviceTraits::totalMbit() const
 std::uint64_t
 MemoryDevice::countFaults(double effective_v) const
 {
-    const std::uint64_t epoch = contentEpoch();
-    if (memoValid_ && memoEpoch_ == epoch && memoV_ == effective_v)
-        return memoTotal_;
-
-    std::uint64_t total = 0;
-    for (std::uint32_t d = 0; d < domainCount(); ++d)
-        total += static_cast<std::uint64_t>(
-            countDomainFaults(d, effective_v));
-
-    memoValid_ = true;
-    memoEpoch_ = epoch;
-    memoV_ = effective_v;
-    memoTotal_ = total;
-    return total;
+    return countMemo_.get(contentEpoch(), effective_v, [&] {
+        std::uint64_t total = 0;
+        for (std::uint32_t d = 0; d < domainCount(); ++d)
+            total += static_cast<std::uint64_t>(
+                countDomainFaults(d, effective_v));
+        return total;
+    });
 }
 
-std::size_t
-MaskLadder::activeCount(double effective_v) const
+PlaneDevice::PlaneDevice(DeviceTraits traits)
+    : MemoryDevice(std::move(traits)), ladders_(this->traits().domainCount),
+      planes_(this->traits().domainCount,
+              std::vector<std::uint64_t>(this->traits().wordsPerDomain, 0))
 {
-    // Thresholds descend, so the failing elements are exactly the prefix
-    // for which the shared predicate holds.
-    const auto it = std::partition_point(
-        thresholds.begin(), thresholds.end(), [effective_v](float t) {
-            return vmodel::cellFailsAt(t, effective_v);
-        });
-    return static_cast<std::size_t>(it - thresholds.begin());
 }
 
 void
-MaskLadder::sortDescending()
+PlaneDevice::checkDomain(std::uint32_t domain) const
 {
-    std::vector<std::size_t> order(thresholds.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                         return thresholds[a] > thresholds[b];
-                     });
-
-    std::vector<float> t(thresholds.size());
-    std::vector<std::uint32_t> w(words.size());
-    std::vector<std::uint64_t> m(masks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        t[i] = thresholds[order[i]];
-        w[i] = words[order[i]];
-        m[i] = masks[order[i]];
-    }
-    thresholds = std::move(t);
-    words = std::move(w);
-    masks = std::move(m);
-}
-
-std::uint64_t
-MaskLadder::countFaults(fpga::WordSpan written, bool one_to_zero,
-                        double effective_v) const
-{
-    const std::size_t active = activeCount(effective_v);
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < active; ++i) {
-        const std::uint64_t stored = written[words[i]] & masks[i];
-        // 1->0 elements fault on every stored 1 they cover; 0->1 on
-        // every stored 0. Multi-bit masks (HBM lanes) popcount > 1.
-        const std::uint64_t hit =
-            one_to_zero ? stored : (masks[i] & ~stored);
-        total += static_cast<std::uint64_t>(std::popcount(hit));
-    }
-    return total;
+    if (domain >= domainCount())
+        fatal("{}: fault domain {} out of pool of {}", name(), domain,
+              domainCount());
 }
 
 void
-MaskLadder::applyFaults(std::span<std::uint64_t> out, bool one_to_zero,
-                        double effective_v) const
-{
-    const std::size_t active = activeCount(effective_v);
-    for (std::size_t i = 0; i < active; ++i) {
-        if (one_to_zero)
-            out[words[i]] &= ~masks[i];
-        else
-            out[words[i]] |= masks[i];
-    }
-}
-
-void
-PlaneStore::fillLanes(std::uint16_t lane_pattern)
+PlaneDevice::fill(std::uint16_t lane_pattern)
 {
     std::uint64_t word = lane_pattern;
     word |= word << 16;
@@ -127,17 +67,40 @@ PlaneStore::fillLanes(std::uint16_t lane_pattern)
     ++epoch_;
 }
 
-void
-PlaneStore::assignWords(std::uint32_t plane, fpga::WordSpan words)
+fpga::WordSpan
+PlaneDevice::domainWords(std::uint32_t domain) const
 {
-    if (plane >= planes_.size())
-        fatal("PlaneStore: plane {} out of pool of {}", plane,
-              planes_.size());
-    if (words.size() != planes_[plane].size())
-        fatal("PlaneStore: {} packed words for a plane of {}",
-              words.size(), planes_[plane].size());
-    std::copy(words.begin(), words.end(), planes_[plane].begin());
+    checkDomain(domain);
+    return planes_[domain];
+}
+
+void
+PlaneDevice::assignDomainWords(std::uint32_t domain, fpga::WordSpan words)
+{
+    checkDomain(domain);
+    if (words.size() != planes_[domain].size())
+        fatal("{}: {} packed words for a domain of {}", name(),
+              words.size(), planes_[domain].size());
+    std::copy(words.begin(), words.end(), planes_[domain].begin());
     ++epoch_;
+}
+
+int
+PlaneDevice::countDomainFaults(std::uint32_t domain,
+                               double effective_v) const
+{
+    const fpga::WordSpan words = domainWords(domain);
+    return static_cast<int>(ladders_[domain].countFaults(words, effective_v));
+}
+
+std::vector<std::uint64_t>
+PlaneDevice::readDomainPacked(std::uint32_t domain,
+                              double effective_v) const
+{
+    const fpga::WordSpan words = domainWords(domain);
+    std::vector<std::uint64_t> observed(words.begin(), words.end());
+    ladders_[domain].applyFaults(observed, effective_v);
+    return observed;
 }
 
 } // namespace uvolt::mem

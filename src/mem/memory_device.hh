@@ -12,11 +12,12 @@
  *    row*16 + col, exactly the fpga::fault_domain.hh layout, so every
  *    packed helper — popcountWords, forEachDiffBit, packRows — works on
  *    every backend),
- *  - a per-polarity threshold ladder: weak elements sorted by
- *    descending failure threshold, so the set active at a voltage is a
- *    prefix found by one binary search, and fault injection/counting is
- *    AND/OR masks + popcount. Backends differ in mask granularity
- *    (BRAM/SRAM: single bits; HBM: whole 16-bit row lanes),
+ *  - per-polarity threshold ladders (vmodel::DomainLadders, the one
+ *    packed fault kernel): weak elements sorted by descending failure
+ *    threshold, so the set active at a voltage is a prefix found by one
+ *    binary search, and fault injection/counting is AND/OR masks +
+ *    popcount. Backends differ in mask granularity (BRAM/SRAM: single
+ *    bits; HBM: whole 16-bit row lanes),
  *  - an effective-voltage law (rail + temperature coefficient + jitter)
  *    and a Vmin/Vcrash envelope, both per technology,
  *  - a rail power model with per-technology constants,
@@ -25,10 +26,11 @@
  *
  * Epoch/caching contract: every content mutation bumps a per-device
  * epoch; countFaults() memoizes the device-wide total on (epoch, exact
- * effective voltage). Copies and clones NEVER share epochs or memos
- * with their source — a copy starts with an invalid memo and its own
- * counter, so divergent writes after a copy can never serve a stale
- * total (the Bram::bindEpoch detach rule, generalized).
+ * effective voltage) in a vmodel::CountMemo, the memo pmbus::Board
+ * keeps too. Copies and clones NEVER share epochs or memos with their
+ * source — a copy starts with an invalid memo and its own counter, so
+ * divergent writes after a copy can never serve a stale total (the
+ * Bram::bindEpoch detach rule, generalized).
  */
 
 #ifndef UVOLT_MEM_MEMORY_DEVICE_HH
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "fpga/fault_domain.hh"
+#include "vmodel/chip_fault_model.hh"
 
 namespace uvolt::mem
 {
@@ -180,95 +183,46 @@ class MemoryDevice
     {
     }
 
-    /** Copies carry the traits but start with an INVALID memo. */
-    MemoryDevice(const MemoryDevice &other) : traits_(other.traits_) {}
-    MemoryDevice &
-    operator=(const MemoryDevice &other)
-    {
-        traits_ = other.traits_;
-        memoValid_ = false;
-        return *this;
-    }
+    /** Copies carry the traits; the memo starts invalid (CountMemo). */
+    MemoryDevice(const MemoryDevice &) = default;
+    MemoryDevice &operator=(const MemoryDevice &) = default;
 
   private:
     DeviceTraits traits_;
-
-    mutable bool memoValid_ = false;
-    mutable std::uint64_t memoEpoch_ = 0;
-    mutable double memoV_ = 0.0;
-    mutable std::uint64_t memoTotal_ = 0;
+    mutable vmodel::CountMemo countMemo_;
 };
 
 /**
- * Generalized threshold ladder: weak elements of one domain and one
- * polarity in SoA layout, sorted by descending failure threshold. The
- * vmodel::ThresholdLadder shape with the single-bit restriction lifted:
- * a mask may cover a whole 16-bit row lane (HBM's coarser granularity),
- * so counting popcounts the masked words instead of assuming 0-or-1.
+ * The storage and fault kernel of the non-BRAM backends: one packed word
+ * plane and one vmodel::DomainLadders pair per fault domain, bound to one
+ * content-epoch counter. A backend synthesizes its weak elements into
+ * ladders_ and supplies the voltage, reference and power laws. Copies
+ * detach — the copied planes belong to the copy's own counter (the Bram
+ * copy rule).
  */
-struct MaskLadder
-{
-    std::vector<float> thresholds;    ///< descending
-    std::vector<std::uint32_t> words; ///< packed word index per element
-    std::vector<std::uint64_t> masks; ///< mask per element (>= 1 bit)
-
-    /** Elements active (failing) at @a effective_v: the prefix length,
-     *  by binary search over the shared cellFailsAt() predicate. */
-    std::size_t activeCount(double effective_v) const;
-
-    std::size_t size() const { return thresholds.size(); }
-
-    void
-    push(float threshold_v, std::uint32_t word, std::uint64_t mask)
-    {
-        thresholds.push_back(threshold_v);
-        words.push_back(word);
-        masks.push_back(mask);
-    }
-
-    /** Stable-sort the three arrays by descending threshold. */
-    void sortDescending();
-
-    /** Faults the active prefix produces against @a written: 1->0
-     *  elements fault where the stored bit is 1, 0->1 where it is 0. */
-    std::uint64_t countFaults(fpga::WordSpan written, bool one_to_zero,
-                              double effective_v) const;
-
-    /** Inject the active prefix into @a words in place (AND for 1->0,
-     *  OR for 0->1). */
-    void applyFaults(std::span<std::uint64_t> words, bool one_to_zero,
-                     double effective_v) const;
-};
-
-/**
- * A pool of packed word planes bound to one content-epoch counter: the
- * storage building block of the non-BRAM backends. Copies detach — the
- * copied planes belong to the copy's own counter (the Bram copy rule).
- */
-class PlaneStore
+class PlaneDevice : public MemoryDevice
 {
   public:
-    PlaneStore(std::uint32_t planes, std::uint32_t words_per_plane)
-        : planes_(planes,
-                  std::vector<std::uint64_t>(words_per_plane, 0))
-    {
-    }
+    void fill(std::uint16_t lane_pattern) override;
+    fpga::WordSpan domainWords(std::uint32_t domain) const override;
+    void assignDomainWords(std::uint32_t domain,
+                           fpga::WordSpan words) override;
+    std::uint64_t contentEpoch() const override { return epoch_; }
 
-    std::uint32_t planeCount() const
-    {
-        return static_cast<std::uint32_t>(planes_.size());
-    }
+    int countDomainFaults(std::uint32_t domain,
+                          double effective_v) const override;
+    std::vector<std::uint64_t>
+    readDomainPacked(std::uint32_t domain,
+                     double effective_v) const override;
 
-    fpga::WordSpan
-    words(std::uint32_t plane) const
-    {
-        return planes_[plane];
-    }
+  protected:
+    explicit PlaneDevice(DeviceTraits traits);
+    PlaneDevice(const PlaneDevice &) = default;
 
-    void fillLanes(std::uint16_t lane_pattern);
-    void assignWords(std::uint32_t plane, fpga::WordSpan words);
+    /** fatal() unless @a domain indexes the pool. */
+    void checkDomain(std::uint32_t domain) const;
 
-    std::uint64_t epoch() const { return epoch_; }
+    std::vector<vmodel::DomainLadders> ladders_; ///< per domain
 
   private:
     std::vector<std::vector<std::uint64_t>> planes_;

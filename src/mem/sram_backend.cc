@@ -61,8 +61,7 @@ sramDeviceTraits(const SramSpec &spec)
 }
 
 SramMorsBackend::SramMorsBackend(const SramSpec &spec)
-    : MemoryDevice(sramDeviceTraits(spec)), spec_(spec),
-      planes_(traits().domainCount, traits().wordsPerDomain)
+    : PlaneDevice(sramDeviceTraits(spec)), spec_(spec)
 {
     const std::uint64_t chipSeed = hashSeed(spec_.chipId);
     const double vmin = spec_.vminMv / 1000.0;
@@ -142,56 +141,23 @@ SramMorsBackend::SramMorsBackend(const SramSpec &spec)
     if (marginalThreshold > 0.0f)
         cells_[marginalArray][marginalIndex].thresholdV = cap;
 
-    ladder10_.resize(spec_.arrayCount);
-    ladder01_.resize(spec_.arrayCount);
     for (std::uint32_t a = 0; a < spec_.arrayCount; ++a) {
         for (const WeakCell &cell : cells_[a]) {
             const std::uint32_t offset =
                 cell.row * static_cast<std::uint32_t>(fpga::bramCols) +
                 cell.col;
-            auto &ladder = cell.oneToZero ? ladder10_[a] : ladder01_[a];
-            ladder.push(cell.thresholdV, offset / fpga::bramWordBits,
-                        std::uint64_t{1} << (offset % fpga::bramWordBits));
+            ladders_[a].push(
+                cell.oneToZero, cell.thresholdV,
+                offset / fpga::bramWordBits,
+                std::uint64_t{1} << (offset % fpga::bramWordBits));
         }
-        ladder10_[a].sortDescending();
-        ladder01_[a].sortDescending();
+        ladders_[a].sortDescending();
         std::sort(cells_[a].begin(), cells_[a].end(),
                   [](const WeakCell &x, const WeakCell &y) {
                       return x.row != y.row ? x.row < y.row
                                             : x.col < y.col;
                   });
     }
-}
-
-void
-SramMorsBackend::fill(std::uint16_t lane_pattern)
-{
-    planes_.fillLanes(lane_pattern);
-}
-
-fpga::WordSpan
-SramMorsBackend::domainWords(std::uint32_t domain) const
-{
-    if (domain >= domainCount())
-        fatal("SRAM {}: array {} out of pool of {}", name(), domain,
-              domainCount());
-    return planes_.words(domain);
-}
-
-void
-SramMorsBackend::assignDomainWords(std::uint32_t domain,
-                                   fpga::WordSpan words)
-{
-    if (domain >= domainCount())
-        fatal("SRAM {}: array {} out of pool of {}", name(), domain,
-              domainCount());
-    planes_.assignWords(domain, words);
-}
-
-std::uint64_t
-SramMorsBackend::contentEpoch() const
-{
-    return planes_.epoch();
 }
 
 double
@@ -203,16 +169,6 @@ SramMorsBackend::effectiveVoltage(double rail_v, double temp_c,
     return rail_v +
         spec_.itdMvPerC * (temp_c - vmodel::referenceTempC) / 1000.0 +
         jitter_v;
-}
-
-int
-SramMorsBackend::countDomainFaults(std::uint32_t domain,
-                                   double effective_v) const
-{
-    const fpga::WordSpan words = domainWords(domain);
-    return static_cast<int>(
-        ladder10_[domain].countFaults(words, true, effective_v) +
-        ladder01_[domain].countFaults(words, false, effective_v));
 }
 
 int
@@ -236,17 +192,6 @@ SramMorsBackend::countDomainFaultsReference(std::uint32_t domain,
     return total;
 }
 
-std::vector<std::uint64_t>
-SramMorsBackend::readDomainPacked(std::uint32_t domain,
-                                  double effective_v) const
-{
-    const fpga::WordSpan words = domainWords(domain);
-    std::vector<std::uint64_t> observed(words.begin(), words.end());
-    ladder10_[domain].applyFaults(observed, true, effective_v);
-    ladder01_[domain].applyFaults(observed, false, effective_v);
-    return observed;
-}
-
 double
 SramMorsBackend::railPowerW(double rail_v) const
 {
@@ -267,9 +212,7 @@ SramMorsBackend::clone() const
 const std::vector<SramMorsBackend::WeakCell> &
 SramMorsBackend::weakCells(std::uint32_t domain) const
 {
-    if (domain >= domainCount())
-        fatal("SRAM {}: array {} out of pool of {}", name(), domain,
-              domainCount());
+    checkDomain(domain);
     return cells_[domain];
 }
 

@@ -67,29 +67,17 @@ const SramSpec *findSram(const std::string &name);
 DeviceTraits sramDeviceTraits(const SramSpec &spec);
 
 /** One SRAM chip as a MemoryDevice; domains are sub-arrays. */
-class SramMorsBackend : public MemoryDevice
+class SramMorsBackend : public PlaneDevice
 {
   public:
     /** Sample the chip's weak-cell map: deterministic in the spec. */
     explicit SramMorsBackend(const SramSpec &spec);
 
-    void fill(std::uint16_t lane_pattern) override;
-    fpga::WordSpan domainWords(std::uint32_t domain) const override;
-    void assignDomainWords(std::uint32_t domain,
-                           fpga::WordSpan words) override;
-    std::uint64_t contentEpoch() const override;
-
     double effectiveVoltage(double rail_v, double temp_c,
                             double jitter_v = 0.0) const override;
 
-    int countDomainFaults(std::uint32_t domain,
-                          double effective_v) const override;
     int countDomainFaultsReference(std::uint32_t domain,
                                    double effective_v) const override;
-    std::vector<std::uint64_t>
-    readDomainPacked(std::uint32_t domain,
-                     double effective_v) const override;
-
     double railPowerW(double rail_v) const override;
 
     std::unique_ptr<MemoryDevice> clone() const override;
@@ -112,10 +100,7 @@ class SramMorsBackend : public MemoryDevice
     SramMorsBackend(const SramMorsBackend &) = default;
 
     SramSpec spec_;
-    PlaneStore planes_;
     std::vector<std::vector<WeakCell>> cells_; // per array, sorted
-    std::vector<MaskLadder> ladder10_;         // 1->0, single-bit masks
-    std::vector<MaskLadder> ladder01_;         // 0->1
 };
 
 } // namespace uvolt::mem

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <new>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -263,6 +264,47 @@ namespace
 {
 
 /**
+ * Allocator aligning float storage to a 64-byte cache line. The batched
+ * kernels vectorize over the batch columns of their scratch matrices;
+ * with malloc's 16-byte alignment, whether each 64-byte vector access
+ * splits two cache lines depended on the heap's allocation history, so
+ * evaluation speed varied between builds with identical NN code.
+ */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t alignment{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), alignment));
+    }
+
+    void
+    deallocate(T *p, std::size_t n)
+    {
+        ::operator delete(p, n * sizeof(T), alignment);
+    }
+
+    friend bool
+    operator==(const CacheLineAllocator &, const CacheLineAllocator &)
+    {
+        return true;
+    }
+};
+
+/** Feature-major activation scratch of the batched kernels. */
+using Scratch = std::vector<float, CacheLineAllocator<float>>;
+
+/**
  * Run the whole stack batched; leaves the final layer's pre-softmax
  * logits in @a a, feature-major (class c of sample s at
  * a[c * batch + s]). @a inputs holds the samples back to back in
@@ -272,7 +314,7 @@ namespace
 /** Size the scratch matrices for a @a batch-column pass of @a net. */
 void
 sizeBatchScratch(const Network &net, std::size_t columns,
-                 std::vector<float> &a, std::vector<float> &b)
+                 Scratch &a, Scratch &b)
 {
     std::size_t max_width = 0;
     for (int width : net.layerSizes())
@@ -287,8 +329,7 @@ sizeBatchScratch(const Network &net, std::size_t columns,
  * c of sample s at a[c * batch + s]).
  */
 void
-runBatchLayers(const Network &net, int batch, std::vector<float> &a,
-               std::vector<float> &b)
+runBatchLayers(const Network &net, int batch, Scratch &a, Scratch &b)
 {
     const std::size_t columns = static_cast<std::size_t>(batch);
     for (int l = 0; l < net.layerCount(); ++l) {
@@ -309,7 +350,7 @@ runBatchLayers(const Network &net, int batch, std::vector<float> &a,
 
 void
 batchLogits(const Network &net, std::span<const float> inputs, int batch,
-            std::vector<float> &a, std::vector<float> &b)
+            Scratch &a, Scratch &b)
 {
     const std::size_t columns = static_cast<std::size_t>(batch);
     const std::size_t features =
@@ -357,7 +398,7 @@ Network::inferBatch(std::span<const float> inputs, std::span<float> probs,
     if (probs.size() != classes * columns)
         fatal("inferBatch: {} prob slots for {} samples of {} classes",
               probs.size(), batch, classes);
-    std::vector<float> a, b;
+    Scratch a, b;
     batchLogits(*this, inputs, batch, a, b);
     std::vector<float> column(classes);
     for (std::size_t s = 0; s < columns; ++s) {
@@ -376,7 +417,7 @@ Network::classifyBatch(std::span<const float> inputs,
     if (classes.size() != static_cast<std::size_t>(batch))
         fatal("classifyBatch: {} class slots for batch {}",
               classes.size(), batch);
-    std::vector<float> a, b;
+    Scratch a, b;
     batchLogits(*this, inputs, batch, a, b);
     std::vector<float> column(static_cast<std::size_t>(sizes_.back()));
     for (int s = 0; s < batch; ++s)
@@ -395,7 +436,7 @@ Network::classifyScattered(std::span<const std::span<const float>> samples,
         return;
     const std::size_t columns = samples.size();
     const std::size_t features = static_cast<std::size_t>(sizes_.front());
-    std::vector<float> a, b;
+    Scratch a, b;
     sizeBatchScratch(*this, columns, a, b);
 
     // Gather the scattered rows straight into the feature-major layout
@@ -423,7 +464,7 @@ Network::countMisclassified(const data::Dataset &set, std::size_t first,
                             std::size_t count, int batch) const
 {
     std::size_t wrong = 0;
-    std::vector<float> a, b;
+    Scratch a, b;
     std::vector<float> column(static_cast<std::size_t>(sizes_.back()));
     for (std::size_t start = first; start < first + count;) {
         const int n = static_cast<int>(std::min<std::size_t>(

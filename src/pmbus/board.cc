@@ -371,16 +371,9 @@ Board::tryCountDeviceFaults() const
                          spec().name, 0, vccBramMv());
     }
     const double v = effectiveVoltage();
-    if (countMemoValid_ && countMemoEpoch_ == device_.contentEpoch() &&
-        countMemoV_ == v) {
-        return countMemoTotal_;
-    }
-    const std::uint64_t total = faults_->countDeviceFaults(device_, v);
-    countMemoValid_ = true;
-    countMemoEpoch_ = device_.contentEpoch();
-    countMemoV_ = v;
-    countMemoTotal_ = total;
-    return total;
+    return countMemo_.get(device_.contentEpoch(), v, [&] {
+        return faults_->countDeviceFaults(device_, v);
+    });
 }
 
 std::uint64_t

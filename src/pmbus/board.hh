@@ -249,12 +249,7 @@ class Board
     std::uint64_t runsStarted_ = 0;
     mutable bool forcedCrash_ = false;
     mutable int crashCountdown_ = -1; ///< ops until injected crash; -1 off
-    // Device-count memo: valid while no BRAM content changed (epoch) and
-    // the effective bitcell voltage is exactly the same double.
-    mutable bool countMemoValid_ = false;
-    mutable std::uint64_t countMemoEpoch_ = 0;
-    mutable double countMemoV_ = 0.0;
-    mutable std::uint64_t countMemoTotal_ = 0;
+    mutable vmodel::CountMemo countMemo_; ///< device count on a quiet schedule
     Rng runRng_;
 };
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 
 #include "fpga/floorplan.hh"
-#include "fpga/platform.hh"
-#include "harness/checkpoint.hh"
 #include "harness/fvm.hh"
 #include "harness/ledger.hh"
 #include "util/flight_recorder.hh"
@@ -289,8 +286,16 @@ UvoltServer::admit(Request request)
 Expected<std::future<Expected<CharacterizeResponse>>>
 UvoltServer::submitCharacterize(CharacterizeRequest request)
 {
-    if (request.runsPerLevel <= 0)
-        fatal("submitCharacterize: runsPerLevel must be positive");
+    if (request.runsPerLevel <= 0) {
+        return makeError(Errc::invalidRequest,
+                         "characterize: runsPerLevel {} is not positive",
+                         request.runsPerLevel);
+    }
+    if (!mem::knownDevice(request.platform)) {
+        return makeError(Errc::invalidRequest,
+                         "characterize: unknown device '{}'",
+                         request.platform);
+    }
     return admit<CharacterizeRequest, CharacterizeResponse>(
         std::move(request));
 }
@@ -300,9 +305,10 @@ UvoltServer::submitClassify(ClassifyRequest request)
 {
     if (request.sampleCount == 0 ||
         request.samples.size() % request.sampleCount != 0) {
-        fatal("submitClassify: {} sample values do not divide into {} "
-              "samples",
-              request.samples.size(), request.sampleCount);
+        return makeError(Errc::invalidRequest,
+                         "classify: {} sample values do not divide into "
+                         "{} samples",
+                         request.samples.size(), request.sampleCount);
     }
     if (!config_.modelProvider)
         fatal("submitClassify: server has no model provider");
@@ -679,145 +685,6 @@ UvoltServer::process(Pending item)
     finishClassifyGroup(std::move(group));
 }
 
-Expected<CharacterizeResponse>
-UvoltServer::characterizeMemOnce(const CharacterizeRequest &request,
-                                 std::uint64_t request_seed,
-                                 Clock::time_point deadline)
-{
-    auto device = mem::makeDevice(request.platform);
-    harness::fillMemPattern(*device, request.pattern);
-
-    mem::MemSweepOptions options;
-    options.runsPerLevel = request.runsPerLevel;
-    options.ambientC = request.ambientC;
-    options.collectPerDomain = true;
-    options.seed = request_seed;
-
-    // Same slice-boundary cancellation points as the BRAM path, but no
-    // checkpoint file: the stateless per-(level, run) jitter stream
-    // means a re-run re-measures skipped levels bit-identically.
-    mem::MemSweepResult merged;
-    std::optional<int> resume;
-    for (;;) {
-        if (stopRequested()) {
-            return makeError(Errc::serverStopped,
-                             "characterize cancelled at slice boundary");
-        }
-        if (Clock::now() > deadline) {
-            return makeError(Errc::deadlineExceeded,
-                             "characterize deadline passed at slice "
-                             "boundary");
-        }
-        mem::MemSweepOptions slice = options;
-        if (config_.sliceLevels > 0)
-            slice.maxLevels = config_.sliceLevels;
-        slice.resumeFromMv = resume;
-        mem::MemSweepResult part = mem::runMemSweep(*device, slice);
-        if (merged.points.empty()) {
-            merged = part;
-        } else {
-            merged.points.insert(merged.points.end(),
-                                 part.points.begin(),
-                                 part.points.end());
-            merged.truncated = part.truncated;
-        }
-        if (!merged.truncated)
-            break;
-        resume = merged.points.back().railMv;
-    }
-
-    CharacterizeResponse response;
-    response.sweep = harness::sweepFromMem(merged, request.pattern);
-    return response;
-}
-
-Expected<CharacterizeResponse>
-UvoltServer::characterizeOnce(const CharacterizeRequest &request,
-                              std::uint64_t request_seed, int attempt,
-                              Clock::time_point deadline, bool &resumed)
-{
-    if (mem::technologyOfName(request.platform) != mem::Technology::bram)
-        return characterizeMemOnce(request, request_seed, deadline);
-    const fpga::PlatformSpec &spec = fpga::findPlatform(request.platform);
-    auto model = pmbus::sharedChipModel(spec);
-    pmbus::Board board(spec, model);
-    board.setAmbientC(request.ambientC);
-    if (config_.noise) {
-        // Idempotent by construction: the injector stream is a pure
-        // function of the request's own content digest, re-seeded per
-        // attempt exactly as the fleet engine does, so a retry (or a
-        // resubmission after restart) faces a reproducible environment.
-        pmbus::NoiseConfig noise = *config_.noise;
-        noise.seed = request_seed +
-                     static_cast<std::uint64_t>(attempt - 1) * 1000003ull;
-        board.attachNoise(noise);
-    }
-
-    harness::SweepOptions options;
-    options.pattern = request.pattern;
-    options.runsPerLevel = request.runsPerLevel;
-    options.collectPerBram = true;
-    options.recovery = config_.recovery;
-
-    // The in-memory checkpoint is what carries progress from one slice
-    // to the next; it is always wired. The on-disk serialization (and
-    // with it resume-after-restart) is what checkpointDir adds.
-    harness::SweepCheckpoint checkpoint;
-    options.checkpoint = &checkpoint;
-    std::string ckpt_path;
-    if (!config_.checkpointDir.empty()) {
-        const harness::FleetJob shape{request.platform, request.pattern,
-                                      request.ambientC, std::nullopt};
-        ckpt_path = strFormat("{}/{}-r{}.ckpt", config_.checkpointDir,
-                              shape.label(), request.runsPerLevel);
-        options.checkpointPath = ckpt_path;
-        if (std::filesystem::exists(ckpt_path)) {
-            auto loaded = harness::loadCheckpointFile(ckpt_path);
-            if (loaded.ok())
-                checkpoint = loaded.take();
-            else
-                warnc("serve", "ignoring unusable checkpoint '{}': {}",
-                     ckpt_path, loaded.error().message);
-        }
-    }
-    if (checkpoint.valid) {
-        resumed = true;
-        serveMetrics().resumes.increment();
-    }
-
-    // Time-sliced execution: at most sliceLevels voltage levels per
-    // tryRunCriticalSweep call, with the checkpoint flushed after every
-    // level — the cooperative cancellation points for deadlines and
-    // stop. A cancelled campaign leaves its checkpoint on disk, so the
-    // same request shape resumes bit-identically later.
-    for (;;) {
-        if (stopRequested()) {
-            return makeError(Errc::serverStopped,
-                             "characterize cancelled at slice boundary "
-                             "(checkpoint flushed)");
-        }
-        if (Clock::now() > deadline) {
-            return makeError(Errc::deadlineExceeded,
-                             "characterize deadline passed at slice "
-                             "boundary (checkpoint flushed)");
-        }
-        harness::SweepOptions slice = options;
-        slice.maxLevels = config_.sliceLevels;
-        auto result = harness::tryRunCriticalSweep(board, slice);
-        if (!result.ok())
-            return result.error();
-        if (!result.value().truncated) {
-            CharacterizeResponse response;
-            response.sweep = result.take();
-            if (!ckpt_path.empty()) {
-                std::error_code ec;
-                std::filesystem::remove(ckpt_path, ec);
-            }
-            return response;
-        }
-    }
-}
-
 void
 UvoltServer::finishCharacterize(Pending &item)
 {
@@ -841,7 +708,36 @@ UvoltServer::finishCharacterize(Pending &item)
     }
     std::unique_lock serialized(*label_lock);
 
-    bool resumed = false;
+    // The request as a one-job plan for the shared per-attempt runner.
+    // The injector stream is a pure function of the request's content
+    // digest (re-seeded per attempt by the runner), so a retry — or a
+    // resubmission after a restart — faces a reproducible environment.
+    harness::FleetPlan plan;
+    plan.runsPerLevel = request.runsPerLevel;
+    plan.recovery = config_.recovery;
+    harness::FleetJob job{request.platform, request.pattern,
+                          request.ambientC, std::nullopt};
+    std::string ckpt_path;
+    if (!config_.checkpointDir.empty())
+        ckpt_path = strFormat("{}/{}-r{}.ckpt", config_.checkpointDir,
+                              job.label(), request.runsPerLevel);
+    if (config_.noise) {
+        job.noise = *config_.noise;
+        job.noise->seed = request_seed;
+    }
+    // Cooperative cancellation points: a cancelled BRAM campaign leaves
+    // its checkpoint flushed, so the same request shape resumes later.
+    const harness::SliceCheck at_slice = [&]() -> Expected<void> {
+        if (stopRequested())
+            return makeError(Errc::serverStopped,
+                             "characterize cancelled at slice boundary");
+        if (Clock::now() > item.deadline)
+            return makeError(Errc::deadlineExceeded,
+                             "characterize deadline passed at slice "
+                             "boundary");
+        return {};
+    };
+
     Error last = makeError(Errc::recoveryExhausted,
                            "characterize {} never ran", item.id);
     for (int attempt = 1; attempt <= config_.maxAttempts; ++attempt) {
@@ -854,12 +750,17 @@ UvoltServer::finishCharacterize(Pending &item)
                 {"id", std::to_string(item.id)},
                 {"attempt", std::to_string(attempt)}};
         });
-        auto result = characterizeOnce(request, request_seed, attempt,
-                                       item.deadline, resumed);
+        auto result =
+            harness::runJobAttempt(plan, job, attempt, request_seed,
+                                   ckpt_path, config_.sliceLevels, at_slice);
         if (result.ok()) {
-            CharacterizeResponse response = result.take();
+            harness::FleetJobOutcome outcome = result.take();
+            CharacterizeResponse response;
+            response.sweep = std::move(outcome.sweep);
             response.attempts = attempt;
-            response.resumed = resumed;
+            response.resumed = outcome.resumed;
+            if (response.resumed)
+                serveMetrics().resumes.increment();
 
             if (config_.fvmCache) {
                 // Backend-generic publication: the traits carry the

@@ -148,7 +148,8 @@ struct ServerConfig
     harness::FvmCache *fvmCache = nullptr;
 
     /** Harsh environment for every characterize board (the PR 1
-     *  injector); reseeded per request + attempt. */
+     *  injector); reseeded per request + attempt. A backend (HBM,
+     *  SRAM) characterize has no board and fails invalidRequest. */
     std::optional<pmbus::NoiseConfig> noise;
 
     harness::RecoveryPolicy recovery; ///< per-run watchdog budget
@@ -243,13 +244,16 @@ class UvoltServer
 
     /**
      * Admit a characterization campaign. Synchronous refusals come
-     * back as Errors (queueFull, serverStopped, loadShed); an admitted
-     * request resolves its future exactly once.
+     * back as Errors (queueFull, serverStopped, loadShed, and
+     * invalidRequest for runsPerLevel <= 0 or a name no catalog knows);
+     * an admitted request resolves its future exactly once.
      */
     Expected<std::future<Expected<CharacterizeResponse>>>
     submitCharacterize(CharacterizeRequest request);
 
-    /** Admit a classification batch; same admission contract. */
+    /** Admit a classification batch; same admission contract
+     *  (invalidRequest when the samples do not divide into
+     *  sampleCount > 0 rows). */
     Expected<std::future<Expected<ClassifyResponse>>>
     submitClassify(ClassifyRequest request);
 
@@ -332,22 +336,6 @@ class UvoltServer
     void process(Pending item);
     void finishCharacterize(Pending &item);
     void finishClassifyGroup(std::vector<Pending> items);
-
-    Expected<CharacterizeResponse>
-    characterizeOnce(const CharacterizeRequest &request,
-                     std::uint64_t request_seed, int attempt,
-                     Clock::time_point deadline, bool &resumed);
-
-    /**
-     * Non-BRAM devices: time-sliced backend sweep. The stateless mem
-     * jitter stream makes slices resumable without checkpoint files,
-     * and the injected-noise config is ignored (it drives a
-     * pmbus::Board, which only the BRAM path has).
-     */
-    Expected<CharacterizeResponse>
-    characterizeMemOnce(const CharacterizeRequest &request,
-                        std::uint64_t request_seed,
-                        Clock::time_point deadline);
 
     Expected<std::shared_ptr<const nn::Network>>
     obtainModel(int setpoint_mv, std::uint64_t request_seed,

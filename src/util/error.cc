@@ -35,6 +35,8 @@ errcName(Errc code)
         return "load-shed";
       case Errc::unknownFlag:
         return "unknown-flag";
+      case Errc::invalidRequest:
+        return "invalid-request";
     }
     panic("errcName: invalid Errc {}", static_cast<int>(code));
 }

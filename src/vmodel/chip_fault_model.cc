@@ -13,17 +13,78 @@ namespace uvolt::vmodel
 {
 
 std::size_t
-ThresholdLadder::activeCount(double effective_v) const
+MaskLadder::activeCount(double effective_v) const
 {
-    // Thresholds are sorted descending, so the cells that fail at this
-    // voltage are a prefix. The boundary is cellFailsAt() — the one
+    // Thresholds are sorted descending, so the elements that fail at
+    // this voltage are a prefix. The boundary is cellFailsAt() — the one
     // shared predicate — so equality (healthy) resolves identically
-    // here and in the scalar reference walker.
+    // here and in every scalar reference walker.
     const auto end = std::partition_point(
         thresholds.begin(), thresholds.end(), [effective_v](float t) {
             return cellFailsAt(t, effective_v);
         });
     return static_cast<std::size_t>(end - thresholds.begin());
+}
+
+void
+DomainLadders::push(bool one_to_zero, float threshold_v,
+                    std::uint32_t word, std::uint64_t mask)
+{
+    MaskLadder &ladder = one_to_zero ? oneToZero : zeroToOne;
+    ladder.thresholds.push_back(threshold_v);
+    ladder.words.push_back(word);
+    ladder.masks.push_back(mask);
+}
+
+void
+DomainLadders::sortDescending()
+{
+    for (MaskLadder *ladder : {&oneToZero, &zeroToOne}) {
+        std::vector<std::size_t> order(ladder->size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [ladder](std::size_t a, std::size_t c) {
+                             return ladder->thresholds[a] >
+                                 ladder->thresholds[c];
+                         });
+        MaskLadder sorted;
+        sorted.thresholds.reserve(order.size());
+        sorted.words.reserve(order.size());
+        sorted.masks.reserve(order.size());
+        for (std::size_t i : order) {
+            sorted.thresholds.push_back(ladder->thresholds[i]);
+            sorted.words.push_back(ladder->words[i]);
+            sorted.masks.push_back(ladder->masks[i]);
+        }
+        *ladder = std::move(sorted);
+    }
+}
+
+std::uint64_t
+DomainLadders::countFaults(fpga::WordSpan written, double effective_v) const
+{
+    std::uint64_t faults = 0;
+    const std::size_t drops = oneToZero.activeCount(effective_v);
+    for (std::size_t i = 0; i < drops; ++i)
+        faults += static_cast<std::uint64_t>(std::popcount(
+            written[oneToZero.words[i]] & oneToZero.masks[i]));
+    const std::size_t rises = zeroToOne.activeCount(effective_v);
+    for (std::size_t i = 0; i < rises; ++i)
+        faults += static_cast<std::uint64_t>(std::popcount(
+            ~written[zeroToOne.words[i]] & zeroToOne.masks[i]));
+    return faults;
+}
+
+void
+DomainLadders::applyFaults(std::span<std::uint64_t> words,
+                           double effective_v) const
+{
+    const std::size_t drops = oneToZero.activeCount(effective_v);
+    for (std::size_t i = 0; i < drops; ++i)
+        words[oneToZero.words[i]] &= ~oneToZero.masks[i];
+    const std::size_t rises = zeroToOne.activeCount(effective_v);
+    for (std::size_t i = 0; i < rises; ++i)
+        words[zeroToOne.words[i]] |= zeroToOne.masks[i];
 }
 
 ChipFaultModel::ChipFaultModel(const fpga::PlatformSpec &spec,
@@ -130,34 +191,18 @@ ChipFaultModel::ChipFaultModel(const fpga::PlatformSpec &spec,
 void
 ChipFaultModel::buildLadders()
 {
-    ladder10_.resize(cells_.size());
-    ladder01_.resize(cells_.size());
+    ladders_.resize(cells_.size());
     for (std::size_t b = 0; b < cells_.size(); ++b) {
-        const auto &list = cells_[b];
-        // Order cells by descending threshold so the set active at any
-        // voltage is a prefix. Ties can land in either order: counting
-        // is a sum over the prefix and the single-bit masks are
-        // disjoint, so the results are order-independent.
-        std::vector<std::uint32_t> order(list.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::stable_sort(order.begin(), order.end(),
-                         [&list](std::uint32_t a, std::uint32_t c) {
-                             return list[a].thresholdV >
-                                 list[c].thresholdV;
-                         });
-        for (std::uint32_t i : order) {
-            const WeakCell &cell = list[i];
+        for (const WeakCell &cell : cells_[b]) {
             const auto addr = fpga::BitAddress::fromBitOffset(
                 static_cast<std::uint32_t>(b),
                 static_cast<std::uint32_t>(cell.row) *
                         static_cast<std::uint32_t>(fpga::bramCols) +
                     cell.col);
-            ThresholdLadder &ladder =
-                cell.oneToZero ? ladder10_[b] : ladder01_[b];
-            ladder.thresholds.push_back(cell.thresholdV);
-            ladder.words.push_back(addr.wordIndex());
-            ladder.masks.push_back(addr.wordMask());
+            ladders_[b].push(cell.oneToZero, cell.thresholdV,
+                             addr.wordIndex(), addr.wordMask());
         }
+        ladders_[b].sortDescending();
     }
 }
 
@@ -167,22 +212,6 @@ ChipFaultModel::weakCells(std::uint32_t bram) const
     if (bram >= cells_.size())
         fatal("weakCells: BRAM {} out of pool of {}", bram, cells_.size());
     return cells_[bram];
-}
-
-const ThresholdLadder &
-ChipFaultModel::ladderOneToZero(std::uint32_t bram) const
-{
-    if (bram >= ladder10_.size())
-        fatal("ladder: BRAM {} out of pool of {}", bram, ladder10_.size());
-    return ladder10_[bram];
-}
-
-const ThresholdLadder &
-ChipFaultModel::ladderZeroToOne(std::uint32_t bram) const
-{
-    if (bram >= ladder01_.size())
-        fatal("ladder: BRAM {} out of pool of {}", bram, ladder01_.size());
-    return ladder01_[bram];
 }
 
 double
@@ -201,17 +230,10 @@ void
 ChipFaultModel::applyFaults(std::span<std::uint64_t> words,
                             std::uint32_t bram, double effective_v) const
 {
-    if (bram >= ladder10_.size())
+    if (bram >= ladders_.size())
         fatal("applyFaults: BRAM {} out of pool of {}", bram,
-              ladder10_.size());
-    const ThresholdLadder &drop = ladder10_[bram];
-    const std::size_t drops = drop.activeCount(effective_v);
-    for (std::size_t i = 0; i < drops; ++i)
-        words[drop.words[i]] &= ~drop.masks[i];
-    const ThresholdLadder &rise = ladder01_[bram];
-    const std::size_t rises = rise.activeCount(effective_v);
-    for (std::size_t i = 0; i < rises; ++i)
-        words[rise.words[i]] |= rise.masks[i];
+              ladders_.size());
+    ladders_[bram].applyFaults(words, effective_v);
 }
 
 std::vector<std::uint64_t>
@@ -236,21 +258,10 @@ int
 ChipFaultModel::countFaults(fpga::WordSpan written, std::uint32_t bram,
                             double effective_v) const
 {
-    if (bram >= ladder10_.size())
+    if (bram >= ladders_.size())
         fatal("countFaults: BRAM {} out of pool of {}", bram,
-              ladder10_.size());
-    int faults = 0;
-    // Single-bit masks, so each popcount contributes 0 or 1: a 1->0 cell
-    // faults when the written bit is set, a 0->1 cell when it is clear.
-    const ThresholdLadder &drop = ladder10_[bram];
-    const std::size_t drops = drop.activeCount(effective_v);
-    for (std::size_t i = 0; i < drops; ++i)
-        faults += std::popcount(written[drop.words[i]] & drop.masks[i]);
-    const ThresholdLadder &rise = ladder01_[bram];
-    const std::size_t rises = rise.activeCount(effective_v);
-    for (std::size_t i = 0; i < rises; ++i)
-        faults += std::popcount(~written[rise.words[i]] & rise.masks[i]);
-    return faults;
+              ladders_.size());
+    return static_cast<int>(ladders_[bram].countFaults(written, effective_v));
 }
 
 int

@@ -69,22 +69,92 @@ cellFailsAt(float threshold_v, double effective_v)
 }
 
 /**
- * Precomputed packed threshold masks of one BRAM and one polarity:
- * weak cells sorted by descending failure threshold in SoA layout, so
- * the cells active at voltage v are exactly a prefix (found by one
- * binary search) and fault injection/counting over that prefix is
- * AND/XOR + std::popcount against the packed data words.
+ * Packed threshold ladder: the weak elements of one fault domain and one
+ * failure polarity in SoA layout, sorted by descending failure
+ * threshold, so the elements failing at voltage v are exactly a prefix
+ * (one binary search) and injection/counting over it is AND/OR masks +
+ * std::popcount. A mask covers one bitcell (BRAM, SRAM) or a whole
+ * 16-bit row lane (HBM), so counts popcount the masked bits instead of
+ * assuming 0-or-1.
  */
-struct ThresholdLadder
+struct MaskLadder
 {
-    std::vector<float> thresholds;     ///< descending
-    std::vector<std::uint32_t> words;  ///< packed word index per cell
-    std::vector<std::uint64_t> masks;  ///< single-bit mask per cell
+    std::vector<float> thresholds;    ///< descending
+    std::vector<std::uint32_t> words; ///< packed word index per element
+    std::vector<std::uint64_t> masks; ///< mask per element (>= 1 bit)
 
-    /** Cells whose threshold exceeds @a effective_v (active prefix). */
+    /** Elements failing at @a effective_v: the prefix length, by binary
+     *  search over the shared cellFailsAt() predicate. */
     std::size_t activeCount(double effective_v) const;
 
     std::size_t size() const { return thresholds.size(); }
+};
+
+/**
+ * Both ladders of one fault domain — the one packed fault kernel every
+ * technology uses. Elements are pushed in any order, then sorted once;
+ * a 1->0 element faults where the stored bit is 1, a 0->1 element where
+ * it is 0.
+ */
+struct DomainLadders
+{
+    MaskLadder oneToZero;
+    MaskLadder zeroToOne;
+
+    void push(bool one_to_zero, float threshold_v, std::uint32_t word,
+              std::uint64_t mask);
+
+    /** Stable-sort both ladders by descending threshold. Ties may land
+     *  in either order: counts and injection are order-independent. */
+    void sortDescending();
+
+    /** Observable faults of the active prefixes against @a written. */
+    std::uint64_t countFaults(fpga::WordSpan written,
+                              double effective_v) const;
+
+    /** Inject the active prefixes into @a words in place: 1->0 elements
+     *  clear their bits (AND NOT), 0->1 elements set them (OR). */
+    void applyFaults(std::span<std::uint64_t> words,
+                     double effective_v) const;
+};
+
+/**
+ * Memo of one device-wide fault count, valid while the content epoch
+ * and the exact effective voltage (same double) are unchanged. Copies
+ * start invalid, so a copied device can never serve its source's total
+ * after the two diverge.
+ */
+class CountMemo
+{
+  public:
+    CountMemo() = default;
+    CountMemo(const CountMemo &) {}
+    CountMemo &
+    operator=(const CountMemo &)
+    {
+        valid_ = false;
+        return *this;
+    }
+
+    /** The memoized total, or @a count() stored as the new one. */
+    template <typename Count>
+    std::uint64_t
+    get(std::uint64_t epoch, double effective_v, Count &&count)
+    {
+        if (!valid_ || epoch_ != epoch || effectiveV_ != effective_v) {
+            total_ = count();
+            valid_ = true;
+            epoch_ = epoch;
+            effectiveV_ = effective_v;
+        }
+        return total_;
+    }
+
+  private:
+    bool valid_ = false;
+    std::uint64_t epoch_ = 0;
+    double effectiveV_ = 0.0;
+    std::uint64_t total_ = 0;
 };
 
 /** Reference ambient for all calibration anchors (degC). */
@@ -180,10 +250,6 @@ class ChipFaultModel
                                  std::uint32_t bram,
                                  double effective_v) const;
 
-    /** The precomputed packed ladders of one BRAM (testing/diagnostics). */
-    const ThresholdLadder &ladderOneToZero(std::uint32_t bram) const;
-    const ThresholdLadder &ladderZeroToOne(std::uint32_t bram) const;
-
     /**
      * Expected observable fault count for the whole chip at the given
      * effective voltage, assuming every cell stores "1" (pattern 0xFFFF).
@@ -201,8 +267,7 @@ class ChipFaultModel
     fpga::PlatformSpec spec_;
     std::vector<double> lambda_;
     std::vector<std::vector<WeakCell>> cells_; // per BRAM, sorted
-    std::vector<ThresholdLadder> ladder10_;    // 1->0, descending thr
-    std::vector<ThresholdLadder> ladder01_;    // 0->1, descending thr
+    std::vector<DomainLadders> ladders_;       // per BRAM
     std::size_t totalWeakCells_ = 0;
 };
 

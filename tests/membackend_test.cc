@@ -527,19 +527,63 @@ TEST_P(MixedFleetDeterminism, MixedFleetIsBitIdenticalAcrossWorkers)
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, MixedFleetDeterminism,
                          ::testing::Values(0u, 1u, 8u));
 
-TEST(MixedFleetTest, NoiseInjectionOnNonBramJobsDies)
+TEST(MixedFleetTest, NoiseInjectionOnNonBramJobsIsInvalid)
 {
     const pmbus::NoiseConfig noise = pmbus::NoiseConfig::harsh(1, 0.05);
     const auto campaign = harness::Campaign::onDevices({"HBM2-A"})
                               .withNoise(noise)
                               .sweep(3)
                               .ledgerUnder("");
-    EXPECT_DEATH(
-        {
-            auto result = campaign.run();
-            (void)result;
-        },
-        "BRAM-only");
+    const auto result = campaign.run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.code(), Errc::invalidRequest);
+    EXPECT_NE(result.error().message.find("BRAM-only"), std::string::npos);
+}
+
+TEST(MixedFleetTest, RegionDiscoveryOnNonBramJobsIsInvalid)
+{
+    const auto result = harness::Campaign::onDevices({"MORS-SRAM-A"})
+                            .discoverRegions()
+                            .sweep(3)
+                            .ledgerUnder("")
+                            .run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.code(), Errc::invalidRequest);
+}
+
+TEST(MixedFleetTest, SlicedBackendAttemptMatchesOneSweep)
+{
+    harness::FleetPlan plan;
+    plan.runsPerLevel = 3;
+    const harness::FleetJob job{"HBM2-A", harness::PatternSpec::fixed(0x5A5A),
+                                60.0, std::nullopt};
+    const auto whole = harness::runJobAttempt(plan, job, 1, 17);
+    ASSERT_TRUE(whole.ok());
+    int slices = 0;
+    const auto sliced = harness::runJobAttempt(
+        plan, job, 1, 17, "", 2, [&]() -> Expected<void> {
+            ++slices;
+            return {};
+        });
+    ASSERT_TRUE(sliced.ok());
+    EXPECT_GT(slices, 1);
+    const harness::SweepResult &p = sliced.value().sweep;
+    const harness::SweepResult &q = whole.value().sweep;
+    EXPECT_FALSE(p.truncated);
+    ASSERT_EQ(p.points.size(), q.points.size());
+    for (std::size_t k = 0; k < p.points.size(); ++k) {
+        EXPECT_EQ(p.points[k].vccBramMv, q.points[k].vccBramMv);
+        EXPECT_EQ(p.points[k].runCounts, q.points[k].runCounts);
+        EXPECT_EQ(p.points[k].perBramFaults, q.points[k].perBramFaults);
+    }
+
+    // A failing slice check ends the attempt with its error.
+    const auto stopped = harness::runJobAttempt(
+        plan, job, 1, 17, "", 2, [&]() -> Expected<void> {
+            return makeError(Errc::serverStopped, "stop");
+        });
+    ASSERT_FALSE(stopped.ok());
+    EXPECT_EQ(stopped.code(), Errc::serverStopped);
 }
 
 // ---------------------------------------------------------------------

@@ -353,6 +353,73 @@ TEST(ServeAdmission, DrainedServerRefusesNewWork)
     server.stop();
 }
 
+TEST(ServeAdmission, MalformedRequestsAreRefusedAndServingContinues)
+{
+    ServerConfig config;
+    config.workers = 1;
+    config.modelProvider = fixedProvider();
+    UvoltServer server(std::move(config));
+
+    for (int runs : {0, -3}) {
+        CharacterizeRequest request;
+        request.platform = "ZC702";
+        request.runsPerLevel = runs;
+        auto refused = server.submitCharacterize(std::move(request));
+        ASSERT_FALSE(refused.ok());
+        EXPECT_EQ(refused.code(), Errc::invalidRequest);
+    }
+    CharacterizeRequest unknown;
+    unknown.platform = "NOT-A-DEVICE";
+    auto refused = server.submitCharacterize(std::move(unknown));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.code(), Errc::invalidRequest);
+
+    ClassifyRequest empty = forestRequest(4, 1, 850);
+    empty.sampleCount = 0;
+    auto no_samples = server.submitClassify(std::move(empty));
+    ASSERT_FALSE(no_samples.ok());
+    EXPECT_EQ(no_samples.code(), Errc::invalidRequest);
+    ClassifyRequest ragged = forestRequest(4, 1, 850);
+    ragged.samples.pop_back();
+    auto uneven = server.submitClassify(std::move(ragged));
+    ASSERT_FALSE(uneven.ok());
+    EXPECT_EQ(uneven.code(), Errc::invalidRequest);
+    EXPECT_EQ(server.stats().admitted, 0u);
+
+    // Nothing was admitted, and the daemon still serves both classes.
+    CharacterizeRequest valid;
+    valid.platform = "HBM2-A";
+    valid.runsPerLevel = 2;
+    auto characterized = server.submitCharacterize(std::move(valid));
+    ASSERT_TRUE(characterized.ok());
+    auto classified = server.submitClassify(forestRequest(4, 1, 850));
+    ASSERT_TRUE(classified.ok());
+    EXPECT_TRUE(characterized.value().get().ok());
+    EXPECT_TRUE(classified.value().get().ok());
+    server.stop();
+}
+
+TEST(ServeAdmission, NoiseOnABackendCharacterizeFailsWithoutRetry)
+{
+    ServerConfig config;
+    config.workers = 1;
+    config.noise = pmbus::NoiseConfig::harsh(0, 0.02);
+    UvoltServer server(std::move(config));
+
+    CharacterizeRequest request;
+    request.platform = "MORS-SRAM-A";
+    request.runsPerLevel = 2;
+    auto future = server.submitCharacterize(std::move(request));
+    ASSERT_TRUE(future.ok());
+    auto response = future.value().get();
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.code(), Errc::invalidRequest);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.retried, 0u);
+    EXPECT_EQ(stats.failed, 1u);
+    server.stop();
+}
+
 TEST(ServeAdmission, DegradedServerShedsLowPriorityOnly)
 {
     ServerConfig config;
@@ -739,6 +806,136 @@ TEST(ServeIdentity, RepeatedRequestsAreIdempotent)
     server.stop();
 }
 
+// --- backend (HBM, MoRS-SRAM) characterize -------------------------------
+
+/** Serve @a request on a fresh one-worker server; the response value. */
+CharacterizeResponse
+characterizeOn(const CharacterizeRequest &request, int slice_levels)
+{
+    ServerConfig config;
+    config.workers = 1;
+    config.sliceLevels = slice_levels;
+    UvoltServer server(std::move(config));
+    auto future = server.submitCharacterize(request);
+    EXPECT_TRUE(future.ok());
+    if (!future.ok())
+        return {};
+    auto response = future.value().get();
+    EXPECT_TRUE(response.ok());
+    server.stop();
+    return response.ok() ? response.take() : CharacterizeResponse{};
+}
+
+/** A backend characterize long enough to be cut at a slice boundary:
+ *  every level re-reads the device this many times. */
+constexpr int longRunsPerLevel = 20000;
+
+class ServeBackend : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ServeBackend, SliceLengthNeverChangesTheSweep)
+{
+    CharacterizeRequest request;
+    request.platform = GetParam();
+    request.pattern = PatternSpec::fixed(0xAAAA);
+    request.runsPerLevel = 4;
+
+    const CharacterizeResponse reference = characterizeOn(request, 1);
+    EXPECT_EQ(reference.sweep.platform, GetParam());
+    ASSERT_GT(reference.sweep.points.size(), 1u);
+    EXPECT_FALSE(reference.sweep.truncated);
+    // The stateless per-(level, run) jitter stream: however the sweep
+    // is cut into slices, the merged result is the same bits.
+    for (int slice_levels : {0, 3, 1000})
+        expectSameSweep(characterizeOn(request, slice_levels).sweep,
+                        reference.sweep);
+}
+
+TEST_P(ServeBackend, RepeatedRequestsReturnTheIdenticalSweep)
+{
+    CharacterizeRequest request;
+    request.platform = GetParam();
+    request.runsPerLevel = 3;
+
+    ServerConfig config;
+    config.workers = 2;
+    UvoltServer server(std::move(config));
+    auto first = server.submitCharacterize(request);
+    auto second = server.submitCharacterize(request);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    auto a = first.value().get();
+    auto b = second.value().get();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    expectSameSweep(a.value().sweep, b.value().sweep);
+
+    auto third = server.submitCharacterize(request);
+    ASSERT_TRUE(third.ok());
+    auto c = third.value().get();
+    ASSERT_TRUE(c.ok());
+    expectSameSweep(c.value().sweep, a.value().sweep);
+    server.stop();
+}
+
+TEST_P(ServeBackend, DeadlineEndsTheSweepAtASliceBoundary)
+{
+    ServerConfig config;
+    config.workers = 1;
+    UvoltServer server(std::move(config));
+
+    CharacterizeRequest request;
+    request.platform = GetParam();
+    request.runsPerLevel = longRunsPerLevel;
+    request.deadlineMs = 30.0;
+    auto future = server.submitCharacterize(std::move(request));
+    ASSERT_TRUE(future.ok());
+    auto response = future.value().get();
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.code(), Errc::deadlineExceeded);
+
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.deadlineExceeded, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    server.stop();
+}
+
+TEST_P(ServeBackend, StopNowEndsTheSweepAtASliceBoundary)
+{
+    ServerConfig config;
+    config.workers = 1;
+    UvoltServer server(std::move(config));
+
+    CharacterizeRequest request;
+    request.platform = GetParam();
+    request.runsPerLevel = longRunsPerLevel;
+    auto future = server.submitCharacterize(std::move(request));
+    ASSERT_TRUE(future.ok());
+    // Once the worker has taken the request, the sweep is in flight.
+    while (server.queueDepth() > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    server.stop(StopMode::now);
+
+    auto response = future.value().get();
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.code(), Errc::serverStopped);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.completed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServeBackend,
+                         ::testing::Values("HBM2-A", "MORS-SRAM-A"),
+                         [](const auto &info) {
+                             std::string name = info.param;
+                             for (auto &c : name)
+                                 if (c == '-')
+                                     c = '_';
+                             return name;
+                         });
+
 // --- observability -------------------------------------------------------
 
 /** Enable telemetry for one test; restore and wipe on exit. */
@@ -838,17 +1035,22 @@ TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
         GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
-    // Capacity 1 and a worker wedged behind a characterize: the next
-    // submits hit queueFull, and each refused admission must still be a
-    // closed flow (one start, one "serve.reject" finish) — a half-open
-    // flow draws forever-dangling arrows in the viewer.
+    // Capacity 1, the worker wedged in a blocked model provider and a
+    // characterize holding the one queue slot: the next submits hit
+    // queueFull, and each refused admission must still be a closed flow
+    // (one start, one "serve.reject" finish) — a half-open flow draws
+    // forever-dangling arrows in the viewer.
+    BlockableProvider gate;
     ServerConfig config;
     config.workers = 1;
     config.queueCapacity = 1;
-    config.modelProvider = fixedProvider();
+    config.modelProvider = gate.provider();
     config.blackboxDir = "";
     UvoltServer server(std::move(config));
 
+    auto busy = server.submitClassify(forestRequest(2, 99, 850)).orFatal();
+    while (gate.calls.load() == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     CharacterizeRequest slow;
     slow.platform = "ZC702";
     slow.runsPerLevel = 3;
@@ -861,6 +1063,8 @@ TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
         else
             ++rejected;
     }
+    gate.release.store(true);
+    ASSERT_TRUE(busy.get().ok());
     ASSERT_TRUE(wedge.get().ok());
     server.stop();
 
