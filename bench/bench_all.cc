@@ -1,8 +1,9 @@
 /**
  * @file
  * The unified benchmark binary: every hot path of the library on one
- * UVOLT_BENCHMARK harness, one results table, one schema-versioned
- * BENCH_uvolt.json that scripts/check_regression.py gates CI with.
+ * UVOLT_BENCHMARK harness, one results table, and one perf-timeline
+ * row (min and median ns per benchmark, plus the machine it ran on)
+ * that scripts/check_perf.py gates CI with.
  *
  * Coverage: the sweep inner loop (telemetry off and on), BRAM readback
  * and device-wide fault counting at Vcrash, fleet fan-out at 0/1/8
@@ -28,7 +29,6 @@
 #include "data/synthetic.hh"
 #include "harness/campaign.hh"
 #include "harness/fvm.hh"
-#include "harness/ledger.hh"
 #include "harness/timeline.hh"
 #include "mem/catalog.hh"
 #include "mem/sweep.hh"
@@ -431,10 +431,8 @@ writeTelemetryComparison(const std::vector<bench::BenchResult> &results)
 int
 main(int argc, char **argv)
 {
-    CliParser cli("Unified benchmark suite; emits BENCH_uvolt.json for "
-                  "scripts/check_regression.py");
-    cli.addString("out", "BENCH_uvolt.json",
-                  "output path of the uvolt-bench-v1 JSON document");
+    CliParser cli("Unified benchmark suite; appends one perf-timeline "
+                  "row for scripts/check_perf.py");
     cli.addInt("repeats", 9, "timed repeats per benchmark");
     cli.addDouble("min-time-ms", 20.0,
                   "calibrated minimum time per repeat");
@@ -455,7 +453,7 @@ main(int argc, char **argv)
     options.repeats = static_cast<int>(cli.getInt("repeats"));
     options.minTimeMs = cli.getDouble("min-time-ms");
     options.filter = cli.getString("filter");
-
+    const bool telemetry_on = telemetry::Telemetry::enabled();
     const std::vector<bench::BenchResult> results =
         bench::Registry::global().runAll(options);
     if (results.empty()) {
@@ -467,39 +465,21 @@ main(int argc, char **argv)
     bench::resultsTable(results).print(std::cout);
     writeTelemetryComparison(results);
 
-    const std::string out = cli.getString("out");
-    if (!bench::writeBenchJson(results, options, out))
-        return 1;
-    std::printf("\nwrote %zu benchmark(s) to %s (git %s)\n",
-                results.size(), out.c_str(),
-                bench::buildGitSha().c_str());
-
-    // One uvolt-timeline-v1 row per suite run: median ns/iter of every
-    // bench, keyed by name, for scripts/check_drift.py's history gate.
-    if (const std::string timeline_path = cli.getString("timeline");
-        !timeline_path.empty()) {
-        double total_ms = 0.0;
-        harness::TimelineRow row;
-        row.tool = "bench_all";
-        row.gitSha = bench::buildGitSha();
-        row.startedAtIso = harness::nowIso8601();
-        row.configDigest = harness::configDigest(
-            strFormat("bench_all;repeats={};min_time_ms={};filter={}",
-                      options.repeats, options.minTimeMs,
-                      options.filter));
-        row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                              row.startedAtIso);
-        row.workers = 1;
-        for (const auto &result : results) {
-            row.metrics.emplace_back(result.name + ".median_ns",
-                                     result.wall.medianNs);
-            total_ms += result.wall.medianNs / 1e6;
-        }
-        row.durationMs = total_ms;
-        harness::Timeline timeline(timeline_path);
-        if (timeline.append(row).ok())
-            std::printf("timeline: appended run %s -> %s\n",
-                        row.runId.c_str(), timeline.path().c_str());
-    }
+    // One row per suite run, keyed by benchmark name. It is built after
+    // the timed runs: heap traffic before them moves where the NN
+    // benchmarks' buffers land, and with them BM_QuantizeMnistModel's
+    // time by about a third. The telemetry benches leave recording off;
+    // the row records the state the process was started with.
+    telemetry::Telemetry::setEnabled(telemetry_on);
+    harness::TimelineRow row = harness::TimelineRow::start(
+        "bench_all",
+        strFormat("bench_all;repeats={};min_time_ms={};filter={}",
+                  options.repeats, options.minTimeMs, options.filter));
+    row.workers = 1;
+    row.metrics = bench::timelineMetrics(results);
+    for (const auto &result : results)
+        row.durationMs += result.wall.medianNs / 1e6;
+    std::printf("\n");
+    harness::Timeline::record(cli.getString("timeline"), row);
     return 0;
 }

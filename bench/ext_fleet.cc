@@ -25,9 +25,9 @@
  *      for flamegraph tools, .html as a self-contained flame graph —
  *      the README "Profile a campaign" walkthrough).
  *
- * The run also appends one uvolt-timeline-v1 row (serial/parallel wall
+ * The run also appends one perf-timeline row (serial/parallel wall
  * clock, speedup, profile top-frames) to results/timeline.jsonl so
- * scripts/check_drift.py can flag cross-run drift.
+ * scripts/check_perf.py can flag cross-run drift.
  */
 
 #include <array>
@@ -37,10 +37,8 @@
 #include <iostream>
 
 #include "harness/campaign.hh"
-#include "harness/ledger.hh"
 #include "harness/report.hh"
 #include "harness/timeline.hh"
-#include "util/bench.hh"
 #include "util/format.hh"
 #include "util/profiler.hh"
 #include "util/table.hh"
@@ -89,9 +87,12 @@ main()
     // span stacks, so the sweeps below stay bit-identical with it on.
     profiler::SpanProfiler &profiler = profiler::SpanProfiler::global();
     profiler.start();
-    const std::string started_at = harness::nowIso8601();
     const auto run_start = std::chrono::steady_clock::now();
     const std::size_t workers = ThreadPool::hardwareWorkers();
+    harness::TimelineRow row = harness::TimelineRow::start(
+        "ext_fleet",
+        strFormat("ext_fleet;dies=4;patterns=3;sweep=15;workers={}",
+                  workers));
     std::printf("# Extension: parallel fleet campaigns (4 dies x 3 "
                 "patterns, %zu workers)\n\n",
                 workers);
@@ -239,27 +240,14 @@ main()
     }
 
     // --- perf timeline row ------------------------------------------------
-    {
-        harness::TimelineRow row;
-        row.tool = "ext_fleet";
-        row.gitSha = bench::buildGitSha();
-        row.startedAtIso = started_at;
-        row.configDigest = harness::configDigest(strFormat(
-            "ext_fleet;dies=4;patterns=3;sweep=15;workers={}", workers));
-        row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                              started_at);
-        row.workers = workers;
-        row.durationMs = msSince(run_start);
-        row.metrics = {{"serial_ms", serial_ms},
-                       {"parallel_ms", parallel_ms},
-                       {"speedup", serial_ms / parallel_ms}};
-        for (const auto &frame : profile.topFrames(5))
-            row.topFrames.emplace_back(frame.name, frame.self);
-        harness::Timeline timeline;
-        if (timeline.append(row).ok())
-            std::printf("timeline: appended run %s -> %s\n",
-                        row.runId.c_str(), timeline.path().c_str());
-    }
+    row.workers = workers;
+    row.durationMs = msSince(run_start);
+    row.metrics = {{"serial_ms", serial_ms},
+                   {"parallel_ms", parallel_ms},
+                   {"speedup", serial_ms / parallel_ms}};
+    for (const auto &frame : profile.topFrames(5))
+        row.topFrames.emplace_back(frame.name, frame.self);
+    harness::Timeline::record(harness::Timeline::defaultPath(), row);
     std::printf("  pmbus: %llu setpoint writes (%llu retried), link "
                 "retransmits %llu; fleet: %llu jobs, cache hit rate "
                 "above\n",

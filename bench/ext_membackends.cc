@@ -18,8 +18,8 @@
  *      function of the catalog specs and the seeded fault
  *      personalities — no wall-clock — so CI compares it byte-for-byte
  *      against the committed golden (goldens/ext_membackends.csv),
- *  (c) one uvolt-timeline-v1 row (serial/parallel wall clock, speedup)
- *      is appended for scripts/check_drift.py.
+ *  (c) one perf-timeline row (serial/parallel wall clock, speedup) is
+ *      appended for scripts/check_perf.py.
  */
 
 #include <chrono>
@@ -27,10 +27,8 @@
 #include <iostream>
 
 #include "harness/campaign.hh"
-#include "harness/ledger.hh"
 #include "harness/timeline.hh"
 #include "mem/catalog.hh"
-#include "util/bench.hh"
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -76,7 +74,8 @@ sameFleet(const harness::FleetResult &a, const harness::FleetResult &b)
 int
 main()
 {
-    const std::string started_at = harness::nowIso8601();
+    harness::TimelineRow row = harness::TimelineRow::start(
+        "ext_membackends", "ext_membackends;devices=3;patterns=2;sweep=9");
     const auto run_start = std::chrono::steady_clock::now();
     std::printf("# Extension: heterogeneous memory fleet "
                 "(BRAM + HBM + MoRS-SRAM)\n\n");
@@ -139,23 +138,12 @@ main()
                 "goldens/ext_membackends.csv)\n");
 
     // --- (c) perf timeline row --------------------------------------------
-    harness::TimelineRow row;
-    row.tool = "ext_membackends";
-    row.gitSha = bench::buildGitSha();
-    row.startedAtIso = started_at;
-    row.configDigest = harness::configDigest(
-        "ext_membackends;devices=3;patterns=2;sweep=9");
-    row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                          started_at);
     row.workers = 8;
     row.durationMs = msSince(run_start);
     row.metrics = {{"serial_ms", serial_ms},
                    {"parallel_ms", parallel_ms},
                    {"speedup", serial_ms / parallel_ms}};
-    harness::Timeline timeline;
-    if (timeline.append(row).ok())
-        std::printf("timeline: appended run %s -> %s\n",
-                    row.runId.c_str(), timeline.path().c_str());
+    harness::Timeline::record(harness::Timeline::defaultPath(), row);
 
     std::printf("\nshape: three technologies through one FleetEngine, "
                 "bit-identical at\n0/1/8 workers; the envelope CSV is "

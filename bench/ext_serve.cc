@@ -20,9 +20,10 @@
  *     already-expired requests. At the end the exactly-once ledger
  *     must balance: every admitted request was responded to exactly
  *     once, nothing lost, nothing duplicated, and the drained queue is
- *     empty. p50/p99 end-to-end latency and per-request cost are
- *     exported as uvolt-bench-v1 rows (SV_ServeE2EP50 / SV_ServeE2EP99
- *     / SV_ServeReqCost) for scripts/check_regression.py.
+ *     empty. p50/p99 end-to-end latency and per-request cost go into
+ *     the run's perf-timeline row (e2e_p50_ms / e2e_p99_ms /
+ *     req_cost_ms), which scripts/check_perf.py holds to the committed
+ *     baseline row.
  *
  * Exit status is the robustness verdict: nonzero when identity or the
  * exactly-once accounting fails — the CI soak leg runs this binary
@@ -37,9 +38,8 @@
  * run (--profile-out collapsed stacks, --flame-out self-contained
  * flame graph), and a run-ledger manifest recording where all of it
  * went. scripts/check_trace.py validates the lot in the CI
- * observability leg, and one uvolt-timeline-v1 row (p50/p99/req-cost,
- * profile top-frames) is appended to the perf timeline for
- * scripts/check_drift.py.
+ * observability leg; the perf-timeline row also carries the profile's
+ * top frames.
  */
 
 #include <algorithm>
@@ -62,7 +62,6 @@
 #include "nn/network.hh"
 #include "pmbus/fault_injector.hh"
 #include "serve/server.hh"
-#include "util/bench.hh"
 #include "util/cli.hh"
 #include "util/flight_recorder.hh"
 #include "util/format.hh"
@@ -198,20 +197,6 @@ msSince(const std::chrono::steady_clock::time_point &start)
         .count();
 }
 
-/** A single-valued uvolt-bench-v1 row (one measured quantity). */
-bench::BenchResult
-valueRow(const std::string &name, double ns)
-{
-    bench::BenchResult result;
-    result.name = name;
-    result.iterationsPerRepeat = 1;
-    result.repeats = 1;
-    result.wall = bench::summarize({ns});
-    result.cpu = bench::summarize({});
-    result.itersPerSec = ns > 0.0 ? 1e9 / ns : 0.0;
-    return result;
-}
-
 } // namespace
 
 int
@@ -227,8 +212,6 @@ main(int argc, char **argv)
     cli.addBool("noise", "attach the harsh-environment injector");
     cli.addDouble("noise-p", 0.02, "per-channel injection probability");
     cli.addBool("skip-identity", "load phase only (quick runs)");
-    cli.addString("out", "results/ext_serve_bench.json",
-                  "uvolt-bench-v1 output path");
     cli.addString("trace-out", "results/ext_serve_trace.json",
                   "Chrome trace output (\"\" disables)");
     cli.addString("prom-out", "results/ext_serve_metrics.prom",
@@ -257,6 +240,12 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     const bool noisy = cli.getBool("noise");
     const double noise_p = cli.getDouble("noise-p");
+    harness::TimelineRow row = harness::TimelineRow::start(
+        "ext_serve",
+        strFormat("serve;requests={};clients={};workers={};queue={};"
+                  "noisy={};seed={}",
+                  requests, clients, cli.getInt("workers"),
+                  cli.getInt("queue-capacity"), noisy ? 1 : 0, seed));
 
     // Sample span stacks for the whole run (both phases). The sampler
     // is read-only over the trace-span stacks, so every artifact below
@@ -264,7 +253,6 @@ main(int argc, char **argv)
     // asserts exactly that.
     const std::string profile_out = cli.getString("profile-out");
     const std::string flame_out = cli.getString("flame-out");
-    const std::string started_at = harness::nowIso8601();
     profiler::SpanProfiler &profiler = profiler::SpanProfiler::global();
     if (!profile_out.empty())
         profiler.start();
@@ -481,23 +469,6 @@ main(int argc, char **argv)
                                                      total.errors),
                      depth_after_drain);
 
-    // --- uvolt-bench-v1 export for the regression gate -------------------
-    const std::vector<bench::BenchResult> results{
-        valueRow("SV_ServeE2EP50", p50_ms * 1e6),
-        valueRow("SV_ServeE2EP99", p99_ms * 1e6),
-        valueRow("SV_ServeReqCost",
-                 stats.completed ? load_ms * 1e6 /
-                         static_cast<double>(stats.completed)
-                                 : 0.0),
-    };
-    bench::BenchOptions options;
-    options.repeats = 1;
-    options.minTimeMs = 0.0;
-    const std::string out = cli.getString("out");
-    if (!bench::writeBenchJson(results, options, out)) {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-        return 2;
-    }
     // --- observability artifacts + run ledger ----------------------------
     const std::string trace_out = cli.getString("trace-out");
     const std::string prom_out = cli.getString("prom-out");
@@ -530,13 +501,9 @@ main(int argc, char **argv)
     if (!ledger_dir.empty()) {
         harness::RunManifest manifest;
         manifest.tool = "UvoltServer";
-        manifest.gitSha = bench::buildGitSha();
-        manifest.startedAtIso = started_at;
-        manifest.configDigest = harness::configDigest(strFormat(
-            "serve;requests={};clients={};workers={};queue={};"
-            "noisy={};seed={}",
-            requests, clients, cli.getInt("workers"),
-            cli.getInt("queue-capacity"), noisy ? 1 : 0, seed));
+        manifest.gitSha = row.gitSha;
+        manifest.startedAtIso = row.startedAtIso;
+        manifest.configDigest = row.configDigest;
         manifest.runId = strFormat(
             "{}-{}", manifest.configDigest.substr(0, 8),
             std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -546,7 +513,6 @@ main(int argc, char **argv)
             cli.getInt("workers"));
         manifest.durationMs = load_ms;
         manifest.artifacts.push_back("results/ext_serve.csv");
-        manifest.artifacts.push_back(out);
         manifest.tracePath = trace_out;
         manifest.prometheusPath = prom_out;
         manifest.blackboxPaths = blackboxes;
@@ -567,41 +533,19 @@ main(int argc, char **argv)
     }
 
     // --- perf timeline row ------------------------------------------------
-    if (const std::string timeline_path = cli.getString("timeline");
-        !timeline_path.empty()) {
-        harness::TimelineRow row;
-        row.tool = "ext_serve";
-        row.gitSha = bench::buildGitSha();
-        row.startedAtIso = started_at;
-        row.configDigest = harness::configDigest(strFormat(
-            "serve;requests={};clients={};workers={};queue={};"
-            "noisy={};seed={}",
-            requests, clients, cli.getInt("workers"),
-            cli.getInt("queue-capacity"), noisy ? 1 : 0, seed));
-        row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                              started_at);
-        row.workers =
-            static_cast<std::uint64_t>(cli.getInt("workers"));
-        row.durationMs = load_ms;
-        row.metrics = {
-            {"e2e_p50_ms", p50_ms},
-            {"e2e_p99_ms", p99_ms},
-            {"req_cost_ms",
-             stats.completed
-                 ? load_ms / static_cast<double>(stats.completed)
-                 : 0.0},
-            {"throughput_rps", throughput}};
-        for (const auto &frame : profile.topFrames(5))
-            row.topFrames.emplace_back(frame.name, frame.self);
-        harness::Timeline timeline(timeline_path);
-        if (timeline.append(row).ok())
-            std::printf("timeline: appended run %s -> %s\n",
-                        row.runId.c_str(), timeline.path().c_str());
-    }
+    row.workers = static_cast<std::uint64_t>(cli.getInt("workers"));
+    row.durationMs = load_ms;
+    row.metrics = {
+        {"e2e_p50_ms", p50_ms},
+        {"e2e_p99_ms", p99_ms},
+        {"req_cost_ms",
+         stats.completed ? load_ms / static_cast<double>(stats.completed)
+                         : 0.0},
+        {"throughput_rps", throughput}};
+    for (const auto &frame : profile.topFrames(5))
+        row.topFrames.emplace_back(frame.name, frame.self);
+    harness::Timeline::record(cli.getString("timeline"), row);
 
-    std::printf("\nlatency rows -> %s (gate: "
-                "scripts/check_regression.py)\n",
-                out.c_str());
     std::printf("shape: every admitted request answered exactly once, "
                 "queue drained to\nempty, and the noisy identity run "
                 "byte-equal to the quiet one\n");

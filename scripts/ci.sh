@@ -26,27 +26,28 @@ run_suite() {
 echo "== tier 1: plain build =="
 run_suite build
 
-echo "== perf gate: bench_all vs committed baseline =="
-# Reduced repeats keep the leg fast; the gate metric is the min across
-# repeats, which converges quickly. The committed baseline lives next
-# to the bench sources; refresh it with:
-#   ./build/bench/bench_all --out bench/BENCH_baseline.json
+echo "== perf gate: bench_all + ext_serve vs baseline and history =="
+# One history: the committed seed (one baseline row per gated tool)
+# plus this run's fresh perf-timeline rows. scripts/check_perf.py holds
+# each tool's newest row to its baseline row (min ns per benchmark;
+# ext_serve's p50, p99 and req-cost; per-metric tolerance widenings
+# live in its DEFAULT_OVERRIDES, since tail latency is noisier than a
+# calibrated micro-bench minimum) and, strictly, to the earlier rows
+# from the same machine digest (robust-z steps, EWMA creep); rows from
+# another machine or build are never compared. ext_serve's exit code
+# is the serving daemon's identity phase (injector on vs off must be
+# bit-identical) and exactly-once ledger. Reduced repeats keep the leg
+# fast; the floor metric is the min across repeats, which converges
+# quickly. To refresh a baseline, run the tool with --timeline on the
+# host that owns the baseline, set "baseline": true on the new row,
+# and let it replace the tool's baseline row in
+# bench/timeline_seed.jsonl.
+perf_history="build/perf_history.jsonl"
+cp bench/timeline_seed.jsonl "$perf_history"
 ./build/bench/bench_all --repeats 5 --min-time-ms 10 \
-    --out build/BENCH_uvolt.json --timeline ""
-python3 scripts/check_regression.py \
-    bench/BENCH_baseline.json build/BENCH_uvolt.json \
-    --json build/gate.json
-
-echo "== serve gate: closed-loop latency vs committed baseline =="
-# The serving daemon's identity phase (injector on vs off must be
-# bit-identical) and exactly-once ledger are the binary's exit code;
-# the p50/p99/req-cost rows it exports are gated like any other bench
-# (per-row tolerance widenings live in check_regression.py's
-# DEFAULT_OVERRIDES — tail latency is noisier than a calibrated
-# micro-bench minimum).
-./build/bench/ext_serve --out build/BENCH_serve.json --timeline ""
-python3 scripts/check_regression.py \
-    bench/BENCH_baseline.json build/BENCH_serve.json
+    --timeline "$perf_history"
+./build/bench/ext_serve --timeline "$perf_history"
+python3 scripts/check_perf.py "$perf_history"
 
 echo "== observability gate: trace flows, prometheus, blackboxes =="
 # A harsh closed-loop run with telemetry ON must leave behind (a) a
@@ -59,7 +60,6 @@ obs_dir="build/obs"
 rm -rf "$obs_dir" && mkdir -p "$obs_dir"
 UVOLT_TELEMETRY=ON ./build/bench/ext_serve --noise --skip-identity \
     --requests 300 --clients 4 \
-    --out "$obs_dir/BENCH_obs.json" \
     --trace-out "$obs_dir/trace.json" \
     --prom-out "$obs_dir/metrics.prom" \
     --blackbox-dir "$obs_dir" \
@@ -75,8 +75,9 @@ echo "== profiling leg: sampler artifacts, identity, overhead =="
 # exits nonzero on divergence — sampling must never perturb results),
 # and the run leaves a real collapsed-stack profile + flame graph
 # behind. Overhead is gated on the most stable aggregate the run
-# exports (SV_ServeReqCost = load wall clock / completed): min of
-# three sampled runs within 3 % of min of three unsampled runs.
+# records (req_cost_ms = load wall clock / completed, read from each
+# run's perf-timeline row): min of three sampled runs within 3 % of
+# min of three unsampled runs.
 # Single-run tail rows swing +-15 % on a shared machine; the
 # min-of-3 floor is what converges (same statistic the bench
 # framework gates on).
@@ -85,23 +86,20 @@ rm -rf "$prof_dir" && mkdir -p "$prof_dir"
 for i in 1 2 3; do
     UVOLT_TELEMETRY=ON ./build/bench/ext_serve --skip-identity \
         --requests 400 --clients 4 \
-        --out "$prof_dir/BENCH_off_$i.json" \
-        --profile-out "" --flame-out "" --timeline "" \
+        --profile-out "" --flame-out "" --timeline "$prof_dir/off.jsonl" \
         --trace-out "" --prom-out "" --blackbox-dir "" \
         --ledger-dir "" > /dev/null
     UVOLT_TELEMETRY=ON UVOLT_PROFILE_HZ=2000 ./build/bench/ext_serve \
         --skip-identity --requests 400 --clients 4 \
-        --out "$prof_dir/BENCH_on_$i.json" \
         --profile-out "$prof_dir/profile_ext_serve.folded" \
         --flame-out "$prof_dir/profile_ext_serve.html" \
-        --timeline "$prof_dir/timeline.jsonl" \
+        --timeline "$prof_dir/on.jsonl" \
         --trace-out "" --prom-out "" --blackbox-dir "" \
         --ledger-dir "" > /dev/null
 done
 # Identity under sampling, once (phase 1 is the assertion).
 UVOLT_TELEMETRY=ON UVOLT_PROFILE_HZ=2000 ./build/bench/ext_serve \
     --requests 100 --clients 2 \
-    --out "$prof_dir/BENCH_identity.json" \
     --profile-out "$prof_dir/identity.folded" --flame-out "" \
     --timeline "" --trace-out "" --prom-out "" --blackbox-dir "" \
     --ledger-dir "" > /dev/null
@@ -111,33 +109,18 @@ grep -q 'id="graph"' "$prof_dir/profile_ext_serve.html"
 python3 - "$prof_dir" <<'EOF'
 import json, sys
 prof_dir = sys.argv[1]
-def req_cost(path):
-    doc = json.load(open(path))
-    return next(b["wall"]["min_ns"] for b in doc["benchmarks"]
-                if b["name"] == "SV_ServeReqCost")
-off = min(req_cost(f"{prof_dir}/BENCH_off_{i}.json") for i in (1, 2, 3))
-on = min(req_cost(f"{prof_dir}/BENCH_on_{i}.json") for i in (1, 2, 3))
+def req_cost(name):
+    with open(f"{prof_dir}/{name}.jsonl") as handle:
+        rows = [json.loads(line) for line in handle if line.strip()]
+    assert len(rows) == 3, f"{name}: {len(rows)} rows"
+    return min(row["metrics"]["req_cost_ms"] for row in rows)
+off = req_cost("off")
+on = req_cost("on")
 ratio = on / off
-print(f"sampler overhead: req-cost {off/1e6:.3f} ms -> {on/1e6:.3f} ms "
+print(f"sampler overhead: req-cost {off:.3f} ms -> {on:.3f} ms "
       f"(x{ratio:.3f}, gate 1.03)")
 sys.exit(0 if ratio <= 1.03 else 1)
 EOF
-
-echo "== drift gate: timeline selftest + committed run history =="
-# The detector first proves itself on synthetic histories (flat and
-# noisy-stable stay clean; a 20 % step, compounding creep, and a
-# collapsing speedup all flag). Then the committed seed plus this
-# run's fresh rows (the three profiled ext_serve runs above and the
-# perf-gate bench document) go through the real gate warn-only —
-# machine-to-machine drift between the seed host and a CI host is
-# expected; the committed seed is refreshed from the host that owns
-# the baseline.
-python3 scripts/check_drift.py --selftest
-cp bench/timeline_seed.jsonl "$prof_dir/history.jsonl"
-cat "$prof_dir/timeline.jsonl" >> "$prof_dir/history.jsonl"
-python3 scripts/append_timeline.py build/BENCH_uvolt.json \
-    --gate build/gate.json --timeline "$prof_dir/history.jsonl"
-python3 scripts/check_drift.py "$prof_dir/history.jsonl" --warn-only
 
 echo "== memory-backend fleet gate (ext_membackends) =="
 # Drives one mixed BRAM+HBM+SRAM fleet through the FleetEngine serially
@@ -217,10 +200,10 @@ ASAN_OPTIONS=detect_leaks=0 run_suite build-asan -DUVOLT_SANITIZE=ON
 
 # Sanitizer timings are not comparable to the plain baseline; run the
 # suite once (it must not crash under ASan) and gate warn-only.
+cp bench/timeline_seed.jsonl build-asan/perf_history.jsonl
 ASAN_OPTIONS=detect_leaks=0 ./build-asan/bench/bench_all \
-    --repeats 3 --min-time-ms 5 --out build-asan/BENCH_uvolt.json
-python3 scripts/check_regression.py --warn-only \
-    bench/BENCH_baseline.json build-asan/BENCH_uvolt.json
+    --repeats 3 --min-time-ms 5 --timeline build-asan/perf_history.jsonl
+python3 scripts/check_perf.py --warn-only build-asan/perf_history.jsonl
 
 echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # The packed fault-domain layout lives on shifts, masks, and narrowing
@@ -228,14 +211,17 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # ladders of the mem:: backends, the analyzer's ctz walk). A UBSan-only
 # build is fast enough to run the four suites that exercise every one
 # of those paths on each CI pass — ASan's memory instrumentation isn't
-# needed here and would double the leg.
+# needed here and would double the leg. The flavor also checks float
+# casts, so the timeline and ledger suites ride along: their parsers
+# turn persisted doubles into integer fields.
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
-    --target fpga_test vmodel_test harness_test membackend_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/fpga_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/vmodel_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/harness_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/membackend_test
+    --target fpga_test vmodel_test harness_test membackend_test \
+    timeline_test report_test
+for suite in fpga_test vmodel_test harness_test membackend_test \
+        timeline_test report_test; do
+    UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$suite"
+done
 
 echo "== tier 1: thread-sanitized build (TSan) =="
 # Only the suites that actually spin threads: the fleet engine, the
@@ -271,7 +257,7 @@ echo "== serve soak: TSan + fault injector, exactly-once =="
 cmake --build build-tsan -j "$jobs" --target ext_serve serve_test
 ./build-tsan/tests/serve_test
 ./build-tsan/bench/ext_serve --noise --skip-identity \
-    --requests 800 --clients 6 --out build-tsan/BENCH_serve.json
+    --requests 800 --clients 6
 
 echo "== telemetry compiled out (-DUVOLT_TELEMETRY=OFF) =="
 # The instrumented call sites must compile and pass with the layer

@@ -12,7 +12,6 @@
 #include "harness/checkpoint.hh"
 #include "harness/fvm_io.hh"
 #include "harness/ledger.hh"
-#include "util/bench.hh"
 #include "util/flight_recorder.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -614,7 +613,7 @@ recordManifest(const FleetOptions &options, const FleetPlan &plan,
                double duration_ms)
 {
     RunManifest manifest;
-    manifest.gitSha = bench::buildGitSha();
+    manifest.gitSha = buildGitSha();
     manifest.startedAtIso = nowIso8601();
     manifest.configDigest = configDigest(canonicalPlan(plan, options));
     manifest.runId = strFormat(

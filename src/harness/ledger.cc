@@ -5,6 +5,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/format.hh"
@@ -23,6 +24,16 @@ configDigest(const std::string &canonical)
         hash *= 1099511628211ull; // FNV prime
     }
     return strFormat("{:016x}", hash);
+}
+
+std::string
+buildGitSha()
+{
+#ifdef UVOLT_GIT_SHA
+    return UVOLT_GIT_SHA;
+#else
+    return "unknown";
+#endif
 }
 
 std::string
@@ -114,6 +125,9 @@ RunManifest::fromJson(std::string_view text)
                                          : "<non-object>");
     }
 
+    json::Counts count;
+    constexpr std::uint64_t intMax = std::numeric_limits<int>::max();
+
     RunManifest manifest;
     manifest.tool = root.stringOr("tool", "");
     manifest.runId = root.stringOr("run_id", "");
@@ -123,17 +137,15 @@ RunManifest::fromJson(std::string_view text)
 
     if (const json::Value *plan = root.find("plan");
         plan && plan->isObject()) {
-        manifest.runsPerLevel =
-            static_cast<int>(plan->numberOr("runs_per_level", 0));
-        manifest.stepMv = static_cast<int>(plan->numberOr("step_mv", 0));
-        if (const json::Value *v = plan->find("collect_per_bram");
-            v && v->isBool())
-            manifest.collectPerBram = v->boolean();
-        if (const json::Value *v = plan->find("discover_regions");
-            v && v->isBool())
-            manifest.discoverRegions = v->boolean();
+        manifest.runsPerLevel = static_cast<int>(
+            count(plan->countOr("runs_per_level", 0, intMax)));
+        manifest.stepMv =
+            static_cast<int>(count(plan->countOr("step_mv", 0, intMax)));
+        manifest.collectPerBram = plan->boolOr("collect_per_bram", true);
+        manifest.discoverRegions =
+            plan->boolOr("discover_regions", false);
         manifest.maxAttemptsPerJob = static_cast<int>(
-            plan->numberOr("max_attempts_per_job", 0));
+            count(plan->countOr("max_attempts_per_job", 0, intMax)));
         if (const json::Value *jobs = plan->find("jobs");
             jobs && jobs->isArray()) {
             for (const json::Value &job : jobs->items()) {
@@ -141,8 +153,7 @@ RunManifest::fromJson(std::string_view text)
                     continue;
                 manifest.jobLabels.push_back(job.stringOr("label", ""));
                 manifest.noiseSeeds.push_back(
-                    static_cast<std::uint64_t>(
-                        job.numberOr("noise_seed", 0)));
+                    count(job.countOr("noise_seed", 0)));
                 manifest.backends.push_back(
                     job.stringOr("backend", "bram"));
             }
@@ -151,15 +162,13 @@ RunManifest::fromJson(std::string_view text)
 
     if (const json::Value *execution = root.find("execution");
         execution && execution->isObject()) {
-        manifest.workers = static_cast<std::uint64_t>(
-            execution->numberOr("workers", 0));
+        manifest.workers = count(execution->countOr("workers", 0));
         manifest.durationMs = execution->numberOr("duration_ms", 0.0);
-        manifest.jobRetries = static_cast<std::uint64_t>(
-            execution->numberOr("job_retries", 0));
-        manifest.crashRecoveries = static_cast<std::uint64_t>(
-            execution->numberOr("crash_recoveries", 0));
-        manifest.checkpointResumes = static_cast<std::uint64_t>(
-            execution->numberOr("checkpoint_resumes", 0));
+        manifest.jobRetries = count(execution->countOr("job_retries", 0));
+        manifest.crashRecoveries =
+            count(execution->countOr("crash_recoveries", 0));
+        manifest.checkpointResumes =
+            count(execution->countOr("checkpoint_resumes", 0));
     }
 
     if (const json::Value *dies = root.find("dies");
@@ -198,11 +207,12 @@ RunManifest::fromJson(std::string_view text)
         telemetry && telemetry->isObject()) {
         for (const auto &[name, value] : telemetry->members()) {
             if (value.isNumber())
-                manifest.counters.emplace_back(
-                    name,
-                    static_cast<std::uint64_t>(value.number()));
+                manifest.counters.emplace_back(name,
+                                               count(value.count()));
         }
     }
+    if (count.error())
+        return *count.error();
     return manifest;
 }
 

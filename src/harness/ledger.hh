@@ -24,8 +24,8 @@
  * telemetry counter snapshot, artifact paths, and per-die headline
  * rates. RunManifest::load() parses it back (util/json.hh), so tools
  * and tests can treat the ledger as a queryable record instead of an
- * opaque log; scripts/check_regression.py accepts a manifest pair for
- * duration/counter drift checks.
+ * opaque log. The manifest is provenance, not a perf record: timings
+ * are gated from the perf timeline (harness/timeline.hh).
  */
 
 #ifndef UVOLT_HARNESS_LEDGER_HH
@@ -90,7 +90,10 @@ struct RunManifest
     /** Serialize as the "uvolt-run-manifest-v1" document. */
     std::string toJson() const;
 
-    /** Parse a manifest document (schema checked). */
+    /**
+     * Parse a manifest document (schema checked). A negative,
+     * non-finite or out-of-range integer field is Errc::corruptCache.
+     */
     static Expected<RunManifest> fromJson(std::string_view text);
 
     /** Load and parse the manifest at @a path. */
@@ -99,6 +102,9 @@ struct RunManifest
 
 /** FNV-1a 64-bit over a canonical description, as 16 hex digits. */
 std::string configDigest(const std::string &canonical);
+
+/** The git SHA baked in at configure time ("unknown" outside git). */
+std::string buildGitSha();
 
 /** The append-only manifest archive. */
 class Ledger

@@ -1,18 +1,120 @@
 #include "harness/timeline.hh"
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <sys/utsname.h>
+#include <thread>
 
+#include "harness/ledger.hh"
 #include "util/format.hh"
 #include "util/fsio.hh"
 #include "util/json.hh"
+#include "util/telemetry.hh"
 
 namespace uvolt::harness
 {
+
+namespace
+{
+
+/** The "model name" line of /proc/cpuinfo, or "unknown". */
+std::string
+readCpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos &&
+            colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+/** The ISA extensions this translation unit was compiled for. */
+std::string
+targetIsa()
+{
+    std::string isa;
+#ifdef __AVX2__
+    isa += " avx2";
+#endif
+#ifdef __AVX512F__
+    isa += " avx512f";
+#endif
+#ifdef __FMA__
+    isa += " fma";
+#endif
+    return isa.empty() ? "none" : isa.substr(1);
+}
+
+const char *
+jsonBool(bool value)
+{
+    return value ? "true" : "false";
+}
+
+} // namespace
+
+Machine
+Machine::current()
+{
+    static const std::string cpu = readCpuModel();
+    char host[256] = "unknown";
+    (void)gethostname(host, sizeof(host) - 1);
+    struct utsname uts = {};
+    (void)uname(&uts);
+
+    Machine machine;
+    machine.host = host;
+    machine.os = strFormat("{} {}", uts.sysname, uts.release);
+    machine.cpuModel = cpu;
+    machine.cores = std::thread::hardware_concurrency();
+    machine.isa = targetIsa();
+    machine.compiler = __VERSION__;
+#ifdef UVOLT_BUILD_TYPE
+    machine.buildType = UVOLT_BUILD_TYPE;
+    machine.buildFlags = UVOLT_BUILD_FLAGS;
+#endif
+    machine.telemetryCompiledIn = telemetry::Telemetry::compiledIn();
+    machine.telemetryEnabled = telemetry::Telemetry::enabled();
+    machine.digest = machine.fingerprint();
+    return machine;
+}
+
+std::string
+Machine::fingerprint() const
+{
+    return configDigest(strFormat(
+        "cpu={};cores={};isa={};compiler={};build_type={};"
+        "build_flags={};telemetry={}/{}",
+        cpuModel, cores, isa, compiler, buildType, buildFlags,
+        jsonBool(telemetryCompiledIn), jsonBool(telemetryEnabled)));
+}
+
+TimelineRow
+TimelineRow::start(std::string tool, const std::string &canonical_config)
+{
+    TimelineRow row;
+    row.tool = std::move(tool);
+    row.gitSha = buildGitSha();
+    row.startedAtIso = nowIso8601();
+    row.configDigest = harness::configDigest(canonical_config);
+    row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
+                          row.startedAtIso);
+    row.machine = Machine::current();
+    return row;
+}
 
 std::string
 TimelineRow::toJsonLine() const
@@ -26,6 +128,22 @@ TimelineRow::toJsonLine() const
         << "\"";
     out << ", \"config_digest\": \"" << json::escaped(configDigest)
         << "\"";
+    out << ", \"machine\": {\"digest\": \""
+        << json::escaped(machine.digest) << "\", \"cpu_model\": \""
+        << json::escaped(machine.cpuModel)
+        << "\", \"cores\": " << machine.cores << ", \"isa\": \""
+        << json::escaped(machine.isa) << "\", \"compiler\": \""
+        << json::escaped(machine.compiler) << "\", \"build_type\": \""
+        << json::escaped(machine.buildType)
+        << "\", \"build_flags\": \""
+        << json::escaped(machine.buildFlags)
+        << "\", \"telemetry_compiled_in\": "
+        << jsonBool(machine.telemetryCompiledIn)
+        << ", \"telemetry_enabled\": "
+        << jsonBool(machine.telemetryEnabled) << ", \"host\": \""
+        << json::escaped(machine.host) << "\", \"os\": \""
+        << json::escaped(machine.os) << "\"}";
+    out << ", \"baseline\": " << jsonBool(baseline);
     out << ", \"workers\": " << workers;
     out << ", \"duration_ms\": " << strFormat("{:.3f}", durationMs);
     out << ", \"metrics\": {";
@@ -60,14 +178,32 @@ TimelineRow::fromJson(std::string_view text)
                                          : "<non-object>");
     }
 
+    json::Counts count;
+
     TimelineRow row;
     row.tool = root.stringOr("tool", "");
     row.runId = root.stringOr("run_id", "");
     row.gitSha = root.stringOr("git_sha", "");
     row.startedAtIso = root.stringOr("started_at", "");
     row.configDigest = root.stringOr("config_digest", "");
-    row.workers =
-        static_cast<std::uint64_t>(root.numberOr("workers", 0));
+    if (const json::Value *machine = root.find("machine");
+        machine && machine->isObject()) {
+        Machine &m = row.machine;
+        m.digest = machine->stringOr("digest", "");
+        m.cpuModel = machine->stringOr("cpu_model", m.cpuModel);
+        m.cores = count(machine->countOr("cores", 0));
+        m.isa = machine->stringOr("isa", m.isa);
+        m.compiler = machine->stringOr("compiler", m.compiler);
+        m.buildType = machine->stringOr("build_type", m.buildType);
+        m.buildFlags = machine->stringOr("build_flags", m.buildFlags);
+        m.telemetryCompiledIn =
+            machine->boolOr("telemetry_compiled_in", false);
+        m.telemetryEnabled = machine->boolOr("telemetry_enabled", false);
+        m.host = machine->stringOr("host", m.host);
+        m.os = machine->stringOr("os", m.os);
+    }
+    row.baseline = root.boolOr("baseline", false);
+    row.workers = count(root.countOr("workers", 0));
     row.durationMs = root.numberOr("duration_ms", 0.0);
 
     if (const json::Value *metrics = root.find("metrics");
@@ -82,11 +218,12 @@ TimelineRow::fromJson(std::string_view text)
         for (const json::Value &frame : frames->items()) {
             if (!frame.isObject())
                 continue;
-            row.topFrames.emplace_back(
-                frame.stringOr("frame", ""),
-                static_cast<std::uint64_t>(frame.numberOr("self", 0)));
+            row.topFrames.emplace_back(frame.stringOr("frame", ""),
+                                       count(frame.countOr("self", 0)));
         }
     }
+    if (count.error())
+        return *count.error();
     return row;
 }
 
@@ -116,6 +253,16 @@ Expected<void>
 Timeline::append(const TimelineRow &row) const
 {
     return appendFileRecord(path_, row.toJsonLine());
+}
+
+void
+Timeline::record(const std::string &path, const TimelineRow &row)
+{
+    if (path.empty())
+        return;
+    if (Timeline(path).append(row).ok())
+        std::printf("timeline: appended run %s -> %s\n",
+                    row.runId.c_str(), path.c_str());
 }
 
 Expected<std::vector<TimelineRow>>

@@ -1,17 +1,18 @@
 /**
  * @file
- * Perf timeline: one appended row per run, drift-checkable history.
+ * Perf timeline: the repo's one perf record, one appended row per run.
  *
- * check_regression.py compares a run against a single committed
- * baseline with per-row tolerance — which is blind to the failure mode
- * that actually eats performance over months: a 2% regression per PR,
- * each inside tolerance, compounding. The cure is the one every serving
- * fleet uses: keep the whole history. Each bench/fleet/serve run
- * appends one schema-versioned "uvolt-timeline-v1" JSON line (git SHA,
- * config digest, per-metric values, profile top-frames) to
- * results/timeline.jsonl, and scripts/check_drift.py gates every metric
- * against its *own* history with robust-z (step changes) and EWMA
- * (monotonic creep) tests.
+ * Every bench/fleet/serve run appends one schema-versioned
+ * "uvolt-timeline-v2" JSON line (git SHA, config digest, the machine
+ * and build it ran on, per-metric values, profile top-frames) to
+ * results/timeline.jsonl. scripts/check_perf.py is the one gate over
+ * that history: the newest row of each tool is held to the tool's
+ * committed baseline row (bench/timeline_seed.jsonl) with per-metric
+ * tolerance, and to its own history with robust-z (step changes) and
+ * EWMA (monotonic creep) tests. The history test only compares rows
+ * whose machine digests match: like fault rates, which the paper only
+ * compares on one die, perf numbers from two machines or two builds
+ * are different experiments.
  *
  * Appends go through util/fsio's appendFileRecord — a single O_APPEND
  * write per row — so parallel runs stamping the same timeline (a CI
@@ -34,17 +35,49 @@
 namespace uvolt::harness
 {
 
+/**
+ * The machine and build a row was measured on. Host and OS are
+ * provenance only; every other field feeds the digest, and two rows
+ * are comparable only when their digests match. Fields a row never
+ * recorded read "unknown" (cores: 0).
+ */
+struct Machine
+{
+    std::string host = "unknown";
+    std::string os = "unknown";
+    std::string cpuModel = "unknown";
+    std::uint64_t cores = 0; ///< logical cores
+    std::string isa = "unknown";       ///< "avx2 avx512f fma", "none"
+    std::string compiler = "unknown";  ///< __VERSION__
+    std::string buildType = "unknown"; ///< CMAKE_BUILD_TYPE
+    std::string buildFlags = "unknown"; ///< compile flags at configure
+    bool telemetryCompiledIn = false;
+    bool telemetryEnabled = false;
+    std::string digest; ///< configDigest over the fields above
+
+    /** This process now: its CPU, its build, its telemetry state. */
+    static Machine current();
+
+    /** configDigest over every field but host, os and digest. */
+    std::string fingerprint() const;
+
+    bool operator==(const Machine &) const = default;
+};
+
 /** One run's worth of gate-able numbers. */
 struct TimelineRow
 {
     /** Schema tag every reader checks first. */
-    static constexpr const char *schema = "uvolt-timeline-v1";
+    static constexpr const char *schema = "uvolt-timeline-v2";
 
     std::string tool;         ///< "bench_all", "ext_serve", ...
     std::string runId;        ///< unique per row (digest + stamp)
     std::string gitSha;       ///< build provenance
     std::string startedAtIso; ///< wall-clock UTC, ISO 8601
     std::string configDigest; ///< FNV-1a over the canonical config
+    Machine machine;
+    /** A committed floor the tool's newest row is held to. */
+    bool baseline = false;
     std::uint64_t workers = 0;
     double durationMs = 0.0;
 
@@ -54,10 +87,21 @@ struct TimelineRow
     /** Profiler top frames (name, self samples); empty when not run. */
     std::vector<std::pair<std::string, std::uint64_t>> topFrames;
 
+    /**
+     * A row for a run of @a tool with every header field filled: git
+     * SHA, started-at (now), the digest of @a canonical_config, a run
+     * id, and this process's machine.
+     */
+    static TimelineRow start(std::string tool,
+                             const std::string &canonical_config);
+
     /** Serialize as one JSON line (no interior newlines). */
     std::string toJsonLine() const;
 
-    /** Parse one timeline line (schema checked). */
+    /**
+     * Parse one timeline line (schema checked). A negative, non-finite
+     * or out-of-range integer field is Errc::corruptCache.
+     */
     static Expected<TimelineRow> fromJson(std::string_view text);
 };
 
@@ -73,14 +117,18 @@ class Timeline
 
     explicit Timeline(std::string path = defaultPath());
 
-    const std::string &path() const { return path_; }
-
     /**
      * Append @a row as one line. Concurrent-writer safe (single
      * O_APPEND write). I/O failure comes back as an Error so runs in
      * read-only checkouts keep working.
      */
     Expected<void> append(const TimelineRow &row) const;
+
+    /**
+     * Append @a row to the timeline at @a path and say so on stdout;
+     * an empty path appends nothing (the binaries' --timeline "").
+     */
+    static void record(const std::string &path, const TimelineRow &row);
 
     /**
      * Parse every row in the file, oldest first. Blank lines are

@@ -1,19 +1,12 @@
 #include "util/bench.hh"
 
 #include <time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <sys/utsname.h>
-#include <thread>
 
 #include "util/format.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/telemetry.hh"
@@ -245,107 +238,16 @@ resultsTable(const std::vector<BenchResult> &results)
     return table;
 }
 
-std::string
-buildGitSha()
+std::vector<std::pair<std::string, double>>
+timelineMetrics(const std::vector<BenchResult> &results)
 {
-#ifdef UVOLT_GIT_SHA
-    return UVOLT_GIT_SHA;
-#else
-    return "unknown";
-#endif
-}
-
-std::string
-benchJson(const std::vector<BenchResult> &results,
-          const BenchOptions &options)
-{
-    char host[256] = "unknown";
-    (void)gethostname(host, sizeof(host) - 1);
-    struct utsname uts = {};
-    (void)uname(&uts);
-
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"schema\": \"uvolt-bench-v1\",\n";
-    out << "  \"git_sha\": \"" << json::escaped(buildGitSha())
-        << "\",\n";
-    out << "  \"machine\": {\"host\": \"" << json::escaped(host)
-        << "\", \"cpus\": " << std::thread::hardware_concurrency()
-        << ", \"os\": \""
-        << json::escaped(strFormat("{} {}", uts.sysname, uts.release))
-        << "\"},\n";
-    out << "  \"telemetry_compiled_in\": "
-        << (telemetry::Telemetry::compiledIn() ? "true" : "false")
-        << ",\n";
-    out << "  \"telemetry_enabled\": "
-        << (telemetry::Telemetry::enabled() ? "true" : "false") << ",\n";
-    out << "  \"options\": {\"repeats\": " << options.repeats
-        << ", \"min_time_ms\": "
-        << strFormat("{:.3f}", options.minTimeMs) << "},\n";
-    out << "  \"benchmarks\": [";
-    bool first = true;
+    std::vector<std::pair<std::string, double>> metrics;
     for (const auto &result : results) {
-        out << (first ? "" : ",") << "\n    {\"name\": \""
-            << json::escaped(result.name) << "\",";
-        out << " \"iterations\": " << result.iterationsPerRepeat << ",";
-        out << " \"repeats\": " << result.repeats << ",\n";
-        auto stats = [&](const char *key, const RepeatStats &s) {
-            out << "     \"" << key << "\": {\"min_ns\": "
-                << strFormat("{:.3f}", s.minNs)
-                << ", \"median_ns\": " << strFormat("{:.3f}", s.medianNs)
-                << ", \"p95_ns\": " << strFormat("{:.3f}", s.p95Ns)
-                << ", \"mean_ns\": " << strFormat("{:.3f}", s.meanNs)
-                << ", \"stddev_ns\": "
-                << strFormat("{:.3f}", s.stddevNs) << "}";
-        };
-        stats("wall", result.wall);
-        out << ",\n";
-        stats("cpu", result.cpu);
-        out << ",\n";
-        out << "     \"iters_per_sec\": "
-            << strFormat("{:.3f}", result.itersPerSec);
-        if (result.bytesPerIteration) {
-            out << ", \"bytes_per_iteration\": "
-                << result.bytesPerIteration << ", \"bytes_per_sec\": "
-                << strFormat("{:.1f}", result.bytesPerSec);
-        }
-        if (result.itemsPerIteration) {
-            out << ", \"items_per_iteration\": "
-                << result.itemsPerIteration << ", \"items_per_sec\": "
-                << strFormat("{:.1f}", result.itemsPerSec);
-        }
-        if (!result.counterDeltas.empty()) {
-            out << ",\n     \"counter_deltas\": {";
-            bool first_delta = true;
-            for (const auto &[name, delta] : result.counterDeltas) {
-                out << (first_delta ? "" : ", ") << "\""
-                    << json::escaped(name) << "\": " << delta;
-                first_delta = false;
-            }
-            out << "}";
-        }
-        out << "}";
-        first = false;
+        metrics.emplace_back(result.name + ".min_ns", result.wall.minNs);
+        metrics.emplace_back(result.name + ".median_ns",
+                             result.wall.medianNs);
     }
-    out << "\n  ]\n}\n";
-    return out.str();
-}
-
-bool
-writeBenchJson(const std::vector<BenchResult> &results,
-               const BenchOptions &options, const std::string &path)
-{
-    std::error_code ec;
-    std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream out(path);
-    if (!out) {
-        warn("could not open '{}' for writing", path);
-        return false;
-    }
-    out << benchJson(results, options);
-    return static_cast<bool>(out);
+    return metrics;
 }
 
 } // namespace uvolt::bench

@@ -26,9 +26,10 @@
  * per sweep pass) — free provenance when telemetry is enabled, all
  * zeros when it is off.
  *
- * Results export through benchJson() as the schema-versioned
- * "uvolt-bench-v1" document (machine info, git SHA, per-benchmark
- * stats) that scripts/check_regression.py diffs in CI.
+ * A suite run is recorded as one perf-timeline row
+ * (harness/timeline.hh) whose metrics timelineMetrics() names:
+ * "<bench>.min_ns" and "<bench>.median_ns" per benchmark. The row
+ * carries the machine and build; scripts/check_perf.py gates it.
  */
 
 #ifndef UVOLT_UTIL_BENCH_HH
@@ -202,19 +203,12 @@ class Registry
 TextTable resultsTable(const std::vector<BenchResult> &results);
 
 /**
- * Serialize results as the schema-versioned "uvolt-bench-v1" JSON
- * document: {schema, git_sha, machine{host,cpus,os}, telemetry
- * compiled/enabled, options, benchmarks[]}.
+ * The perf-timeline metrics of a suite run, in run order: wall
+ * "<name>.min_ns" (the floor scripts/check_perf.py holds to the
+ * baseline) and "<name>.median_ns" per benchmark.
  */
-std::string benchJson(const std::vector<BenchResult> &results,
-                      const BenchOptions &options);
-
-/** Write benchJson() to @a path (parent directories created). */
-bool writeBenchJson(const std::vector<BenchResult> &results,
-                    const BenchOptions &options, const std::string &path);
-
-/** The git SHA baked in at configure time ("unknown" outside git). */
-std::string buildGitSha();
+std::vector<std::pair<std::string, double>>
+timelineMetrics(const std::vector<BenchResult> &results);
 
 /**
  * Register a benchmark and open its body:

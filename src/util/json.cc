@@ -1,6 +1,7 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -418,6 +419,50 @@ Value::stringOr(std::string_view key, const std::string &fallback) const
 {
     const Value *value = find(key);
     return value && value->isString() ? value->string() : fallback;
+}
+
+bool
+Value::boolOr(std::string_view key, bool fallback) const
+{
+    const Value *value = find(key);
+    return value && value->isBool() ? value->boolean() : fallback;
+}
+
+Expected<std::uint64_t>
+Value::count(std::uint64_t max) const
+{
+    const double value = number();
+    // static_cast<double>(UINT64_MAX) rounds up to 2^64, itself out of
+    // range, hence the strict bound beside the inclusive one.
+    if (!(value >= 0.0 && value < std::ldexp(1.0, 64) &&
+          value <= static_cast<double>(max)))
+        return makeError(Errc::corruptCache,
+                         "json: {} is not a count in [0, {}]", value, max);
+    return static_cast<std::uint64_t>(value);
+}
+
+Expected<std::uint64_t>
+Value::countOr(std::string_view key, std::uint64_t fallback,
+               std::uint64_t max) const
+{
+    const Value *value = find(key);
+    if (!value || !value->isNumber())
+        return fallback;
+    auto parsed = value->count(max);
+    if (!parsed.ok())
+        return makeError(parsed.error().code, "'{}': {}", std::string(key),
+                         parsed.error().message);
+    return parsed;
+}
+
+std::uint64_t
+Counts::operator()(Expected<std::uint64_t> value)
+{
+    if (value.ok())
+        return value.value();
+    if (!error_)
+        error_ = value.error();
+    return 0;
 }
 
 } // namespace uvolt::json

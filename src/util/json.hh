@@ -3,7 +3,7 @@
  * Minimal JSON support: string escaping and a small value-tree parser.
  *
  * The observability layer emits several JSON artifacts (Chrome traces,
- * metrics snapshots, BENCH_uvolt.json, run manifests) and must be able
+ * metrics snapshots, perf-timeline rows, run manifests) and must be able
  * to load its own manifests back for provenance checks. The toolchain
  * ships no JSON library, so this header provides exactly the subset the
  * repo needs: RFC 8259 string escaping for the writers, and a strict
@@ -17,6 +17,9 @@
 #ifndef UVOLT_UTIL_JSON_HH
 #define UVOLT_UTIL_JSON_HH
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -83,6 +86,22 @@ class Value
     double numberOr(std::string_view key, double fallback) const;
     std::string stringOr(std::string_view key,
                          const std::string &fallback) const;
+    bool boolOr(std::string_view key, bool fallback) const;
+
+    /**
+     * The number as a count in [0, @a max]. Negative, non-finite and
+     * larger values are Errc::corruptCache: casting them to an integer
+     * would be undefined behavior.
+     */
+    Expected<std::uint64_t>
+    count(std::uint64_t max =
+              std::numeric_limits<std::uint64_t>::max()) const;
+
+    /** Member @a key as a count(), or @a fallback when not a number. */
+    Expected<std::uint64_t>
+    countOr(std::string_view key, std::uint64_t fallback,
+            std::uint64_t max =
+                std::numeric_limits<std::uint64_t>::max()) const;
 
   private:
     friend class Parser;
@@ -93,6 +112,22 @@ class Value
     std::string string_;
     std::vector<Value> items_;
     std::vector<std::pair<std::string, Value>> members_;
+};
+
+/**
+ * Unwraps the count() fields of one document and keeps the first
+ * error, so a parser reads every field and then fails once.
+ */
+class Counts
+{
+  public:
+    /** The count, or 0 after recording its error. */
+    std::uint64_t operator()(Expected<std::uint64_t> value);
+
+    const std::optional<Error> &error() const { return error_; }
+
+  private:
+    std::optional<Error> error_;
 };
 
 } // namespace uvolt::json

@@ -4,8 +4,9 @@
  * synthetic vectors (including the empty and single-repeat edge cases),
  * the UVOLT_BENCHMARK registration macro, runOne() calibration and
  * result fields, telemetry counter-delta capture around the timed
- * repeats, and a parse-back of the "uvolt-bench-v1" JSON document
- * through the repo's own JSON parser.
+ * repeats, and a parse-back of a bench_all-style perf-timeline row
+ * (min and median per benchmark, machine block, git SHA) through the
+ * repo's own JSON parser.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/timeline.hh"
 #include "util/bench.hh"
 #include "util/json.hh"
 #include "util/telemetry.hh"
@@ -207,25 +209,38 @@ TEST(BenchJson, ParsesBackThroughTheRepoParser)
 {
     BenchOptions options = quickOptions();
     options.filter = "BM_Test";
+    harness::TimelineRow row =
+        harness::TimelineRow::start("bench_all", "bench_test");
     const std::vector<BenchResult> results =
         Registry::global().runAll(options);
     ASSERT_EQ(results.size(), 2u);
+    row.metrics = timelineMetrics(results);
 
-    const auto doc = json::Value::parse(benchJson(results, options));
+    const auto doc = json::Value::parse(row.toJsonLine());
     ASSERT_TRUE(doc.ok()) << doc.error().message;
     const json::Value &root = doc.value();
-    EXPECT_EQ(root.stringOr("schema", ""), "uvolt-bench-v1");
+    EXPECT_EQ(root.stringOr("schema", ""), "uvolt-timeline-v2");
+    EXPECT_EQ(root.stringOr("tool", ""), "bench_all");
     EXPECT_FALSE(root.at("git_sha").string().empty());
-    EXPECT_GE(root.at("machine").numberOr("cpus", 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(root.at("options").numberOr("repeats", 0.0), 3.0);
 
-    const auto &benchmarks = root.at("benchmarks").items();
-    ASSERT_EQ(benchmarks.size(), 2u);
-    const json::Value &spin = benchmarks[0];
-    EXPECT_EQ(spin.stringOr("name", ""), "BM_TestSpin");
-    EXPECT_GT(spin.at("wall").numberOr("min_ns", 0.0), 0.0);
-    EXPECT_GT(spin.at("cpu").numberOr("median_ns", 0.0), 0.0);
-    EXPECT_GT(spin.numberOr("bytes_per_sec", 0.0), 0.0);
+    const json::Value &machine = root.at("machine");
+    EXPECT_EQ(machine.stringOr("digest", ""), row.machine.digest);
+    EXPECT_EQ(machine.stringOr("digest", ""), row.machine.fingerprint());
+    EXPECT_GE(machine.numberOr("cores", 0.0), 1.0);
+    EXPECT_FALSE(machine.stringOr("compiler", "").empty());
+    EXPECT_TRUE(machine.at("telemetry_compiled_in").isBool());
+
+    const json::Value &metrics = root.at("metrics");
+    ASSERT_EQ(metrics.members().size(), 4u);
+    for (const BenchResult &result : results) {
+        const double min_ns = metrics.numberOr(result.name + ".min_ns", 0.0);
+        const double median_ns =
+            metrics.numberOr(result.name + ".median_ns", 0.0);
+        EXPECT_GT(min_ns, 0.0) << result.name;
+        EXPECT_NEAR(min_ns, result.wall.minNs, 1e-6);
+        EXPECT_NEAR(median_ns, result.wall.medianNs, 1e-6);
+        EXPECT_LE(min_ns, median_ns);
+    }
 }
 
 TEST(BenchJson, ResultsTableHasOneRowPerBenchmark)

@@ -345,6 +345,24 @@ TEST(Ledger, RejectsForeignSchemas)
     EXPECT_EQ(parsed.error().code, Errc::corruptCache);
 }
 
+TEST(Ledger, RejectsOutOfRangeIntegers)
+{
+    // Casting these to an integer field would be undefined behavior.
+    for (const char *text :
+         {"{\"schema\": \"uvolt-run-manifest-v1\", \"execution\": "
+          "{\"workers\": -1}}",
+          "{\"schema\": \"uvolt-run-manifest-v1\", \"plan\": "
+          "{\"runs_per_level\": 1e999}}",
+          "{\"schema\": \"uvolt-run-manifest-v1\", \"plan\": "
+          "{\"step_mv\": 3e9}}",
+          "{\"schema\": \"uvolt-run-manifest-v1\", \"telemetry\": "
+          "{\"fleet.jobs\": -1}}"}) {
+        const auto manifest = RunManifest::fromJson(text);
+        ASSERT_FALSE(manifest.ok()) << text;
+        EXPECT_EQ(manifest.error().code, Errc::corruptCache);
+    }
+}
+
 TEST(Ledger, ConfigDigestIsStableAndDiscriminating)
 {
     EXPECT_EQ(configDigest("abc"), configDigest("abc"));

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the perf timeline: uvolt-timeline-v1 row JSON roundtrip,
- * append/load over a real file, schema rejection, malformed-line
+ * Tests for the perf timeline: uvolt-timeline-v2 row JSON roundtrip
+ * (machine block included), the machine digest, append/load over a
+ * real file, schema and out-of-range-integer rejection, malformed-line
  * errors with position, util/fsio's atomic append primitive, and the
  * property the format exists for — concurrent appenders interleave
  * whole rows, never torn ones.
@@ -20,19 +21,30 @@
 #include "harness/timeline.hh"
 #include "util/format.hh"
 #include "util/fsio.hh"
+#include "util/telemetry.hh"
 
 namespace uvolt::harness
 {
 namespace
 {
 
+/**
+ * A scratch directory of the running test's own. ctest runs each test
+ * as a separate process, in parallel, so tests must not share one.
+ */
+std::filesystem::path
+testDir()
+{
+    return std::filesystem::temp_directory_path() /
+        "uvolt_timeline_test" /
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+}
+
 std::filesystem::path
 tempFile(const char *name)
 {
-    const auto path = std::filesystem::temp_directory_path() /
-        "uvolt_timeline_test" / name;
-    std::filesystem::remove_all(path.parent_path());
-    return path;
+    std::filesystem::remove_all(testDir());
+    return testDir() / name;
 }
 
 TimelineRow
@@ -44,6 +56,18 @@ sampleRow(const std::string &run_id)
     row.gitSha = "abc123";
     row.startedAtIso = "2026-08-09T10:00:00Z";
     row.configDigest = "deadbeefdeadbeef";
+    row.machine.host = "bench-host";
+    row.machine.os = "Linux 6.1";
+    row.machine.cpuModel = "Some CPU @ 2.0GHz";
+    row.machine.cores = 8;
+    row.machine.isa = "avx2 fma";
+    row.machine.compiler = "13.2.0";
+    row.machine.buildType = "RelWithDebInfo";
+    row.machine.buildFlags = "-O2 -g -Wall \"-march=native\"";
+    row.machine.telemetryCompiledIn = true;
+    row.machine.telemetryEnabled = true;
+    row.machine.digest = row.machine.fingerprint();
+    row.baseline = true;
     row.workers = 4;
     row.durationMs = 1234.5;
     row.metrics = {{"e2e_p50_ms", 1.25}, {"e2e_p99_ms", 20.5},
@@ -66,6 +90,8 @@ TEST(TimelineRow, JsonRoundtrip)
     EXPECT_EQ(back.gitSha, row.gitSha);
     EXPECT_EQ(back.startedAtIso, row.startedAtIso);
     EXPECT_EQ(back.configDigest, row.configDigest);
+    EXPECT_EQ(back.machine, row.machine);
+    EXPECT_EQ(back.baseline, row.baseline);
     EXPECT_EQ(back.workers, row.workers);
     EXPECT_NEAR(back.durationMs, row.durationMs, 1e-3);
     ASSERT_EQ(back.metrics.size(), row.metrics.size());
@@ -84,6 +110,52 @@ TEST(TimelineRow, RejectsWrongSchema)
     EXPECT_FALSE(TimelineRow::fromJson("not json at all").ok());
 }
 
+TEST(TimelineRow, RejectsOutOfRangeIntegers)
+{
+    // Casting these to an integer field would be undefined behavior.
+    for (const char *text :
+         {"{\"schema\": \"uvolt-timeline-v2\", \"workers\": -1}",
+          "{\"schema\": \"uvolt-timeline-v2\", \"workers\": 1e999}",
+          "{\"schema\": \"uvolt-timeline-v2\", \"machine\": "
+          "{\"cores\": -1}}",
+          "{\"schema\": \"uvolt-timeline-v2\", \"top_frames\": "
+          "[{\"frame\": \"f\", \"self\": 1e999}]}"}) {
+        const auto row = TimelineRow::fromJson(text);
+        ASSERT_FALSE(row.ok()) << text;
+        EXPECT_EQ(row.error().code, Errc::corruptCache);
+        EXPECT_NE(row.error().message.find("not a count"),
+                  std::string::npos)
+            << row.error().message;
+    }
+}
+
+TEST(Machine, DigestIsSharedInProcessAndTracksTelemetry)
+{
+    const Machine first = TimelineRow::start("a", "one").machine;
+    const Machine second = TimelineRow::start("b", "two").machine;
+    EXPECT_FALSE(first.digest.empty());
+    EXPECT_EQ(first.digest, first.fingerprint());
+    EXPECT_EQ(first.digest, second.digest);
+    EXPECT_GE(first.cores, 1u);
+
+    // Host and OS are provenance; telemetry state is part of the build.
+    Machine moved = first;
+    moved.host = "elsewhere";
+    moved.os = "other";
+    EXPECT_EQ(moved.fingerprint(), first.digest);
+    Machine toggled = first;
+    toggled.telemetryEnabled = !toggled.telemetryEnabled;
+    EXPECT_NE(toggled.fingerprint(), first.digest);
+
+    if (telemetry::Telemetry::compiledIn()) {
+        const bool was = telemetry::Telemetry::enabled();
+        telemetry::Telemetry::setEnabled(!was);
+        const Machine flipped = TimelineRow::start("a", "one").machine;
+        telemetry::Telemetry::setEnabled(was);
+        EXPECT_NE(flipped.digest, first.digest);
+    }
+}
+
 TEST(Timeline, AppendThenLoadPreservesOrder)
 {
     const auto path = tempFile("history.jsonl");
@@ -97,7 +169,7 @@ TEST(Timeline, AppendThenLoadPreservesOrder)
     ASSERT_EQ(rows.value().size(), 3u);
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(rows.value()[i].runId, strFormat("run-{}", i));
-    std::filesystem::remove_all(path.parent_path());
+    std::filesystem::remove_all(testDir());
 }
 
 TEST(Timeline, MissingFileLoadsEmpty)
@@ -119,7 +191,7 @@ TEST(Timeline, MalformedLineFailsWithPosition)
     ASSERT_FALSE(rows.ok());
     EXPECT_NE(rows.error().message.find(":2:"), std::string::npos)
         << rows.error().message;
-    std::filesystem::remove_all(path.parent_path());
+    std::filesystem::remove_all(testDir());
 }
 
 TEST(Fsio, AppendFileRecordCreatesParentsAndTerminates)
@@ -131,8 +203,7 @@ TEST(Fsio, AppendFileRecordCreatesParentsAndTerminates)
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(text, "one\ntwo\n"); // exactly one '\n' per record
-    std::filesystem::remove_all(
-        std::filesystem::temp_directory_path() / "uvolt_timeline_test");
+    std::filesystem::remove_all(testDir());
 }
 
 TEST(Timeline, ConcurrentAppendersNeverTearRows)
@@ -173,7 +244,7 @@ TEST(Timeline, ConcurrentAppendersNeverTearRows)
     }
     for (int w = 0; w < writers; ++w)
         EXPECT_EQ(seen[w], rows_each);
-    std::filesystem::remove_all(path.parent_path());
+    std::filesystem::remove_all(testDir());
 }
 
 TEST(Timeline, NowIso8601Shape)
