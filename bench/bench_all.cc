@@ -8,8 +8,9 @@
  * Coverage: the sweep inner loop (telemetry off and on), BRAM readback
  * and device-wide fault counting at Vcrash, fleet fan-out at 0/1/8
  * workers, the FvmCache hit path, CRC-16 frame encode, SECDED decode,
- * k-means clustering, weight quantization, ICBP placement, and MNIST
- * inference/generation. Not a paper figure — engineering telemetry for
+ * k-means clustering, weight quantization, ICBP placement, MNIST
+ * inference/generation, and batched evaluation on a mid-size net and on
+ * the paper's net. Not a paper figure — engineering telemetry for
  * the simulator itself (the old micro_perf binary, re-homed).
  *
  * After the suite, the telemetry off/on sweep benches are compared and
@@ -32,6 +33,7 @@
 #include "harness/timeline.hh"
 #include "mem/catalog.hh"
 #include "mem/sweep.hh"
+#include "nn/model_zoo.hh"
 #include "nn/network.hh"
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
@@ -385,6 +387,26 @@ UVOLT_BENCHMARK(BM_MnistEvalBatched8Workers)
         bench::doNotOptimize(
             net.evaluateError(set, nn::EvalOptions{.pool = &pool}));
     }
+    state.setItemsPerIteration(set.size());
+}
+
+/**
+ * The paper's Table III net (784-1024-512-256-128-10) on 256 synthetic
+ * images with default options: the kernel the Fig 14 curve and the
+ * benchmark's nn_icbp workload spend their time in, so its ns per
+ * image predicts nn.eval.us_per_image where the mid-size rows above
+ * cannot.
+ */
+UVOLT_BENCHMARK(BM_PaperMnistEval)
+{
+    static const nn::Network net = [] {
+        nn::Network n(nn::paperMnistSpec().topology);
+        n.initWeights(1);
+        return n;
+    }();
+    static const data::Dataset set = data::makeMnistLike(256, 5);
+    for (auto _ : state)
+        bench::doNotOptimize(net.evaluateError(set, nn::EvalOptions{}));
     state.setItemsPerIteration(set.size());
 }
 

@@ -46,7 +46,7 @@ defaultEvalBatch()
             warn("UVOLT_BATCH='{}' is not a positive integer; using 64",
                  env);
         }
-        return 64; // fastest width measured in BM_MnistEvalBatched
+        return 64; // see the batch-width table in EXPERIMENTS.md
     }();
     return batch;
 }
@@ -113,14 +113,88 @@ DenseLayer::forward(std::span<const float> x, std::span<float> z) const
         fatal("forward: got {}->{} buffers for a {}x{} layer", x.size(),
               z.size(), inputs_, outputs_);
     }
-    // One arithmetic definition for both paths: the scalar forward IS
-    // the batched kernel at width 1. A hand-written scalar loop would
-    // compile to a different product-rounding mix (the vectorizer
-    // rounds products before the ordered adds, the remainder loop
-    // contracts them into FMAs), and the batched kernel could never
-    // reproduce that codegen artifact bit for bit.
-    forwardBatch(x, z, 1);
+    // The executable spec of the batched kernel: one bias-seeded fused
+    // multiply-add chain per output, inputs in ascending order.
+    for (int o = 0; o < outputs_; ++o) {
+        const float *weight_row = weights_.data() +
+            static_cast<std::size_t>(o) * static_cast<std::size_t>(inputs_);
+        float acc = biases_[static_cast<std::size_t>(o)];
+        for (int i = 0; i < inputs_; ++i)
+            acc = std::fma(weight_row[i], x[static_cast<std::size_t>(i)],
+                           acc);
+        z[static_cast<std::size_t>(o)] = acc;
+    }
 }
+
+namespace
+{
+
+/** Output rows of a full register tile. */
+constexpr int tileRows = 8;
+
+/**
+ * One Rows x Cols register tile of Z = W X + b. @a w points at the
+ * tile's first weight row (row stride @a inputs) and @a bias at its
+ * first bias; @a x and @a z point at the tile's first activation and
+ * result column (row stride @a columns). Every accumulator is seeded
+ * with its bias and takes one std::fma per input in ascending order,
+ * which is exactly the chain DenseLayer::forward() computes.
+ */
+template <int Rows, int Cols>
+void
+denseTile(const float *w, const float *bias, const float *x, float *z,
+          std::size_t inputs, std::size_t columns)
+{
+    float acc[Rows][Cols];
+    for (int r = 0; r < Rows; ++r)
+        for (int c = 0; c < Cols; ++c)
+            acc[r][c] = bias[r];
+    for (std::size_t i = 0; i < inputs; ++i) {
+        const float *x_row = x + i * columns;
+#pragma GCC unroll 16
+        for (int r = 0; r < Rows; ++r) {
+            const float weight = w[static_cast<std::size_t>(r) * inputs + i];
+            // Left rolled on purpose: GCC fully unrolls a short constant
+            // loop before the vectorizer sees it, which leaves the
+            // 8-column tile as scalar code.
+#pragma GCC unroll 1
+            for (int c = 0; c < Cols; ++c)
+                acc[r][c] = std::fma(weight, x_row[c], acc[r][c]);
+        }
+    }
+    for (int r = 0; r < Rows; ++r)
+        for (int c = 0; c < Cols; ++c)
+            z[static_cast<std::size_t>(r) * columns +
+              static_cast<std::size_t>(c)] = acc[r][c];
+}
+
+/**
+ * Cols batch columns of a whole layer: full tileRows-row tiles, then the
+ * leftover output rows one at a time. @a x and @a z point at the strip's
+ * first column.
+ */
+template <int Cols>
+void
+denseStrip(const DenseLayer &layer, const float *x, float *z,
+           std::size_t columns)
+{
+    const std::size_t inputs = static_cast<std::size_t>(layer.inputs());
+    const float *w = layer.weights().data();
+    const float *bias = layer.biases().data();
+    int o = 0;
+    for (; o + tileRows <= layer.outputs(); o += tileRows) {
+        const std::size_t row = static_cast<std::size_t>(o);
+        denseTile<tileRows, Cols>(w + row * inputs, bias + row, x,
+                                  z + row * columns, inputs, columns);
+    }
+    for (; o < layer.outputs(); ++o) {
+        const std::size_t row = static_cast<std::size_t>(o);
+        denseTile<1, Cols>(w + row * inputs, bias + row, x,
+                           z + row * columns, inputs, columns);
+    }
+}
+
+} // namespace
 
 void
 DenseLayer::forwardBatch(std::span<const float> x, std::span<float> z,
@@ -135,43 +209,19 @@ DenseLayer::forwardBatch(std::span<const float> x, std::span<float> z,
               "batch {}", x.size(), z.size(), inputs_, outputs_, batch);
     }
 
-    // Seed every accumulator with its bias (the scalar chain's start).
-    for (int o = 0; o < outputs_; ++o) {
-        const float bias = biases_[static_cast<std::size_t>(o)];
-        float *row = z.data() + static_cast<std::size_t>(o) * columns;
-        for (std::size_t s = 0; s < columns; ++s)
-            row[s] = bias;
-    }
-
-    // Cache blocking: the (tile_o x tile_i) weight tile and the
-    // (tile_i x batch) activation tile stay L1/L2-resident while every
-    // accumulator of the block drains them. For each (o, s) the input
-    // tiles are visited in ascending order, so the per-accumulator
-    // addition chain is exactly the scalar one; the innermost loop runs
-    // over the contiguous batch dimension, which vectorizes without
-    // reassociating any chain.
-    constexpr int tile_i = 128;
-    constexpr int tile_o = 64;
-    for (int i0 = 0; i0 < inputs_; i0 += tile_i) {
-        const int i_end = std::min(i0 + tile_i, inputs_);
-        for (int o0 = 0; o0 < outputs_; o0 += tile_o) {
-            const int o_end = std::min(o0 + tile_o, outputs_);
-            for (int o = o0; o < o_end; ++o) {
-                const float *weight_row = weights_.data() +
-                    static_cast<std::size_t>(o) *
-                        static_cast<std::size_t>(inputs_);
-                float *z_row = z.data() +
-                    static_cast<std::size_t>(o) * columns;
-                for (int i = i0; i < i_end; ++i) {
-                    const float w = weight_row[i];
-                    const float *x_row = x.data() +
-                        static_cast<std::size_t>(i) * columns;
-                    for (std::size_t s = 0; s < columns; ++s)
-                        z_row[s] += w * x_row[s];
-                }
-            }
-        }
-    }
+    // Column strips, widest first. A 32-column strip of activations
+    // (inputs x 32 floats, 128 KB for the paper net's widest layer)
+    // stays in L2 while every output tile of the layer streams its
+    // weight rows past it.
+    std::size_t s = 0;
+    for (; s + 32 <= columns; s += 32)
+        denseStrip<32>(*this, x.data() + s, z.data() + s, columns);
+    for (; s + 16 <= columns; s += 16)
+        denseStrip<16>(*this, x.data() + s, z.data() + s, columns);
+    for (; s + 8 <= columns; s += 8)
+        denseStrip<8>(*this, x.data() + s, z.data() + s, columns);
+    for (; s < columns; ++s)
+        denseStrip<1>(*this, x.data() + s, z.data() + s, columns);
 }
 
 float

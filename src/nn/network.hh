@@ -55,7 +55,12 @@ class DenseLayer
     std::span<const float> biases() const { return biases_; }
     std::span<float> biases() { return biases_; }
 
-    /** z = W x + b. @a z must have outputs() entries. */
+    /**
+     * z = W x + b. @a z must have outputs() entries. Each output starts
+     * from its bias and takes acc = std::fma(w[o][i], x[i], acc) for
+     * every input in ascending order. This plain loop is the executable
+     * spec that forwardBatch() matches bit for bit.
+     */
     void forward(std::span<const float> x, std::span<float> z) const;
 
     /**
@@ -64,15 +69,16 @@ class DenseLayer
      * @a x is the inputs() x batch activation matrix with sample s in
      * column s and the batch dimension contiguous (element (i, s) at
      * x[i * batch + s]); @a z is the outputs() x batch result in the
-     * same layout. The kernel is cache-blocked (a weight tile and an
-     * activation tile stay resident while every output of the block is
-     * accumulated) and lets the compiler vectorize across the batch
-     * columns — independent accumulators, so no float reassociation.
+     * same layout. The kernel is register-blocked: it holds an 8-output
+     * x 32-column tile of accumulators in registers and streams the
+     * tile's weight rows and activation strip through it. Strips of 32
+     * columns run first, then 16, then 8, then single columns; output
+     * rows left over after the 8-row tiles run one at a time.
      *
-     * Bit-identical per column to forward(): each (output, sample)
-     * accumulator starts from the bias and adds the products in
-     * ascending input order, exactly the scalar chain; the blocking
-     * only interleaves *independent* accumulators.
+     * Bit-identical per column to forward(): every (output, sample)
+     * accumulator is seeded with its bias and updated with one std::fma
+     * per input in ascending order, exactly the scalar chain. The tiles
+     * only interleave independent accumulators.
      */
     void forwardBatch(std::span<const float> x, std::span<float> z,
                       int batch) const;
@@ -119,7 +125,9 @@ struct EvalOptions
 /**
  * Evaluation batch width used when EvalOptions::batch is 0: the
  * UVOLT_BATCH environment variable when set (clamped to >= 1),
- * otherwise 64 (the fastest width measured in BM_MnistEvalBatched).
+ * otherwise 64. Two full 32-column strips of the forwardBatch()
+ * kernel; in BM_MnistEvalBatched, 32 and 64 measure within each
+ * other's spread and 16 and 128 are slower (EXPERIMENTS.md).
  */
 int defaultEvalBatch();
 

@@ -69,6 +69,29 @@ TEST(DenseLayerTest, ForwardMatrixVector)
     EXPECT_FLOAT_EQ(z[1], -1.0f * 3 + 0.5f * 4 - 0.25f);
 }
 
+TEST(DenseLayerTest, ProductsAreFused)
+{
+    // w * x = 1 + 2^-11 + 2^-24 exactly. Rounded to float first (a tie,
+    // resolved to even) it is 1 + 2^-11 and the bias cancels it to 0;
+    // fused, the 2^-24 survives.
+    const float w = 1.0f + 0x1p-12f;
+    DenseLayer layer(1, 1);
+    layer.setWeight(0, 0, w);
+    layer.setBias(0, -(1.0f + 0x1p-11f));
+
+    float z = -1.0f;
+    layer.forward(std::span<const float>(&w, 1), std::span<float>(&z, 1));
+    EXPECT_EQ(z, 0x1p-24f);
+    for (const int batch : {1, 16, 64}) {
+        const std::vector<float> x(static_cast<std::size_t>(batch), w);
+        std::vector<float> zs(static_cast<std::size_t>(batch), -1.0f);
+        layer.forwardBatch(x, zs, batch);
+        for (int s = 0; s < batch; ++s)
+            EXPECT_EQ(zs[static_cast<std::size_t>(s)], 0x1p-24f)
+                << "batch " << batch << " column " << s;
+    }
+}
+
 TEST(DenseLayerTest, MaxAbsWeight)
 {
     DenseLayer layer(2, 1);
@@ -291,33 +314,43 @@ struct BatchedFixture
     BatchedFixture() { net.initWeights(9); }
 };
 
-TEST(BatchedEval, ForwardBatchBitIdenticalPerColumn)
+TEST(BatchedEval, ForwardBatchMatchesForwardAtEveryWidth)
 {
-    BatchedFixture fx;
-    const DenseLayer &layer = fx.net.layer(0);
-    constexpr int batch = 5;
+    // Output counts that are not multiples of the kernel's row tile, and
+    // widths that run every column strip and the single-column tail.
+    std::vector<int> widths;
+    for (int batch = 1; batch <= 70; ++batch)
+        widths.push_back(batch);
+    for (int batch = 127; batch <= 129; ++batch)
+        widths.push_back(batch);
+    Rng rng(17);
+    for (const auto &[inputs, outputs] :
+         {std::pair{3, 7}, std::pair{54, 16}, std::pair{130, 67}}) {
+        DenseLayer layer(inputs, outputs);
+        for (auto &w : layer.weights())
+            w = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (auto &b : layer.biases())
+            b = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (const int batch : widths) {
+            const std::size_t columns = static_cast<std::size_t>(batch);
+            std::vector<float> x(static_cast<std::size_t>(inputs) * columns);
+            for (auto &value : x)
+                value = static_cast<float>(rng.uniform());
+            std::vector<float> z(static_cast<std::size_t>(outputs) * columns);
+            layer.forwardBatch(x, z, batch);
 
-    // Transpose 5 samples into the kernel's feature-major layout.
-    std::vector<float> x(static_cast<std::size_t>(layer.inputs()) * batch);
-    for (int s = 0; s < batch; ++s) {
-        const auto sample = fx.set.sample(static_cast<std::size_t>(s));
-        for (int i = 0; i < layer.inputs(); ++i)
-            x[static_cast<std::size_t>(i) * batch +
-              static_cast<std::size_t>(s)] = sample[
-                static_cast<std::size_t>(i)];
-    }
-    std::vector<float> z(static_cast<std::size_t>(layer.outputs()) * batch);
-    layer.forwardBatch(x, z, batch);
-
-    std::vector<float> expected(static_cast<std::size_t>(layer.outputs()));
-    for (int s = 0; s < batch; ++s) {
-        layer.forward(fx.set.sample(static_cast<std::size_t>(s)), expected);
-        for (int o = 0; o < layer.outputs(); ++o) {
-            // EXPECT_EQ, not EXPECT_FLOAT_EQ: the contract is exact.
-            EXPECT_EQ(z[static_cast<std::size_t>(o) * batch +
-                        static_cast<std::size_t>(s)],
-                      expected[static_cast<std::size_t>(o)])
-                << "sample " << s << " output " << o;
+            std::vector<float> column(static_cast<std::size_t>(inputs));
+            std::vector<float> expected(static_cast<std::size_t>(outputs));
+            int mismatches = 0;
+            for (std::size_t s = 0; s < columns; ++s) {
+                for (std::size_t i = 0; i < column.size(); ++i)
+                    column[i] = x[i * columns + s];
+                layer.forward(column, expected);
+                for (std::size_t o = 0; o < expected.size(); ++o)
+                    mismatches += z[o * columns + s] != expected[o];
+            }
+            EXPECT_EQ(mismatches, 0) << inputs << "->" << outputs
+                                     << " layer, batch " << batch;
         }
     }
 }

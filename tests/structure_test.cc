@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "harness/experiment.hh"
 #include "harness/fault_analyzer.hh"
@@ -129,7 +130,26 @@ class FvmIoTest : public ::testing::Test
     void
     TearDown() override
     {
-        std::filesystem::remove_all("fvm_io_test_dir");
+        std::filesystem::remove_all(testDir());
+    }
+
+    /**
+     * A scratch directory of the running test's own. ctest runs each
+     * test as a separate process, in parallel, so tests must not share
+     * one: another test's TearDown would delete this one's files.
+     */
+    static std::filesystem::path
+    testDir()
+    {
+        return std::filesystem::temp_directory_path() /
+            (std::string("uvolt_fvm_io_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    }
+
+    static std::string
+    testPath(const char *name)
+    {
+        return (testDir() / name).string();
     }
 
     static Fvm
@@ -146,7 +166,7 @@ TEST_F(FvmIoTest, RoundTrip)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
     const Fvm original = sampleFvm(plan);
-    const std::string path = "fvm_io_test_dir/zc702.fvm";
+    const std::string path = testPath("zc702.fvm");
     ASSERT_TRUE(saveFvm(original, plan, path));
 
     const auto loaded = loadFvm(plan, path);
@@ -158,14 +178,13 @@ TEST_F(FvmIoTest, RoundTrip)
 TEST_F(FvmIoTest, MissingFile)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
-    EXPECT_FALSE(loadFvm(plan, "fvm_io_test_dir/nonexistent.fvm")
-                     .has_value());
+    EXPECT_FALSE(loadFvm(plan, testPath("nonexistent.fvm")).has_value());
 }
 
 TEST_F(FvmIoTest, GeometryMismatchRejected)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
-    const std::string path = "fvm_io_test_dir/zc702.fvm";
+    const std::string path = testPath("zc702.fvm");
     ASSERT_TRUE(saveFvm(sampleFvm(plan), plan, path));
     const auto other = fpga::Floorplan::columnGrid(890, 120);
     EXPECT_FALSE(loadFvm(other, path).has_value());
@@ -174,8 +193,8 @@ TEST_F(FvmIoTest, GeometryMismatchRejected)
 TEST_F(FvmIoTest, CorruptFileRejected)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
-    const std::string path = "fvm_io_test_dir/bad.fvm";
-    std::filesystem::create_directories("fvm_io_test_dir");
+    const std::string path = testPath("bad.fvm");
+    std::filesystem::create_directories(testDir());
     {
         std::ofstream out(path);
         out << "#uvolt-fvm v1 ZC702 4 70 280\n";
@@ -193,7 +212,7 @@ TEST_F(FvmIoTest, CorruptFileRejected)
 TEST_F(FvmIoTest, TruncatedFileRejected)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
-    const std::string path = "fvm_io_test_dir/trunc.fvm";
+    const std::string path = testPath("trunc.fvm");
     ASSERT_TRUE(saveFvm(sampleFvm(plan), plan, path));
     // Chop off the last line.
     std::string content;
