@@ -6,7 +6,8 @@
  * that scripts/check_perf.py gates CI with.
  *
  * Coverage: the sweep inner loop (telemetry off and on), BRAM readback
- * and device-wide fault counting at Vcrash, fleet fan-out at 0/1/8
+ * and device-wide fault counting at Vcrash (indexed and first of an
+ * epoch), the random pattern fill, fleet fan-out at 0/1/8
  * workers, the FvmCache hit path, CRC-16 frame encode, SECDED decode,
  * k-means clustering, weight quantization, ICBP placement, MNIST
  * inference/generation, and batched evaluation on a mid-size net and on
@@ -23,12 +24,14 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "accel/placement.hh"
 #include "accel/secded.hh"
 #include "accel/weight_image.hh"
 #include "data/synthetic.hh"
 #include "harness/campaign.hh"
+#include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "harness/timeline.hh"
 #include "mem/catalog.hh"
@@ -98,10 +101,10 @@ UVOLT_BENCHMARK(BM_DeviceFaultCount)
 }
 
 /**
- * The memo-defeating variant: every iteration draws fresh supply
- * jitter, so the effective voltage changes and the count streams the
- * packed threshold ladders for real instead of replaying the
- * (content epoch, voltage) memo BM_DeviceFaultCount converges to.
+ * A sweep run: every iteration draws fresh supply jitter, so the
+ * effective voltage changes. The content epoch does not, so after the
+ * first pass each count is one binary search through the built count
+ * index (plus the jitter draw).
  */
 UVOLT_BENCHMARK(BM_DeviceFaultCountFreshJitter)
 {
@@ -112,6 +115,38 @@ UVOLT_BENCHMARK(BM_DeviceFaultCountFreshJitter)
         bench::doNotOptimize(board.countDeviceFaults());
     }
     board.softReset();
+}
+
+/**
+ * The first count of a content epoch: every iteration rewrites one BRAM
+ * (same content, new epoch), so every count builds the device's count
+ * index afresh (every ladder element against the stored content, a
+ * radix sort, running totals) before its one lookup.
+ */
+UVOLT_BENCHMARK(BM_DeviceFaultCountFirstOfEpoch)
+{
+    auto &board = vc707();
+    parkAtVcrash(board);
+    const std::vector<std::uint64_t> ones(fpga::bramWords, ~0ull);
+    std::uint32_t bram = 0;
+    for (auto _ : state) {
+        board.device().bram(bram).assignWords(ones);
+        bench::doNotOptimize(board.countDeviceFaults());
+        bram = (bram + 1) % board.device().bramCount();
+    }
+    board.softReset();
+}
+
+/** A random 0.5 fill of the whole VC707 pool: one Rng::fillBernoulli
+ *  stream and one epoch bump per BRAM. */
+UVOLT_BENCHMARK(BM_RandomFillVc707)
+{
+    auto &board = vc707();
+    const auto pattern = harness::PatternSpec::random(0.5, 7);
+    for (auto _ : state)
+        harness::fillPattern(board, pattern);
+    bench::doNotOptimize(board.device().contentEpoch());
+    state.setItemsPerIteration(board.device().bramCount());
 }
 
 UVOLT_BENCHMARK(BM_SweepInnerLoopTelemetryOff)
@@ -173,10 +208,10 @@ UVOLT_BENCHMARK(BM_FleetFanout8Workers) { runFanout(state, 8); }
 
 /**
  * The non-BRAM backends' sweep arithmetic: one iteration counts every
- * fault on the device at Vcrash with fresh jitter each pass (the memo
- * never hits), streaming the generalized mask ladders. HBM's ladders
- * hold whole-lane masks, SRAM's single bits — the two granularities
- * bracket the MaskLadder popcount path.
+ * fault on the device at Vcrash with fresh jitter each pass, domain by
+ * domain (no count index), streaming the generalized mask ladders.
+ * HBM's ladders hold whole-lane masks, SRAM's single bits — the two
+ * granularities bracket the MaskLadder popcount path.
  */
 void
 runMemFaultCount(bench::State &state, const char *name)

@@ -177,6 +177,10 @@ loadCheckpoint(std::istream &in)
         if (!(in >> checkpoint.pattern.oneDensity >>
               checkpoint.pattern.seed))
             return makeError(Errc::badCheckpoint, "bad random pattern");
+        if (!checkpoint.pattern.wellFormed())
+            return makeError(Errc::badCheckpoint,
+                             "random pattern density {} is not in [0, 1]",
+                             checkpoint.pattern.oneDensity);
     } else {
         return makeError(Errc::badCheckpoint, "unknown pattern kind '{}'",
                          kind.value());
@@ -293,15 +297,18 @@ tryValidateCheckpoint(const SweepCheckpoint &checkpoint,
         return makeError(Errc::badCheckpoint,
                          "checkpoint belongs to {}, board is {}",
                          checkpoint.platform, board.spec().name);
-    if (checkpoint.pattern.label() != options.pattern.label() ||
-        checkpoint.pattern.kind != options.pattern.kind ||
-        checkpoint.pattern.word != options.pattern.word ||
-        checkpoint.pattern.seed != options.pattern.seed)
+    const PatternSpec &saved = checkpoint.pattern;
+    const PatternSpec &wanted = options.pattern;
+    if (saved.kind != wanted.kind || saved.word != wanted.word ||
+        saved.seed != wanted.seed ||
+        (wanted.kind == PatternSpec::Kind::Random &&
+         saved.oneDensity != wanted.oneDensity))
         return makeError(Errc::badCheckpoint,
-                         "checkpoint pattern {} does not match campaign "
-                         "pattern {}",
-                         checkpoint.pattern.label(),
-                         options.pattern.label());
+                         "checkpoint pattern {} (density {}, seed {}) "
+                         "does not match campaign pattern {} (density "
+                         "{}, seed {})",
+                         saved.label(), saved.oneDensity, saved.seed,
+                         wanted.label(), wanted.oneDensity, wanted.seed);
     if (checkpoint.runsPerLevel != options.runsPerLevel ||
         checkpoint.stepMv != options.stepMv ||
         checkpoint.fromMv != from_mv || checkpoint.downToMv != down_to_mv)

@@ -43,6 +43,12 @@ sweepMetrics()
 
 } // namespace
 
+bool
+PatternSpec::wellFormed() const
+{
+    return kind == Kind::Fixed || (oneDensity >= 0.0 && oneDensity <= 1.0);
+}
+
 std::string
 PatternSpec::label() const
 {
@@ -60,17 +66,12 @@ fillPattern(pmbus::Board &board, const PatternSpec &pattern)
         device.fillAll(pattern.word);
         return;
     }
+    // One stream per BRAM, drawn in bit-offset (row*16 + col) order.
+    std::vector<std::uint64_t> plane(fpga::bramWords);
     for (std::uint32_t b = 0; b < device.bramCount(); ++b) {
-        Rng rng(combineSeeds(pattern.seed, b));
-        auto &bram = device.bram(b);
-        for (int row = 0; row < fpga::bramRows; ++row) {
-            std::uint16_t word = 0;
-            for (int col = 0; col < fpga::bramCols; ++col) {
-                if (rng.chance(pattern.oneDensity))
-                    word = static_cast<std::uint16_t>(word | (1u << col));
-            }
-            bram.writeRow(row, word);
-        }
+        Rng(combineSeeds(pattern.seed, b))
+            .fillBernoulli(plane, pattern.oneDensity);
+        device.bram(b).assignWords(plane);
     }
 }
 
@@ -132,10 +133,9 @@ countDeviceFaultsRecoverable(const Watchdog &watchdog)
     const double jitter = board.runJitterV();
     for (int recovery = 0; recovery <= watchdog.policy.maxRecoveriesPerRun;
          ++recovery) {
-        // One device-level probe: streams the packed threshold ladders
-        // (memoized per content/voltage) on a quiet crash schedule, and
-        // degrades to the exact legacy per-BRAM probe loop when a
-        // spurious-crash schedule is armed.
+        // One device-level probe: the per-epoch count index on a quiet
+        // crash schedule, degrading to the exact legacy per-BRAM probe
+        // loop when a spurious-crash schedule is armed.
         const auto count = board.tryCountDeviceFaults();
         if (count.ok())
             return count.value();
@@ -323,25 +323,25 @@ Expected<void>
 collectReferenceMaps(SweepPoint &point, const Watchdog &watchdog)
 {
     pmbus::Board &board = watchdog.board;
+    std::vector<std::uint64_t> observed(fpga::bramWords);
     for (int recovery = 0; recovery <= watchdog.policy.maxRecoveriesPerRun;
          ++recovery) {
         board.startReferenceRun();
         point.perBramFaults.assign(board.device().bramCount(), 0);
         FaultSummary summary;
-        std::vector<FaultObservation> faults;
         bool crashed = false;
         for (std::uint32_t b = 0; b < board.device().bramCount(); ++b) {
-            faults.clear();
-            auto observed = board.tryReadBramPacked(b);
-            if (!observed.ok()) {
-                if (observed.code() != Errc::crashDetected)
-                    return observed.error();
+            if (auto read = board.tryReadBramPacked(b, observed);
+                !read.ok()) {
+                if (read.code() != Errc::crashDetected)
+                    return read.error();
                 crashed = true;
                 break;
             }
-            diffBram(board.device().bram(b), observed.value(), b, faults,
-                     summary);
-            point.perBramFaults[b] = static_cast<int>(faults.size());
+            const FaultSummary bram =
+                diffCounts(board.device().bram(b).words(), observed);
+            point.perBramFaults[b] = static_cast<int>(bram.totalFaults);
+            summary += bram;
         }
         if (!crashed) {
             point.oneToZeroFraction = summary.oneToZeroFraction();

@@ -73,6 +73,10 @@ struct PatternSpec
         return spec;
     }
 
+    /** Whether a random pattern's density is a probability: in [0, 1]
+     *  and not NaN. label() is defined only for well-formed patterns. */
+    bool wellFormed() const;
+
     /** Human-readable label, e.g. "16'hFFFF" or "random-50%". */
     std::string label() const;
 };

@@ -1,5 +1,7 @@
 #include "harness/fault_analyzer.hh"
 
+#include <bit>
+
 #include "fpga/platform.hh"
 #include "util/logging.hh"
 
@@ -42,6 +44,23 @@ diffBram(const fpga::Bram &written,
         fatal("diffBram: observed data has {} rows, expected {}",
               observed.size(), fpga::bramRows);
     diffBram(written, fpga::packRows(observed), bram, out, summary);
+}
+
+FaultSummary
+diffCounts(fpga::WordSpan written, fpga::WordSpan observed)
+{
+    if (observed.size() != written.size())
+        fatal("diffCounts: {} observed packed words for {} written",
+              observed.size(), written.size());
+    FaultSummary summary;
+    for (std::size_t w = 0; w < written.size(); ++w) {
+        summary.oneToZero += static_cast<std::uint64_t>(
+            std::popcount(written[w] & ~observed[w]));
+        summary.zeroToOne += static_cast<std::uint64_t>(
+            std::popcount(~written[w] & observed[w]));
+    }
+    summary.totalFaults = summary.oneToZero + summary.zeroToOne;
+    return summary;
 }
 
 double

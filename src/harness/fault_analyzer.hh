@@ -35,6 +35,15 @@ struct FaultSummary
     std::uint64_t oneToZero = 0;
     std::uint64_t zeroToOne = 0;
 
+    FaultSummary &
+    operator+=(const FaultSummary &other)
+    {
+        totalFaults += other.totalFaults;
+        oneToZero += other.oneToZero;
+        zeroToOne += other.zeroToOne;
+        return *this;
+    }
+
     /** Share of faults with the "1"->"0" polarity. */
     double
     oneToZeroFraction() const
@@ -62,6 +71,13 @@ void diffBram(const fpga::Bram &written,
               const std::vector<std::uint16_t> &observed,
               std::uint32_t bram, std::vector<FaultObservation> &out,
               FaultSummary &summary);
+
+/**
+ * The counts diffBram() would add to its summary, without the
+ * locations: XOR + popcount over the packed words, split by polarity
+ * (written 1 read 0 is oneToZero).
+ */
+FaultSummary diffCounts(fpga::WordSpan written, fpga::WordSpan observed);
 
 /** Faults per Mbit for a count over a number of data bits. */
 double faultsPerMbit(double fault_count, std::uint64_t total_bits);

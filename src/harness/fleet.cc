@@ -92,20 +92,12 @@ fillMemPattern(mem::MemoryDevice &device, const PatternSpec &pattern)
         device.fill(pattern.word);
         return;
     }
-    const std::uint32_t wordsPerDomain = device.traits().wordsPerDomain;
-    std::vector<std::uint64_t> plane(wordsPerDomain);
+    std::vector<std::uint64_t> plane(device.traits().wordsPerDomain);
     for (std::uint32_t d = 0; d < device.domainCount(); ++d) {
         // One stream per domain, like the per-BRAM streams of the
         // Board path: domain content is independent of domain count.
-        Rng rng(combineSeeds(pattern.seed, d));
-        for (std::uint32_t w = 0; w < wordsPerDomain; ++w) {
-            std::uint64_t word = 0;
-            for (int bit = 0; bit < fpga::bramWordBits; ++bit) {
-                if (rng.chance(pattern.oneDensity))
-                    word |= std::uint64_t{1} << bit;
-            }
-            plane[w] = word;
-        }
+        Rng(combineSeeds(pattern.seed, d))
+            .fillBernoulli(plane, pattern.oneDensity);
         device.assignDomainWords(d, plane);
     }
 }

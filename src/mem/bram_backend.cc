@@ -65,19 +65,17 @@ BramBackend::effectiveVoltage(double rail_v, double temp_c,
 }
 
 int
-BramBackend::countDomainFaults(std::uint32_t domain,
-                               double effective_v) const
-{
-    return model_->countFaults(device_->bram(domain).words(), domain,
-                               effective_v);
-}
-
-int
 BramBackend::countDomainFaultsReference(std::uint32_t domain,
                                         double effective_v) const
 {
     return model_->countBramFaultsReference(device_->bram(domain), domain,
                                             effective_v);
+}
+
+const vmodel::DomainLadders &
+BramBackend::domainLadders(std::uint32_t domain) const
+{
+    return model_->ladders(domain);
 }
 
 std::vector<std::uint64_t>

@@ -44,10 +44,10 @@ class BramBackend : public MemoryDevice
     double effectiveVoltage(double rail_v, double temp_c,
                             double jitter_v = 0.0) const override;
 
-    int countDomainFaults(std::uint32_t domain,
-                          double effective_v) const override;
     int countDomainFaultsReference(std::uint32_t domain,
                                    double effective_v) const override;
+    const vmodel::DomainLadders &
+    domainLadders(std::uint32_t domain) const override;
     std::vector<std::uint64_t>
     readDomainPacked(std::uint32_t domain,
                      double effective_v) const override;

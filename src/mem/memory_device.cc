@@ -29,16 +29,21 @@ DeviceTraits::totalMbit() const
         static_cast<double>(fpga::bitsPerMbit);
 }
 
+int
+MemoryDevice::countDomainFaults(std::uint32_t domain,
+                                double effective_v) const
+{
+    return static_cast<int>(
+        domainLadders(domain).countFaults(domainWords(domain), effective_v));
+}
+
 std::uint64_t
 MemoryDevice::countFaults(double effective_v) const
 {
-    return countMemo_.get(contentEpoch(), effective_v, [&] {
-        std::uint64_t total = 0;
-        for (std::uint32_t d = 0; d < domainCount(); ++d)
-            total += static_cast<std::uint64_t>(
-                countDomainFaults(d, effective_v));
-        return total;
-    });
+    return countIndex_.count(
+        contentEpoch(), effective_v, domainCount(), [&](std::uint32_t d) {
+            return vmodel::DomainView{domainLadders(d), domainWords(d)};
+        });
 }
 
 PlaneDevice::PlaneDevice(DeviceTraits traits)
@@ -85,12 +90,11 @@ PlaneDevice::assignDomainWords(std::uint32_t domain, fpga::WordSpan words)
     ++epoch_;
 }
 
-int
-PlaneDevice::countDomainFaults(std::uint32_t domain,
-                               double effective_v) const
+const vmodel::DomainLadders &
+PlaneDevice::domainLadders(std::uint32_t domain) const
 {
-    const fpga::WordSpan words = domainWords(domain);
-    return static_cast<int>(ladders_[domain].countFaults(words, effective_v));
+    checkDomain(domain);
+    return ladders_[domain];
 }
 
 std::vector<std::uint64_t>

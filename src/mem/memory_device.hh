@@ -25,12 +25,13 @@
  *    packed path is property-tested against.
  *
  * Epoch/caching contract: every content mutation bumps a per-device
- * epoch; countFaults() memoizes the device-wide total on (epoch, exact
- * effective voltage) in a vmodel::CountMemo, the memo pmbus::Board
- * keeps too. Copies and clones NEVER share epochs or memos with their
- * source — a copy starts with an invalid memo and its own counter, so
- * divergent writes after a copy can never serve a stale total (the
- * Bram::bindEpoch detach rule, generalized).
+ * epoch; countFaults() goes through a vmodel::CountIndex keyed on it,
+ * the index pmbus::Board keeps too. The first count of an epoch builds
+ * a sorted (threshold, observable bits) index of the content, and every
+ * count is one binary search through it. Copies and clones NEVER share
+ * epochs or indexes with their source — a copy starts with an invalid
+ * index and its own counter, so divergent writes after a copy can never
+ * serve a stale total (the Bram::bindEpoch detach rule, generalized).
  */
 
 #ifndef UVOLT_MEM_MEMORY_DEVICE_HH
@@ -140,9 +141,9 @@ class MemoryDevice
 
     // --- faults ----------------------------------------------------------
 
-    /** Observable faults in one domain at an effective voltage. */
-    virtual int countDomainFaults(std::uint32_t domain,
-                                  double effective_v) const = 0;
+    /** Observable faults in one domain at an effective voltage: its
+     *  ladders counted against its stored words. */
+    int countDomainFaults(std::uint32_t domain, double effective_v) const;
 
     /**
      * The scalar executable spec: walk this backend's weak elements one
@@ -153,14 +154,18 @@ class MemoryDevice
     virtual int countDomainFaultsReference(std::uint32_t domain,
                                            double effective_v) const = 0;
 
+    /** The packed threshold ladders of one domain. */
+    virtual const vmodel::DomainLadders &
+    domainLadders(std::uint32_t domain) const = 0;
+
     /** Readback of one domain under reduced voltage, packed. */
     virtual std::vector<std::uint64_t>
     readDomainPacked(std::uint32_t domain, double effective_v) const = 0;
 
     /**
-     * Device-wide fault count, memoized on (content epoch, exact
-     * effective voltage). The memo is per-instance and never survives
-     * copy/clone (see the epoch/caching contract above).
+     * Device-wide fault count through the per-epoch count index. The
+     * index is per-instance and never survives copy/clone (see the
+     * epoch/caching contract above).
      */
     std::uint64_t countFaults(double effective_v) const;
 
@@ -172,8 +177,9 @@ class MemoryDevice
     // --- lifecycle -------------------------------------------------------
 
     /**
-     * Deep copy with detached epochs and an invalid memo: the clone and
-     * the source may diverge freely and each memoizes independently.
+     * Deep copy with detached epochs and an invalid count index: the
+     * clone and the source may diverge freely and each indexes
+     * independently.
      */
     virtual std::unique_ptr<MemoryDevice> clone() const = 0;
 
@@ -183,13 +189,13 @@ class MemoryDevice
     {
     }
 
-    /** Copies carry the traits; the memo starts invalid (CountMemo). */
+    /** Copies carry the traits; the count index starts invalid. */
     MemoryDevice(const MemoryDevice &) = default;
     MemoryDevice &operator=(const MemoryDevice &) = default;
 
   private:
     DeviceTraits traits_;
-    mutable vmodel::CountMemo countMemo_;
+    mutable vmodel::CountIndex countIndex_;
 };
 
 /**
@@ -209,8 +215,8 @@ class PlaneDevice : public MemoryDevice
                            fpga::WordSpan words) override;
     std::uint64_t contentEpoch() const override { return epoch_; }
 
-    int countDomainFaults(std::uint32_t domain,
-                          double effective_v) const override;
+    const vmodel::DomainLadders &
+    domainLadders(std::uint32_t domain) const override;
     std::vector<std::uint64_t>
     readDomainPacked(std::uint32_t domain,
                      double effective_v) const override;

@@ -1,5 +1,7 @@
 #include "pmbus/board.hh"
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <mutex>
 
@@ -272,9 +274,13 @@ Board::effectiveVoltage() const
                                      effectiveAmbientC(), runJitterV_);
 }
 
-Expected<std::vector<std::uint64_t>>
-Board::tryReadBramPacked(std::uint32_t bram) const
+Expected<void>
+Board::tryReadBramPacked(std::uint32_t bram,
+                         std::span<std::uint64_t> out) const
 {
+    if (out.size() != static_cast<std::size_t>(fpga::bramWords))
+        fatal("tryReadBramPacked: plane of {} words, a BRAM has {}",
+              out.size(), fpga::bramWords);
     boardMetrics().bramProbes.increment();
     if (!donePin() || crashFires()) {
         boardMetrics().crashesDetected.increment();
@@ -283,14 +289,26 @@ Board::tryReadBramPacked(std::uint32_t bram) const
                          "(configuration lost at {} mV)",
                          spec().name, bram, vccBramMv());
     }
-    auto observed = faults_->readBramPacked(device_.bram(bram), bram,
-                                            effectiveVoltage());
+    const fpga::WordSpan written = device_.bram(bram).words();
+    std::copy(written.begin(), written.end(), out.begin());
+    faults_->applyFaults(out, bram, effectiveVoltage());
     // Ship through the CRC-verified serial path, as the real setup does.
-    auto frame =
-        link_.transferReliable(SerialLink::packWordBytes(observed));
-    if (!frame.ok())
-        return frame.error();
-    return SerialLink::unpackWordBytes(frame.value().payload);
+    // On a little-endian host the plane's memory IS the wire stream.
+    if constexpr (std::endian::native == std::endian::little)
+        return link_.transferReliable(
+            {reinterpret_cast<const std::uint8_t *>(out.data()),
+             out.size_bytes()});
+    else
+        return link_.transferReliable(SerialLink::packWordBytes(out));
+}
+
+Expected<std::vector<std::uint64_t>>
+Board::tryReadBramPacked(std::uint32_t bram) const
+{
+    std::vector<std::uint64_t> observed(fpga::bramWords);
+    if (auto read = tryReadBramPacked(bram, observed); !read.ok())
+        return read.error();
+    return observed;
 }
 
 Expected<std::vector<std::uint16_t>>
@@ -370,10 +388,12 @@ Board::tryCountDeviceFaults() const
                          "(configuration lost at {} mV)",
                          spec().name, 0, vccBramMv());
     }
-    const double v = effectiveVoltage();
-    return countMemo_.get(device_.contentEpoch(), v, [&] {
-        return faults_->countDeviceFaults(device_, v);
-    });
+    return countIndex_.count(
+        device_.contentEpoch(), effectiveVoltage(), count,
+        [&](std::uint32_t b) {
+            return vmodel::DomainView{faults_->ladders(b),
+                                      device_.bram(b).words()};
+        });
 }
 
 std::uint64_t

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fpga/device.hh"
@@ -189,11 +190,18 @@ class Board
     tryReadBramToHost(std::uint32_t bram) const;
 
     /**
-     * Packed recoverable readback: the observed contents of one BRAM as
-     * bit-packed 64-bit fault-domain words, shipped through the same
-     * CRC-verified serial path (the wire byte stream is identical to the
-     * 16-bit-row form, so link noise behaves identically).
+     * Packed recoverable readback into a caller-owned plane: the
+     * observed contents of one BRAM as bit-packed 64-bit fault-domain
+     * words (@a out holds fpga::bramWords of them), shipped through the
+     * CRC-verified serial path. The plane's own bytes are the frame
+     * (the wire byte stream is identical to the 16-bit-row form, so link
+     * noise behaves identically), and on success @a out is the host's
+     * verified copy.
      */
+    Expected<void> tryReadBramPacked(std::uint32_t bram,
+                                     std::span<std::uint64_t> out) const;
+
+    /** tryReadBramPacked() into a fresh plane. */
     Expected<std::vector<std::uint64_t>>
     tryReadBramPacked(std::uint32_t bram) const;
 
@@ -212,9 +220,9 @@ class Board
      * loop. Equals summing tryCountBramFaults() over the pool bit for
      * bit — including the per-BRAM probe accounting and the injected
      * spurious-crash schedule when a harsh environment is attached —
-     * but on a quiet schedule it streams the packed threshold ladders
-     * and memoizes on (content epoch, effective voltage), so repeated
-     * runs at identical conditions cost a pair of compares.
+     * but on a quiet schedule it goes through a vmodel::CountIndex: the
+     * first count of a content epoch builds the index, and every count
+     * is a binary search through it.
      */
     Expected<std::uint64_t> tryCountDeviceFaults() const;
 
@@ -249,7 +257,7 @@ class Board
     std::uint64_t runsStarted_ = 0;
     mutable bool forcedCrash_ = false;
     mutable int crashCountdown_ = -1; ///< ops until injected crash; -1 off
-    mutable vmodel::CountMemo countMemo_; ///< device count on a quiet schedule
+    mutable vmodel::CountIndex countIndex_; ///< quiet-schedule device count
     Rng runRng_;
 };
 

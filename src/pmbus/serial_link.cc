@@ -79,10 +79,17 @@ linkMetrics()
     return metrics;
 }
 
+/** Line noise flips a byte in flight; the CRC no longer matches. */
+void
+garble(std::vector<std::uint8_t> &payload)
+{
+    payload[payload.size() / 2] ^= 0xFF;
+}
+
 } // namespace
 
 std::uint16_t
-crc16(const std::vector<std::uint8_t> &bytes)
+crc16(std::span<const std::uint8_t> bytes)
 {
     // CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection.
     // Eight bytes per iteration: the running register only reaches the
@@ -105,25 +112,27 @@ crc16(const std::vector<std::uint8_t> &bytes)
     return crc;
 }
 
-SerialFrame
-SerialLink::transfer(const std::vector<std::uint8_t> &payload)
+bool
+SerialLink::send(std::size_t bytes)
 {
-    SerialFrame frame;
-    frame.payload = payload;
-    frame.crc = crc16(payload);
-    if (injector_ && !payload.empty() && injector_->corruptThisFrame()) {
-        // Line noise flips a byte in flight; the CRC no longer matches.
-        frame.payload[frame.payload.size() / 2] ^= 0xFF;
-    }
     ++stats_.framesSent;
-    stats_.bytesSent += payload.size();
+    stats_.bytesSent += bytes;
     linkMetrics().frames.increment();
-    linkMetrics().bytes.add(payload.size());
+    linkMetrics().bytes.add(bytes);
+    return injector_ && bytes > 0 && injector_->corruptThisFrame();
+}
+
+SerialFrame
+SerialLink::transfer(std::span<const std::uint8_t> payload)
+{
+    SerialFrame frame{{payload.begin(), payload.end()}, crc16(payload)};
+    if (send(payload.size()))
+        garble(frame.payload);
     return frame;
 }
 
-Expected<SerialFrame>
-SerialLink::transferReliable(const std::vector<std::uint8_t> &payload)
+Expected<void>
+SerialLink::transferReliable(std::span<const std::uint8_t> payload)
 {
     for (int attempt = 0; attempt < maxAttempts_; ++attempt) {
         if (attempt > 0) {
@@ -132,9 +141,14 @@ SerialLink::transferReliable(const std::vector<std::uint8_t> &payload)
             // Exponential backoff in virtual line-time units.
             stats_.backoffTicks += 1ULL << std::min(attempt, 16);
         }
-        SerialFrame frame = transfer(payload);
+        // An intact frame carries the sender's bytes and verifies by
+        // construction; only a corrupted copy needs the CRC check.
+        if (!send(payload.size()))
+            return {};
+        SerialFrame frame{{payload.begin(), payload.end()}, crc16(payload)};
+        garble(frame.payload);
         if (frame.verified())
-            return frame;
+            return {};
         ++stats_.crcErrors;
         linkMetrics().crcErrors.increment();
     }
@@ -196,27 +210,6 @@ SerialLink::packWordBytes(std::span<const std::uint64_t> words)
         }
     }
     return bytes;
-}
-
-std::vector<std::uint64_t>
-SerialLink::unpackWordBytes(const std::vector<std::uint8_t> &bytes)
-{
-    if (bytes.size() % 8 != 0)
-        fatal("unpackWordBytes: byte count {} not a multiple of 8",
-              bytes.size());
-    std::vector<std::uint64_t> words(bytes.size() / 8, 0);
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(words.data(), bytes.data(), bytes.size());
-    } else {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t word = 0;
-            for (std::size_t k = 0; k < 8; ++k)
-                word |= static_cast<std::uint64_t>(bytes[w * 8 + k])
-                    << (8 * k);
-            words[w] = word;
-        }
-    }
-    return words;
 }
 
 } // namespace uvolt::pmbus

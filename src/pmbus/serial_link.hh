@@ -28,7 +28,7 @@ namespace uvolt::pmbus
 class FaultInjector;
 
 /** CRC-16/CCITT-FALSE over a byte stream. */
-std::uint16_t crc16(const std::vector<std::uint8_t> &bytes);
+std::uint16_t crc16(std::span<const std::uint8_t> bytes);
 
 /** A framed payload as it arrives at the host. */
 struct SerialFrame
@@ -56,15 +56,18 @@ class SerialLink
 {
   public:
     /** Transmit one raw frame; returns the frame the host receives. */
-    SerialFrame transfer(const std::vector<std::uint8_t> &payload);
+    SerialFrame transfer(std::span<const std::uint8_t> payload);
 
     /**
-     * Transmit until the host verifies the CRC, retransmitting with
+     * Transmit until a frame arrives verified, retransmitting with
      * exponential backoff up to maxAttempts(). Error linkExhausted when
-     * every attempt arrives corrupted.
+     * every attempt arrives corrupted. A frame that arrives intact
+     * holds exactly @a payload's bytes, so it verifies by construction
+     * and the caller's buffer IS the host's copy. Only a frame the
+     * injector corrupts in flight is copied, garbled and checked
+     * against the sender's CRC.
      */
-    Expected<SerialFrame>
-    transferReliable(const std::vector<std::uint8_t> &payload);
+    Expected<void> transferReliable(std::span<const std::uint8_t> payload);
 
     /** Wire the harsh environment into the channel (nullptr = quiet). */
     void attachInjector(FaultInjector *injector) { injector_ = injector; }
@@ -100,11 +103,11 @@ class SerialLink
     static std::vector<std::uint8_t>
     packWordBytes(std::span<const std::uint64_t> words);
 
-    /** Inverse of packWordBytes. */
-    static std::vector<std::uint64_t>
-    unpackWordBytes(const std::vector<std::uint8_t> &bytes);
-
   private:
+    /** Count one frame of @a bytes on the wire; true when the injector
+     *  corrupts it in flight. */
+    bool send(std::size_t bytes);
+
     LinkStats stats_;
     FaultInjector *injector_ = nullptr;
     int maxAttempts_ = 8;

@@ -296,6 +296,12 @@ UvoltServer::submitCharacterize(CharacterizeRequest request)
                          "characterize: unknown device '{}'",
                          request.platform);
     }
+    if (!request.pattern.wellFormed()) {
+        return makeError(Errc::invalidRequest,
+                         "characterize: pattern density {} is not in "
+                         "[0, 1]",
+                         request.pattern.oneDensity);
+    }
     return admit<CharacterizeRequest, CharacterizeResponse>(
         std::move(request));
 }

@@ -1,6 +1,8 @@
 #include "util/rng.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace uvolt
 {
@@ -12,6 +14,23 @@ std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** One xoshiro256** step. */
+inline std::uint64_t
+next(std::uint64_t (&state)[4])
+{
+    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
+    const std::uint64_t t = state[1] << 17;
+
+    state[2] ^= state[0];
+    state[3] ^= state[1];
+    state[1] ^= state[2];
+    state[0] ^= state[3];
+    state[2] ^= t;
+    state[3] = rotl(state[3], 45);
+
+    return result;
 }
 
 } // namespace
@@ -57,17 +76,7 @@ Rng::Rng(std::string_view seed_text) : Rng(hashSeed(seed_text)) {}
 std::uint64_t
 Rng::operator()()
 {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
+    return next(state_);
 }
 
 Rng
@@ -143,6 +152,33 @@ bool
 Rng::chance(double probability)
 {
     return uniform() < probability;
+}
+
+void
+Rng::fillBernoulli(std::span<std::uint64_t> words, double probability)
+{
+    // uniform() < p  <=>  m * 2^-53 < p  <=>  m < ceil(p * 2^53) for the
+    // integer m = x >> 11 in [0, 2^53): the scaling by 2^53 is exact.
+    constexpr double scale = 0x1.0p53;
+    std::uint64_t threshold = 0; // p <= 0 or NaN: no bit set
+    if (probability >= 1.0)
+        threshold = std::uint64_t{1} << 53;
+    else if (probability > 0.0)
+        threshold =
+            static_cast<std::uint64_t>(std::ceil(probability * scale));
+
+    // A local copy of the state keeps it in registers: the output words
+    // could otherwise alias it.
+    std::uint64_t state[4] = {state_[0], state_[1], state_[2], state_[3]};
+    for (std::uint64_t &word : words) {
+        std::uint64_t bits = 0;
+        for (int bit = 0; bit < 64; ++bit)
+            bits |= static_cast<std::uint64_t>((next(state) >> 11) <
+                                               threshold)
+                << bit;
+        word = bits;
+    }
+    std::copy(std::begin(state), std::end(state), state_);
 }
 
 std::uint64_t

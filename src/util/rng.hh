@@ -13,6 +13,7 @@
 #define UVOLT_UTIL_RNG_HH
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -81,6 +82,15 @@ class Rng
 
     /** Bernoulli trial. */
     bool chance(double probability);
+
+    /**
+     * Fill @a words with Bernoulli(@a probability) bits, bit 0 of word 0
+     * first: bit k is exactly what the k-th chance(@a probability) call
+     * would return, compared as the integer (x >> 11) < ceil(p * 2^53)
+     * instead of through a double. A probability <= 0 or NaN sets no
+     * bit, one >= 1 sets every bit.
+     */
+    void fillBernoulli(std::span<std::uint64_t> words, double probability);
 
     /**
      * Poisson deviate with the given mean (Knuth for small means,

@@ -1,6 +1,7 @@
 #include "vmodel/chip_fault_model.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <numeric>
@@ -85,6 +86,104 @@ DomainLadders::applyFaults(std::span<std::uint64_t> words,
     const std::size_t rises = zeroToOne.activeCount(effective_v);
     for (std::size_t i = 0; i < rises; ++i)
         words[zeroToOne.words[i]] |= zeroToOne.masks[i];
+}
+
+namespace
+{
+
+/** A float's bits mapped so unsigned order is numeric order. */
+std::uint32_t
+orderedBits(float value)
+{
+    const auto bits = std::bit_cast<std::uint32_t>(value);
+    return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+}
+
+float
+fromOrderedBits(std::uint32_t ordered)
+{
+    return std::bit_cast<float>((ordered & 0x80000000u) != 0
+                                    ? ordered & 0x7fffffffu
+                                    : ~ordered);
+}
+
+/**
+ * Stable LSD radix sort of @a keys by their high 32 bits, a byte per
+ * pass, ping-ponging with @a spare; a pass whose byte is the same in
+ * every key is skipped. A comparison sort of a VC707 index costs
+ * several times more.
+ */
+void
+sortByHighWord(std::vector<std::uint64_t> &keys,
+               std::vector<std::uint64_t> &spare)
+{
+    spare.resize(keys.size());
+    for (int shift = 32; shift < 64; shift += 8) {
+        std::array<std::size_t, 257> offsets{};
+        for (std::uint64_t key : keys)
+            ++offsets[((key >> shift) & 0xff) + 1];
+        if (std::find(offsets.begin(), offsets.end(), keys.size()) !=
+            offsets.end())
+            continue;
+        std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+        for (std::uint64_t key : keys)
+            spare[offsets[(key >> shift) & 0xff]++] = key;
+        keys.swap(spare);
+    }
+}
+
+} // namespace
+
+void
+CountIndex::add(const DomainView &domain)
+{
+    // Key: descending threshold in the high half (so ascending keys sort
+    // it first), the element's observable bits in the low half.
+    const auto queue = [&](const MaskLadder &ladder, std::uint64_t flip) {
+        for (std::size_t i = 0; i < ladder.size(); ++i) {
+            const auto bits = static_cast<std::uint64_t>(std::popcount(
+                (domain.written[ladder.words[i]] ^ flip) & ladder.masks[i]));
+            if (bits != 0)
+                keys_.push_back(
+                    static_cast<std::uint64_t>(
+                        ~orderedBits(ladder.thresholds[i]))
+                        << 32 |
+                    bits);
+        }
+    };
+    queue(domain.ladders.oneToZero, 0);
+    queue(domain.ladders.zeroToOne, ~std::uint64_t{0});
+}
+
+void
+CountIndex::seal()
+{
+    // totals_ doubles as the radix sort's second buffer, and neither
+    // buffer is freed: a rebuild reuses both. (Freeing ~170 KB buffers
+    // mid-run raises glibc's dynamic mmap threshold, which moved later
+    // NN allocations onto the heap and grew nn_icbp's peak RSS.)
+    sortByHighWord(keys_, totals_);
+    // Split the sorted keys into thresholds and, in place, running
+    // totals of observable bits; the keys' buffer becomes the totals.
+    thresholds_.resize(keys_.size());
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+        thresholds_[i] =
+            fromOrderedBits(~static_cast<std::uint32_t>(keys_[i] >> 32));
+        total += keys_[i] & 0xffffffffu;
+        keys_[i] = total;
+    }
+    totals_.swap(keys_);
+}
+
+std::uint64_t
+CountIndex::lookup(double effective_v) const
+{
+    const auto failing = std::partition_point(
+        thresholds_.begin(), thresholds_.end(), [effective_v](float t) {
+            return cellFailsAt(t, effective_v);
+        }) - thresholds_.begin();
+    return failing == 0 ? 0 : totals_[static_cast<std::size_t>(failing - 1)];
 }
 
 ChipFaultModel::ChipFaultModel(const fpga::PlatformSpec &spec,
@@ -212,6 +311,14 @@ ChipFaultModel::weakCells(std::uint32_t bram) const
     if (bram >= cells_.size())
         fatal("weakCells: BRAM {} out of pool of {}", bram, cells_.size());
     return cells_[bram];
+}
+
+const DomainLadders &
+ChipFaultModel::ladders(std::uint32_t bram) const
+{
+    if (bram >= ladders_.size())
+        fatal("ladders: BRAM {} out of pool of {}", bram, ladders_.size());
+    return ladders_[bram];
 }
 
 double

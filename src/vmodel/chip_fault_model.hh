@@ -118,43 +118,98 @@ struct DomainLadders
                      double effective_v) const;
 };
 
+/** One fault domain as a device-wide count sees it. */
+struct DomainView
+{
+    const DomainLadders &ladders;
+    fpga::WordSpan written;
+};
+
 /**
- * Memo of one device-wide fault count, valid while the content epoch
- * and the exact effective voltage (same double) are unchanged. Copies
- * start invalid, so a copied device can never serve its source's total
- * after the two diverge.
+ * The device-wide fault count of one content epoch, as an index.
+ *
+ * For fixed content the count is a step function of the effective
+ * voltage: the observable bits of every weak element whose threshold
+ * lies above it. The first count of an epoch builds the index: each
+ * element that can fault against the stored content contributes
+ * (threshold, observable bits), where a 1->0 element counts the stored
+ * 1s under its mask and a 0->1 element the stored 0s; the list is
+ * sorted by descending threshold and prefix-summed. Every count is one
+ * partition_point through cellFailsAt(), so it equals the streaming
+ * count by construction; the answer for the last voltage is kept, so a
+ * repeat at an unchanged voltage is one compare. Jitter and temperature
+ * only shift the effective voltage, so one index serves every level and
+ * run of a job. Copies start invalid, so a copied device can never
+ * serve its source's totals after the two diverge.
  */
-class CountMemo
+class CountIndex
 {
   public:
-    CountMemo() = default;
-    CountMemo(const CountMemo &) {}
-    CountMemo &
-    operator=(const CountMemo &)
+    CountIndex() = default;
+    CountIndex(const CountIndex &) {}
+    CountIndex &
+    operator=(const CountIndex &)
     {
         valid_ = false;
         return *this;
     }
 
-    /** The memoized total, or @a count() stored as the new one. */
-    template <typename Count>
+    /**
+     * Observable faults at @a effective_v over @a domains fault domains
+     * holding content @a epoch; @a view(d) returns domain d's
+     * DomainView.
+     */
+    template <typename View>
     std::uint64_t
-    get(std::uint64_t epoch, double effective_v, Count &&count)
+    count(std::uint64_t epoch, double effective_v, std::uint32_t domains,
+          View &&view)
     {
-        if (!valid_ || epoch_ != epoch || effectiveV_ != effective_v) {
-            total_ = count();
+        // A repeat at the last voltage skips even the search.
+        if (valid_ && epoch_ == epoch && effective_v == lastV_)
+            [[likely]] return lastTotal_;
+        if (!valid_ || epoch_ != epoch) {
+            std::size_t elements = 0;
+            for (std::uint32_t d = 0; d < domains; ++d) {
+                const DomainLadders &ladders = view(d).ladders;
+                elements += ladders.oneToZero.size() +
+                    ladders.zeroToOne.size();
+            }
+            keys_.clear();
+            keys_.reserve(elements);
+            for (std::uint32_t d = 0; d < domains; ++d)
+                add(view(d));
+            seal();
             valid_ = true;
             epoch_ = epoch;
-            effectiveV_ = effective_v;
         }
-        return total_;
+        lastV_ = effective_v;
+        lastTotal_ = lookup(effective_v);
+        return lastTotal_;
     }
 
+    /** Whether an index is built (for the last counted epoch). */
+    bool built() const { return valid_; }
+
+    /** Indexed elements (observable against the indexed content). */
+    std::size_t size() const { return thresholds_.size(); }
+
   private:
-    bool valid_ = false;
+    /** Queue one domain's observable elements for seal(). */
+    void add(const DomainView &domain);
+
+    /** Sort the queued elements and prefix-sum their fault bits. */
+    void seal();
+
+    std::uint64_t lookup(double effective_v) const;
+
+    // The fields a repeat reads first, together.
+    bool valid_ = false;                ///< the index holds epoch_
     std::uint64_t epoch_ = 0;
-    double effectiveV_ = 0.0;
-    std::uint64_t total_ = 0;
+    double lastV_ = 0.0;                ///< last looked-up voltage
+    std::uint64_t lastTotal_ = 0;       ///< its count
+    std::vector<std::uint64_t> keys_;   ///< build buffer (threshold, bits)
+    std::vector<float> thresholds_;     ///< descending
+    std::vector<std::uint64_t> totals_; ///< bits of elements 0..i
 };
 
 /** Reference ambient for all calibration anchors (degC). */
@@ -256,6 +311,9 @@ class ChipFaultModel
      * Analytic counterpart of the sampled map, used for model validation.
      */
     double expectedFaults(double effective_v) const;
+
+    /** The packed ladders of one BRAM. */
+    const DomainLadders &ladders(std::uint32_t bram) const;
 
     /** Per-BRAM expected weak-cell count at Vcrash (the variation field). */
     const std::vector<double> &vulnerability() const { return lambda_; }

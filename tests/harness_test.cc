@@ -107,6 +107,47 @@ TEST(FaultAnalyzerTest, PackedDiffMatchesRowsDiff)
     EXPECT_EQ(packed_summary.zeroToOne, rows_summary.zeroToOne);
 }
 
+// diffCounts() is diffBram() without the locations: per BRAM, the total
+// and the polarity split equal the location walk's, on real faulty
+// readback at Vcrash and on a synthetic scatter of both polarities.
+TEST(FaultAnalyzerTest, DiffCountsEqualsDiffBramSummaryAtVcrash)
+{
+    Board board(fpga::findPlatform("ZC702"));
+    fillPattern(board, PatternSpec::random(0.5, 3));
+    board.setVccBramMv(board.spec().calib.bramVcrashMv);
+    board.startReferenceRun();
+
+    const auto check = [](const fpga::Bram &written,
+                          fpga::WordSpan observed, std::uint32_t b) {
+        std::vector<FaultObservation> faults;
+        FaultSummary walked;
+        diffBram(written, observed, b, faults, walked);
+        const FaultSummary counted = diffCounts(written.words(), observed);
+        EXPECT_EQ(counted.totalFaults, faults.size()) << "BRAM " << b;
+        EXPECT_EQ(counted.totalFaults, walked.totalFaults) << "BRAM " << b;
+        EXPECT_EQ(counted.oneToZero, walked.oneToZero) << "BRAM " << b;
+        EXPECT_EQ(counted.zeroToOne, walked.zeroToOne) << "BRAM " << b;
+        return counted;
+    };
+
+    FaultSummary device_total;
+    for (std::uint32_t b = 0; b < board.device().bramCount(); ++b) {
+        auto observed = board.tryReadBramPacked(b);
+        ASSERT_TRUE(observed.ok());
+        device_total += check(board.device().bram(b), observed.value(), b);
+    }
+    EXPECT_GT(device_total.totalFaults, 0u);
+
+    const fpga::Bram &written = board.device().bram(0);
+    std::vector<std::uint64_t> scattered(written.words().begin(),
+                                         written.words().end());
+    for (std::size_t w = 0; w < scattered.size(); w += 3)
+        scattered[w] ^= std::uint64_t{0x8001} << (w % 48);
+    const FaultSummary synthetic = check(written, scattered, 0);
+    EXPECT_GT(synthetic.oneToZero, 0u);
+    EXPECT_GT(synthetic.zeroToOne, 0u);
+}
+
 TEST(FaultAnalyzerTest, PerMbitConversion)
 {
     // 652 faults over exactly 1 Mbit is 652 per Mbit.

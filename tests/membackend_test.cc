@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "fpga/device.hh"
@@ -31,6 +33,7 @@
 #include "mem/sram_backend.hh"
 #include "mem/sweep.hh"
 #include "pmbus/board.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "vmodel/chip_fault_model.hh"
 
@@ -194,35 +197,145 @@ TEST_P(BackendConformance, SameNameSynthesizesTheSameDevice)
 }
 
 // Satellite regression: copies/clones must never serve a stale memo
-// after divergent writes. The memo is keyed on (epoch, voltage); if a
-// clone shared its source's epoch counter, writing 0x0000 into the
-// clone would not invalidate a total memoized on the source.
+// after divergent writes. The count index is keyed on the content
+// epoch; if a clone shared its source's epoch counter, writing 0x0000
+// into the clone would not invalidate an index built on the source.
+// Both sides count more than once per epoch, so the indexes are built.
 TEST_P(BackendConformance, CloneDivergenceNeverSharesMemoizedCounts)
 {
     auto source = this->device();
     source->fill(0xFFFF);
     const double v = mv(source->traits().vcrashMv);
-    const std::uint64_t all_ones = source->countFaults(v); // memoized
+    const double v_mid =
+        mv((source->traits().vcrashMv + source->traits().vminMv) / 2);
+    const std::uint64_t all_ones = source->countFaults(v);
+    const std::uint64_t all_ones_mid = source->countFaults(v_mid);
+    EXPECT_EQ(source->countFaults(v), all_ones);
 
     auto clone = source->clone();
     ASSERT_NE(clone, nullptr);
     EXPECT_EQ(clone->countFaults(v), all_ones);
+    EXPECT_EQ(clone->countFaults(v_mid), all_ones_mid);
 
     // Diverge the clone: all-zero content kills every 1->0 fault.
     clone->fill(0x0000);
     const std::uint64_t all_zeros = clone->countFaults(v);
     EXPECT_NE(all_zeros, all_ones);
+    const std::uint64_t all_zeros_mid = clone->countFaults(v_mid);
+    EXPECT_EQ(clone->countFaults(v), all_zeros);
 
-    // The source is untouched and must still see the all-ones total —
-    // both from its (still valid) memo and from a fresh recount.
+    // The source is untouched and must still see the all-ones totals —
+    // both from its (still valid) index and from a fresh recount.
     EXPECT_EQ(source->countFaults(v), all_ones);
+    EXPECT_EQ(source->countFaults(v_mid), all_ones_mid);
     source->fill(0xFFFF); // bump epoch, force recount
     EXPECT_EQ(source->countFaults(v), all_ones);
+    EXPECT_EQ(source->countFaults(v_mid), all_ones_mid);
 
     // And diverging the source must not leak back into the clone.
     source->fill(0x0000);
     EXPECT_EQ(clone->countFaults(v), all_zeros);
+    EXPECT_EQ(clone->countFaults(v_mid), all_zeros_mid);
     EXPECT_EQ(source->countFaults(v), clone->countFaults(v));
+    EXPECT_EQ(source->countFaults(v_mid), clone->countFaults(v_mid));
+}
+
+/** Device-wide count streamed domain by domain (no index). */
+std::uint64_t
+streamedCount(const MemoryDevice &device, double v)
+{
+    std::uint64_t total = 0;
+    for (std::uint32_t d = 0; d < device.domainCount(); ++d)
+        total += static_cast<std::uint64_t>(device.countDomainFaults(d, v));
+    return total;
+}
+
+/** Device-wide count from the scalar reference walkers. */
+std::uint64_t
+referenceCount(const MemoryDevice &device, double v)
+{
+    std::uint64_t total = 0;
+    for (std::uint32_t d = 0; d < device.domainCount(); ++d)
+        total += static_cast<std::uint64_t>(
+            device.countDomainFaultsReference(d, v));
+    return total;
+}
+
+// The count index against its spec: at every 1 mV of the envelope, and
+// at every element's exact threshold (equality is healthy) and one ulp
+// below it, the indexed count equals the streamed one; the reference
+// walkers agree at every 1 mV and at a seeded sample of thresholds.
+TEST_P(BackendConformance, CountIndexEqualsStreamingAndTheReferenceWalker)
+{
+    auto device = this->device();
+    const DeviceTraits &traits = device->traits();
+    for (const harness::PatternSpec &pattern :
+         {harness::PatternSpec::allOnes(), harness::PatternSpec::fixed(0xA5A5),
+          harness::PatternSpec::random(0.5, 17)}) {
+        harness::fillMemPattern(*device, pattern);
+        device->countFaults(mv(traits.vminMv)); // builds the index
+
+        for (int level = traits.vcrashMv - 5; level <= traits.vminMv + 2;
+             ++level) {
+            const double v = mv(level);
+            const std::uint64_t streamed = streamedCount(*device, v);
+            EXPECT_EQ(device->countFaults(v), streamed)
+                << pattern.label() << " at " << level << " mV";
+            EXPECT_EQ(referenceCount(*device, v), streamed)
+                << pattern.label() << " at " << level << " mV";
+        }
+
+        // Every element's threshold, exactly (healthy) and one ulp below
+        // (failing), probed in descending order. The expected total is a
+        // running sum of per-domain streamed counts: a domain's count
+        // can only change where the probe passes one of its thresholds.
+        std::vector<std::pair<float, std::uint32_t>> owned;
+        for (std::uint32_t d = 0; d < device->domainCount(); ++d) {
+            const vmodel::DomainLadders &ladders = device->domainLadders(d);
+            for (const auto *ladder : {&ladders.oneToZero, &ladders.zeroToOne})
+                for (float t : ladder->thresholds)
+                    owned.emplace_back(t, d);
+        }
+        ASSERT_FALSE(owned.empty());
+        std::sort(owned.begin(), owned.end(), std::greater<>());
+        std::vector<int> per_domain(device->domainCount(), 0);
+        double above = mv(traits.vminMv);
+        std::uint64_t expected = streamedCount(*device, above);
+        ASSERT_EQ(expected, 0u);
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < owned.size(); ++i) {
+            const float t = owned[i].first;
+            if (i > 0 && t == owned[i - 1].first)
+                continue;
+            for (double v : {static_cast<double>(t),
+                             static_cast<double>(std::nextafter(t, 0.0f))}) {
+                for (std::size_t k = next; k < owned.size() &&
+                     static_cast<double>(owned[k].first) >= v;
+                     ++k) {
+                    const std::uint32_t d = owned[k].second;
+                    const int now = device->countDomainFaults(d, v);
+                    expected = expected - per_domain[d] + now;
+                    per_domain[d] = now;
+                }
+                ASSERT_EQ(device->countFaults(v), expected)
+                    << pattern.label() << " at " << v << " V";
+                above = v;
+            }
+            while (next < owned.size() &&
+                   static_cast<double>(owned[next].first) > above)
+                ++next;
+        }
+        EXPECT_EQ(expected, streamedCount(*device, above));
+
+        Rng pick(combineSeeds(hashSeed(traits.name), pattern.seed));
+        for (int k = 0; k < 16; ++k) {
+            const float t =
+                owned[pick.uniformInt(0, owned.size() - 1)].first;
+            const auto v = static_cast<double>(t);
+            EXPECT_EQ(device->countFaults(v), referenceCount(*device, v))
+                << pattern.label() << " at threshold " << t;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,

@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "fpga/fault_domain.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
@@ -80,12 +83,9 @@ TEST(SerialRetry, RetransmitsUntilVerified)
     link.attachInjector(&injector);
     const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
 
-    for (int i = 0; i < 50; ++i) {
-        auto frame = link.transferReliable(payload);
-        ASSERT_TRUE(frame.ok());
-        EXPECT_TRUE(frame.value().verified());
-        EXPECT_EQ(frame.value().payload, payload);
-    }
+    // A verified transfer leaves the host holding the payload itself.
+    for (int i = 0; i < 50; ++i)
+        ASSERT_TRUE(link.transferReliable(payload).ok());
     EXPECT_GT(link.stats().crcErrors, 0u);
     EXPECT_GT(link.stats().retransmits, 0u);
     EXPECT_GT(link.stats().backoffTicks, 0u);
@@ -102,7 +102,8 @@ TEST(SerialRetry, ExhaustionReportsLinkError)
     link.attachInjector(&injector);
     link.setMaxAttempts(3);
 
-    auto frame = link.transferReliable({0xAA});
+    const std::vector<std::uint8_t> payload{0xAA};
+    auto frame = link.transferReliable(payload);
     ASSERT_FALSE(frame.ok());
     EXPECT_EQ(frame.code(), Errc::linkExhausted);
     EXPECT_EQ(link.stats().exhausted, 1u);
@@ -122,6 +123,53 @@ TEST(SerialRetry, ExhaustionPropagatesThroughBoardReadback)
     auto observed = board.tryReadBramToHost(0);
     ASSERT_FALSE(observed.ok());
     EXPECT_EQ(observed.code(), Errc::linkExhausted);
+}
+
+// The copy-free readback is the readback: under seeded frame corruption,
+// reading into a caller's plane and into a fresh vector observe the same
+// planes (the rows readBramToHost() returns) and leave the link with the
+// same frame, CRC-error, retransmit and backoff counts.
+TEST(SerialRetry, SpanReadbackEqualsVectorReadbackUnderNoise)
+{
+    const fpga::PlatformSpec &spec = fpga::findPlatform("ZC702");
+    NoiseConfig noise;
+    noise.seed = 11;
+    noise.frameCorruptProb = 0.3;
+    Board into_span(spec);
+    Board into_vector(spec);
+    Board to_host(spec);
+    for (Board *board : {&into_span, &into_vector, &to_host}) {
+        board->attachNoise(noise);
+        fillPattern(*board, PatternSpec::random(0.5, 3));
+        board->setVccBramMv(spec.calib.bramVcrashMv);
+        board->startReferenceRun();
+    }
+
+    std::vector<std::uint64_t> plane(fpga::bramWords);
+    std::uint64_t faults = 0;
+    for (std::uint32_t b = 0; b < spec.bramCount; ++b) {
+        ASSERT_TRUE(into_span.tryReadBramPacked(b, plane).ok());
+        auto fresh = into_vector.tryReadBramPacked(b);
+        ASSERT_TRUE(fresh.ok());
+        ASSERT_EQ(plane, fresh.value()) << "BRAM " << b;
+        ASSERT_EQ(fpga::unpackRows(plane), to_host.readBramToHost(b))
+            << "BRAM " << b;
+        faults +=
+            fpga::diffPopcount(into_span.device().bram(b).words(), plane);
+    }
+    EXPECT_GT(faults, 0u);
+
+    const pmbus::LinkStats &span = into_span.link().stats();
+    EXPECT_GT(span.crcErrors, 0u);
+    for (const Board *other : {&into_vector, &to_host}) {
+        const pmbus::LinkStats &stats = other->link().stats();
+        EXPECT_EQ(stats.framesSent, span.framesSent);
+        EXPECT_EQ(stats.bytesSent, span.bytesSent);
+        EXPECT_EQ(stats.crcErrors, span.crcErrors);
+        EXPECT_EQ(stats.retransmits, span.retransmits);
+        EXPECT_EQ(stats.backoffTicks, span.backoffTicks);
+        EXPECT_EQ(stats.exhausted, 0u);
+    }
 }
 
 TEST(PmbusRetry, VerifyAfterWriteConvergesUnderNoise)
@@ -341,6 +389,61 @@ TEST(Checkpoint, ValidationRejectsWrongBoard)
     resume.checkpoint = &checkpoint;
     EXPECT_EXIT(runCriticalSweep(other, resume),
                 ::testing::ExitedWithCode(1), "checkpoint belongs to");
+}
+
+// The label rounds the density to a percent, so validation must compare
+// the density itself: a 0.501 checkpoint is not a 0.5 campaign.
+TEST(Checkpoint, ValidationRejectsADifferentPatternDensity)
+{
+    SweepCheckpoint checkpoint;
+    {
+        Board board(fpga::findPlatform("ZC702"));
+        SweepOptions options = fastSweepOptions();
+        options.pattern = PatternSpec::random(0.501, 7);
+        options.maxLevels = 1;
+        options.checkpoint = &checkpoint;
+        runCriticalSweep(board, options);
+    }
+    ASSERT_TRUE(checkpoint.valid);
+    ASSERT_EQ(checkpoint.pattern.label(),
+              PatternSpec::random(0.5, 7).label());
+
+    Board board(fpga::findPlatform("ZC702"));
+    SweepOptions resume = fastSweepOptions();
+    resume.pattern = PatternSpec::random(0.5, 7);
+    resume.checkpoint = &checkpoint;
+    auto resumed = tryRunCriticalSweep(board, resume);
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.code(), Errc::badCheckpoint);
+}
+
+// A density outside [0, 1] in a checkpoint file is refused at load,
+// before anything can label or fill with it.
+TEST(Checkpoint, RejectsAnOutOfRangePatternDensity)
+{
+    SweepCheckpoint checkpoint;
+    checkpoint.valid = true;
+    checkpoint.platform = "ZC702";
+    checkpoint.pattern = PatternSpec::random(0.5, 7);
+    std::stringstream saved;
+    saveCheckpoint(checkpoint, saved);
+    const std::string text = saved.str();
+    const std::string line = "pattern random 0.5 7";
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos);
+    {
+        std::stringstream stream(text);
+        ASSERT_TRUE(loadCheckpoint(stream).ok());
+    }
+    for (const char *density : {"1e300", "1.5", "-0.25", "1.0000000001"}) {
+        std::string edited = text;
+        edited.replace(at, line.size(),
+                       std::string("pattern random ") + density + " 7");
+        std::stringstream stream(edited);
+        auto loaded = loadCheckpoint(stream);
+        ASSERT_FALSE(loaded.ok()) << density;
+        EXPECT_EQ(loaded.code(), Errc::badCheckpoint) << density;
+    }
 }
 
 TEST(SweepQueries, MissingLevelReportsAvailableLevels)

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -373,6 +374,18 @@ TEST(ServeAdmission, MalformedRequestsAreRefusedAndServingContinues)
     auto refused = server.submitCharacterize(std::move(unknown));
     ASSERT_FALSE(refused.ok());
     EXPECT_EQ(refused.code(), Errc::invalidRequest);
+    // A density outside [0, 1] (or NaN) would reach the pattern label's
+    // float->int cast; admission refuses it first.
+    for (double density : {1e300, -0.5, 1.5,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+        CharacterizeRequest request;
+        request.platform = "HBM2-A";
+        request.pattern = harness::PatternSpec::random(density, 7);
+        auto bad_density = server.submitCharacterize(std::move(request));
+        ASSERT_FALSE(bad_density.ok()) << density;
+        EXPECT_EQ(bad_density.code(), Errc::invalidRequest) << density;
+    }
 
     ClassifyRequest empty = forestRequest(4, 1, 850);
     empty.sampleCount = 0;

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/cli.hh"
 #include "util/format.hh"
@@ -121,6 +122,54 @@ TEST(Rng, PoissonZeroMean)
     Rng rng(11);
     EXPECT_EQ(rng.poisson(0.0), 0u);
     EXPECT_EQ(rng.poisson(-1.0), 0u);
+}
+
+// The packed fill is the chance() loop it replaced, bit for bit: same
+// draws, same order (bit 0 of word 0 first), same comparison outcome at
+// every density including the exact-threshold edges and the clamps.
+TEST(Rng, FillBernoulliMatchesAChanceLoopBitForBit)
+{
+    const double densities[] = {0.0,
+                                0x1.0p-53,
+                                1e-300,
+                                0.001,
+                                0.25,
+                                1.0 / 3.0,
+                                0.5,
+                                0.501,
+                                0.999,
+                                1.0 - 0x1.0p-53,
+                                1.0,
+                                2.0,
+                                -0.5,
+                                std::numeric_limits<double>::quiet_NaN()};
+    for (double p : densities) {
+        for (std::uint64_t seed : {1ull, 7ull, 42ull, 0x9e3779b9ull}) {
+            Rng packed(seed);
+            Rng scalar(seed);
+            std::vector<std::uint64_t> words(37);
+            packed.fillBernoulli(words, p);
+            for (std::size_t w = 0; w < words.size(); ++w) {
+                std::uint64_t expected = 0;
+                for (int bit = 0; bit < 64; ++bit) {
+                    if (scalar.chance(p))
+                        expected |= std::uint64_t{1} << bit;
+                }
+                ASSERT_EQ(words[w], expected)
+                    << "p=" << p << " seed=" << seed << " word " << w;
+            }
+            // Both streams consumed exactly one draw per bit.
+            EXPECT_EQ(packed(), scalar()) << "p=" << p;
+        }
+    }
+    Rng rng(3);
+    std::vector<std::uint64_t> words(4, 0x1234);
+    rng.fillBernoulli(words, 1.0);
+    for (std::uint64_t word : words)
+        EXPECT_EQ(word, ~std::uint64_t{0});
+    rng.fillBernoulli(words, std::numeric_limits<double>::quiet_NaN());
+    for (std::uint64_t word : words)
+        EXPECT_EQ(word, 0u);
 }
 
 TEST(Rng, ChanceExtremes)

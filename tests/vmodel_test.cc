@@ -307,6 +307,59 @@ TEST(ChipFaultModel, ParityBitsNeverLeakIntoFaultCounts)
               static_cast<std::uint64_t>(fpga::bramBits));
 }
 
+// The count index is per epoch: the first count of an epoch builds it,
+// any write drops it, and a copy starts without one. Every answer
+// equals the streaming count.
+TEST(CountIndex, BuildsOnTheFirstCountOfAnEpochAndDropsOnWrite)
+{
+    const PlatformSpec &spec = findPlatform("ZC702");
+    const ChipFaultModel model(spec, planOf(spec));
+    fpga::Device device(spec);
+    const auto view = [&](std::uint32_t b) {
+        return DomainView{model.ladders(b), device.bram(b).words()};
+    };
+    const auto count = [&](CountIndex &index, double v) {
+        return index.count(device.contentEpoch(), v, spec.bramCount, view);
+    };
+    const double vcrash = spec.calib.bramVcrashMv / 1000.0;
+    const double vmid = vcrash + 0.015;
+
+    CountIndex index;
+    EXPECT_FALSE(index.built());
+    // Each epoch builds its own index on its first count.
+    for (std::uint16_t pattern : {0xFFFF, 0x0F0F, 0xFFFF}) {
+        device.fillAll(pattern);
+        EXPECT_EQ(count(index, vcrash),
+                  model.countDeviceFaults(device, vcrash));
+        EXPECT_TRUE(index.built());
+        EXPECT_GT(index.size(), 0u);
+    }
+    const std::size_t size = index.size();
+    EXPECT_EQ(count(index, vmid), model.countDeviceFaults(device, vmid));
+    EXPECT_EQ(count(index, vcrash), model.countDeviceFaults(device, vcrash));
+    EXPECT_EQ(index.size(), size);
+
+    CountIndex copy(index);
+    EXPECT_FALSE(copy.built());
+    CountIndex assigned;
+    count(assigned, vcrash);
+    ASSERT_TRUE(assigned.built());
+    assigned = index;
+    EXPECT_FALSE(assigned.built());
+
+    // A write after the build: a new epoch, indexed afresh. Clearing a
+    // faulty BRAM changes the total, so a stale index would show.
+    std::uint32_t faulty = 0;
+    while (model.countBramFaults(device.bram(faulty), faulty, vcrash) == 0)
+        ++faulty;
+    const std::uint64_t before = count(index, vcrash);
+    device.bram(faulty).fill(0x0000);
+    EXPECT_NE(model.countDeviceFaults(device, vcrash), before);
+    EXPECT_EQ(count(index, vcrash), model.countDeviceFaults(device, vcrash));
+    EXPECT_TRUE(index.built());
+    EXPECT_EQ(count(index, vmid), model.countDeviceFaults(device, vmid));
+}
+
 TEST(ChipFaultModel, ItdReducesFaultsAtHigherTemperature)
 {
     const PlatformSpec &spec = findPlatform("VC707");
