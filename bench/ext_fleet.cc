@@ -20,18 +20,21 @@
  *      consumer sees),
  *  (d) the observability artifacts themselves: a Chrome trace of the
  *      pooled fleet (results/ext_fleet_trace.json — drop it on
- *      ui.perfetto.dev), the merged metrics snapshot, and a sampled
- *      CPU profile of the whole run (results/profile_ext_fleet.folded
- *      for flamegraph tools, .html as a self-contained flame graph —
- *      the README "Profile a campaign" walkthrough).
+ *      ui.perfetto.dev), the merged metrics snapshot, and the exact
+ *      self-time profile folded from those same recorded spans
+ *      (results/profile_ext_fleet.folded in ns for flamegraph tools,
+ *      .html as a self-contained flame graph — the README "Profile a
+ *      campaign" walkthrough).
  *
  * The run also appends one perf-timeline row (serial/parallel wall
- * clock, speedup, profile top-frames) to results/timeline.jsonl so
- * scripts/check_perf.py can flag cross-run drift.
+ * clock, speedup, and each profiled frame's <frame>.self_ms) to
+ * results/timeline.jsonl so scripts/check_perf.py can flag cross-run
+ * drift.
  */
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -40,7 +43,6 @@
 #include "harness/report.hh"
 #include "harness/timeline.hh"
 #include "util/format.hh"
-#include "util/profiler.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
 
@@ -83,10 +85,6 @@ int
 main()
 {
     telemetry::Telemetry::setEnabled(true);
-    // Continuous profiling for the whole run: the sampler only reads
-    // span stacks, so the sweeps below stay bit-identical with it on.
-    profiler::SpanProfiler &profiler = profiler::SpanProfiler::global();
-    profiler.start();
     const auto run_start = std::chrono::steady_clock::now();
     const std::size_t workers = ThreadPool::hardwareWorkers();
     harness::TimelineRow row = harness::TimelineRow::start(
@@ -212,31 +210,35 @@ main()
     writeCsv(cache_table, "results/ext_fleet_cache.csv");
 
     // --- (d) observability artifacts -------------------------------------
-    profiler.stop();
-    const profiler::Profile profile = profiler.snapshot();
-    harness::writeChromeTrace("results/ext_fleet_trace.json");
+    const auto events = telemetry::Registry::global().traceEvents();
+    const harness::Profile profile = harness::foldSpans(events);
+    harness::writeChromeTrace(
+        events, "results/ext_fleet_trace.json",
+        telemetry::Registry::global().threadNames());
     const auto snapshot = telemetry::Registry::global().metrics();
     harness::writeMetricsJson(snapshot, "results/ext_fleet_metrics.json");
     harness::writeMetricsCsv(snapshot, "results/ext_fleet_metrics.csv");
-    profiler::writeFolded(profile, "results/profile_ext_fleet.folded");
+    const double profile_ms =
+        static_cast<double>(profile.totalNs()) / 1e6;
+    harness::writeFolded(profile, "results/profile_ext_fleet.folded");
     harness::writeFlameGraph(
         profile,
-        strFormat("ext_fleet — {} samples @ {}us", profile.samples,
-                  profile.intervalUs),
+        strFormat("ext_fleet — {} spans, {:.1f} ms", profile.spans,
+                  profile_ms),
         "results/profile_ext_fleet.html");
     std::printf("\ntelemetry: %zu spans -> results/ext_fleet_trace.json "
                 "(open in ui.perfetto.dev); metrics snapshot -> "
                 "results/ext_fleet_metrics.{json,csv}\n",
-                telemetry::Registry::global().traceEvents().size());
-    std::printf("profile: %llu samples (%zu stacks) -> "
+                events.size());
+    std::printf("profile: %llu scoped spans, %.1f ms (%zu stacks) -> "
                 "results/profile_ext_fleet.{folded,html}\n",
-                static_cast<unsigned long long>(profile.samples),
-                profile.folded.size());
+                static_cast<unsigned long long>(profile.spans),
+                profile_ms, profile.folded.size());
     for (const auto &frame : profile.topFrames(5)) {
-        std::printf("  %-24s self %6llu  total %6llu\n",
+        std::printf("  %-24s self %10.3f ms  total %10.3f ms\n",
                     frame.name.c_str(),
-                    static_cast<unsigned long long>(frame.self),
-                    static_cast<unsigned long long>(frame.total));
+                    static_cast<double>(frame.self) / 1e6,
+                    static_cast<double>(frame.total) / 1e6);
     }
 
     // --- perf timeline row ------------------------------------------------
@@ -245,8 +247,9 @@ main()
     row.metrics = {{"serial_ms", serial_ms},
                    {"parallel_ms", parallel_ms},
                    {"speedup", serial_ms / parallel_ms}};
-    for (const auto &frame : profile.topFrames(5))
-        row.topFrames.emplace_back(frame.name, frame.self);
+    for (const auto &frame : profile.topFrames(SIZE_MAX))
+        row.metrics.emplace_back(frame.name + ".self_ms",
+                                 static_cast<double>(frame.self) / 1e6);
     harness::Timeline::record(harness::Timeline::defaultPath(), row);
     std::printf("  pmbus: %llu setpoint writes (%llu retried), link "
                 "retransmits %llu; fleet: %llu jobs, cache hit rate "

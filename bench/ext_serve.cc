@@ -34,17 +34,19 @@
  * one connected flow across admission -> queue -> worker, a Prometheus
  * text snapshot (--prom-out), any flight-recorder blackboxes
  * (--blackbox-dir; a scripted pressure storm under --noise guarantees
- * at least one degradation dump), a sampled CPU profile of the whole
- * run (--profile-out collapsed stacks, --flame-out self-contained
- * flame graph), and a run-ledger manifest recording where all of it
- * went. scripts/check_trace.py validates the lot in the CI
- * observability leg; the perf-timeline row also carries the profile's
- * top frames.
+ * at least one degradation dump), the exact self-time profile of the
+ * whole run folded from the recorded spans (--profile-out collapsed
+ * stacks in ns, --flame-out self-contained flame graph), and a
+ * run-ledger manifest recording where all of it went.
+ * scripts/check_trace.py validates the lot in the CI observability
+ * leg; the perf-timeline row also carries each profiled frame's
+ * <frame>.self_ms.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -65,7 +67,6 @@
 #include "util/cli.hh"
 #include "util/flight_recorder.hh"
 #include "util/format.hh"
-#include "util/profiler.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
 
@@ -221,7 +222,7 @@ main(int argc, char **argv)
     cli.addString("ledger-dir", "results/ledger",
                   "run-manifest directory (\"\" disables)");
     cli.addString("profile-out", "results/profile_ext_serve.folded",
-                  "collapsed-stack profile (\"\" disables sampling)");
+                  "collapsed-stack profile (\"\" writes none)");
     cli.addString("flame-out", "results/profile_ext_serve.html",
                   "flame graph HTML (\"\" disables)");
     cli.addString("timeline", harness::Timeline::defaultPath(),
@@ -246,16 +247,6 @@ main(int argc, char **argv)
                   "noisy={};seed={}",
                   requests, clients, cli.getInt("workers"),
                   cli.getInt("queue-capacity"), noisy ? 1 : 0, seed));
-
-    // Sample span stacks for the whole run (both phases). The sampler
-    // is read-only over the trace-span stacks, so every artifact below
-    // stays byte-identical with it on or off — the CI profiling leg
-    // asserts exactly that.
-    const std::string profile_out = cli.getString("profile-out");
-    const std::string flame_out = cli.getString("flame-out");
-    profiler::SpanProfiler &profiler = profiler::SpanProfiler::global();
-    if (!profile_out.empty())
-        profiler.start();
 
     bool verdict_ok = true;
 
@@ -398,8 +389,9 @@ main(int argc, char **argv)
     const std::size_t depth_after_drain = server.queueDepth();
     const serve::StatusReport status = server.statusReport();
     server.stop();
-    profiler.stop();
-    const profiler::Profile profile = profiler.snapshot();
+    // Both phases' spans, folded after the timed window has closed.
+    const harness::Profile profile =
+        harness::foldSpans(telemetry::Registry::global().traceEvents());
     std::printf("\n# status at drain\n%s", status.render().c_str());
 
     // --- the exactly-once ledger -----------------------------------------
@@ -482,17 +474,22 @@ main(int argc, char **argv)
         flightrec::FlightRecorder::global().dumps();
     for (const auto &box : blackboxes)
         std::printf("blackbox -> %s\n", box.c_str());
+    const std::string profile_out = cli.getString("profile-out");
+    const std::string flame_out = cli.getString("flame-out");
     if (!profile_out.empty() && !profile.empty()) {
-        if (profiler::writeFolded(profile, profile_out))
-            std::printf("profile -> %s (%llu samples, %zu stacks)\n",
+        const double profile_ms =
+            static_cast<double>(profile.totalNs()) / 1e6;
+        if (harness::writeFolded(profile, profile_out))
+            std::printf("profile -> %s (%llu spans, %.1f ms, %zu "
+                        "stacks)\n",
                         profile_out.c_str(),
-                        static_cast<unsigned long long>(profile.samples),
-                        profile.folded.size());
+                        static_cast<unsigned long long>(profile.spans),
+                        profile_ms, profile.folded.size());
         if (!flame_out.empty() &&
             harness::writeFlameGraph(
                 profile,
-                strFormat("ext_serve — {} samples @ {}us",
-                          profile.samples, profile.intervalUs),
+                strFormat("ext_serve — {} spans, {:.1f} ms",
+                          profile.spans, profile_ms),
                 flame_out))
             std::printf("flame graph -> %s\n", flame_out.c_str());
     }
@@ -542,8 +539,9 @@ main(int argc, char **argv)
          stats.completed ? load_ms / static_cast<double>(stats.completed)
                          : 0.0},
         {"throughput_rps", throughput}};
-    for (const auto &frame : profile.topFrames(5))
-        row.topFrames.emplace_back(frame.name, frame.self);
+    for (const auto &frame : profile.topFrames(SIZE_MAX))
+        row.metrics.emplace_back(frame.name + ".self_ms",
+                                 static_cast<double>(frame.self) / 1e6);
     harness::Timeline::record(cli.getString("timeline"), row);
 
     std::printf("shape: every admitted request answered exactly once, "

@@ -19,10 +19,10 @@
  * With --watch the demo also runs as its own operator: a MetricsPulse
  * thread rewrites a Prometheus text snapshot on a fixed period while
  * the live statusReport() screen (health state, queue depth, latency
- * quantiles, error-budget burn, profiler hot frames) prints between
- * phases — the same view `curl`ing a real exporter would give, without
- * a network stack. The hot-frame block comes from the in-process span
- * sampler, started alongside the pulse thread.
+ * quantiles, error-budget burn, hot frames) prints between phases —
+ * the same view `curl`ing a real exporter would give, without a
+ * network stack. With UVOLT_TELEMETRY=ON the hot-frame block shows the
+ * exact self time of every span recorded so far.
  *
  * Usage: serve_demo [--platform ZC702] [--workers 2] [--noise]
  *                   [--checkpoint-dir DIR] [--watch]
@@ -42,7 +42,6 @@
 #include "pmbus/fault_injector.hh"
 #include "serve/server.hh"
 #include "util/cli.hh"
-#include "util/profiler.hh"
 
 using namespace uvolt;
 
@@ -105,9 +104,6 @@ main(int argc, char **argv)
         pulse.emplace(cli.getString("prom-out"),
                       std::chrono::milliseconds(std::max<long>(
                           1, cli.getInt("watch-period-ms"))));
-        // The status screens below fill their hot-frames block from
-        // the span sampler while it runs.
-        profiler::SpanProfiler::global().start();
     }
     const auto show_status = [&](const char *when) {
         if (!watch)
@@ -186,7 +182,6 @@ main(int argc, char **argv)
         std::printf("prometheus snapshot (%llu writes) -> %s\n",
                     static_cast<unsigned long long>(pulse->writes()),
                     cli.getString("prom-out").c_str());
-        profiler::SpanProfiler::global().stop();
     }
     const auto stats = server.stats();
     std::printf("ledger: admitted %llu = completed %llu + failed %llu "

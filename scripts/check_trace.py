@@ -24,7 +24,10 @@ Validates, in order:
   --prometheus FILE (text exposition format):
     - every sample line's metric has a preceding # TYPE line;
     - histogram `_bucket` series are cumulative (monotone in le order),
-      the +Inf bucket equals `_count`, and `_sum` is present.
+      the +Inf bucket equals `_count`, and `_sum` is present;
+    - uvolt_telemetry_trace_dropped is present and 0: a span dropped
+      by a full per-thread buffer would silently cut both the trace
+      and the profile folded from it.
 
   --blackbox FILE (flight-recorder dump, repeatable):
     - schema "uvolt-blackbox-v1", a non-empty event list, and every
@@ -39,6 +42,7 @@ import json
 import sys
 
 BLACKBOX_SCHEMA = "uvolt-blackbox-v1"
+TRACE_DROPPED = "uvolt_telemetry_trace_dropped"
 FLOW_PHASES = {"s", "t", "f"}
 KNOWN_PHASES = {"M", "X"} | FLOW_PHASES
 
@@ -135,6 +139,7 @@ def check_prometheus(path, messages):
         raise SystemExit(f"check_trace: cannot read {path}: {error}")
 
     typed = set()
+    dropped = None
     histograms = {}  # base name -> {"buckets": [(le, v)], "sum": x,
     #                                "count": n}
     samples = 0
@@ -158,6 +163,8 @@ def check_prometheus(path, messages):
             continue
         samples += 1
         name = series.split("{", 1)[0]
+        if name == TRACE_DROPPED:
+            dropped = value
         base = name
         for suffix in ("_bucket", "_sum", "_count"):
             if name.endswith(suffix):
@@ -189,6 +196,11 @@ def check_prometheus(path, messages):
 
     if samples == 0:
         fail(messages, f"{path}: no samples at all")
+    if dropped is None:
+        fail(messages, f"{path}: no {TRACE_DROPPED} sample")
+    elif dropped != 0:
+        fail(messages,
+             f"{path}: {TRACE_DROPPED} = {dropped:g}: spans were lost")
     for base, parts in sorted(histograms.items()):
         buckets = parts["buckets"]
         if not buckets:

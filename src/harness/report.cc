@@ -1,8 +1,10 @@
 #include "harness/report.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include "util/format.hh"
 #include "util/fsio.hh"
@@ -141,6 +143,135 @@ writeChromeTrace(const std::string &path)
     const telemetry::Registry &registry = telemetry::Registry::global();
     return writeChromeTrace(registry.traceEvents(), path,
                             registry.threadNames());
+}
+
+std::uint64_t
+Profile::totalNs() const
+{
+    std::uint64_t total = 0;
+    for (const auto &[stack, ns] : folded)
+        total += ns;
+    return total;
+}
+
+std::string
+Profile::foldedText() const
+{
+    std::ostringstream out;
+    for (const auto &[stack, ns] : folded)
+        out << stack << " " << ns << "\n";
+    return out.str();
+}
+
+std::vector<FrameStat>
+Profile::topFrames(std::size_t n) const
+{
+    std::map<std::string, FrameStat> stats;
+    std::vector<std::string_view> frames;
+    for (const auto &[stack, ns] : folded) {
+        frames.clear();
+        std::size_t begin = 0;
+        while (begin <= stack.size()) {
+            const std::size_t end = stack.find(';', begin);
+            const std::size_t stop =
+                end == std::string::npos ? stack.size() : end;
+            frames.emplace_back(stack.data() + begin, stop - begin);
+            if (end == std::string::npos)
+                break;
+            begin = end + 1;
+        }
+        if (frames.empty())
+            continue;
+        // Total counts each distinct frame of the stack once, so a
+        // recursive span cannot exceed the time it was on the stack.
+        std::vector<std::string_view> unique(frames);
+        std::sort(unique.begin(), unique.end());
+        unique.erase(std::unique(unique.begin(), unique.end()),
+                     unique.end());
+        for (std::string_view frame : unique) {
+            auto &stat = stats[std::string(frame)];
+            stat.name = frame;
+            stat.total += ns;
+        }
+        stats[std::string(frames.back())].self += ns;
+    }
+
+    std::vector<FrameStat> ranked;
+    ranked.reserve(stats.size());
+    for (auto &[name, stat] : stats)
+        ranked.push_back(std::move(stat));
+    std::sort(ranked.begin(), ranked.end(),
+              [](const FrameStat &a, const FrameStat &b) {
+                  if (a.self != b.self)
+                      return a.self > b.self;
+                  if (a.total != b.total)
+                      return a.total > b.total;
+                  return a.name < b.name;
+              });
+    if (ranked.size() > n)
+        ranked.resize(n);
+    return ranked;
+}
+
+Profile
+foldSpans(const std::vector<telemetry::TraceEvent> &events)
+{
+    using telemetry::TraceEvent;
+    std::unordered_map<std::uint64_t, const TraceEvent *> scoped;
+    for (const TraceEvent &event : events) {
+        if (event.scoped && event.spanId != 0)
+            scoped.emplace(event.spanId, &event);
+    }
+    const auto parent_of = [&](const TraceEvent &event) {
+        const auto it = scoped.find(event.parentId);
+        return it != scoped.end() && it->second->tid == event.tid
+            ? it->second
+            : nullptr;
+    };
+
+    std::unordered_map<const TraceEvent *, std::uint64_t> child_ns;
+    for (const TraceEvent &event : events) {
+        if (!event.scoped)
+            continue;
+        if (const TraceEvent *parent = parent_of(event))
+            child_ns[parent] += event.durNs;
+    }
+
+    Profile profile;
+    std::vector<const char *> chain;
+    for (const TraceEvent &event : events) {
+        if (!event.scoped)
+            continue;
+        chain.clear();
+        for (const TraceEvent *at = &event; at; at = parent_of(*at))
+            chain.push_back(at->name);
+        std::string key;
+        for (auto name = chain.rbegin(); name != chain.rend(); ++name) {
+            if (name != chain.rbegin())
+                key.push_back(';');
+            key += *name;
+        }
+        // Same-thread children nest inside their parent, so the clamp
+        // only ever fires on hand-built, overlapping input.
+        const auto children = child_ns.find(&event);
+        const std::uint64_t covered = children == child_ns.end()
+            ? 0
+            : std::min(children->second, event.durNs);
+        profile.folded[key] += event.durNs - covered;
+        ++profile.spans;
+    }
+    return profile;
+}
+
+bool
+writeFolded(const Profile &profile, const std::string &path)
+{
+    const auto written = writeFileAtomic(path, profile.foldedText());
+    if (!written) {
+        warnc("report", "could not write folded profile '{}'", path);
+        return false;
+    }
+    return true;
 }
 
 std::string
@@ -325,7 +456,7 @@ scriptEscaped(std::string_view text)
 } // namespace
 
 std::string
-flameGraphHtml(const profiler::Profile &profile,
+flameGraphHtml(const Profile &profile,
                const std::string &title)
 {
     std::ostringstream out;
@@ -345,13 +476,10 @@ flameGraphHtml(const profiler::Profile &profile,
         << "display:inline-block}\n"
         << "</style>\n</head>\n<body>\n"
         << "<div id=\"title\">" << json::escaped(title) << "</div>\n"
-        << "<div id=\"meta\">" << profile.samples << " samples, "
-        << profile.folded.size() << " distinct stacks, interval "
-        << profile.intervalUs << "us"
-        << (profile.flowSamples
-                ? strFormat(", {} in request flows", profile.flowSamples)
-                : std::string())
-        << "</div>\n"
+        << "<div id=\"meta\">" << profile.spans << " spans, "
+        << profile.folded.size() << " distinct stacks, "
+        << strFormat("{:.3f}", static_cast<double>(profile.totalNs()) / 1e6)
+        << " ms</div>\n"
         << "<span id=\"reset\" onclick=\"render(root)\">reset "
         << "zoom</span>\n<div id=\"graph\"></div>\n<script>\n"
         << "const folded = \"" << scriptEscaped(profile.foldedText())
@@ -362,16 +490,16 @@ const root = {name: "all", value: 0, children: new Map()};
 for (const line of folded.split("\n")) {
   const cut = line.lastIndexOf(" ");
   if (cut <= 0) continue;
-  const count = Number(line.slice(cut + 1));
-  if (!Number.isFinite(count)) continue;
-  root.value += count;
+  const ns = Number(line.slice(cut + 1));
+  if (!Number.isFinite(ns)) continue;
+  root.value += ns;
   let node = root;
   for (const frame of line.slice(0, cut).split(";")) {
     if (!node.children.has(frame))
       node.children.set(frame, {name: frame, value: 0,
                                 children: new Map()});
     node = node.children.get(frame);
-    node.value += count;
+    node.value += ns;
   }
 }
 
@@ -384,7 +512,7 @@ function color(name) {
 }
 
 // Icicle layout: absolutely positioned boxes, width proportional to
-// sample count, children packed left-to-right under their parent (the
+// time on the stack, children packed left-to-right under their parent (the
 // remainder past the last child is the parent's self time). Click a
 // frame to zoom its subtree, "reset zoom" to go back.
 function render(focus) {
@@ -401,8 +529,8 @@ function render(focus) {
     div.style.background = node === focus ? "#ddd" : color(node.name);
     const pct = (100 * node.value / focus.value).toFixed(1);
     div.textContent = node.name;
-    div.title = `${node.name} — ${node.value} samples (${pct}% of ` +
-                `view)`;
+    div.title = `${node.name} — ${(node.value / 1e6).toFixed(3)} ms ` +
+                `(${pct}% of view)`;
     div.onclick = () => render(node);
     graph.appendChild(div);
     let childX = x;
@@ -424,7 +552,7 @@ render(root);
 }
 
 bool
-writeFlameGraph(const profiler::Profile &profile,
+writeFlameGraph(const Profile &profile,
                 const std::string &title, const std::string &path)
 {
     return writeDocument(flameGraphHtml(profile, title), path);

@@ -1,13 +1,17 @@
 /**
  * @file
- * Telemetry exporters: Chrome trace-event JSON and metrics snapshots.
+ * Telemetry exporters: Chrome trace-event JSON, exact span profiles,
+ * and metrics snapshots.
  *
  * The trace exporter serializes the registry's spans as the Chrome
  * trace-event format ("X" complete events, microsecond timebase), the
  * file format Perfetto and chrome://tracing load directly — open
- * ui.perfetto.dev and drop the file in. The metrics exporters render a
- * snapshot as JSON (machines) and as the repo's TextTable/CSV style
- * (humans and the results/ directory, like every bench figure).
+ * ui.perfetto.dev and drop the file in. foldSpans() reads the same
+ * event list and folds it into an exact self-time profile (collapsed
+ * stacks in integer ns, the input of the HTML flame graph and of every
+ * hot-frames table). The metrics exporters render a snapshot as JSON
+ * (machines) and as the repo's TextTable/CSV style (humans and the
+ * results/ directory, like every bench figure).
  *
  * Everything here degrades gracefully in a compiled-out build
  * (UVOLT_TELEMETRY=OFF): snapshots are empty, the writers emit empty
@@ -19,12 +23,13 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "util/profiler.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
 
@@ -54,6 +59,58 @@ bool writeChromeTrace(const std::vector<telemetry::TraceEvent> &events,
 
 /** Export the global registry's spans and thread names to @a path. */
 bool writeChromeTrace(const std::string &path);
+
+/** Per-frame self/total time for the hot-frames tables. */
+struct FrameStat
+{
+    std::string name;
+    std::uint64_t self = 0;  ///< ns with this frame innermost
+    std::uint64_t total = 0; ///< ns with this frame anywhere on stack
+};
+
+/** Exact self time per span path, folded from recorded spans. */
+struct Profile
+{
+    std::uint64_t spans = 0; ///< scoped spans folded in
+
+    /** folded key ("a;b;c") -> self ns; map order = stable text. */
+    std::map<std::string, std::uint64_t> folded;
+
+    bool empty() const { return folded.empty(); }
+
+    /** Sum of every self time: the summed root-span durations. */
+    std::uint64_t totalNs() const;
+
+    /**
+     * Collapsed-stack text, one "frame;frame;frame ns" line per
+     * distinct stack in lexicographic key order — the exact format
+     * flamegraph.pl / speedscope / inferno consume.
+     */
+    std::string foldedText() const;
+
+    /**
+     * The @a n hottest frames ordered by self ns (then total, then
+     * name). Self sums the stacks where the frame is innermost; total
+     * sums every stack that contains it, a recursive frame once.
+     */
+    std::vector<FrameStat> topFrames(std::size_t n) const;
+};
+
+/**
+ * Fold recorded spans into a profile. Only scoped spans
+ * (TraceEvent::scoped) count: explicit-interval spans measure waiting
+ * or bookkeeping, not time the recording thread spent working. A
+ * span's profile parent is its parentId when that span is scoped and
+ * on the same thread; otherwise (a cross-thread flow parent, or a
+ * parent not in @a events) the span is a root. Each span contributes
+ * self = durNs - sum of its profile children's durNs under the key of
+ * its name chain from the root, so the self times of a root's subtree
+ * sum exactly to the root's durNs.
+ */
+Profile foldSpans(const std::vector<telemetry::TraceEvent> &events);
+
+/** Write Profile::foldedText() crash-atomically; false on I/O error. */
+bool writeFolded(const Profile &profile, const std::string &path);
 
 /** Serialize a metrics snapshot as a JSON document. */
 std::string metricsJson(const telemetry::MetricsSnapshot &snapshot);
@@ -88,17 +145,17 @@ bool writePrometheus(const telemetry::MetricsSnapshot &snapshot,
                      const std::string &path);
 
 /**
- * Render a sampled profile as a self-contained HTML flame graph: the
- * folded stacks are embedded in the document and laid out by a small
- * inline script (nested proportional boxes, click to zoom, hover for
- * counts) — no external viewer, library, or network access needed.
- * @a title labels the page ("ext_fleet, 4132 samples @ 997us").
+ * Render a profile as a self-contained HTML flame graph: the folded
+ * stacks are embedded in the document and laid out by a small inline
+ * script (nested proportional boxes, click to zoom, hover for ms) —
+ * no external viewer, library, or network access needed. @a title
+ * labels the page ("ext_fleet — 1553 spans, 50.9 ms").
  */
-std::string flameGraphHtml(const profiler::Profile &profile,
+std::string flameGraphHtml(const Profile &profile,
                            const std::string &title);
 
 /** Write flameGraphHtml() to @a path (parent directories created). */
-bool writeFlameGraph(const profiler::Profile &profile,
+bool writeFlameGraph(const Profile &profile,
                      const std::string &title, const std::string &path);
 
 /**

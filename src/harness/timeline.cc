@@ -153,14 +153,7 @@ TimelineRow::toJsonLine() const
             << "\": " << strFormat("{:.6f}", value);
         first = false;
     }
-    out << "}, \"top_frames\": [";
-    first = true;
-    for (const auto &[name, self] : topFrames) {
-        out << (first ? "" : ", ") << "{\"frame\": \""
-            << json::escaped(name) << "\", \"self\": " << self << "}";
-        first = false;
-    }
-    out << "]}";
+    out << "}}";
     return out.str();
 }
 
@@ -211,15 +204,6 @@ TimelineRow::fromJson(std::string_view text)
         for (const auto &[name, value] : metrics->members()) {
             if (value.isNumber())
                 row.metrics.emplace_back(name, value.number());
-        }
-    }
-    if (const json::Value *frames = root.find("top_frames");
-        frames && frames->isArray()) {
-        for (const json::Value &frame : frames->items()) {
-            if (!frame.isObject())
-                continue;
-            row.topFrames.emplace_back(frame.stringOr("frame", ""),
-                                       count(frame.countOr("self", 0)));
         }
     }
     if (count.error())

@@ -4,12 +4,12 @@
  *
  * Every bench/fleet/serve run appends one schema-versioned
  * "uvolt-timeline-v2" JSON line (git SHA, config digest, the machine
- * and build it ran on, per-metric values, profile top-frames) to
- * results/timeline.jsonl. scripts/check_perf.py is the one gate over
- * that history: the newest row of each tool is held to the tool's
- * committed baseline row (bench/timeline_seed.jsonl) with per-metric
- * tolerance, and to its own history with robust-z (step changes) and
- * EWMA (monotonic creep) tests. The history test only compares rows
+ * and build it ran on, per-metric values) to results/timeline.jsonl.
+ * scripts/check_perf.py is the one gate over that history: the newest
+ * row of each tool is held to the tool's committed baseline row
+ * (bench/timeline_seed.jsonl) with per-metric tolerance, and to its own
+ * history with robust-z (step changes) and EWMA (monotonic creep)
+ * tests. The history test only compares rows
  * whose machine digests match: like fault rates, which the paper only
  * compares on one die, perf numbers from two machines or two builds
  * are different experiments.
@@ -81,11 +81,13 @@ struct TimelineRow
     std::uint64_t workers = 0;
     double durationMs = 0.0;
 
-    /** Metric name -> value (ns, ms, ratios — the name says which). */
+    /**
+     * Metric name -> value (ns, ms, ratios — the name says which). A
+     * run with telemetry on adds "<frame>.self_ms" for every frame of
+     * its folded span profile, so the history gate covers each layer.
+     * Keys a row does not know (a legacy "top_frames") are ignored.
+     */
     std::vector<std::pair<std::string, double>> metrics;
-
-    /** Profiler top frames (name, self samples); empty when not run. */
-    std::vector<std::pair<std::string, std::uint64_t>> topFrames;
 
     /**
      * A row for a run of @a tool with every header field filled: git

@@ -467,14 +467,13 @@ UvoltServer::statusReport() const
              static_cast<double>(responded)) /
             config_.errorBudget;
     }
-    // Where is wall time going right now: the process-wide sampling
-    // profiler's top frames, when a binary started one (serve_demo
-    // --watch, ext_serve --profile). Reading a snapshot never perturbs
-    // request handling — the sampler only observes span stacks.
-    if (profiler::SpanProfiler::global().running()) {
-        const profiler::Profile profile =
-            profiler::SpanProfiler::global().snapshot();
-        report.profileSamples = profile.samples;
+    // Where wall time went: the exact self time of every span recorded
+    // so far. Folding only reads the copied span list, so it never
+    // perturbs request handling.
+    if (telemetry::Telemetry::enabled()) {
+        const harness::Profile profile =
+            harness::foldSpans(telemetry::Registry::global().traceEvents());
+        report.profileNs = profile.totalNs();
         report.hotFrames = profile.topFrames(5);
     }
     return report;
@@ -508,20 +507,21 @@ StatusReport::render() const
     out += strFormat("error budget    {:.1f}% burned\n",
                      errorBudgetBurn * 100.0);
     if (!hotFrames.empty()) {
-        out += strFormat("hot frames      ({} samples; self% / total%)\n",
-                         profileSamples);
+        out += strFormat("hot frames      ({:.1f} ms in root spans; "
+                         "self / total)\n",
+                         static_cast<double>(profileNs) / 1e6);
         const double denom =
-            profileSamples ? static_cast<double>(profileSamples) : 1.0;
+            profileNs ? static_cast<double>(profileNs) : 1.0;
         for (const auto &frame : hotFrames) {
             std::string name = frame.name;
             if (name.size() < 24)
                 name.append(24 - name.size(), ' ');
-            out += strFormat("  {} {:.1f}% / {:.1f}%  ({}/{})\n", name,
-                             100.0 * static_cast<double>(frame.self) /
-                                 denom,
-                             100.0 * static_cast<double>(frame.total) /
-                                 denom,
-                             frame.self, frame.total);
+            out += strFormat(
+                "  {} {:.3f} ms / {:.3f} ms  ({:.1f}% / {:.1f}%)\n", name,
+                static_cast<double>(frame.self) / 1e6,
+                static_cast<double>(frame.total) / 1e6,
+                100.0 * static_cast<double>(frame.self) / denom,
+                100.0 * static_cast<double>(frame.total) / denom);
         }
     }
     return out;
@@ -880,6 +880,18 @@ UvoltServer::obtainModel(int setpoint_mv, std::uint64_t request_seed,
 void
 UvoltServer::finishClassifyGroup(std::vector<Pending> items)
 {
+    // The group's inference, a flow step of the head request (this
+    // runs under its ContextScope), as serve.attempt is for
+    // characterize.
+    UVOLT_TRACE_SCOPE("serve.classify", [&] {
+        std::size_t samples = 0;
+        for (const auto &pending : items)
+            samples +=
+                std::get<ClassifyWork>(pending.work).request.sampleCount;
+        return telemetry::TraceArgs{
+            {"requests", std::to_string(items.size())},
+            {"samples", std::to_string(samples)}};
+    });
     struct Member
     {
         Pending item;

@@ -61,12 +61,12 @@
 
 #include "harness/experiment.hh"
 #include "harness/fleet.hh"
+#include "harness/report.hh"
 #include "nn/network.hh"
 #include "pmbus/fault_injector.hh"
 #include "serve/health.hh"
 #include "serve/request_queue.hh"
 #include "util/error.hh"
-#include "util/profiler.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::serve
@@ -211,12 +211,12 @@ struct StatusReport
     double errorBudgetBurn = 0.0;
 
     /**
-     * Hottest sampled span frames (self/total sample counts) from the
-     * process-wide SpanProfiler, when one is running. Empty when no
-     * profiler is active or no samples have landed yet.
+     * Hottest span frames by exact self/total ns, folded from every
+     * span recorded so far (harness::foldSpans). Empty while telemetry
+     * is off or before any span has closed.
      */
-    std::vector<profiler::FrameStat> hotFrames;
-    std::uint64_t profileSamples = 0; ///< samples behind hotFrames
+    std::vector<harness::FrameStat> hotFrames;
+    std::uint64_t profileNs = 0; ///< summed root-span time behind them
 
     /** Multi-line human rendering (the --watch screen). */
     std::string render() const;

@@ -89,10 +89,6 @@ constexpr std::size_t maxHistograms = 64;
 constexpr std::size_t maxHistogramBounds = 24;
 constexpr std::size_t histogramSlots = maxHistogramBounds + 1;
 
-/** Sampled span stacks deeper than this report truncated (the sweep
- *  nests 3-4 deep; 32 leaves an order of magnitude of headroom). */
-constexpr std::size_t spanStackDepth = 32;
-
 /** Per-thread trace buffer ceiling; drops are counted, not fatal. */
 constexpr std::size_t maxTraceEventsPerThread = 1u << 20;
 
@@ -143,21 +139,6 @@ struct ThreadState
     /** Span buffer; the owning thread appends, snapshots copy. */
     std::mutex traceMutex;
     std::vector<TraceEvent> trace;
-    std::atomic<std::uint64_t> traceDropped{0};
-
-    /**
-     * Active span-name stack, readable from the profiler's sampler
-     * thread. The owning thread stores the name slot first, then
-     * release-stores the new depth; a sampler acquire-loading the depth
-     * therefore sees valid static-string pointers in [0, depth). Slots
-     * are atomics so a sample racing a push/pop reads a momentarily
-     * stale pointer, never a torn one.
-     */
-    std::array<std::atomic<const char *>, spanStackDepth> spanNames{};
-    std::atomic<std::uint32_t> spanDepth{0};
-
-    /** Flow id of the installed TraceContext (sampler attribution). */
-    std::atomic<std::uint64_t> activeFlow{0};
 };
 
 } // namespace
@@ -215,6 +196,9 @@ struct Registry::Impl
     std::vector<std::shared_ptr<ThreadState>> states;
     std::uint32_t nextTid = 0;
 
+    /** Spans refused by a full per-thread buffer. */
+    Counter *traceDropped = nullptr;
+
     ThreadState &
     threadState()
     {
@@ -229,7 +213,11 @@ struct Registry::Impl
     }
 };
 
-Registry::Registry() : impl_(new Impl) {}
+Registry::Registry() : impl_(new Impl)
+{
+    // Registered up front so every snapshot reports it, 0 included.
+    impl_->traceDropped = &counter("telemetry.trace.dropped");
+}
 
 Registry &
 Registry::global()
@@ -242,11 +230,12 @@ namespace detail
 {
 
 SpanLink
-openSpanLink(const char *name)
+openSpanLink()
 {
     SpanLink link;
     link.spanId = mintLinkId();
     link.flowId = tlsContext.flowId;
+    link.scoped = true;
     if (tlsSpanStack.empty()) {
         // Outermost span of this thread segment: parent under the
         // installed cross-thread context and mark the flow hop.
@@ -257,15 +246,6 @@ openSpanLink(const char *name)
         link.flowPoint = FlowPoint::none;
     }
     tlsSpanStack.push_back(link.spanId);
-    // Publish the name to the sampler-readable stack: slot first, then
-    // a release-store of the grown depth (the sampler acquire-loads
-    // depth, so frames below it are always valid pointers).
-    ThreadState &state = Registry::global().impl_->threadState();
-    const std::uint32_t depth =
-        state.spanDepth.load(std::memory_order_relaxed);
-    if (depth < spanStackDepth)
-        state.spanNames[depth].store(name, std::memory_order_relaxed);
-    state.spanDepth.store(depth + 1, std::memory_order_release);
     return link;
 }
 
@@ -274,11 +254,6 @@ closeSpanLink()
 {
     if (!tlsSpanStack.empty())
         tlsSpanStack.pop_back();
-    ThreadState &state = Registry::global().impl_->threadState();
-    const std::uint32_t depth =
-        state.spanDepth.load(std::memory_order_relaxed);
-    if (depth > 0)
-        state.spanDepth.store(depth - 1, std::memory_order_release);
 }
 
 } // namespace detail
@@ -411,36 +386,6 @@ Registry::traceEvents() const
     return events;
 }
 
-std::vector<SpanStackSnapshot>
-Registry::sampleSpanStacks() const
-{
-    std::vector<SpanStackSnapshot> stacks;
-    std::lock_guard lock(impl_->mutex);
-    for (const auto &state : impl_->states) {
-        const std::uint32_t depth =
-            state->spanDepth.load(std::memory_order_acquire);
-        if (depth == 0)
-            continue;
-        SpanStackSnapshot sample;
-        sample.tid = state->tid;
-        sample.flowId =
-            state->activeFlow.load(std::memory_order_relaxed);
-        sample.truncated = depth > spanStackDepth;
-        const std::uint32_t frames = std::min(
-            depth, static_cast<std::uint32_t>(spanStackDepth));
-        sample.frames.reserve(frames);
-        for (std::uint32_t i = 0; i < frames; ++i) {
-            const char *frame =
-                state->spanNames[i].load(std::memory_order_relaxed);
-            if (frame) // racing a push: slot not yet published
-                sample.frames.push_back(frame);
-        }
-        if (!sample.frames.empty())
-            stacks.push_back(std::move(sample));
-    }
-    return stacks;
-}
-
 void
 Registry::setThreadName(std::string name)
 {
@@ -487,7 +432,7 @@ Registry::recordLinkedSpan(const char *name, std::uint64_t start_ns,
     ThreadState &state = impl_->threadState();
     std::lock_guard lock(state.traceMutex);
     if (state.trace.size() >= maxTraceEventsPerThread) {
-        state.traceDropped.fetch_add(1, std::memory_order_relaxed);
+        impl_->traceDropped->increment();
         return;
     }
     TraceEvent event;
@@ -499,6 +444,7 @@ Registry::recordLinkedSpan(const char *name, std::uint64_t start_ns,
     event.parentId = link.parentId;
     event.flowId = link.flowId;
     event.flowPoint = link.flowPoint;
+    event.scoped = link.scoped;
     event.args = std::move(args);
     state.trace.push_back(std::move(event));
 }
@@ -536,10 +482,6 @@ Registry::setCurrentContext(const TraceContext &ctx)
 {
     const TraceContext previous = tlsContext;
     tlsContext = ctx;
-    // Mirror the flow id into the sampler-readable shard so profile
-    // samples taken on this thread attribute to the active request.
-    global().impl_->threadState().activeFlow.store(
-        ctx.flowId, std::memory_order_relaxed);
     return previous;
 }
 
@@ -558,7 +500,6 @@ Registry::resetForTest()
         }
         std::lock_guard trace_lock(state->traceMutex);
         state->trace.clear();
-        state->traceDropped.store(0, std::memory_order_relaxed);
     }
     for (auto &bits : impl_->gaugeBits)
         bits.store(0, std::memory_order_relaxed);

@@ -19,7 +19,10 @@
  *    span on the current thread; spans close in LIFO order, so the
  *    per-thread stream is well-nested by construction. The collected
  *    events export as Chrome trace-event JSON (harness/report.hh) and
- *    load directly in Perfetto / chrome://tracing.
+ *    load directly in Perfetto / chrome://tracing; harness::foldSpans
+ *    folds the same events into an exact self-time profile. A thread
+ *    whose buffer is full drops further spans and counts each drop in
+ *    the always-registered counter "telemetry.trace.dropped".
  *
  * Cost model: everything is gated on Telemetry::enabled(), a single
  * relaxed atomic load, so an instrumented hot path pays one predictable
@@ -92,23 +95,11 @@ struct TraceEvent
     std::uint64_t parentId = 0; ///< enclosing/enqueuing span; 0 = root
     std::uint64_t flowId = 0;   ///< request flow membership; 0 = none
     FlowPoint flowPoint = FlowPoint::none;
+    /** Recorded by a TraceScope: time the recording thread spent
+     *  inside the span. Explicit-interval spans (queue waits, request
+     *  envelopes, zero-width markers) leave it false. */
+    bool scoped = false;
     TraceArgs args;
-};
-
-/**
- * One thread's active trace-span stack at a sampling instant. Produced
- * by Registry::sampleSpanStacks() for the profiler: frames are the
- * static span-name strings of the thread's open TraceScopes, outermost
- * first, plus the flow id of the installed TraceContext so samples can
- * be attributed to in-flight requests. Defined outside the compile-out
- * guard so profiler data types build under -DUVOLT_TELEMETRY=OFF.
- */
-struct SpanStackSnapshot
-{
-    std::uint32_t tid = 0;
-    std::uint64_t flowId = 0;         ///< active request flow; 0 = none
-    std::vector<const char *> frames; ///< static strings, outermost first
-    bool truncated = false; ///< stack deeper than the sampling ceiling
 };
 
 /** Merged view of one histogram at snapshot time. */
@@ -173,17 +164,16 @@ struct SpanLink
     std::uint64_t parentId = 0;
     std::uint64_t flowId = 0;
     FlowPoint flowPoint = FlowPoint::none;
+    bool scoped = false; ///< opened by a TraceScope
 };
 
 /**
  * Open/close the calling thread's span stack. A span parents under the
  * innermost open span; the outermost span of a thread segment parents
  * under the installed TraceContext and becomes a flow step, which is
- * how a request's track reconnects after crossing a queue. The static
- * span name is also pushed onto the thread's lock-free name stack so
- * the sampling profiler can read the active stack from its own thread.
+ * how a request's track reconnects after crossing a queue.
  */
-SpanLink openSpanLink(const char *name);
+SpanLink openSpanLink();
 void closeSpanLink();
 
 } // namespace detail
@@ -287,17 +277,6 @@ class Registry
     std::vector<TraceEvent> traceEvents() const;
 
     /**
-     * Read every registered thread's active span-name stack without
-     * stopping the writers (the profiler's sampler calls this ~1000x a
-     * second). Each thread's frames are its open TraceScope names,
-     * outermost first; threads with no open span are omitted. The read
-     * is intentionally approximate at the instant a span opens or
-     * closes — frame pointers are atomics over static strings, so a
-     * racing sample sees a momentarily stale stack, never a torn one.
-     */
-    std::vector<SpanStackSnapshot> sampleSpanStacks() const;
-
-    /**
      * Name the calling thread for trace exports ("fleet-worker-3"
      * instead of a bare tid in Perfetto). Independent of the enabled
      * flag — a name set while recording is off still labels spans
@@ -359,8 +338,6 @@ class Registry
     friend class Counter;
     friend class Gauge;
     friend class Histogram;
-    friend detail::SpanLink detail::openSpanLink(const char *name);
-    friend void detail::closeSpanLink();
 
     Registry();
     struct Impl;
@@ -379,7 +356,7 @@ class TraceScope
     {
         active_ = Telemetry::enabled();
         if (active_) {
-            link_ = detail::openSpanLink(name_);
+            link_ = detail::openSpanLink();
             startNs_ = Registry::global().nowNs();
         }
     }
@@ -390,7 +367,7 @@ class TraceScope
         active_ = Telemetry::enabled();
         if (active_) {
             args_ = make_args();
-            link_ = detail::openSpanLink(name_);
+            link_ = detail::openSpanLink();
             startNs_ = Registry::global().nowNs();
         }
     }
@@ -501,10 +478,6 @@ class Registry
     }
     MetricsSnapshot metrics() const { return {}; }
     std::vector<TraceEvent> traceEvents() const { return {}; }
-    std::vector<SpanStackSnapshot> sampleSpanStacks() const
-    {
-        return {};
-    }
     void setThreadName(std::string) {}
     std::vector<std::pair<std::uint32_t, std::string>>
     threadNames() const

@@ -4,6 +4,8 @@
  * underneath them: CSV quoting, JSON string escaping (through the
  * repo's own parser), histogram quantile interpolation and its
  * surfacing in the report JSON, Chrome-trace thread_name metadata,
+ * the exact span-profile fold (golden text, live spans, an 8-thread
+ * churn, and a real campaign, each checked for exactness per thread),
  * the JSON parser's edge cases, and the run-provenance ledger
  * (manifest roundtrip, digest stability, and the Campaign end-to-end
  * flow leaving a loadable run_manifest.json).
@@ -11,11 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/campaign.hh"
@@ -217,6 +224,230 @@ TEST(ChromeTrace, PoolWorkersNameThemselves)
             found = true;
     }
     EXPECT_TRUE(found);
+}
+
+// --- exact span profiles -----------------------------------------------
+
+/** Enable telemetry for one test; restore and wipe values on exit. */
+class TelemetryOn
+{
+  public:
+    TelemetryOn()
+    {
+        was_ = telemetry::Telemetry::enabled();
+        telemetry::Registry::global().resetForTest();
+        telemetry::Telemetry::setEnabled(true);
+    }
+
+    ~TelemetryOn()
+    {
+        telemetry::Telemetry::setEnabled(was_);
+        telemetry::Registry::global().resetForTest();
+    }
+
+  private:
+    bool was_;
+};
+
+telemetry::TraceEvent
+span(const char *name, std::uint32_t tid, std::uint64_t id,
+     std::uint64_t parent, std::uint64_t dur_ns, bool scoped = true)
+{
+    telemetry::TraceEvent event;
+    event.name = name;
+    event.tid = tid;
+    event.spanId = id;
+    event.parentId = parent;
+    event.durNs = dur_ns;
+    event.scoped = scoped;
+    return event;
+}
+
+/**
+ * The exactness identity, thread by thread: the fold's self times sum
+ * to the summed durations of the thread's root spans (a scoped span
+ * whose parent is no scoped span of that thread). Any child outlasting
+ * its parent would break the equality, so it also proves every self
+ * time is a true, non-negative difference.
+ */
+void
+expectExactPerThread(const std::vector<telemetry::TraceEvent> &events)
+{
+    std::map<std::uint32_t, std::vector<telemetry::TraceEvent>> threads;
+    std::map<std::uint32_t, std::set<std::uint64_t>> ids;
+    for (const auto &event : events) {
+        if (!event.scoped)
+            continue;
+        threads[event.tid].push_back(event);
+        ids[event.tid].insert(event.spanId);
+    }
+    for (const auto &[tid, spans] : threads) {
+        std::uint64_t roots = 0;
+        for (const auto &event : spans) {
+            if (!ids[tid].count(event.parentId))
+                roots += event.durNs;
+        }
+        const Profile profile = foldSpans(spans);
+        EXPECT_EQ(profile.spans, spans.size()) << "tid " << tid;
+        EXPECT_EQ(profile.totalNs(), roots) << "tid " << tid;
+        for (const auto &[stack, ns] : profile.folded)
+            EXPECT_LE(ns, roots) << stack;
+    }
+}
+
+TEST(ProfilerFold, GoldenFoldedText)
+{
+    const std::vector<telemetry::TraceEvent> events = {
+        // Thread 1: a three-deep sweep.
+        span("sweep", 1, 1, 0, 1000),
+        span("sweep.level", 1, 2, 1, 600),
+        span("pmbus.setpoint", 1, 3, 2, 250),
+        span("sweep.level", 1, 4, 1, 300),
+        // Explicit interval under the sweep: excluded, so it neither
+        // folds nor eats into the sweep's self time.
+        span("serve.queue_wait", 1, 5, 1, 400, /*scoped=*/false),
+        // Thread 2: parent on thread 1 (a flow context) -> root.
+        span("serve.attempt", 2, 6, 1, 700),
+        span("sweep", 2, 7, 6, 500),
+        // Parent never recorded -> root.
+        span("serve.classify", 2, 8, 99, 200),
+    };
+    const Profile profile = foldSpans(events);
+    EXPECT_EQ(profile.foldedText(),
+              "serve.attempt 200\n"
+              "serve.attempt;sweep 500\n"
+              "serve.classify 200\n"
+              "sweep 100\n"
+              "sweep;sweep.level 650\n"
+              "sweep;sweep.level;pmbus.setpoint 250\n");
+    EXPECT_EQ(profile.spans, 7u);
+    EXPECT_EQ(profile.totalNs(), 1000u + 700u + 200u);
+    expectExactPerThread(events);
+}
+
+TEST(ProfilerFold, TopFramesSelfAndTotal)
+{
+    Profile profile;
+    profile.folded = {{"a;b", 4}, {"a", 2}, {"b", 1}};
+
+    const auto top = profile.topFrames(2);
+    ASSERT_EQ(top.size(), 2u);
+    // b: leaf of "a;b" (4) plus alone (1) -> self 5, total 5.
+    EXPECT_EQ(top[0].name, "b");
+    EXPECT_EQ(top[0].self, 5u);
+    EXPECT_EQ(top[0].total, 5u);
+    // a: leaf only when alone -> self 2, but on-stack for 6.
+    EXPECT_EQ(top[1].name, "a");
+    EXPECT_EQ(top[1].self, 2u);
+    EXPECT_EQ(top[1].total, 6u);
+}
+
+TEST(ProfilerFold, RecursionCountsOncePerSample)
+{
+    Profile profile;
+    profile.folded = {{"a;b;a", 1}};
+    for (const auto &frame : profile.topFrames(8)) {
+        if (frame.name == "a") {
+            EXPECT_EQ(frame.total, 1u); // deduplicated, not 2
+            EXPECT_EQ(frame.self, 1u);  // it is also the leaf
+        }
+    }
+}
+
+TEST(ProfilerFold, WriteFoldedMatchesText)
+{
+    Profile profile;
+    profile.folded = {{"x;y", 1}};
+    const auto path = std::filesystem::temp_directory_path() /
+        "uvolt_report_test.folded";
+    ASSERT_TRUE(writeFolded(profile, path.string()));
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, profile.foldedText());
+    std::filesystem::remove(path);
+}
+
+TEST(ProfilerFold, ExactOnTelemetryOnCampaign)
+{
+    if (!telemetry::Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn on;
+    const FleetResult fleet =
+        Campaign::onPlatform("ZC702").sweep(5).run().orFatal();
+    ASSERT_FALSE(fleet.jobs.empty());
+
+    const auto events = telemetry::Registry::global().traceEvents();
+    expectExactPerThread(events);
+    const Profile profile = foldSpans(events);
+    // Listing 1's layers each fold to their own stack.
+    const std::string text = profile.foldedText();
+    EXPECT_NE(text.find(";sweep;sweep.level "), std::string::npos) << text;
+    EXPECT_NE(text.find(";sweep;pmbus.setpoint "), std::string::npos)
+        << text;
+}
+
+TEST(Profiler, CapturesScriptedSpans)
+{
+    if (!telemetry::Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn on;
+    {
+        UVOLT_TRACE_SCOPE("prof.outer");
+        UVOLT_TRACE_SCOPE("prof.inner");
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    telemetry::recordSpan("prof.interval", telemetry::nowNs(), 5'000'000);
+
+    const auto events = telemetry::Registry::global().traceEvents();
+    ASSERT_EQ(events.size(), 3u);
+    const Profile profile = foldSpans(events);
+    EXPECT_EQ(profile.spans, 2u);
+    ASSERT_EQ(profile.folded.size(), 2u);
+    EXPECT_GE(profile.folded.at("prof.outer;prof.inner"), 2'000'000u);
+    for (const auto &event : events) {
+        if (std::string(event.name) == "prof.outer") {
+            EXPECT_EQ(profile.totalNs(), event.durNs);
+        }
+    }
+}
+
+TEST(Profiler, EightThreadSpanChurn)
+{
+    if (!telemetry::Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn on;
+
+    [[maybe_unused]] static constexpr const char *names[] = {
+        "churn.a", "churn.b", "churn.c", "churn.d",
+        "churn.e", "churn.f", "churn.g", "churn.h"};
+    constexpr int iterations = 2000;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < 8; ++t) {
+        pool.emplace_back([t] {
+            for (int i = 0; i < iterations; ++i) {
+                UVOLT_TRACE_SCOPE(names[t]);
+                UVOLT_TRACE_SCOPE(names[(t + 1) % 8]);
+                if (i % 64 == 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(50));
+            }
+        });
+    }
+    // Fold live while the writers churn: a parent still open is not
+    // recorded yet, so its children fold as roots — exact either way.
+    for (int i = 0; i < 3; ++i)
+        expectExactPerThread(telemetry::Registry::global().traceEvents());
+    for (auto &thread : pool)
+        thread.join();
+
+    const auto events = telemetry::Registry::global().traceEvents();
+    EXPECT_EQ(events.size(), 8u * iterations * 2);
+    expectExactPerThread(events);
+    const Profile profile = foldSpans(events);
+    EXPECT_EQ(profile.folded.size(), 16u); // 8 roots, 8 nested pairs
+    for (const auto &[stack, ns] : profile.folded)
+        EXPECT_EQ(stack.rfind("churn.", 0), 0u) << stack;
 }
 
 // --- JSON parser edge cases ---------------------------------------------

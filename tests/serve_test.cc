@@ -1212,7 +1212,17 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     hopeless.deadlineMs = 1e-3;
     ASSERT_FALSE(
         server.submitClassify(std::move(hopeless)).orFatal().get().ok());
+    CharacterizeRequest characterize;
+    characterize.platform = "ZC702";
+    characterize.runsPerLevel = 2;
+    ASSERT_TRUE(server.submitCharacterize(std::move(characterize))
+                    .orFatal()
+                    .get()
+                    .ok());
+    // Stopping joins the workers, so every span they opened (each
+    // closes just after its response is sent) is recorded.
     server.drain();
+    server.stop();
 
     const StatusReport report = server.statusReport();
     const ServerStats stats = server.stats();
@@ -1222,18 +1232,25 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     EXPECT_EQ(report.queueDepth, 0u);
     EXPECT_EQ(report.queueCapacity, 64u);
     EXPECT_EQ(report.state, ServeState::normal);
-    // 1 failure of 7 responses over a 0.5 budget = 2/7 burned.
-    EXPECT_NEAR(report.errorBudgetBurn, (1.0 / 7.0) / 0.5, 1e-9);
+    // 1 failure of 8 responses over a 0.5 budget = 1/4 burned.
+    EXPECT_NEAR(report.errorBudgetBurn, (1.0 / 8.0) / 0.5, 1e-9);
+    const std::string screen = report.render();
     if (telemetry::Telemetry::compiledIn()) {
         EXPECT_GT(report.e2eP99Ms, 0.0);
         EXPECT_GT(report.classifyP50Ms, 0.0);
+        // Hot frames are folded from the recorded spans: both request
+        // classes show up, and the screen renders them.
+        std::set<std::string> hot;
+        for (const auto &frame : report.hotFrames)
+            hot.insert(frame.name);
+        EXPECT_TRUE(hot.count("serve.attempt")) << screen;
+        EXPECT_TRUE(hot.count("serve.classify")) << screen;
+        EXPECT_GT(report.profileNs, 0u);
+        EXPECT_NE(screen.find("hot frames"), std::string::npos);
     }
-
-    const std::string screen = report.render();
     EXPECT_NE(screen.find("state"), std::string::npos);
     EXPECT_NE(screen.find("normal"), std::string::npos);
     EXPECT_NE(screen.find("error budget"), std::string::npos);
-    server.stop();
 }
 
 } // namespace

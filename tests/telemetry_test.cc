@@ -346,6 +346,48 @@ TEST(TelemetryTest, ResetForTestKeepsRegistrationsValid)
               3u);
 }
 
+TEST(TelemetryTest, TraceDropCounterIsAlwaysReported)
+{
+    if (!Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn guard;
+
+    // Registered with the registry itself: present at 0 before any
+    // span could have been dropped, so a gate can require it.
+    const auto snapshot = Registry::global().metrics();
+    bool present = false;
+    for (const auto &[name, value] : snapshot.counters) {
+        if (name == "telemetry.trace.dropped") {
+            present = true;
+            EXPECT_EQ(value, 0u);
+        }
+    }
+    EXPECT_TRUE(present);
+    EXPECT_NE(harness::prometheusText(snapshot).find(
+                  "\nuvolt_telemetry_trace_dropped 0\n"),
+              std::string::npos);
+}
+
+TEST(TelemetryTest, OnlyScopedSpansAreMarkedScoped)
+{
+    if (!Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn guard;
+
+    {
+        UVOLT_TRACE_SCOPE("test.scoped");
+    }
+    recordSpan("test.interval", nowNs(), 10);
+    recordFlowSpan("test.flow", nowNs(), 0, {mintFlowId(), 0},
+                   FlowPoint::start);
+
+    const auto events = Registry::global().traceEvents();
+    ASSERT_EQ(events.size(), 3u);
+    for (const auto &event : events)
+        EXPECT_EQ(event.scoped, std::string(event.name) == "test.scoped")
+            << event.name;
+}
+
 TEST(TelemetryTest, MetricsSnapshotExporters)
 {
     if (!Telemetry::compiledIn())
