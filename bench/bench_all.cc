@@ -75,9 +75,11 @@ UVOLT_BENCHMARK(BM_BramReadbackAtVcrash)
 {
     auto &board = vc707();
     parkAtVcrash(board);
+    std::vector<std::uint64_t> plane(fpga::bramWords);
     std::uint32_t bram = 0;
     for (auto _ : state) {
-        bench::doNotOptimize(board.readBramToHost(bram));
+        bench::doNotOptimize(board.tryReadBramPacked(bram, plane).ok());
+        bench::doNotOptimize(plane.data());
         bram = (bram + 1) % board.device().bramCount();
     }
     state.setBytesPerIteration(fpga::bramRows * 2);
@@ -88,7 +90,7 @@ UVOLT_BENCHMARK(BM_BramReadbackAtVcrash)
 std::uint64_t
 deviceFaultPass(pmbus::Board &board)
 {
-    return board.countDeviceFaults();
+    return board.tryCountDeviceFaults().value();
 }
 
 UVOLT_BENCHMARK(BM_DeviceFaultCount)
@@ -112,7 +114,7 @@ UVOLT_BENCHMARK(BM_DeviceFaultCountFreshJitter)
     parkAtVcrash(board);
     for (auto _ : state) {
         board.startRun();
-        bench::doNotOptimize(board.countDeviceFaults());
+        bench::doNotOptimize(board.tryCountDeviceFaults().value());
     }
     board.softReset();
 }
@@ -131,7 +133,7 @@ UVOLT_BENCHMARK(BM_DeviceFaultCountFirstOfEpoch)
     std::uint32_t bram = 0;
     for (auto _ : state) {
         board.device().bram(bram).assignWords(ones);
-        bench::doNotOptimize(board.countDeviceFaults());
+        bench::doNotOptimize(board.tryCountDeviceFaults().value());
         bram = (bram + 1) % board.device().bramCount();
     }
     board.softReset();
@@ -497,7 +499,7 @@ main(int argc, char **argv)
     cli.addBool("list", "list registered benchmarks and exit");
     cli.addString("timeline", harness::Timeline::defaultPath(),
                   "perf-timeline JSONL to append to (\"\" disables)");
-    if (!cli.parse(argc, argv))
+    if (!cli.tryParse(argc, argv).orFatal())
         return 0;
 
     if (cli.getBool("list")) {

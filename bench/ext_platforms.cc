@@ -37,7 +37,8 @@ main()
     for (const auto *spec : specs) {
         pmbus::Board board(*spec);
         const auto result =
-            harness::discoverRegions(board, fpga::RailId::VccBram);
+            harness::tryDiscoverRegions(board, fpga::RailId::VccBram)
+                .orFatal();
 
         const auto study =
             harness::runTemperatureStudy(board, {50.0, 80.0}, 15);

@@ -29,7 +29,7 @@ main()
         for (const auto &spec : fpga::platformCatalog()) {
             pmbus::Board board(spec);
             const harness::RegionResult regions =
-                harness::discoverRegions(board, rail);
+                harness::tryDiscoverRegions(board, rail).orFatal();
             guardband_sum += regions.guardband();
             table.addRow({spec.name, fmtVolts(regions.vnomMv / 1000.0),
                           fmtVolts(regions.vminMv / 1000.0),

@@ -40,7 +40,7 @@ main(int argc, char **argv)
                              "UVOLT_CACHE_DIR or ./uvolt_model_cache)");
     cli.addInt("runs", 9, "characterization runs per voltage level");
     cli.addBool("force", "re-characterize even if the cache exists");
-    if (!cli.parse(argc, argv))
+    if (!cli.tryParse(argc, argv).orFatal())
         return 0;
 
     const auto &spec = fpga::findPlatform(cli.getString("platform"));

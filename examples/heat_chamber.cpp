@@ -48,7 +48,7 @@ main(int argc, char **argv)
     cli.addString("platforms", "VC707,KC705-A", "comma-separated boards");
     cli.addString("temps", "50,60,70,80", "comma-separated degC");
     cli.addInt("runs", 25, "repetitions per voltage level");
-    if (!cli.parse(argc, argv))
+    if (!cli.tryParse(argc, argv).orFatal())
         return 0;
 
     std::vector<double> temps;

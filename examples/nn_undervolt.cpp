@@ -40,7 +40,7 @@ main(int argc, char **argv)
     cli.addString("platform", "VC707", "board to deploy on");
     cli.addInt("eval", 2500, "test samples per voltage point");
     cli.addString("csv", "", "optional CSV output path");
-    if (!cli.parse(argc, argv))
+    if (!cli.tryParse(argc, argv).orFatal())
         return 0;
 
     const auto &spec = fpga::findPlatform(cli.getString("platform"));

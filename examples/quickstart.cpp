@@ -37,7 +37,7 @@ main(int argc, char **argv)
     cli.addDouble("noise", 0.0,
                   "harsh-environment fault probability (0..1)");
     cli.addInt("seed", 1, "seed for the injected-fault stream");
-    if (!cli.parse(argc, argv))
+    if (!cli.tryParse(argc, argv).orFatal())
         return 0;
 
     const auto &spec = fpga::findPlatform(cli.getString("platform"));
@@ -86,9 +86,11 @@ main(int argc, char **argv)
 
     harness::FaultSummary summary;
     std::vector<harness::FaultObservation> faults;
-    for (std::uint32_t b = 0; b < board.device().bramCount(); ++b)
-        harness::diffBram(board.device().bram(b), board.readBramToHost(b),
-                          b, faults, summary);
+    std::vector<std::uint64_t> plane(fpga::bramWords);
+    for (std::uint32_t b = 0; b < board.device().bramCount(); ++b) {
+        board.tryReadBramPacked(b, plane).orFatal();
+        harness::diffBram(board.device().bram(b), plane, b, faults, summary);
+    }
     if (!faults.empty()) {
         const auto &first = faults.front();
         std::printf("first fault: BRAM %u, row %u, bit %u\n", first.bram,

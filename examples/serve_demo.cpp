@@ -61,8 +61,8 @@ main(int argc, char **argv)
                   "--watch Prometheus snapshot path");
     cli.addInt("watch-period-ms", 50,
                "--watch snapshot rewrite period");
-    // tryParse instead of parse: a daemon reports a typo'd flag
-    // through its own channel instead of calling fatal().
+    // No orFatal() here: a daemon reports a typo'd flag through its
+    // own channel instead of calling fatal().
     const auto parsed = cli.tryParse(argc, argv);
     if (!parsed.ok()) {
         std::fprintf(stderr, "serve_demo: %s\n",

@@ -26,6 +26,22 @@ run_suite() {
 echo "== tier 1: plain build =="
 run_suite build
 
+echo "== examples smoke: quickstart and characterize_board =="
+# ctest never runs examples/. These commands drive their flag parsing,
+# region discovery, packed BRAM readback, FVM and BRAM-map paths end to
+# end (each well under a second). They run from a scratch directory so
+# nothing lands in the tree, with the run ledger under build/.
+examples_dir="$PWD/build/examples_smoke"
+rm -rf "$examples_dir" && mkdir -p "$examples_dir"
+(cd "$examples_dir" &&
+    export UVOLT_LEDGER_DIR="$examples_dir/ledger" &&
+    "$OLDPWD/build/examples/quickstart" --runs 5 > quickstart.txt &&
+    "$OLDPWD/build/examples/quickstart" --runs 5 --noise 0.05 \
+        > quickstart_noise.txt &&
+    "$OLDPWD/build/examples/characterize_board" --platform ZC702 \
+        --runs 5 --fvm --bram-map > characterize_board.txt)
+echo "examples ran clean"
+
 echo "== perf gate: bench_all + ext_serve vs baseline and history =="
 # One history: the committed seed (one baseline row per gated tool)
 # plus this run's fresh perf-timeline rows. scripts/check_perf.py holds

@@ -12,9 +12,9 @@
  *
  * Everything the builder produces goes through the same FleetEngine as
  * hand-wired plans, so a Campaign run is bit-identical to the explicit
- * multi-step wiring (construct Board, discoverRegions, runCriticalSweep)
- * it replaces. The explicit path stays available for advanced control;
- * see the "advanced"/legacy notes in harness/experiment.hh.
+ * multi-step wiring (construct Board, tryDiscoverRegions,
+ * tryRunCriticalSweep) it replaces; that wiring stays public for
+ * callers that drive one board step by step.
  *
  * Platform names are resolved through the mem:: catalog, so a campaign
  * can mix memory technologies in one fleet: BRAM dies (fpga platform

@@ -328,13 +328,4 @@ tryValidateCheckpoint(const SweepCheckpoint &checkpoint,
     return {};
 }
 
-void
-validateCheckpoint(const SweepCheckpoint &checkpoint,
-                   const pmbus::Board &board, const SweepOptions &options,
-                   int from_mv, int down_to_mv)
-{
-    tryValidateCheckpoint(checkpoint, board, options, from_mv, down_to_mv)
-        .orFatal();
-}
-
 } // namespace uvolt::harness

@@ -53,12 +53,6 @@ Expected<void> tryValidateCheckpoint(const SweepCheckpoint &checkpoint,
                                      const SweepOptions &options,
                                      int from_mv, int down_to_mv);
 
-/** Fatal-on-mismatch wrapper of tryValidateCheckpoint(). */
-void validateCheckpoint(const SweepCheckpoint &checkpoint,
-                        const pmbus::Board &board,
-                        const SweepOptions &options, int from_mv,
-                        int down_to_mv);
-
 } // namespace uvolt::harness
 
 #endif // UVOLT_HARNESS_CHECKPOINT_HH

@@ -202,7 +202,7 @@ tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
                    int runs_per_level)
 {
     if (rail == fpga::RailId::VccAux)
-        fatal("discoverRegions: VCCAUX is not underscaled in this study");
+        fatal("tryDiscoverRegions: VCCAUX is not underscaled in this study");
 
     board.softReset();
     if (rail == fpga::RailId::VccBram)
@@ -254,12 +254,6 @@ tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
 
     board.softReset();
     return result;
-}
-
-RegionResult
-discoverRegions(pmbus::Board &board, fpga::RailId rail, int runs_per_level)
-{
-    return tryDiscoverRegions(board, rail, runs_per_level).orFatal();
 }
 
 std::string

@@ -4,11 +4,11 @@
  *
  * Two campaigns are implemented:
  *
- *  - discoverRegions(): sweep a rail down from nominal in 10 mV steps to
+ *  - tryDiscoverRegions(): sweep a rail down from nominal in 10 mV steps to
  *    locate the SAFE / CRITICAL / CRASH boundaries of Fig 1 (Vmin = the
  *    lowest fault-free level, Vcrash = the lowest operable level).
  *
- *  - runCriticalSweep(): the paper's Listing 1 — for each 10 mV step from
+ *  - tryRunCriticalSweep(): the paper's Listing 1 — for each 10 mV step from
  *    Vmin down to Vcrash, repeat 100 times: settle, read all BRAMs back
  *    to the host, and analyze fault rate and location. Reported rates are
  *    medians of the 100 runs; stability statistics (Table II) come from
@@ -120,18 +120,13 @@ struct ResilienceReport
  * DONE-low events are recovered by reconfiguration and the probe is
  * retried under its original jitter.
  *
- * Recoverable-error variant: an environment the retry/recovery budget
- * cannot absorb (exhausted link/PMBus/recovery attempts) comes back as
- * an Error instead of terminating, so campaign engines can retry or
- * reschedule the die.
+ * An environment the retry/recovery budget cannot absorb (exhausted
+ * link/PMBus/recovery attempts) comes back as an Error instead of
+ * terminating, so campaign engines can retry or reschedule the die.
  */
 Expected<RegionResult> tryDiscoverRegions(pmbus::Board &board,
                                           fpga::RailId rail,
                                           int runs_per_level = 5);
-
-/** Fatal-on-error convenience wrapper (the "advanced"/legacy path). */
-RegionResult discoverRegions(pmbus::Board &board, fpga::RailId rail,
-                             int runs_per_level = 5);
 
 /** One voltage level of a Listing-1 sweep. */
 struct SweepPoint
@@ -249,16 +244,18 @@ struct SweepOptions
  * per-level statistics (retries, recovery, and checkpoint resume fully
  * mask every maskable fault class).
  *
- * Recoverable-error variant: exhausted retry/recovery budgets and
- * mismatched checkpoints come back as Errors (recoveryExhausted,
- * linkExhausted, pmbusExhausted, badCheckpoint) instead of terminating
- * the process; the fleet engine retries such jobs from their last
- * checkpoint.
+ * Exhausted retry/recovery budgets and mismatched checkpoints come
+ * back as Errors (recoveryExhausted, linkExhausted, pmbusExhausted,
+ * badCheckpoint) instead of terminating the process; the fleet engine
+ * retries such jobs from their last checkpoint.
  */
 Expected<SweepResult> tryRunCriticalSweep(pmbus::Board &board,
                                           const SweepOptions &options = {});
 
-/** Fatal-on-error convenience wrapper (the "advanced"/legacy path). */
+/**
+ * Fatal-on-error form of tryRunCriticalSweep(), kept while the
+ * repository benchmark (perfbench/) calls both.
+ */
 SweepResult runCriticalSweep(pmbus::Board &board,
                              const SweepOptions &options = {});
 

@@ -35,17 +35,6 @@ diffBram(const fpga::Bram &written, fpga::WordSpan observed,
     });
 }
 
-void
-diffBram(const fpga::Bram &written,
-         const std::vector<std::uint16_t> &observed, std::uint32_t bram,
-         std::vector<FaultObservation> &out, FaultSummary &summary)
-{
-    if (observed.size() != static_cast<std::size_t>(fpga::bramRows))
-        fatal("diffBram: observed data has {} rows, expected {}",
-              observed.size(), fpga::bramRows);
-    diffBram(written, fpga::packRows(observed), bram, out, summary);
-}
-
 FaultSummary
 diffCounts(fpga::WordSpan written, fpga::WordSpan observed)
 {

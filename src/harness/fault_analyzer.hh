@@ -58,17 +58,10 @@ struct FaultSummary
 /**
  * Diff one BRAM's observed packed readback against its written content,
  * appending every mismatching bitcell to @a out (in row-major,
- * column-ascending order — the legacy walk order) and updating
- * @a summary. The packed fault-domain form: an XOR + ctz walk over
- * 64-bit words instead of a row-by-row bitcell scan.
+ * column-ascending order) and updating @a summary: an XOR + ctz walk
+ * over the 64-bit words, no per-bitcell scan.
  */
 void diffBram(const fpga::Bram &written, fpga::WordSpan observed,
-              std::uint32_t bram, std::vector<FaultObservation> &out,
-              FaultSummary &summary);
-
-/** Compatibility overload taking the 1024 observed 16-bit rows. */
-void diffBram(const fpga::Bram &written,
-              const std::vector<std::uint16_t> &observed,
               std::uint32_t bram, std::vector<FaultObservation> &out,
               FaultSummary &summary);
 

@@ -206,7 +206,7 @@ struct FvmCacheStats
  * Memory + on-disk cache of per-die Fault Variation Maps.
  *
  * Key: platform + die serial + characterization shape (pattern, runs
- * per level). Disk artifacts are saveFvm() files under the cache
+ * per level). Disk artifacts are trySaveFvm() files under the cache
  * directory (UVOLT_CACHE_DIR or ./uvolt_model_cache), so a die
  * characterized by any process is reused by every later one. obtain()
  * is single-flight: concurrent requests for one die block on the first

@@ -5,14 +5,26 @@
 #include <sstream>
 
 #include "util/fsio.hh"
-#include "util/logging.hh"
 
 namespace uvolt::harness
 {
 
+namespace
+{
+
+/** True once @a fields holds nothing but trailing whitespace. */
 bool
-saveFvm(const Fvm &fvm, const fpga::Floorplan &floorplan,
-        const std::string &path)
+fullyConsumed(std::istringstream &fields)
+{
+    char extra = 0;
+    return !(fields >> extra);
+}
+
+} // namespace
+
+Expected<void>
+trySaveFvm(const Fvm &fvm, const fpga::Floorplan &floorplan,
+           const std::string &path)
 {
     std::ostringstream out;
     out << "#uvolt-fvm v1 " << fvm.platform() << ' '
@@ -25,23 +37,7 @@ saveFvm(const Fvm &fvm, const fpga::Floorplan &floorplan,
     // Crash-atomic: a concurrent reader (or a process killed mid-save)
     // must see either the previous complete map or the new one — a
     // truncated file would count as a corrupt-cache re-characterization.
-    if (auto written = writeFileAtomic(path, out.str(),
-                                       Errc::corruptCache);
-        !written.ok()) {
-        warnc("fvmio", "saveFvm: {}", written.error().message);
-        return false;
-    }
-    return true;
-}
-
-Expected<void>
-trySaveFvm(const Fvm &fvm, const fpga::Floorplan &floorplan,
-           const std::string &path)
-{
-    if (!saveFvm(fvm, floorplan, path))
-        return makeError(Errc::corruptCache,
-                         "cannot write FVM cache file '{}'", path);
-    return {};
+    return writeFileAtomic(path, out.str(), Errc::corruptCache);
 }
 
 Expected<Fvm>
@@ -50,49 +46,30 @@ tryLoadFvm(const fpga::Floorplan &floorplan, const std::string &path)
     if (!std::filesystem::exists(path))
         return makeError(Errc::cacheMiss, "no FVM cache file at '{}'",
                          path);
-    auto fvm = loadFvm(floorplan, path);
-    if (!fvm)
-        return makeError(Errc::corruptCache,
-                         "FVM cache file '{}' is malformed or belongs to "
-                         "a different chip/floorplan",
-                         path);
-    return *std::move(fvm);
-}
-
-std::optional<Fvm>
-loadFvm(const fpga::Floorplan &floorplan, const std::string &path)
-{
+    const auto malformed = [&](std::string_view what) {
+        return makeError(Errc::corruptCache, "FVM cache file '{}': {}", path,
+                         what);
+    };
     std::ifstream in(path);
-    if (!in)
-        return std::nullopt;
-
     std::string header;
-    if (!std::getline(in, header))
-        return std::nullopt;
+    if (!in || !std::getline(in, header))
+        return malformed("unreadable or empty");
+
     std::istringstream head(header);
-    std::string magic, platform;
+    std::string tag, version, platform;
     int width = 0, height = 0;
     std::uint32_t count = 0;
-    head >> magic >> platform >> width >> height >> count;
-    if (magic != "#uvolt-fvm" || platform.empty())
-        return std::nullopt;
-    // The stream also swallowed the "v1" token as platform if the
-    // format string shifted; re-parse strictly.
-    {
-        std::istringstream strict(header);
-        std::string tag, version;
-        strict >> tag >> version >> platform >> width >> height >> count;
-        if (tag != "#uvolt-fvm" || version != "v1")
-            return std::nullopt;
-    }
+    head >> tag >> version >> platform >> width >> height >> count;
+    if (!head || tag != "#uvolt-fvm" || version != "v1" ||
+        !fullyConsumed(head))
+        return malformed("bad header");
     if (width != floorplan.width() || height != floorplan.height() ||
-        count != floorplan.bramCount()) {
-        warnc("fvmio", "loadFvm: '{}' is for a {}x{}/{} floorplan, expected "
-             "{}x{}/{}",
-             path, width, height, count, floorplan.width(),
-             floorplan.height(), floorplan.bramCount());
-        return std::nullopt;
-    }
+        count != floorplan.bramCount())
+        return makeError(Errc::corruptCache,
+                         "FVM cache file '{}' is for a {}x{}/{} "
+                         "floorplan, expected {}x{}/{}",
+                         path, width, height, count, floorplan.width(),
+                         floorplan.height(), floorplan.bramCount());
 
     std::vector<int> faults(count, -1);
     std::string line;
@@ -104,16 +81,17 @@ loadFvm(const fpga::Floorplan &floorplan, const std::string &path)
         char comma1 = 0, comma2 = 0;
         std::istringstream fields(line);
         fields >> x >> comma1 >> y >> comma2 >> value;
-        if (!fields || comma1 != ',' || comma2 != ',' || value < 0)
-            return std::nullopt;
+        if (!fields || comma1 != ',' || comma2 != ',' || value < 0 ||
+            !fullyConsumed(fields))
+            return malformed("bad row");
         const auto bram = floorplan.bramAt({x, y});
         if (!bram || faults[*bram] >= 0)
-            return std::nullopt; // unknown or duplicate site
+            return malformed("unknown or duplicate site");
         faults[*bram] = value;
         ++rows;
     }
     if (rows != count)
-        return std::nullopt;
+        return malformed("missing rows");
     return Fvm(platform, floorplan, std::move(faults));
 }
 

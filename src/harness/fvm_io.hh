@@ -17,7 +17,6 @@
 #ifndef UVOLT_HARNESS_FVM_IO_HH
 #define UVOLT_HARNESS_FVM_IO_HH
 
-#include <optional>
 #include <string>
 
 #include "fpga/floorplan.hh"
@@ -27,27 +26,19 @@
 namespace uvolt::harness
 {
 
-/** Write an FVM to a file; returns false (with a warning) on failure. */
-bool saveFvm(const Fvm &fvm, const fpga::Floorplan &floorplan,
-             const std::string &path);
-
-/** saveFvm() with the error taxonomy (corruptCache on I/O failure). */
+/**
+ * Write an FVM to a file, crash-atomically (a concurrent reader sees the
+ * previous complete map or the new one). corruptCache on I/O failure.
+ */
 Expected<void> trySaveFvm(const Fvm &fvm, const fpga::Floorplan &floorplan,
                           const std::string &path);
 
 /**
- * Load an FVM previously written by saveFvm().
- * Returns nullopt if the file is missing, malformed, or does not match
- * the given floorplan geometry (a map for a different chip/shape must
- * never be silently accepted).
- */
-std::optional<Fvm> loadFvm(const fpga::Floorplan &floorplan,
-                           const std::string &path);
-
-/**
- * loadFvm() with the error taxonomy: cacheMiss when the file does not
- * exist, corruptCache when it exists but is malformed or belongs to a
- * different floorplan geometry. The FvmCache turns cacheMiss into a
+ * Load an FVM previously written by trySaveFvm(). cacheMiss when the
+ * file does not exist; corruptCache when it exists but is malformed (a
+ * header or row with anything left over counts) or belongs to a
+ * different floorplan geometry — a map for a different chip/shape must
+ * never be silently accepted. The FvmCache turns cacheMiss into a
  * characterization run and corruptCache into a re-characterize +
  * overwrite.
  */

@@ -89,12 +89,12 @@ VoltageGovernor::countCanaryFaults()
         // Canaries are read over the serial link like any deployed
         // monitor would, so a harsh environment can make the reading
         // itself uncertain — which the control law must survive.
-        auto observed = board_.tryReadBramToHost(canary);
-        if (!observed.ok())
-            return observed.error();
-        for (std::uint16_t word : observed.value())
-            faults += std::popcount(
-                static_cast<unsigned>(word ^ 0xFFFFu) & 0xFFFFu);
+        if (auto read = board_.tryReadBramPacked(canary, plane_);
+            !read.ok())
+            return read.error();
+        // Canaries hold all ones: every cleared bit is a fault.
+        for (std::uint64_t word : plane_)
+            faults += std::popcount(~word);
     }
     return faults;
 }

@@ -112,6 +112,8 @@ class VoltageGovernor
     pmbus::Board &board_;
     GovernorConfig config_;
     std::vector<std::uint32_t> canaries_;
+    std::vector<std::uint64_t> plane_ =
+        std::vector<std::uint64_t>(fpga::bramWords); ///< canary readback
     int setpointMv_;
     int floorMv_;
     int holdMv_ = 0;     ///< level we backed off to; do not descend past

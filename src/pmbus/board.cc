@@ -311,28 +311,6 @@ Board::tryReadBramPacked(std::uint32_t bram) const
     return observed;
 }
 
-Expected<std::vector<std::uint16_t>>
-Board::tryReadBramToHost(std::uint32_t bram) const
-{
-    auto observed = tryReadBramPacked(bram);
-    if (!observed.ok())
-        return observed.error();
-    return fpga::unpackRows(observed.value());
-}
-
-std::vector<std::uint16_t>
-Board::readBramToHost(std::uint32_t bram) const
-{
-    auto result = tryReadBramToHost(bram);
-    if (!result.ok()) {
-        if (result.code() == Errc::crashDetected)
-            fatal("{}: readback attempted below Vcrash (DONE pin low)",
-                  spec().name);
-        fatal("{}", result.error().message);
-    }
-    return result.take();
-}
-
 Expected<int>
 Board::tryCountBramFaults(std::uint32_t bram) const
 {
@@ -346,19 +324,6 @@ Board::tryCountBramFaults(std::uint32_t bram) const
     }
     return faults_->countBramFaults(device_.bram(bram), bram,
                                     effectiveVoltage());
-}
-
-int
-Board::countBramFaults(std::uint32_t bram) const
-{
-    auto result = tryCountBramFaults(bram);
-    if (!result.ok()) {
-        if (result.code() == Errc::crashDetected)
-            fatal("{}: readback attempted below Vcrash (DONE pin low)",
-                  spec().name);
-        fatal("{}", result.error().message);
-    }
-    return result.value();
 }
 
 Expected<std::uint64_t>
@@ -384,9 +349,9 @@ Board::tryCountDeviceFaults() const
     if (!donePin()) {
         boardMetrics().crashesDetected.increment();
         return makeError(Errc::crashDetected,
-                         "{}: fault count of BRAM {} with DONE pin low "
+                         "{}: device-wide fault count with DONE pin low "
                          "(configuration lost at {} mV)",
-                         spec().name, 0, vccBramMv());
+                         spec().name, vccBramMv());
     }
     return countIndex_.count(
         device_.contentEpoch(), effectiveVoltage(), count,
@@ -394,19 +359,6 @@ Board::tryCountDeviceFaults() const
             return vmodel::DomainView{faults_->ladders(b),
                                       device_.bram(b).words()};
         });
-}
-
-std::uint64_t
-Board::countDeviceFaults() const
-{
-    auto result = tryCountDeviceFaults();
-    if (!result.ok()) {
-        if (result.code() == Errc::crashDetected)
-            fatal("{}: readback attempted below Vcrash (DONE pin low)",
-                  spec().name);
-        fatal("{}", result.error().message);
-    }
-    return result.value();
 }
 
 double

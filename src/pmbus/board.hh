@@ -103,10 +103,12 @@ class Board
     /** Per-channel error/retry statistics of the control path. */
     const PmbusStats &pmbusStats() const { return pmbusStats_; }
 
-    /** Command VCCBRAM through the PMBus path (PAGE + VOUT_COMMAND). */
+    /**
+     * Fatal-on-error forms of trySetVccBramMv() / trySetVccIntMv(),
+     * kept while the repository benchmark (perfbench/) calls both
+     * halves of the VCCBRAM pair; VCCINT keeps the same shape.
+     */
     void setVccBramMv(int mv);
-
-    /** Command VCCINT through the PMBus path. */
     void setVccIntMv(int mv);
 
     /**
@@ -174,29 +176,15 @@ class Board
     bool internalLogicFaulty() const;
 
     /**
-     * Read one BRAM back to the host over the serial link under the
-     * present voltage/temperature/jitter conditions.
-     * fatal() if the device has crashed (DONE low) or the link gave up.
-     */
-    std::vector<std::uint16_t> readBramToHost(std::uint32_t bram) const;
-
-    /**
-     * Recoverable readback: crashDetected when the configuration is (or
-     * just spuriously went) down, linkExhausted when retransmission ran
-     * out of attempts. The board stays consistent; a softReset() +
-     * re-fill recovers it.
-     */
-    Expected<std::vector<std::uint16_t>>
-    tryReadBramToHost(std::uint32_t bram) const;
-
-    /**
-     * Packed recoverable readback into a caller-owned plane: the
-     * observed contents of one BRAM as bit-packed 64-bit fault-domain
-     * words (@a out holds fpga::bramWords of them), shipped through the
-     * CRC-verified serial path. The plane's own bytes are the frame
-     * (the wire byte stream is identical to the 16-bit-row form, so link
-     * noise behaves identically), and on success @a out is the host's
-     * verified copy.
+     * Read one BRAM back to the host under the present voltage,
+     * temperature and jitter, into a caller-owned plane: the observed
+     * contents as bit-packed 64-bit fault-domain words (@a out holds
+     * fpga::bramWords of them), shipped through the CRC-verified serial
+     * path. The plane's own bytes are the frame, and on success @a out
+     * is the host's verified copy. crashDetected when the configuration
+     * is (or just spuriously went) down, linkExhausted when
+     * retransmission ran out of attempts; the board stays consistent,
+     * and a softReset() + re-fill recovers it.
      */
     Expected<void> tryReadBramPacked(std::uint32_t bram,
                                      std::span<std::uint64_t> out) const;
@@ -204,16 +192,6 @@ class Board
     /** tryReadBramPacked() into a fresh plane. */
     Expected<std::vector<std::uint64_t>>
     tryReadBramPacked(std::uint32_t bram) const;
-
-    /**
-     * Count faults in one BRAM against its written contents without
-     * the serial transfer (fast path for large sweeps; bit-identical
-     * outcome to diffing readBramToHost()).
-     */
-    int countBramFaults(std::uint32_t bram) const;
-
-    /** Recoverable fault count; crashDetected as tryReadBramToHost(). */
-    Expected<int> tryCountBramFaults(std::uint32_t bram) const;
 
     /**
      * Device-wide fault count for the run in progress: the sweep inner
@@ -226,9 +204,6 @@ class Board
      */
     Expected<std::uint64_t> tryCountDeviceFaults() const;
 
-    /** Fatal-on-error form of tryCountDeviceFaults(). */
-    std::uint64_t countDeviceFaults() const;
-
     /** Effective bitcell voltage under the current conditions. */
     double effectiveVoltage() const;
 
@@ -236,6 +211,13 @@ class Board
     double measureBramPowerW() const;
 
   private:
+    /**
+     * One BRAM's fault count without the serial transfer, probe and
+     * crash-schedule accounting included: the step the armed-schedule
+     * branch of tryCountDeviceFaults() replays per BRAM.
+     */
+    Expected<int> tryCountBramFaults(std::uint32_t bram) const;
+
     /** Retryable PAGE + VOUT_COMMAND + READ_VOUT verify sequence. */
     Expected<void> writeVerifiedSetpoint(int page, int mv);
 

@@ -42,15 +42,6 @@ CliParser::addBool(const std::string &name, const std::string &help)
     flags_[name] = Flag{Kind::Bool, "0", "0", help};
 }
 
-bool
-CliParser::parse(int argc, char **argv)
-{
-    auto parsed = tryParse(argc, argv);
-    if (!parsed.ok())
-        fatal("{}", parsed.error().message);
-    return parsed.value();
-}
-
 Expected<bool>
 CliParser::tryParse(int argc, char **argv)
 {

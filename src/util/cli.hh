@@ -41,17 +41,11 @@ class CliParser
     void addBool(const std::string &name, const std::string &help);
 
     /**
-     * Parse argv. Returns false if --help was requested (help is printed)
-     * and exits with fatal() on malformed or unknown flags.
-     */
-    bool parse(int argc, char **argv);
-
-    /**
-     * Recoverable parse: an undeclared "--flag" or a flag missing its
-     * value comes back as an Errc::unknownFlag Error instead of
-     * terminating, so services and CI wrappers can report a typo'd
-     * flag through their own channel. Success mirrors parse():
-     * true = proceed, false = --help was printed.
+     * Parse argv: true = proceed, false = --help was requested (help is
+     * printed). An undeclared "--flag" or a flag missing its value comes
+     * back as an Errc::unknownFlag Error; a tool writes
+     * tryParse(...).orFatal(), a service reports it through its own
+     * channel.
      */
     Expected<bool> tryParse(int argc, char **argv);
 

@@ -354,13 +354,6 @@ ChipFaultModel::readBramPacked(const fpga::Bram &written,
     return observed;
 }
 
-std::vector<std::uint16_t>
-ChipFaultModel::readBram(const fpga::Bram &written, std::uint32_t bram,
-                         double effective_v) const
-{
-    return fpga::unpackRows(readBramPacked(written, bram, effective_v));
-}
-
 int
 ChipFaultModel::countFaults(fpga::WordSpan written, std::uint32_t bram,
                             double effective_v) const

@@ -246,18 +246,11 @@ class ChipFaultModel
                             double jitter_v = 0.0) const;
 
     /**
-     * Read one BRAM under reduced voltage: returns the 1024 observed row
-     * words given the written content. Weak cells whose threshold exceeds
-     * @a effective_v misread according to their polarity.
-     */
-    std::vector<std::uint16_t> readBram(const fpga::Bram &written,
-                                        std::uint32_t bram,
-                                        double effective_v) const;
-
-    /**
-     * Packed readback: the observed contents as 256 bit-packed 64-bit
-     * words. The hot-path form of readBram(): one 2 KiB copy plus an
-     * AND/XOR per active weak cell, no per-bitcell work.
+     * Read one BRAM under reduced voltage: the observed contents, given
+     * the written content, as 256 bit-packed 64-bit words. Weak cells
+     * whose threshold exceeds @a effective_v misread according to their
+     * polarity: one 2 KiB copy plus an AND/XOR per active weak cell, no
+     * per-bitcell work.
      */
     std::vector<std::uint64_t> readBramPacked(const fpga::Bram &written,
                                               std::uint32_t bram,
@@ -266,8 +259,8 @@ class ChipFaultModel
     /**
      * Inject this BRAM's active faults into a packed stream in place:
      * active 1->0 cells clear their bit (AND with the inverted mask),
-     * active 0->1 cells set it (OR). Equivalent to what readBram()
-     * applies to the written rows.
+     * active 0->1 cells set it (OR): what readBramPacked() applies to
+     * the written words.
      */
     void applyFaults(std::span<std::uint64_t> words, std::uint32_t bram,
                      double effective_v) const;

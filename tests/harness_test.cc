@@ -62,7 +62,7 @@ TEST(FaultAnalyzerTest, DiffFindsPolarities)
 
     std::vector<FaultObservation> faults;
     FaultSummary summary;
-    diffBram(written, observed, 3, faults, summary);
+    diffBram(written, fpga::packRows(observed), 3, faults, summary);
 
     ASSERT_EQ(faults.size(), 2u);
     EXPECT_EQ(faults[0].bram, 3u);
@@ -88,23 +88,44 @@ TEST(FaultAnalyzerTest, PackedDiffMatchesRowsDiff)
         observed_rows[static_cast<std::size_t>(row)] ^=
             static_cast<std::uint16_t>(1u << (row % 16));
 
-    std::vector<FaultObservation> from_rows, from_packed;
-    FaultSummary rows_summary, packed_summary;
-    diffBram(written, observed_rows, 5, from_rows, rows_summary);
+    // The rows diff, one bitcell at a time: row-major, columns
+    // ascending, written 1 read 0 is oneToZero.
+    std::vector<FaultObservation> from_rows;
+    for (int row = 0; row < fpga::bramRows; ++row) {
+        const std::uint16_t wrote = written.readRow(row);
+        const std::uint16_t read =
+            observed_rows[static_cast<std::size_t>(row)];
+        for (int col = 0; col < fpga::bramCols; ++col) {
+            const bool wrote_one = (wrote >> col) & 1u;
+            if (wrote_one == static_cast<bool>((read >> col) & 1u))
+                continue;
+            FaultObservation fault;
+            fault.bram = 5;
+            fault.row = static_cast<std::uint16_t>(row);
+            fault.col = static_cast<std::uint8_t>(col);
+            fault.oneToZero = wrote_one;
+            from_rows.push_back(fault);
+        }
+    }
+
+    std::vector<FaultObservation> from_packed;
+    FaultSummary packed_summary;
     diffBram(written, fpga::packRows(observed_rows), 5, from_packed,
              packed_summary);
 
     ASSERT_EQ(from_packed.size(), from_rows.size());
     ASSERT_GT(from_rows.size(), 0u);
+    std::uint64_t one_to_zero = 0;
     for (std::size_t i = 0; i < from_rows.size(); ++i) {
         EXPECT_EQ(from_packed[i].bram, from_rows[i].bram);
         EXPECT_EQ(from_packed[i].row, from_rows[i].row);
         EXPECT_EQ(from_packed[i].col, from_rows[i].col);
         EXPECT_EQ(from_packed[i].oneToZero, from_rows[i].oneToZero);
+        one_to_zero += from_rows[i].oneToZero;
     }
-    EXPECT_EQ(packed_summary.totalFaults, rows_summary.totalFaults);
-    EXPECT_EQ(packed_summary.oneToZero, rows_summary.oneToZero);
-    EXPECT_EQ(packed_summary.zeroToOne, rows_summary.zeroToOne);
+    EXPECT_EQ(packed_summary.totalFaults, from_rows.size());
+    EXPECT_EQ(packed_summary.oneToZero, one_to_zero);
+    EXPECT_EQ(packed_summary.zeroToOne, from_rows.size() - one_to_zero);
 }
 
 // diffCounts() is diffBram() without the locations: per BRAM, the total
@@ -166,7 +187,7 @@ TEST(RegionDiscovery, MatchesCalibrationOnAllPlatforms)
     for (const auto &spec : fpga::platformCatalog()) {
         Board board(spec);
         const RegionResult result =
-            discoverRegions(board, fpga::RailId::VccBram);
+            tryDiscoverRegions(board, fpga::RailId::VccBram).orFatal();
         EXPECT_EQ(result.vminMv, spec.calib.bramVminMv) << spec.name;
         EXPECT_EQ(result.vcrashMv, spec.calib.bramVcrashMv) << spec.name;
         EXPECT_NEAR(result.guardband(),
@@ -182,7 +203,7 @@ TEST(RegionDiscovery, VccIntRegions)
     const auto &spec = fpga::findPlatform("VC707");
     Board board(spec);
     const RegionResult result =
-        discoverRegions(board, fpga::RailId::VccInt);
+        tryDiscoverRegions(board, fpga::RailId::VccInt).orFatal();
     EXPECT_EQ(result.vminMv, spec.calib.intVminMv);
     EXPECT_EQ(result.vcrashMv, spec.calib.intVcrashMv);
 }

@@ -13,6 +13,7 @@
 #include "accel/placement.hh"
 #include "accel/weight_image.hh"
 #include "data/synthetic.hh"
+#include "fpga/fault_domain.hh"
 #include "harness/clusterer.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
@@ -185,7 +186,8 @@ TEST(IntegrationTest, JitteredRunsKeepFaultLocationsStable)
     board.startReferenceRun();
     std::vector<std::uint16_t> reference;
     for (std::uint32_t b = 0; b < 40; ++b) {
-        const auto rows = board.readBramToHost(b);
+        const auto rows =
+            fpga::unpackRows(board.tryReadBramPacked(b).orFatal());
         reference.insert(reference.end(), rows.begin(), rows.end());
     }
 
@@ -195,7 +197,8 @@ TEST(IntegrationTest, JitteredRunsKeepFaultLocationsStable)
         board.startRun();
         std::size_t cursor = 0;
         for (std::uint32_t b = 0; b < 40; ++b) {
-            const auto rows = board.readBramToHost(b);
+            const auto rows =
+            fpga::unpackRows(board.tryReadBramPacked(b).orFatal());
             for (std::uint16_t word : rows)
                 mismatched_words += (word != reference[cursor++]);
         }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fpga/fault_domain.hh"
 #include "pmbus/board.hh"
 #include "pmbus/pmbus.hh"
 #include "pmbus/serial_link.hh"
@@ -159,7 +160,7 @@ TEST(BoardTest, ReadBramToHostFaultFreeAtNominal)
     Board board(fpga::findPlatform("ZC702"));
     board.device().fillAll(0xA5A5);
     board.startReferenceRun();
-    const auto rows = board.readBramToHost(0);
+    const auto rows = fpga::unpackRows(board.tryReadBramPacked(0).orFatal());
     ASSERT_EQ(rows.size(), static_cast<std::size_t>(fpga::bramRows));
     for (std::uint16_t word : rows)
         EXPECT_EQ(word, 0xA5A5);
@@ -170,8 +171,18 @@ TEST(BoardTest, ReadBelowCrashDies)
 {
     Board board(fpga::findPlatform("ZC702"));
     board.setVccBramMv(board.spec().calib.bramVcrashMv - 20);
-    EXPECT_EXIT(board.readBramToHost(0),
-                ::testing::ExitedWithCode(1), "DONE pin low");
+    EXPECT_EQ(board.tryReadBramPacked(0).code(), Errc::crashDetected);
+}
+
+TEST(BoardTest, DeviceCountBelowCrashReportsCrash)
+{
+    Board board(fpga::findPlatform("ZC702"));
+    board.setVccBramMv(board.spec().calib.bramVcrashMv - 20);
+    const auto count = board.tryCountDeviceFaults();
+    ASSERT_EQ(count.code(), Errc::crashDetected);
+    // A device-wide count, not a probe of one BRAM.
+    EXPECT_NE(count.error().message.find("device-wide"), std::string::npos)
+        << count.error().message;
 }
 
 TEST(BoardTest, InternalLogicFaultTracksVccInt)

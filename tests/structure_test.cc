@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -36,9 +37,10 @@ readbackFaults(pmbus::Board &board)
     board.startReferenceRun();
     std::vector<FaultObservation> faults;
     FaultSummary summary;
+    std::vector<std::uint64_t> plane(fpga::bramWords);
     for (std::uint32_t b = 0; b < board.device().bramCount(); ++b) {
-        diffBram(board.device().bram(b), board.readBramToHost(b), b,
-                 faults, summary);
+        board.tryReadBramPacked(b, plane).orFatal();
+        diffBram(board.device().bram(b), plane, b, faults, summary);
     }
     board.softReset();
     return faults;
@@ -167,27 +169,28 @@ TEST_F(FvmIoTest, RoundTrip)
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
     const Fvm original = sampleFvm(plan);
     const std::string path = testPath("zc702.fvm");
-    ASSERT_TRUE(saveFvm(original, plan, path));
+    ASSERT_TRUE(trySaveFvm(original, plan, path).ok());
 
-    const auto loaded = loadFvm(plan, path);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->platform(), "ZC702");
-    EXPECT_EQ(loaded->perBramFaults(), original.perBramFaults());
+    const auto loaded = tryLoadFvm(plan, path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded.value().platform(), "ZC702");
+    EXPECT_EQ(loaded.value().perBramFaults(), original.perBramFaults());
 }
 
 TEST_F(FvmIoTest, MissingFile)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
-    EXPECT_FALSE(loadFvm(plan, testPath("nonexistent.fvm")).has_value());
+    EXPECT_EQ(tryLoadFvm(plan, testPath("nonexistent.fvm")).code(),
+              Errc::cacheMiss);
 }
 
 TEST_F(FvmIoTest, GeometryMismatchRejected)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
     const std::string path = testPath("zc702.fvm");
-    ASSERT_TRUE(saveFvm(sampleFvm(plan), plan, path));
+    ASSERT_TRUE(trySaveFvm(sampleFvm(plan), plan, path).ok());
     const auto other = fpga::Floorplan::columnGrid(890, 120);
-    EXPECT_FALSE(loadFvm(other, path).has_value());
+    EXPECT_EQ(tryLoadFvm(other, path).code(), Errc::corruptCache);
 }
 
 TEST_F(FvmIoTest, CorruptFileRejected)
@@ -195,25 +198,38 @@ TEST_F(FvmIoTest, CorruptFileRejected)
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
     const std::string path = testPath("bad.fvm");
     std::filesystem::create_directories(testDir());
+    // A complete, valid map whose header carries a leftover token.
+    ASSERT_TRUE(trySaveFvm(sampleFvm(plan), plan, path).ok());
+    std::string header_leftover;
     {
-        std::ofstream out(path);
-        out << "#uvolt-fvm v1 ZC702 4 70 280\n";
-        out << "0,0,5\n0,0,7\n"; // duplicate site
+        std::ifstream in(path);
+        header_leftover.assign(std::istreambuf_iterator<char>(in), {});
     }
-    EXPECT_FALSE(loadFvm(plan, path).has_value());
+    header_leftover.insert(header_leftover.find('\n'), " extra");
 
-    {
-        std::ofstream out(path);
-        out << "not an fvm\n";
+    const char *const header = "#uvolt-fvm v1 ZC702 4 70 280\n";
+    const std::string malformed[] = {
+        std::string(header) + "0,0,5\n0,0,7\n", // duplicate site
+        std::string(header) + "3,4,5junk\n",    // trailing garbage
+        std::string(header) + "3,4,5,6\n",      // extra field
+        header_leftover,
+        "not an fvm\n",
+    };
+    for (const std::string &content : malformed) {
+        {
+            std::ofstream out(path);
+            out << content;
+        }
+        EXPECT_EQ(tryLoadFvm(plan, path).code(), Errc::corruptCache)
+            << content;
     }
-    EXPECT_FALSE(loadFvm(plan, path).has_value());
 }
 
 TEST_F(FvmIoTest, TruncatedFileRejected)
 {
     const auto plan = fpga::Floorplan::columnGrid(280, 70);
     const std::string path = testPath("trunc.fvm");
-    ASSERT_TRUE(saveFvm(sampleFvm(plan), plan, path));
+    ASSERT_TRUE(trySaveFvm(sampleFvm(plan), plan, path).ok());
     // Chop off the last line.
     std::string content;
     {
@@ -230,7 +246,7 @@ TEST_F(FvmIoTest, TruncatedFileRejected)
         std::ofstream out(path);
         out << content;
     }
-    EXPECT_FALSE(loadFvm(plan, path).has_value());
+    EXPECT_EQ(tryLoadFvm(plan, path).code(), Errc::corruptCache);
 }
 
 } // namespace

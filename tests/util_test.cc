@@ -396,7 +396,7 @@ TEST(Cli, TypedFlagsAndDefaults)
 
     const char *argv[] = {"prog", "--voltage", "0.54", "--verbose",
                           "--runs=5", "extra"};
-    ASSERT_TRUE(cli.parse(6, const_cast<char **>(argv)));
+    ASSERT_TRUE(cli.tryParse(6, const_cast<char **>(argv)).value());
     EXPECT_EQ(cli.getString("platform"), "VC707");
     EXPECT_DOUBLE_EQ(cli.getDouble("voltage"), 0.54);
     EXPECT_EQ(cli.getInt("runs"), 5);
@@ -409,7 +409,7 @@ TEST(Cli, HelpReturnsFalse)
 {
     CliParser cli("test");
     const char *argv[] = {"prog", "--help"};
-    EXPECT_FALSE(cli.parse(2, const_cast<char **>(argv)));
+    EXPECT_FALSE(cli.tryParse(2, const_cast<char **>(argv)).value());
 }
 
 TEST(Cli, TryParseReportsUnknownFlagAsError)

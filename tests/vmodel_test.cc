@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "fpga/device.hh"
+#include "fpga/fault_domain.hh"
 #include "fpga/platform.hh"
 #include "vmodel/chip_fault_model.hh"
 #include "vmodel/process_variation.hh"
@@ -250,7 +251,8 @@ TEST(ChipFaultModel, ReadBramAppliesPolarity)
 
     fpga::Bram bram;
     bram.fill(0xFFFF);
-    const auto observed = model.readBram(bram, target, 0.54);
+    const auto observed =
+        fpga::unpackRows(model.readBramPacked(bram, target, 0.54));
     const auto &cells = model.weakCells(target);
     for (const auto &cell : cells) {
         const bool bit =
