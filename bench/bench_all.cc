@@ -15,11 +15,8 @@
  * the simulator itself (the old micro_perf binary, re-homed).
  *
  * After the suite, the telemetry off/on sweep benches are compared and
- * written to results/ext_telemetry.csv: the "off" row is the
- * instrumented build paying only the Telemetry::enabled() branch; run
- * the same bench from a -DUVOLT_TELEMETRY=OFF build (the "compiled"
- * column flips to "no") to compare against fully compiled-out code —
- * the disabled overhead must stay under 2 %.
+ * written to results/ext_telemetry.csv: the "off" row pays only the
+ * Telemetry::enabled() branch, the "on" row pays for recording.
  */
 
 #include <cstdio>
@@ -469,20 +466,14 @@ writeTelemetryComparison(const std::vector<bench::BenchResult> &results)
     const auto *on = findResult(results, "BM_SweepInnerLoopTelemetryOn");
     if (!off || !on || off->wall.minNs <= 0.0)
         return;
-    const char *compiled =
-        telemetry::Telemetry::compiledIn() ? "yes" : "no";
-    TextTable table({"telemetry", "compiled in", "best pass (ms)",
-                     "vs off"});
-    table.addRow({"off", compiled, fmtDouble(off->wall.minNs / 1e6, 3),
-                  "1.000x"});
-    table.addRow({"on", compiled, fmtDouble(on->wall.minNs / 1e6, 3),
+    TextTable table({"telemetry", "best pass (ms)", "vs off"});
+    table.addRow({"off", fmtDouble(off->wall.minNs / 1e6, 3), "1.000x"});
+    table.addRow({"on", fmtDouble(on->wall.minNs / 1e6, 3),
                   strFormat("{:.3f}x", on->wall.minNs / off->wall.minNs)});
     std::printf("\n# sweep inner loop, telemetry off vs on (device-wide "
                 "fault count at Vcrash)\n");
     table.print(std::cout);
     writeCsv(table, "results/ext_telemetry.csv");
-    std::printf("rebuild with -DUVOLT_TELEMETRY=OFF to compare the "
-                "compiled-out baseline\n");
 }
 
 } // namespace

@@ -20,7 +20,8 @@
  *      consumer sees),
  *  (d) the observability artifacts themselves: a Chrome trace of the
  *      pooled fleet (results/ext_fleet_trace.json — drop it on
- *      ui.perfetto.dev), the merged metrics snapshot, and the exact
+ *      ui.perfetto.dev), the merged metrics snapshot
+ *      (results/ext_fleet_metrics.prom, Prometheus text), and the exact
  *      self-time profile folded from those same recorded spans
  *      (results/profile_ext_fleet.folded in ns for flamegraph tools,
  *      .html as a self-contained flame graph — the README "Profile a
@@ -216,8 +217,7 @@ main()
         events, "results/ext_fleet_trace.json",
         telemetry::Registry::global().threadNames());
     const auto snapshot = telemetry::Registry::global().metrics();
-    harness::writeMetricsJson(snapshot, "results/ext_fleet_metrics.json");
-    harness::writeMetricsCsv(snapshot, "results/ext_fleet_metrics.csv");
+    harness::writePrometheus(snapshot, "results/ext_fleet_metrics.prom");
     const double profile_ms =
         static_cast<double>(profile.totalNs()) / 1e6;
     harness::writeFolded(profile, "results/profile_ext_fleet.folded");
@@ -228,7 +228,7 @@ main()
         "results/profile_ext_fleet.html");
     std::printf("\ntelemetry: %zu spans -> results/ext_fleet_trace.json "
                 "(open in ui.perfetto.dev); metrics snapshot -> "
-                "results/ext_fleet_metrics.{json,csv}\n",
+                "results/ext_fleet_metrics.prom\n",
                 events.size());
     std::printf("profile: %llu scoped spans, %.1f ms (%zu stacks) -> "
                 "results/profile_ext_fleet.{folded,html}\n",

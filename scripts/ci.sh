@@ -84,6 +84,19 @@ UVOLT_TELEMETRY=ON ./build/bench/ext_serve --noise --skip-identity \
 python3 scripts/check_trace.py "$obs_dir/trace.json" --min-flows 100 \
     --prometheus "$obs_dir/metrics.prom" \
     --blackbox "$obs_dir/blackbox_degraded.json"
+# The fleet side: ext_fleet records every job as one flow (submit,
+# queue wait, done) and writes its metrics snapshot as Prometheus text.
+# It runs from a scratch directory so its results/, ledger and timeline
+# row stay under build/.
+fleet_obs_dir="$PWD/$obs_dir/fleet"
+mkdir -p "$fleet_obs_dir"
+(cd "$fleet_obs_dir" &&
+    UVOLT_LEDGER_DIR="$fleet_obs_dir/ledger" \
+    UVOLT_TIMELINE="$fleet_obs_dir/timeline.jsonl" \
+    "$OLDPWD/build/bench/ext_fleet" > /dev/null)
+python3 scripts/check_trace.py "$fleet_obs_dir/results/ext_fleet_trace.json" \
+    --min-flows 24 \
+    --prometheus "$fleet_obs_dir/results/ext_fleet_metrics.prom"
 
 echo "== profiling leg: exact span profile, identity =="
 # With telemetry ON, ext_serve folds the spans it recorded into an
@@ -242,23 +255,5 @@ cmake --build build-tsan -j "$jobs" --target ext_serve serve_test
 ./build-tsan/tests/serve_test
 ./build-tsan/bench/ext_serve --noise --skip-identity \
     --requests 800 --clients 6
-
-echo "== telemetry compiled out (-DUVOLT_TELEMETRY=OFF) =="
-# The instrumented call sites must compile and pass with the layer
-# reduced to stubs — the zero-cost configuration ships this way.
-# serve_test rides along since PR 8: the serving tier now carries trace
-# contexts, flight-recorder notes, and status reporting, all of which
-# must still build and behave with the layer stubbed out.
-cmake -B build-notel -S . -DUVOLT_TELEMETRY=OFF
-cmake --build build-notel -j "$jobs" \
-    --target telemetry_test fleet_test serve_test report_test \
-    timeline_test
-./build-notel/tests/telemetry_test
-./build-notel/tests/fleet_test
-./build-notel/tests/serve_test
-# The profile fold and its exports work on the stubbed build (the
-# recorded-span tests skip); the timeline never depended on telemetry.
-./build-notel/tests/report_test
-./build-notel/tests/timeline_test
 
 echo "== all suites passed =="

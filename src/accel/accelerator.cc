@@ -35,6 +35,28 @@ accelMetrics()
 
 } // namespace
 
+std::vector<std::uint64_t>
+readBramRecovering(pmbus::Board &board, std::uint32_t physical,
+                   const std::function<void()> &restore)
+{
+    constexpr int max_recoveries = 16;
+    for (int attempt = 0; attempt <= max_recoveries; ++attempt) {
+        auto observed = board.tryReadBramPacked(physical);
+        if (observed.ok())
+            return observed.take();
+        if (observed.code() != Errc::crashDetected)
+            fatal("{}", observed.error().message);
+        const int level_mv = board.vccBramMv();
+        const double jitter_v = board.runJitterV();
+        board.softReset();
+        restore();
+        board.setVccBramMv(level_mv);
+        board.resumeRun(jitter_v);
+    }
+    fatal("{}: readback of BRAM {} crashed {} times in a row",
+          board.spec().name, physical, max_recoveries);
+}
+
 Accelerator::Accelerator(pmbus::Board &board, WeightImage image,
                          Placement placement)
     : board_(board), image_(std::move(image)),
@@ -70,34 +92,6 @@ Accelerator::restoreImage() const
     }
 }
 
-std::vector<std::uint64_t>
-Accelerator::readPhysicalRecoverable(std::uint32_t physical) const
-{
-    constexpr int max_recoveries = 16;
-    for (int attempt = 0; attempt <= max_recoveries; ++attempt) {
-        auto observed = board_.tryReadBramPacked(physical);
-        if (observed.ok())
-            return observed.take();
-        if (observed.code() != Errc::crashDetected)
-            fatal("{}", observed.error().message);
-        // Spurious crash under the payload: recover like the harness
-        // watchdog does. Reconfiguration brings the weight image back
-        // with the bitstream; then restore the operating point and
-        // retry under the original supply jitter so the recovered read
-        // equals the undisturbed one.
-        ++crashRecoveries_;
-        accelMetrics().crashRecoveries.increment();
-        const int level_mv = board_.vccBramMv();
-        const double jitter_v = board_.runJitterV();
-        board_.softReset();
-        restoreImage();
-        board_.setVccBramMv(level_mv);
-        board_.resumeRun(jitter_v);
-    }
-    fatal("{}: accelerator readback of BRAM {} crashed {} times in a row",
-          board_.spec().name, physical, max_recoveries);
-}
-
 const Accelerator::Observation &
 Accelerator::observed() const
 {
@@ -119,10 +113,15 @@ Accelerator::observed() const
     accelMetrics().decodeCacheMisses.increment();
     std::vector<std::vector<std::uint64_t>> words;
     words.reserve(image_.logicalBramCount());
+    const std::function<void()> recover = [this] {
+        ++crashRecoveries_;
+        accelMetrics().crashRecoveries.increment();
+        restoreImage();
+    };
     for (std::uint32_t logical = 0; logical < image_.logicalBramCount();
          ++logical) {
-        words.push_back(
-            readPhysicalRecoverable(placement_.physicalOf(logical)));
+        words.push_back(readBramRecovering(
+            board_, placement_.physicalOf(logical), recover));
     }
     nn::QuantizedModel model = image_.decode(words);
     nn::Network network = model.toNetwork();

@@ -17,6 +17,7 @@
 #define UVOLT_ACCEL_ACCELERATOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -28,6 +29,19 @@
 
 namespace uvolt::accel
 {
+
+/**
+ * Read one physical BRAM (packed), recovering spurious crashes like the
+ * harness watchdog. After each crashDetected the board is reconfigured,
+ * @a restore rewrites the storage reconfiguration brings back with the
+ * bitstream (and bumps the caller's recovery counters), and the read
+ * re-enters at the original operating point and supply jitter, so the
+ * recovered read equals the undisturbed one. Any other error, or 16
+ * crashes in a row, is fatal.
+ */
+std::vector<std::uint64_t>
+readBramRecovering(pmbus::Board &board, std::uint32_t physical,
+                   const std::function<void()> &restore);
 
 /** Per-layer weight-bit fault counts at one operating point. */
 struct WeightFaultReport
@@ -124,14 +138,6 @@ class Accelerator
 
     /** Re-write the weight image (reconfiguration restores it). */
     void restoreImage() const;
-
-    /**
-     * Read one physical BRAM (packed), recovering spurious crashes like
-     * the harness watchdog: reconfigure, restore the operating point,
-     * and retry under the original supply jitter.
-     */
-    std::vector<std::uint64_t>
-    readPhysicalRecoverable(std::uint32_t physical) const;
 
     /** The cached observation at the current dose (refreshed on miss). */
     const Observation &observed() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "accel/accelerator.hh"
 #include "accel/secded.hh"
 #include "fpga/fault_domain.hh"
 #include "util/logging.hh"
@@ -143,26 +144,11 @@ MitigationLab::restoreAllStorage() const
 std::vector<std::uint64_t>
 MitigationLab::readPhysical(std::uint32_t physical) const
 {
-    constexpr int max_recoveries = 16;
-    for (int attempt = 0; attempt <= max_recoveries; ++attempt) {
-        auto observed = board_.tryReadBramPacked(physical);
-        if (observed.ok())
-            return observed.take();
-        if (observed.code() != Errc::crashDetected)
-            fatal("{}", observed.error().message);
-        // Reconfiguration restores data, replica, and check storage
-        // alike; then re-enter the interrupted read at the original
-        // operating point and supply jitter.
+    // Reconfiguration restores data, replica, and check storage alike.
+    return readBramRecovering(board_, physical, [this] {
         ++crashRecoveries_;
-        const int level_mv = board_.vccBramMv();
-        const double jitter_v = board_.runJitterV();
-        board_.softReset();
         restoreAllStorage();
-        board_.setVccBramMv(level_mv);
-        board_.resumeRun(jitter_v);
-    }
-    fatal("{}: mitigated readback of BRAM {} crashed {} times in a row",
-          board_.spec().name, physical, max_recoveries);
+    });
 }
 
 nn::QuantizedModel

@@ -118,7 +118,7 @@ class MitigationLab
     /** Re-write data, replica, and check BRAMs (reconfiguration). */
     void restoreAllStorage() const;
 
-    /** Crash-recovering packed physical readback (see Accelerator). */
+    /** readBramRecovering() with restoreAllStorage() as the restore. */
     std::vector<std::uint64_t>
     readPhysical(std::uint32_t physical) const;
 

@@ -30,7 +30,6 @@ WeightImage::WeightImage(const nn::QuantizedModel &model) : model_(model)
             for (std::size_t w = 0; w < take; ++w)
                 rows[w] = layer.weights[base + w];
             contents_.push_back(fpga::packRows(rows));
-            rows_.push_back(std::move(rows));
             layerOf_.push_back(span.layer);
         }
         spans_.push_back(span);
@@ -53,15 +52,6 @@ WeightImage::wordsOf(std::uint32_t logical_bram) const
         fatal("wordsOf: logical BRAM {} out of {}", logical_bram,
               contents_.size());
     return contents_[logical_bram];
-}
-
-const std::vector<std::uint16_t> &
-WeightImage::rowsOf(std::uint32_t logical_bram) const
-{
-    if (logical_bram >= rows_.size())
-        fatal("rowsOf: logical BRAM {} out of {}", logical_bram,
-              rows_.size());
-    return rows_[logical_bram];
 }
 
 nn::QuantizedModel
@@ -92,20 +82,6 @@ WeightImage::decode(
         }
     }
     return result;
-}
-
-nn::QuantizedModel
-WeightImage::decode(
-    const std::vector<std::vector<std::uint16_t>> &observed) const
-{
-    std::vector<std::vector<std::uint64_t>> packed;
-    packed.reserve(observed.size());
-    for (const auto &rows : observed) {
-        if (rows.size() != static_cast<std::size_t>(fpga::bramRows))
-            fatal("decode: BRAM readback with {} rows", rows.size());
-        packed.push_back(fpga::packRows(rows));
-    }
-    return decode(packed);
 }
 
 double

@@ -63,10 +63,6 @@ class WeightImage
     const std::vector<std::uint64_t> &
     wordsOf(std::uint32_t logical_bram) const;
 
-    /** 1024 row words of one logical BRAM (compatibility shim). */
-    const std::vector<std::uint16_t> &
-    rowsOf(std::uint32_t logical_bram) const;
-
     /**
      * Rebuild a quantized model from observed packed per-logical-BRAM
      * contents (the readback path: formats/biases are carried over from
@@ -77,10 +73,6 @@ class WeightImage
     nn::QuantizedModel
     decode(const std::vector<std::vector<std::uint64_t>> &observed) const;
 
-    /** Compatibility overload over 16-bit row vectors. */
-    nn::QuantizedModel
-    decode(const std::vector<std::vector<std::uint16_t>> &observed) const;
-
     /** Utilization of a device pool of the given size (e.g. 70.8%). */
     double utilizationOf(std::uint32_t device_bram_count) const;
 
@@ -88,7 +80,6 @@ class WeightImage
     nn::QuantizedModel model_;
     std::vector<LayerSpan> spans_;
     std::vector<std::vector<std::uint64_t>> contents_; ///< packed words
-    std::vector<std::vector<std::uint16_t>> rows_;     ///< unpacked shim
     std::vector<int> layerOf_;
 };
 

@@ -126,39 +126,6 @@ Bram::assignWords(std::span<const std::uint64_t> words)
     bump();
 }
 
-std::vector<std::uint16_t>
-Bram::toRows() const
-{
-    std::vector<std::uint16_t> rows(bramRows);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-        const std::uint64_t word = words_[w];
-        for (int lane = 0; lane < bramRowsPerWord; ++lane) {
-            rows[w * bramRowsPerWord + static_cast<std::size_t>(lane)] =
-                static_cast<std::uint16_t>(word >> (lane * bramCols));
-        }
-    }
-    return rows;
-}
-
-void
-Bram::assignRows(std::span<const std::uint16_t> rows)
-{
-    if (rows.size() != static_cast<std::size_t>(bramRows))
-        fatal("assignRows: {} rows for a BRAM of {}", rows.size(),
-              bramRows);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-        std::uint64_t word = 0;
-        for (int lane = 0; lane < bramRowsPerWord; ++lane) {
-            word |= static_cast<std::uint64_t>(
-                        rows[w * bramRowsPerWord +
-                             static_cast<std::size_t>(lane)])
-                << (lane * bramCols);
-        }
-        words_[w] = word;
-    }
-    bump();
-}
-
 namespace
 {
 

@@ -156,12 +156,6 @@ class Bram
     /** Replace the whole packed data plane (fast image programming). */
     void assignWords(std::span<const std::uint64_t> words);
 
-    /** The 1024 row words, unpacked (compatibility / serial shim). */
-    std::vector<std::uint16_t> toRows() const;
-
-    /** Replace contents from 1024 unpacked row words. */
-    void assignRows(std::span<const std::uint16_t> rows);
-
     /**
      * Parity plane access (2 bits per row). Parity is stored apart from
      * the data words, so no parity bit can ever reach the packed fault

@@ -1,6 +1,7 @@
 #include "harness/report.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -274,90 +275,6 @@ writeFolded(const Profile &profile, const std::string &path)
     return true;
 }
 
-std::string
-metricsJson(const telemetry::MetricsSnapshot &snapshot)
-{
-    std::ostringstream out;
-    out << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : snapshot.counters) {
-        out << (first ? "" : ",") << "\n    \"" << jsonEscaped(name)
-            << "\": " << value;
-        first = false;
-    }
-    out << "\n  },\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : snapshot.gauges) {
-        out << (first ? "" : ",") << "\n    \"" << jsonEscaped(name)
-            << "\": " << strFormat("{:.6f}", value);
-        first = false;
-    }
-    out << "\n  },\n  \"histograms\": {";
-    first = true;
-    for (const auto &histogram : snapshot.histograms) {
-        out << (first ? "" : ",") << "\n    \""
-            << jsonEscaped(histogram.name) << "\": {\"count\": "
-            << histogram.count << ", \"sum\": "
-            << strFormat("{:.6f}", histogram.sum) << ", \"p50\": "
-            << strFormat("{:.6f}", histogram.p50()) << ", \"p95\": "
-            << strFormat("{:.6f}", histogram.p95()) << ", \"p99\": "
-            << strFormat("{:.6f}", histogram.p99()) << ", \"bounds\": [";
-        for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-            out << (i ? "," : "")
-                << strFormat("{:.6f}", histogram.bounds[i]);
-        }
-        out << "], \"buckets\": [";
-        for (std::size_t i = 0; i < histogram.buckets.size(); ++i)
-            out << (i ? "," : "") << histogram.buckets[i];
-        out << "]}";
-        first = false;
-    }
-    out << "\n  }\n}\n";
-    return out.str();
-}
-
-bool
-writeMetricsJson(const telemetry::MetricsSnapshot &snapshot,
-                 const std::string &path)
-{
-    return writeDocument(metricsJson(snapshot), path);
-}
-
-TextTable
-metricsTable(const telemetry::MetricsSnapshot &snapshot)
-{
-    TextTable table({"metric", "type", "value", "detail"});
-    for (const auto &[name, value] : snapshot.counters)
-        table.addRow({name, "counter", std::to_string(value), ""});
-    for (const auto &[name, value] : snapshot.gauges)
-        table.addRow({name, "gauge", fmtDouble(value), ""});
-    for (const auto &histogram : snapshot.histograms) {
-        std::string buckets;
-        for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
-            if (i)
-                buckets += " ";
-            buckets += std::to_string(histogram.buckets[i]);
-        }
-        table.addRow({histogram.name, "histogram",
-                      std::to_string(histogram.count),
-                      strFormat("mean={} p50={} p95={} p99={} sum={} "
-                                "buckets=[{}]",
-                                fmtDouble(histogram.mean()),
-                                fmtDouble(histogram.p50()),
-                                fmtDouble(histogram.p95()),
-                                fmtDouble(histogram.p99()),
-                                fmtDouble(histogram.sum), buckets)});
-    }
-    return table;
-}
-
-bool
-writeMetricsCsv(const telemetry::MetricsSnapshot &snapshot,
-                const std::string &path)
-{
-    return writeCsv(metricsTable(snapshot), path);
-}
-
 namespace
 {
 
@@ -375,13 +292,14 @@ prometheusName(std::string_view name)
     return out;
 }
 
-/** Shortest default stream rendering ("0.05", "1", "2000"). */
+/** Shortest round-trip rendering ("0.05", "1", "2000", "1234567.25"):
+ *  parsing the text gives back the exact double. */
 std::string
 prometheusNumber(double value)
 {
-    std::ostringstream out;
-    out << value;
-    return out.str();
+    char buffer[32];
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+    return std::string(buffer, result.ptr);
 }
 
 } // namespace

@@ -9,13 +9,9 @@
  * ui.perfetto.dev and drop the file in. foldSpans() reads the same
  * event list and folds it into an exact self-time profile (collapsed
  * stacks in integer ns, the input of the HTML flame graph and of every
- * hot-frames table). The metrics exporters render a snapshot as JSON
- * (machines) and as the repo's TextTable/CSV style (humans and the
- * results/ directory, like every bench figure).
- *
- * Everything here degrades gracefully in a compiled-out build
- * (UVOLT_TELEMETRY=OFF): snapshots are empty, the writers emit empty
- * but well-formed documents.
+ * hot-frames table). A metrics snapshot has one document, the
+ * Prometheus text exposition format: scrapers read it as is, and
+ * scripts/check_trace.py --prometheus gates it.
  */
 
 #ifndef UVOLT_HARNESS_REPORT_HH
@@ -30,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/table.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::harness
@@ -112,30 +107,13 @@ Profile foldSpans(const std::vector<telemetry::TraceEvent> &events);
 /** Write Profile::foldedText() crash-atomically; false on I/O error. */
 bool writeFolded(const Profile &profile, const std::string &path);
 
-/** Serialize a metrics snapshot as a JSON document. */
-std::string metricsJson(const telemetry::MetricsSnapshot &snapshot);
-
-/** Write a snapshot to @a path as JSON (parent directories created). */
-bool writeMetricsJson(const telemetry::MetricsSnapshot &snapshot,
-                      const std::string &path);
-
-/**
- * Render a snapshot as the repo's table style: one row per metric with
- * columns {metric, type, value, detail}; histograms report their count
- * as the value and mean/p50/p95/p99/sum/buckets in the detail column.
- */
-TextTable metricsTable(const telemetry::MetricsSnapshot &snapshot);
-
-/** Write metricsTable() to @a path as CSV. */
-bool writeMetricsCsv(const telemetry::MetricsSnapshot &snapshot,
-                     const std::string &path);
-
 /**
  * Render a snapshot in the Prometheus text exposition format: every
- * metric prefixed "uvolt_" (dots become underscores), counters and
- * gauges as single samples, histograms as cumulative "_bucket" series
- * with exact `le` bounds plus "+Inf", "_sum", and "_count" — the layout
- * promtool and any Prometheus scraper accept verbatim.
+ * metric prefixed "uvolt_" (any character outside [A-Za-z0-9_] becomes
+ * '_'), counters and gauges as single samples, histograms as cumulative
+ * "_bucket" series with exact `le` bounds plus "+Inf", "_sum", and
+ * "_count" — the layout promtool and any Prometheus scraper accept
+ * verbatim. Numbers print in their shortest round-trip form.
  */
 std::string prometheusText(const telemetry::MetricsSnapshot &snapshot);
 

@@ -86,7 +86,6 @@ Machine::current()
     machine.buildType = UVOLT_BUILD_TYPE;
     machine.buildFlags = UVOLT_BUILD_FLAGS;
 #endif
-    machine.telemetryCompiledIn = telemetry::Telemetry::compiledIn();
     machine.telemetryEnabled = telemetry::Telemetry::enabled();
     machine.digest = machine.fingerprint();
     return machine;
@@ -97,9 +96,9 @@ Machine::fingerprint() const
 {
     return configDigest(strFormat(
         "cpu={};cores={};isa={};compiler={};build_type={};"
-        "build_flags={};telemetry={}/{}",
+        "build_flags={};telemetry={}",
         cpuModel, cores, isa, compiler, buildType, buildFlags,
-        jsonBool(telemetryCompiledIn), jsonBool(telemetryEnabled)));
+        jsonBool(telemetryEnabled)));
 }
 
 TimelineRow
@@ -137,9 +136,7 @@ TimelineRow::toJsonLine() const
         << json::escaped(machine.buildType)
         << "\", \"build_flags\": \""
         << json::escaped(machine.buildFlags)
-        << "\", \"telemetry_compiled_in\": "
-        << jsonBool(machine.telemetryCompiledIn)
-        << ", \"telemetry_enabled\": "
+        << "\", \"telemetry_enabled\": "
         << jsonBool(machine.telemetryEnabled) << ", \"host\": \""
         << json::escaped(machine.host) << "\", \"os\": \""
         << json::escaped(machine.os) << "\"}";
@@ -189,8 +186,6 @@ TimelineRow::fromJson(std::string_view text)
         m.compiler = machine->stringOr("compiler", m.compiler);
         m.buildType = machine->stringOr("build_type", m.buildType);
         m.buildFlags = machine->stringOr("build_flags", m.buildFlags);
-        m.telemetryCompiledIn =
-            machine->boolOr("telemetry_compiled_in", false);
         m.telemetryEnabled = machine->boolOr("telemetry_enabled", false);
         m.host = machine->stringOr("host", m.host);
         m.os = machine->stringOr("os", m.os);

@@ -51,7 +51,6 @@ struct Machine
     std::string compiler = "unknown";  ///< __VERSION__
     std::string buildType = "unknown"; ///< CMAKE_BUILD_TYPE
     std::string buildFlags = "unknown"; ///< compile flags at configure
-    bool telemetryCompiledIn = false;
     bool telemetryEnabled = false;
     std::string digest; ///< configDigest over the fields above
 
@@ -102,7 +101,9 @@ struct TimelineRow
 
     /**
      * Parse one timeline line (schema checked). A negative, non-finite
-     * or out-of-range integer field is Errc::corruptCache.
+     * or out-of-range integer field is Errc::corruptCache. Machine keys
+     * the struct does not carry (a legacy "telemetry_compiled_in") are
+     * ignored.
      */
     static Expected<TimelineRow> fromJson(std::string_view text);
 };

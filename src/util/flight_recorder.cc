@@ -31,8 +31,6 @@ levelName(Level level)
     return "info";
 }
 
-#ifndef UVOLT_TELEMETRY_DISABLED
-
 namespace
 {
 
@@ -243,7 +241,5 @@ FlightRecorder::resetForTest()
     impl_->dumpPaths.clear();
     impl_->nextSeq.store(1, std::memory_order_relaxed);
 }
-
-#endif // UVOLT_TELEMETRY_DISABLED
 
 } // namespace uvolt::flightrec

@@ -17,10 +17,8 @@
  * (schema "uvolt-blackbox-v1") atomically. panic() dumps automatically
  * before aborting.
  *
- * Under -DUVOLT_TELEMETRY=OFF the recorder compiles out to stubs like
- * the rest of the telemetry layer; unlike tracing, the compiled-in
- * recorder is always on — its producers are coarse (warnings, health
- * transitions, retries), never per-bitcell.
+ * Unlike tracing, the recorder is always on — its producers are coarse
+ * (warnings, health transitions, retries), never per-bitcell.
  */
 
 #ifndef UVOLT_UTIL_FLIGHT_RECORDER_HH
@@ -60,8 +58,6 @@ struct Event
     char component[16] = {};  ///< subsystem tag ("pmbus", "serve", ...)
     char message[104] = {};   ///< truncated at 103 chars
 };
-
-#ifndef UVOLT_TELEMETRY_DISABLED
 
 /** The process-wide recorder. All methods are thread-safe. */
 class FlightRecorder
@@ -118,43 +114,6 @@ note(Level level, std::string_view component, std::string_view message,
     FlightRecorder::global().record(level, component, message,
                                     request_id);
 }
-
-#else // UVOLT_TELEMETRY_DISABLED -------------------------------------
-
-class FlightRecorder
-{
-  public:
-    static FlightRecorder &global()
-    {
-        static FlightRecorder recorder;
-        return recorder;
-    }
-
-    static constexpr std::size_t shardCapacity = 0;
-
-    void record(Level, std::string_view, std::string_view,
-                std::uint64_t = 0)
-    {
-    }
-    std::vector<Event> snapshot() const { return {}; }
-    std::uint64_t recorded() const { return 0; }
-    std::uint64_t overwritten() const { return 0; }
-    std::string dump(std::string_view, const std::string & = "")
-    {
-        return "";
-    }
-    void setDirectory(std::string) {}
-    std::string directory() const { return ""; }
-    std::vector<std::string> dumps() const { return {}; }
-    void resetForTest() {}
-};
-
-inline void
-note(Level, std::string_view, std::string_view, std::uint64_t = 0)
-{
-}
-
-#endif // UVOLT_TELEMETRY_DISABLED
 
 } // namespace uvolt::flightrec
 

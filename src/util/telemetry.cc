@@ -76,8 +76,6 @@ HistogramSnapshot::quantile(double q) const
     return bounds.back();
 }
 
-#ifndef UVOLT_TELEMETRY_DISABLED
-
 namespace
 {
 
@@ -540,16 +538,5 @@ Histogram::observe(double value)
     shard.count.fetch_add(1, std::memory_order_relaxed);
     atomicAdd(shard.sum, value);
 }
-
-#else // UVOLT_TELEMETRY_DISABLED
-
-Registry &
-Registry::global()
-{
-    static Registry registry;
-    return registry;
-}
-
-#endif // UVOLT_TELEMETRY_DISABLED
 
 } // namespace uvolt::telemetry

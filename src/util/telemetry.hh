@@ -26,11 +26,9 @@
  *
  * Cost model: everything is gated on Telemetry::enabled(), a single
  * relaxed atomic load, so an instrumented hot path pays one predictable
- * branch when telemetry is off (bench/micro_perf measures < 2 %
- * overhead on the sweep inner loop). Building with -DUVOLT_TELEMETRY=OFF
- * (which defines UVOLT_TELEMETRY_DISABLED) compiles the layer out
- * entirely: the API keeps its shape, but every operation is an empty
- * inline stub and UVOLT_TRACE_SCOPE expands to nothing.
+ * branch when telemetry is off. bench_all's
+ * BM_SweepInnerLoopTelemetryOff/On time the sweep inner loop with
+ * recording off and on (results/ext_telemetry.csv).
  *
  * Runtime enablement: off by default; on when the UVOLT_TELEMETRY
  * environment variable is ON/1/true at startup, or programmatically via
@@ -72,9 +70,6 @@ enum class FlowPoint : std::uint8_t
  * carried explicitly through queues; a worker installs it with
  * ContextScope so every span it opens joins the request's flow and
  * parents under the span that enqueued the work.
- *
- * Defined outside the compile-out guard: code that stores or passes a
- * TraceContext builds identically under -DUVOLT_TELEMETRY=OFF.
  */
 struct TraceContext
 {
@@ -149,8 +144,6 @@ struct MetricsSnapshot
     const HistogramSnapshot *histogram(std::string_view name) const;
 };
 
-#ifndef UVOLT_TELEMETRY_DISABLED
-
 namespace detail
 {
 
@@ -194,9 +187,6 @@ class Telemetry
     {
         detail::enabledFlag.store(on, std::memory_order_relaxed);
     }
-
-    /** Whether the layer is compiled in at all (UVOLT_TELEMETRY=ON). */
-    static constexpr bool compiledIn() { return true; }
 };
 
 class Registry;
@@ -432,94 +422,6 @@ class ContextScope
     ::uvolt::telemetry::TraceScope UVOLT_TELEMETRY_CAT(                 \
         uvoltTraceScope_, __LINE__) { __VA_ARGS__ }
 
-#else // UVOLT_TELEMETRY_DISABLED -------------------------------------
-
-/**
- * Compiled-out build (-DUVOLT_TELEMETRY=OFF): the whole API collapses
- * to empty inline stubs so instrumented call sites compile unchanged
- * and the optimizer erases them.
- */
-class Telemetry
-{
-  public:
-    static constexpr bool enabled() { return false; }
-    static void setEnabled(bool) {}
-    static constexpr bool compiledIn() { return false; }
-};
-
-class Counter
-{
-  public:
-    void add(std::uint64_t = 1) {}
-    void increment() {}
-};
-
-class Gauge
-{
-  public:
-    void set(double) {}
-};
-
-class Histogram
-{
-  public:
-    void observe(double) {}
-};
-
-class Registry
-{
-  public:
-    static Registry &global();
-    Counter &counter(std::string_view) { return counter_; }
-    Gauge &gauge(std::string_view) { return gauge_; }
-    Histogram &histogram(std::string_view, const std::vector<double> &)
-    {
-        return histogram_;
-    }
-    MetricsSnapshot metrics() const { return {}; }
-    std::vector<TraceEvent> traceEvents() const { return {}; }
-    void setThreadName(std::string) {}
-    std::vector<std::pair<std::uint32_t, std::string>>
-    threadNames() const
-    {
-        return {};
-    }
-    std::uint64_t nowNs() const { return 0; }
-    void recordSpan(const char *, std::uint64_t, std::uint64_t,
-                    TraceArgs = {})
-    {
-    }
-    std::uint64_t mintFlowId() { return 0; }
-    std::uint64_t recordFlowSpan(const char *, std::uint64_t,
-                                 std::uint64_t, const TraceContext &,
-                                 FlowPoint, TraceArgs = {})
-    {
-        return 0;
-    }
-    static TraceContext currentContext() { return {}; }
-    static TraceContext setCurrentContext(const TraceContext &)
-    {
-        return {};
-    }
-    void resetForTest() {}
-
-  private:
-    Counter counter_;
-    Gauge gauge_;
-    Histogram histogram_;
-};
-
-class ContextScope
-{
-  public:
-    explicit ContextScope(const TraceContext &) {}
-    ContextScope(const ContextScope &) = delete;
-    ContextScope &operator=(const ContextScope &) = delete;
-};
-
-#define UVOLT_TRACE_SCOPE(...) ((void)0)
-
-#endif // UVOLT_TELEMETRY_DISABLED
 
 /** Shorthand for Registry::global().nowNs(). */
 inline std::uint64_t

@@ -15,6 +15,7 @@
 #include "accel/vulnerability.hh"
 #include "accel/weight_image.hh"
 #include "data/synthetic.hh"
+#include "fpga/fault_domain.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "nn/trainer.hh"
@@ -93,7 +94,7 @@ TEST(WeightImageTest, RowsHoldWeightsThenPadding)
 {
     const WeightImage image(smallModel());
     const auto &layer0 = smallModel().layers[0];
-    const auto &rows = image.rowsOf(0);
+    const auto rows = fpga::unpackRows(image.wordsOf(0));
     ASSERT_EQ(rows.size(), static_cast<std::size_t>(fpga::bramRows));
     for (int r = 0; r < 32; ++r)
         EXPECT_EQ(rows[static_cast<std::size_t>(r)],
@@ -101,8 +102,8 @@ TEST(WeightImageTest, RowsHoldWeightsThenPadding)
 
     // The tail of each layer's last BRAM is zero-padded.
     const auto &spans = image.layerSpans();
-    const auto &last_bram_of_l0 =
-        image.rowsOf(spans[0].firstLogicalBram + spans[0].bramCount - 1);
+    const auto last_bram_of_l0 = fpga::unpackRows(
+        image.wordsOf(spans[0].firstLogicalBram + spans[0].bramCount - 1));
     const std::size_t used = spans[0].weightCount % weightsPerBram;
     if (used != 0) {
         for (std::size_t r = used; r < weightsPerBram; ++r)
@@ -113,9 +114,9 @@ TEST(WeightImageTest, RowsHoldWeightsThenPadding)
 TEST(WeightImageTest, DecodeIsInverseOfLayout)
 {
     const WeightImage image(smallModel());
-    std::vector<std::vector<std::uint16_t>> observed;
+    std::vector<std::vector<std::uint64_t>> observed;
     for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.rowsOf(b));
+        observed.push_back(image.wordsOf(b));
     const nn::QuantizedModel decoded = image.decode(observed);
     for (std::size_t l = 0; l < decoded.layers.size(); ++l)
         EXPECT_EQ(decoded.layers[l].weights,
@@ -125,10 +126,12 @@ TEST(WeightImageTest, DecodeIsInverseOfLayout)
 TEST(WeightImageTest, DecodeAppliesCorruption)
 {
     const WeightImage image(smallModel());
-    std::vector<std::vector<std::uint16_t>> observed;
+    std::vector<std::vector<std::uint64_t>> observed;
     for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.rowsOf(b));
-    observed[0][5] = static_cast<std::uint16_t>(observed[0][5] ^ 0x8000);
+        observed.push_back(image.wordsOf(b));
+    auto rows = fpga::unpackRows(observed[0]);
+    rows[5] = static_cast<std::uint16_t>(rows[5] ^ 0x8000);
+    observed[0] = fpga::packRows(rows);
     const nn::QuantizedModel decoded = image.decode(observed);
     EXPECT_NE(decoded.layers[0].weights[5],
               smallModel().layers[0].weights[5]);
@@ -137,9 +140,9 @@ TEST(WeightImageTest, DecodeAppliesCorruption)
 TEST(WeightImageTest, PaddingCorruptionIsIgnoredByDecode)
 {
     const WeightImage image(smallModel());
-    std::vector<std::vector<std::uint16_t>> observed;
+    std::vector<std::vector<std::uint64_t>> observed;
     for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.rowsOf(b));
+        observed.push_back(image.wordsOf(b));
 
     // Corrupt a padding row (beyond the layer's weight count) in the
     // last BRAM of layer 0.
@@ -147,7 +150,9 @@ TEST(WeightImageTest, PaddingCorruptionIsIgnoredByDecode)
     const std::size_t used = span.weightCount % weightsPerBram;
     if (used != 0) {
         auto &last = observed[span.firstLogicalBram + span.bramCount - 1];
-        last[used] = 0xFFFF;
+        auto rows = fpga::unpackRows(last);
+        rows[used] = 0xFFFF;
+        last = fpga::packRows(rows);
         const nn::QuantizedModel decoded = image.decode(observed);
         EXPECT_EQ(decoded.layers[0].weights,
                   smallModel().layers[0].weights);
@@ -179,9 +184,9 @@ TEST_P(TopologyLayout, SpansTileExactly)
     EXPECT_EQ(weights, net.totalWeights());
 
     // Decode of the pristine image is the identity.
-    std::vector<std::vector<std::uint16_t>> observed;
+    std::vector<std::vector<std::uint64_t>> observed;
     for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.rowsOf(b));
+        observed.push_back(image.wordsOf(b));
     const nn::QuantizedModel decoded = image.decode(observed);
     for (std::size_t l = 0; l < decoded.layers.size(); ++l) {
         EXPECT_EQ(decoded.layers[l].weights,

@@ -176,8 +176,6 @@ TEST(BenchRegistry, FilterSelectsSubset)
 
 TEST(BenchRegistry, CounterDeltasBracketTheTimedRepeats)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
     const BenchResult result =
         Registry::global().runOne("BM_TestCounted", quickOptions());
@@ -228,7 +226,8 @@ TEST(BenchJson, ParsesBackThroughTheRepoParser)
     EXPECT_EQ(machine.stringOr("digest", ""), row.machine.fingerprint());
     EXPECT_GE(machine.numberOr("cores", 0.0), 1.0);
     EXPECT_FALSE(machine.stringOr("compiler", "").empty());
-    EXPECT_TRUE(machine.at("telemetry_compiled_in").isBool());
+    EXPECT_TRUE(machine.at("telemetry_enabled").isBool());
+    EXPECT_EQ(machine.find("telemetry_compiled_in"), nullptr);
 
     const json::Value &metrics = root.at("metrics");
     ASSERT_EQ(metrics.members().size(), 4u);

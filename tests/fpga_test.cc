@@ -98,19 +98,19 @@ TEST(BramTest, RowsRoundTripThroughPackedPlane)
     Bram bram;
     for (int row = 0; row < bramRows; ++row)
         bram.writeRow(row, static_cast<std::uint16_t>(row * 2654435761u));
-    const std::vector<std::uint16_t> rows = bram.toRows();
+    const std::vector<std::uint16_t> rows = unpackRows(bram.words());
     ASSERT_EQ(rows.size(), static_cast<std::size_t>(bramRows));
     for (int row = 0; row < bramRows; row += 97)
         EXPECT_EQ(rows[static_cast<std::size_t>(row)], bram.readRow(row));
 
     Bram copy;
-    copy.assignRows(rows);
+    copy.assignWords(packRows(rows));
     EXPECT_TRUE(std::equal(copy.words().begin(), copy.words().end(),
                            bram.words().begin()));
 
     Bram packed;
     packed.assignWords(bram.words());
-    EXPECT_EQ(packed.toRows(), rows);
+    EXPECT_EQ(unpackRows(packed.words()), rows);
     EXPECT_EQ(packed.countOnes(), bram.countOnes());
 }
 

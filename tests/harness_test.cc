@@ -83,7 +83,8 @@ TEST(FaultAnalyzerTest, PackedDiffMatchesRowsDiff)
         written.writeRow(row, static_cast<std::uint16_t>(row * 40503u));
 
     // Corrupt a scatter of bits in both polarities.
-    std::vector<std::uint16_t> observed_rows = written.toRows();
+    std::vector<std::uint16_t> observed_rows =
+        fpga::unpackRows(written.words());
     for (int row = 0; row < fpga::bramRows; row += 67)
         observed_rows[static_cast<std::size_t>(row)] ^=
             static_cast<std::uint16_t>(1u << (row % 16));

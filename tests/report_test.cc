@@ -2,8 +2,8 @@
  * @file
  * Tests for the observability exporters and the provenance plumbing
  * underneath them: CSV quoting, JSON string escaping (through the
- * repo's own parser), histogram quantile interpolation and its
- * surfacing in the report JSON, Chrome-trace thread_name metadata,
+ * repo's own parser), histogram quantile interpolation, Prometheus
+ * name sanitizing, Chrome-trace thread_name metadata,
  * the exact span-profile fold (golden text, live spans, an 8-thread
  * churn, and a real campaign, each checked for exactness per thread),
  * the JSON parser's edge cases, and the run-provenance ledger
@@ -71,17 +71,19 @@ TEST(JsonEscaping, ControlAndQuoteCharacters)
     EXPECT_EQ(json::escaped(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST(JsonEscaping, MetricsJsonSurvivesHostileNames)
+TEST(PrometheusText, SanitizesHostileNames)
 {
+    // Every character outside [A-Za-z0-9_] becomes '_', so quotes,
+    // backslashes, newlines and separators can never break a sample
+    // line or forge another one.
     telemetry::MetricsSnapshot snapshot;
     snapshot.counters.emplace_back("weird \"name\"\\path\n", 7);
     snapshot.gauges.emplace_back("gauge,with\tcontrol", 1.5);
-    const auto doc = json::Value::parse(metricsJson(snapshot));
-    ASSERT_TRUE(doc.ok()) << doc.error().message;
-    const json::Value &counters = doc.value().at("counters");
-    ASSERT_EQ(counters.members().size(), 1u);
-    EXPECT_EQ(counters.members()[0].first, "weird \"name\"\\path\n");
-    EXPECT_DOUBLE_EQ(counters.members()[0].second.number(), 7.0);
+    EXPECT_EQ(prometheusText(snapshot),
+              "# TYPE uvolt_weird__name__path_ counter\n"
+              "uvolt_weird__name__path_ 7\n"
+              "# TYPE uvolt_gauge_with_control gauge\n"
+              "uvolt_gauge_with_control 1.5\n");
 }
 
 // --- histogram quantiles ------------------------------------------------
@@ -154,23 +156,6 @@ TEST(HistogramQuantile, ClampsOutOfRangeAndNanQ)
         h.quantile(0.0));
 }
 
-TEST(HistogramQuantile, SurfacesInReportJsonAndTable)
-{
-    telemetry::MetricsSnapshot snapshot;
-    snapshot.histograms.push_back(flatHistogram());
-    const auto doc = json::Value::parse(metricsJson(snapshot));
-    ASSERT_TRUE(doc.ok()) << doc.error().message;
-    const json::Value &h = doc.value().at("histograms").at("t");
-    EXPECT_NEAR(h.numberOr("p50", 0.0), 15.0, 1e-6);
-    EXPECT_NEAR(h.numberOr("p95", 0.0), 28.5, 1e-6);
-    EXPECT_NEAR(h.numberOr("p99", 0.0), 29.7, 1e-6);
-
-    std::ostringstream table;
-    metricsTable(snapshot).print(table);
-    EXPECT_NE(table.str().find("p95=28.5"), std::string::npos)
-        << table.str();
-}
-
 // --- Chrome trace metadata ----------------------------------------------
 
 TEST(ChromeTrace, EmitsProcessAndThreadNameMetadata)
@@ -207,8 +192,6 @@ TEST(ChromeTrace, NoMetadataWithoutThreadNames)
 
 TEST(ChromeTrace, PoolWorkersNameThemselves)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     bool done = false;
     {
         ThreadPool pool(1, "report-test-pool");
@@ -370,8 +353,6 @@ TEST(ProfilerFold, WriteFoldedMatchesText)
 
 TEST(ProfilerFold, ExactOnTelemetryOnCampaign)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn on;
     const FleetResult fleet =
         Campaign::onPlatform("ZC702").sweep(5).run().orFatal();
@@ -389,8 +370,6 @@ TEST(ProfilerFold, ExactOnTelemetryOnCampaign)
 
 TEST(Profiler, CapturesScriptedSpans)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn on;
     {
         UVOLT_TRACE_SCOPE("prof.outer");
@@ -414,8 +393,6 @@ TEST(Profiler, CapturesScriptedSpans)
 
 TEST(Profiler, EightThreadSpanChurn)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn on;
 
     [[maybe_unused]] static constexpr const char *names[] = {

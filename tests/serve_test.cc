@@ -1036,16 +1036,12 @@ expectServeFlowsWellFormed(std::size_t workers, std::size_t admitted)
 
 TEST(ServeObservability, RequestFlowsWellFormedAtAnyWorkerCount)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     for (std::size_t workers : {1u, 2u, 8u})
         expectServeFlowsWellFormed(workers, 6);
 }
 
 TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     // Capacity 1, the worker wedged in a blocked model provider and a
@@ -1103,8 +1099,6 @@ TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
 
 TEST(ServeObservability, DegradationTransitionDumpsBlackbox)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     const std::string dir = scratchDir("uvolt_serve_blackbox");
     flightrec::FlightRecorder::global().resetForTest();
 
@@ -1162,8 +1156,6 @@ TEST(ServeObservability, DegradationTransitionDumpsBlackbox)
 
 TEST(ServeObservability, DeadlineStormDumpsBlackbox)
 {
-    if (!telemetry::Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     const std::string dir = scratchDir("uvolt_serve_deadline_storm");
     flightrec::FlightRecorder::global().resetForTest();
 
@@ -1235,19 +1227,17 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     // 1 failure of 8 responses over a 0.5 budget = 1/4 burned.
     EXPECT_NEAR(report.errorBudgetBurn, (1.0 / 8.0) / 0.5, 1e-9);
     const std::string screen = report.render();
-    if (telemetry::Telemetry::compiledIn()) {
-        EXPECT_GT(report.e2eP99Ms, 0.0);
-        EXPECT_GT(report.classifyP50Ms, 0.0);
-        // Hot frames are folded from the recorded spans: both request
-        // classes show up, and the screen renders them.
-        std::set<std::string> hot;
-        for (const auto &frame : report.hotFrames)
-            hot.insert(frame.name);
-        EXPECT_TRUE(hot.count("serve.attempt")) << screen;
-        EXPECT_TRUE(hot.count("serve.classify")) << screen;
-        EXPECT_GT(report.profileNs, 0u);
-        EXPECT_NE(screen.find("hot frames"), std::string::npos);
-    }
+    EXPECT_GT(report.e2eP99Ms, 0.0);
+    EXPECT_GT(report.classifyP50Ms, 0.0);
+    // Hot frames are folded from the recorded spans: both request
+    // classes show up, and the screen renders them.
+    std::set<std::string> hot;
+    for (const auto &frame : report.hotFrames)
+        hot.insert(frame.name);
+    EXPECT_TRUE(hot.count("serve.attempt")) << screen;
+    EXPECT_TRUE(hot.count("serve.classify")) << screen;
+    EXPECT_GT(report.profileNs, 0u);
+    EXPECT_NE(screen.find("hot frames"), std::string::npos);
     EXPECT_NE(screen.find("state"), std::string::npos);
     EXPECT_NE(screen.find("normal"), std::string::npos);
     EXPECT_NE(screen.find("error budget"), std::string::npos);

@@ -87,8 +87,6 @@ expectWellNested(const std::vector<TraceEvent> &events)
 
 TEST(TelemetryTest, DisabledByDefaultAndCostFree)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     Registry::global().resetForTest();
     Telemetry::setEnabled(false);
 
@@ -110,8 +108,6 @@ TEST(TelemetryTest, DisabledByDefaultAndCostFree)
 
 TEST(TelemetryTest, CounterAggregationAcrossWorkers)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     constexpr int jobs = 64;
@@ -134,8 +130,6 @@ TEST(TelemetryTest, CounterAggregationAcrossWorkers)
 
 TEST(TelemetryTest, HistogramAggregationAcrossWorkers)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     auto &histogram = Registry::global().histogram(
@@ -166,8 +160,6 @@ TEST(TelemetryTest, HistogramAggregationAcrossWorkers)
 
 TEST(TelemetryTest, SpansAreWellNestedAcrossWorkers)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     ThreadPool pool(8);
@@ -194,9 +186,6 @@ TEST(TelemetryTest, SpansAreWellNestedAcrossWorkers)
 
 TEST(TelemetryTest, ChromeTraceJsonGoldenFile)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
-
     // Synthetic events with fixed timestamps: the serialized document is
     // byte-stable, so compare against the exact expected text.
     std::vector<TraceEvent> events;
@@ -229,8 +218,6 @@ TEST(TelemetryTest, ChromeTraceJsonGoldenFile)
 
 TEST(TelemetryTest, FleetTraceContainsNestedInstrumentation)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     auto result = harness::Campaign::onPlatform("ZC702")
@@ -294,8 +281,6 @@ TEST(TelemetryTest, FleetTraceContainsNestedInstrumentation)
 
 TEST(TelemetryTest, EnablingTelemetryDoesNotChangeSweepResults)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     const bool was = Telemetry::enabled();
 
     Telemetry::setEnabled(false);
@@ -327,8 +312,6 @@ TEST(TelemetryTest, EnablingTelemetryDoesNotChangeSweepResults)
 
 TEST(TelemetryTest, ResetForTestKeepsRegistrationsValid)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     auto &counter = Registry::global().counter("test.reset.counter");
@@ -348,8 +331,6 @@ TEST(TelemetryTest, ResetForTestKeepsRegistrationsValid)
 
 TEST(TelemetryTest, TraceDropCounterIsAlwaysReported)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     // Registered with the registry itself: present at 0 before any
@@ -370,8 +351,6 @@ TEST(TelemetryTest, TraceDropCounterIsAlwaysReported)
 
 TEST(TelemetryTest, OnlyScopedSpansAreMarkedScoped)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     {
@@ -390,8 +369,6 @@ TEST(TelemetryTest, OnlyScopedSpansAreMarkedScoped)
 
 TEST(TelemetryTest, MetricsSnapshotExporters)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
     Registry::global().counter("test.export.counter").add(5);
@@ -400,22 +377,24 @@ TEST(TelemetryTest, MetricsSnapshotExporters)
         .histogram("test.export.histogram", {1.0, 2.0})
         .observe(1.5);
 
-    const auto snapshot = Registry::global().metrics();
-    const std::string json = harness::metricsJson(snapshot);
-    EXPECT_NE(json.find("\"test.export.counter\": 5"), std::string::npos);
-    EXPECT_NE(json.find("\"test.export.gauge\": 0.750000"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"test.export.histogram\""), std::string::npos);
-
-    const TextTable table = harness::metricsTable(snapshot);
-    EXPECT_GE(table.rows(), 3u);
+    const std::string text =
+        harness::prometheusText(Registry::global().metrics());
+    for (const char *line :
+         {"# TYPE uvolt_test_export_counter counter\n"
+          "uvolt_test_export_counter 5\n",
+          "# TYPE uvolt_test_export_gauge gauge\n"
+          "uvolt_test_export_gauge 0.75\n",
+          "# TYPE uvolt_test_export_histogram histogram\n"
+          "uvolt_test_export_histogram_bucket{le=\"1\"} 0\n"
+          "uvolt_test_export_histogram_bucket{le=\"2\"} 1\n"
+          "uvolt_test_export_histogram_bucket{le=\"+Inf\"} 1\n"
+          "uvolt_test_export_histogram_sum 1.5\n"
+          "uvolt_test_export_histogram_count 1\n"})
+        EXPECT_NE(text.find(line), std::string::npos) << line << text;
 }
 
 TEST(TelemetryTest, FleetFlowLinkageWellFormedAtAnyWorkerCount)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
-
     // Each fleet job is one flow: a "fleet.submit" start on the
     // submitting thread, a queue-wait step and a "fleet.done" finish on
     // whichever worker ran it. The linkage must be closed at every
@@ -470,10 +449,14 @@ TEST(TelemetryTest, PrometheusExpositionGoldenFile)
 {
     // A synthetic snapshot (no live registry: other suites register
     // global metrics that would bleed into the document) rendered to
-    // the exact text-format bytes, cumulative buckets included.
+    // the exact text-format bytes, cumulative buckets included. Numbers
+    // print in their shortest round-trip form, so a gauge past six
+    // significant digits keeps every one.
     MetricsSnapshot snapshot;
     snapshot.counters = {{"serve.admitted", 3}};
-    snapshot.gauges = {{"serve.queue_depth", 2.0}};
+    snapshot.gauges = {{"serve.queue_depth", 2.0},
+                       {"serve.power_uw", 1234567.25},
+                       {"serve.rail_mv", 12345.678}};
     HistogramSnapshot histogram;
     histogram.name = "serve.e2e_ms";
     histogram.bounds = {0.5, 1.0, 2.0};
@@ -487,6 +470,10 @@ TEST(TelemetryTest, PrometheusExpositionGoldenFile)
         "uvolt_serve_admitted 3\n"
         "# TYPE uvolt_serve_queue_depth gauge\n"
         "uvolt_serve_queue_depth 2\n"
+        "# TYPE uvolt_serve_power_uw gauge\n"
+        "uvolt_serve_power_uw 1234567.25\n"
+        "# TYPE uvolt_serve_rail_mv gauge\n"
+        "uvolt_serve_rail_mv 12345.678\n"
         "# TYPE uvolt_serve_e2e_ms histogram\n"
         "uvolt_serve_e2e_ms_bucket{le=\"0.5\"} 1\n"
         "uvolt_serve_e2e_ms_bucket{le=\"1\"} 3\n"
@@ -539,8 +526,6 @@ TEST(TelemetryTest, FlowRecordsBindToSliceEnds)
 
 TEST(TelemetryTest, FlightRecorderDumpSchema)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     auto &recorder = flightrec::FlightRecorder::global();
     recorder.resetForTest();
 
@@ -588,8 +573,6 @@ TEST(TelemetryTest, FlightRecorderDumpSchema)
 
 TEST(TelemetryTest, FlightRecorderRingOverwritesOldest)
 {
-    if (!Telemetry::compiledIn())
-        GTEST_SKIP() << "telemetry compiled out";
     auto &recorder = flightrec::FlightRecorder::global();
     recorder.resetForTest();
 

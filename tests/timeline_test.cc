@@ -64,7 +64,6 @@ sampleRow(const std::string &run_id)
     row.machine.compiler = "13.2.0";
     row.machine.buildType = "RelWithDebInfo";
     row.machine.buildFlags = "-O2 -g -Wall \"-march=native\"";
-    row.machine.telemetryCompiledIn = true;
     row.machine.telemetryEnabled = true;
     row.machine.digest = row.machine.fingerprint();
     row.baseline = true;
@@ -114,6 +113,19 @@ TEST(TimelineRow, LegacyTopFramesStillParse)
     EXPECT_EQ(row.value().tool, "ext_serve");
     ASSERT_EQ(row.value().metrics.size(), 1u);
     EXPECT_EQ(row.value().metrics[0].first, "req_cost_ms");
+
+    // Its machine blocks also carry "telemetry_compiled_in", a field
+    // the build no longer has: ignored too, and the digest the row
+    // recorded is kept as written.
+    const auto seed = TimelineRow::fromJson(
+        "{\"schema\": \"uvolt-timeline-v2\", \"tool\": \"bench_all\", "
+        "\"machine\": {\"digest\": \"81649a3089a2e4d5\", \"cores\": 1, "
+        "\"telemetry_compiled_in\": true, \"telemetry_enabled\": false}}");
+    ASSERT_TRUE(seed.ok()) << seed.error().message;
+    EXPECT_EQ(seed.value().tool, "bench_all");
+    EXPECT_EQ(seed.value().machine.digest, "81649a3089a2e4d5");
+    EXPECT_EQ(seed.value().machine.cores, 1u);
+    EXPECT_FALSE(seed.value().machine.telemetryEnabled);
 }
 
 TEST(TimelineRow, RejectsWrongSchema)
@@ -158,13 +170,11 @@ TEST(Machine, DigestIsSharedInProcessAndTracksTelemetry)
     toggled.telemetryEnabled = !toggled.telemetryEnabled;
     EXPECT_NE(toggled.fingerprint(), first.digest);
 
-    if (telemetry::Telemetry::compiledIn()) {
-        const bool was = telemetry::Telemetry::enabled();
-        telemetry::Telemetry::setEnabled(!was);
-        const Machine flipped = TimelineRow::start("a", "one").machine;
-        telemetry::Telemetry::setEnabled(was);
-        EXPECT_NE(flipped.digest, first.digest);
-    }
+    const bool was = telemetry::Telemetry::enabled();
+    telemetry::Telemetry::setEnabled(!was);
+    const Machine flipped = TimelineRow::start("a", "one").machine;
+    telemetry::Telemetry::setEnabled(was);
+    EXPECT_NE(flipped.digest, first.digest);
 }
 
 TEST(Timeline, AppendThenLoadPreservesOrder)
