@@ -46,6 +46,7 @@
 #include "util/table.hh"
 #include "util/telemetry.hh"
 #include "util/thread_pool.hh"
+#include "study.hh"
 
 namespace
 {
@@ -476,13 +477,9 @@ writeTelemetryComparison(const std::vector<bench::BenchResult> &results)
     writeCsv(table, "results/ext_telemetry.csv");
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+declareFlags(CliParser &cli)
 {
-    CliParser cli("Unified benchmark suite; appends one perf-timeline "
-                  "row for scripts/check_perf.py");
     cli.addInt("repeats", 9, "timed repeats per benchmark");
     cli.addDouble("min-time-ms", 20.0,
                   "calibrated minimum time per repeat");
@@ -490,9 +487,12 @@ main(int argc, char **argv)
     cli.addBool("list", "list registered benchmarks and exit");
     cli.addString("timeline", harness::Timeline::defaultPath(),
                   "perf-timeline JSONL to append to (\"\" disables)");
-    if (!cli.tryParse(argc, argv).orFatal())
-        return 0;
+}
 
+} // namespace
+
+UVOLT_STUDY(bench_all, declareFlags)
+{
     if (cli.getBool("list")) {
         for (const auto &name : bench::Registry::global().names())
             std::printf("%s\n", name.c_str());

@@ -29,6 +29,7 @@
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
@@ -43,8 +44,7 @@ struct Shape
 
 } // namespace
 
-int
-main()
+UVOLT_STUDY(ext_ablation)
 {
     std::printf("# Extension: fault-model shape ablation "
                 "(Forest on ZC702 at Vcrash)\n\n");

@@ -17,11 +17,11 @@
 #include "power/dvfs.hh"
 #include "power/power_model.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(ext_dvfs)
 {
     std::printf("# Extension: DVFS vs constant-frequency BRAM "
                 "undervolting (Table III design on VC707)\n\n");

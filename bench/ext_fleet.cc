@@ -13,7 +13,8 @@
  * the Fig 4 patterns) three ways and reports:
  *  (a) wall-clock speedup of the ThreadPool fleet over the serial one
  *      (target: >= 3x on >= 4 cores),
- *  (b) byte-identity of every per-job sweep against the serial run,
+ *  (b) byte-identity of every per-job sweep against the serial run
+ *      (the exit code; the speedup never fails the run),
  *  (c) FvmCache traffic: a cold obtain() characterizes once per die,
  *      a warm one is served from memory/disk with the hit rate shown
  *      (read back from the telemetry registry, the same counters every
@@ -46,45 +47,13 @@
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-namespace
+UVOLT_STUDY(ext_fleet)
 {
-
-double
-msSince(const std::chrono::steady_clock::time_point &start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-bool
-sameFleet(const harness::FleetResult &a, const harness::FleetResult &b)
-{
-    if (a.jobs.size() != b.jobs.size())
-        return false;
-    for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-        const harness::SweepResult &p = a.jobs[i].sweep;
-        const harness::SweepResult &q = b.jobs[i].sweep;
-        if (p.points.size() != q.points.size())
-            return false;
-        for (std::size_t j = 0; j < p.points.size(); ++j) {
-            if (p.points[j].vccBramMv != q.points[j].vccBramMv ||
-                p.points[j].runCounts != q.points[j].runCounts ||
-                p.points[j].perBramFaults != q.points[j].perBramFaults)
-                return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-int
-main()
-{
+    const bool telemetry_on = telemetry::Telemetry::enabled();
     telemetry::Telemetry::setEnabled(true);
     const auto run_start = std::chrono::steady_clock::now();
     const std::size_t workers = ThreadPool::hardwareWorkers();
@@ -112,15 +81,15 @@ main()
     // --- (a) serial vs pooled wall-clock ---------------------------------
     auto serial_start = std::chrono::steady_clock::now();
     const harness::FleetResult serial = campaign.run().orFatal();
-    const double serial_ms = msSince(serial_start);
+    const double serial_ms = study::msSince(serial_start);
 
     ThreadPool pool(workers);
     auto parallel_start = std::chrono::steady_clock::now();
     const harness::FleetResult parallel = campaign.run(pool).orFatal();
-    const double parallel_ms = msSince(parallel_start);
+    const double parallel_ms = study::msSince(parallel_start);
 
     // --- (b) determinism across schedules --------------------------------
-    const bool identical = sameFleet(serial, parallel);
+    const bool identical = study::sameFleet(serial, parallel);
 
     TextTable table({"engine", "jobs", "wall-clock (ms)", "speedup",
                      "bit-identical"});
@@ -187,7 +156,7 @@ main()
                         })
                 .orFatal();
         }
-        const double ms = msSince(start);
+        const double ms = study::msSince(start);
         const auto after = cache_counters();
         const std::uint64_t mem = after[0] - before[0];
         const std::uint64_t disk = after[1] - before[1];
@@ -243,7 +212,7 @@ main()
 
     // --- perf timeline row ------------------------------------------------
     row.workers = workers;
-    row.durationMs = msSince(run_start);
+    row.durationMs = study::msSince(run_start);
     row.metrics = {{"serial_ms", serial_ms},
                    {"parallel_ms", parallel_ms},
                    {"speedup", serial_ms / parallel_ms}};
@@ -267,5 +236,8 @@ main()
                 ">= 4 cores with\nbit-identical sweeps, and the warm "
                 "cache must serve every die without a\nsingle "
                 "characterization sweep\n");
-    return identical && serial_ms / parallel_ms >= 1.0 ? 0 : 1;
+    // The speedup is a measurement (table, CSV, timeline row), not a
+    // verdict: a busy host may run the pool slower than the serial run.
+    telemetry::Telemetry::setEnabled(telemetry_on);
+    return identical ? 0 : 1;
 }

@@ -20,11 +20,11 @@
 #include "pmbus/board.hh"
 #include "power/power_model.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(ext_governor)
 {
     std::printf("# Extension: canary-based online Vmin tracking vs "
                 "temperature (VC707)\n\n");

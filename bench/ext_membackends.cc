@@ -32,6 +32,7 @@
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
@@ -40,39 +41,9 @@ namespace
 
 const char *const kFleet[] = {"VC707", "HBM2-A", "MORS-SRAM-A"};
 
-double
-msSince(const std::chrono::steady_clock::time_point &start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-bool
-sameFleet(const harness::FleetResult &a, const harness::FleetResult &b)
-{
-    if (a.jobs.size() != b.jobs.size())
-        return false;
-    for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-        const harness::SweepResult &p = a.jobs[i].sweep;
-        const harness::SweepResult &q = b.jobs[i].sweep;
-        if (p.points.size() != q.points.size())
-            return false;
-        for (std::size_t j = 0; j < p.points.size(); ++j) {
-            if (p.points[j].vccBramMv != q.points[j].vccBramMv ||
-                p.points[j].runCounts != q.points[j].runCounts ||
-                p.points[j].medianFaults != q.points[j].medianFaults ||
-                p.points[j].perBramFaults != q.points[j].perBramFaults)
-                return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
-int
-main()
+UVOLT_STUDY(ext_membackends)
 {
     harness::TimelineRow row = harness::TimelineRow::start(
         "ext_membackends", "ext_membackends;devices=3;patterns=2;sweep=9");
@@ -91,7 +62,7 @@ main()
     // --- (a) bit-identity across schedules -------------------------------
     auto serial_start = std::chrono::steady_clock::now();
     const harness::FleetResult serial = campaign.run().orFatal();
-    const double serial_ms = msSince(serial_start);
+    const double serial_ms = study::msSince(serial_start);
 
     ThreadPool one(1);
     const harness::FleetResult single = campaign.run(one).orFatal();
@@ -99,10 +70,10 @@ main()
     ThreadPool eight(8);
     auto parallel_start = std::chrono::steady_clock::now();
     const harness::FleetResult parallel = campaign.run(eight).orFatal();
-    const double parallel_ms = msSince(parallel_start);
+    const double parallel_ms = study::msSince(parallel_start);
 
     const bool identical =
-        sameFleet(serial, single) && sameFleet(serial, parallel);
+        study::sameFleet(serial, single) && study::sameFleet(serial, parallel);
     std::printf("schedules: serial %.1f ms, 8 workers %.1f ms "
                 "(%.2fx); 0/1/8-worker sweeps bit-identical: %s\n\n",
                 serial_ms, parallel_ms, serial_ms / parallel_ms,
@@ -139,7 +110,7 @@ main()
 
     // --- (c) perf timeline row --------------------------------------------
     row.workers = 8;
-    row.durationMs = msSince(run_start);
+    row.durationMs = study::msSince(run_start);
     row.metrics = {{"serial_ms", serial_ms},
                    {"parallel_ms", parallel_ms},
                    {"speedup", serial_ms / parallel_ms}};

@@ -25,11 +25,11 @@
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(ext_mitigation)
 {
     std::printf("# Extension: ICBP vs temporal voting vs TMR vs SECDED "
                 "(Forest on ZC702 at Vcrash)\n\n");

@@ -17,11 +17,11 @@
 #include "harness/temperature.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(ext_platforms)
 {
     std::printf("# Extension: undervolting on newer FPGA nodes "
                 "(projections, not measurements)\n\n");

@@ -22,6 +22,7 @@
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
@@ -41,29 +42,12 @@ timedSweep(pmbus::Board &board, harness::SweepResult &result)
 {
     const auto start = std::chrono::steady_clock::now();
     result = harness::runCriticalSweep(board, campaignOptions());
-    const auto stop = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(stop - start)
-        .count();
-}
-
-bool
-sameStatistics(const harness::SweepResult &a, const harness::SweepResult &b)
-{
-    if (a.points.size() != b.points.size())
-        return false;
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        if (a.points[i].vccBramMv != b.points[i].vccBramMv ||
-            a.points[i].runCounts != b.points[i].runCounts ||
-            a.points[i].perBramFaults != b.points[i].perBramFaults)
-            return false;
-    }
-    return true;
+    return study::msSince(start);
 }
 
 } // namespace
 
-int
-main()
+UVOLT_STUDY(ext_resilience)
 {
     std::printf("# Extension: harsh-environment resilience of the "
                 "Listing-1 campaign (ZC702)\n\n");
@@ -93,7 +77,7 @@ main()
 
         harness::SweepResult noisy;
         const double noisy_ms = timedSweep(board, noisy);
-        const bool identical = sameStatistics(reference, noisy);
+        const bool identical = study::sameSweep(reference, noisy);
 
         table.addRow({fmtPercent(p),
                       noisy.points.empty() ? "NO" : "yes",

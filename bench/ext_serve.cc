@@ -69,6 +69,7 @@
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
@@ -190,21 +191,9 @@ struct ClientLedger
     std::vector<double> latenciesMs; ///< successful requests only
 };
 
-double
-msSince(const std::chrono::steady_clock::time_point &start)
+void
+declareFlags(CliParser &cli)
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    CliParser cli("Serving-daemon soak: identity under fault storms, "
-                  "then closed-loop load with exactly-once accounting");
     cli.addInt("requests", 1200, "total requests in the load phase");
     cli.addInt("clients", 8, "closed-loop client threads");
     cli.addInt("workers", 4, "server worker threads");
@@ -227,14 +216,12 @@ main(int argc, char **argv)
                   "flame graph HTML (\"\" disables)");
     cli.addString("timeline", harness::Timeline::defaultPath(),
                   "perf-timeline JSONL to append to (\"\" disables)");
-    const auto parsed = cli.tryParse(argc, argv);
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "ext_serve: %s\n",
-                     parsed.error().message.c_str());
-        return 2;
-    }
-    if (!parsed.value())
-        return 0; // --help
+}
+
+} // namespace
+
+UVOLT_STUDY(ext_serve, declareFlags)
+{
     const auto requests =
         static_cast<std::uint64_t>(cli.getInt("requests"));
     const auto clients = static_cast<std::size_t>(cli.getInt("clients"));
@@ -364,7 +351,7 @@ main(int argc, char **argv)
                                          : classify.get().ok();
                 if (ok) {
                     ++ledger.okResponses;
-                    ledger.latenciesMs.push_back(msSince(start));
+                    ledger.latenciesMs.push_back(study::msSince(start));
                 } else {
                     ++ledger.errors;
                 }
@@ -384,7 +371,7 @@ main(int argc, char **argv)
             server.observeFaultPressure(0.0);
     }
     server.drain();
-    const double load_ms = msSince(load_start);
+    const double load_ms = study::msSince(load_start);
     const auto stats = server.stats();
     const std::size_t depth_after_drain = server.queueDepth();
     const serve::StatusReport status = server.statusReport();

@@ -17,11 +17,11 @@
 #include "nn/model_zoo.hh"
 #include "power/power_model.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(ext_vccint)
 {
     std::printf("# Extension: NN under VCCINT (datapath) undervolting, "
                 "VCCBRAM nominal\n\n");

@@ -12,11 +12,11 @@
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig01_guardband)
 {
     std::printf("# Fig 1: undervolting FPGA components, voltage regions\n");
     for (auto rail : {fpga::RailId::VccBram, fpga::RailId::VccInt}) {

@@ -14,11 +14,11 @@
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig03_voltage_sweep)
 {
     std::printf("# Fig 3: fault rate and BRAM power vs VCCBRAM "
                 "(pattern 16'hFFFF, median of 100 runs, 50 degC)\n");

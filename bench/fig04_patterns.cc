@@ -14,11 +14,11 @@
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig04_patterns)
 {
     std::printf("# Fig 4: data-pattern impact on the fault rate (VC707, "
                 "faults per Mbit)\n\n");

@@ -15,11 +15,11 @@
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig05_clustering)
 {
     std::printf("# Fig 5: clustering BRAMs into vulnerability classes "
                 "(VC707 at Vcrash = 0.54V)\n\n");

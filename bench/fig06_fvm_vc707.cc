@@ -16,11 +16,11 @@
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig06_fvm_vc707)
 {
     std::printf("# Fig 6: Fault Variation Map, VC707, Vmin=0.61V -> "
                 "Vcrash=0.54V\n\n");

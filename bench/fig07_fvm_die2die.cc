@@ -15,6 +15,7 @@
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
@@ -34,8 +35,7 @@ mapOf(const char *platform)
 
 } // namespace
 
-int
-main()
+UVOLT_STUDY(fig07_fvm_die2die)
 {
     std::printf("# Fig 7: FVMs of two identical KC705 samples at Vcrash "
                 "(die-to-die variation)\n");

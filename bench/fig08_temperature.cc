@@ -13,11 +13,11 @@
 #include "harness/temperature.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig08_temperature)
 {
     std::printf("# Fig 8: fault rate vs voltage vs on-board temperature "
                 "(faults per Mbit)\n");

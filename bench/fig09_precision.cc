@@ -13,11 +13,11 @@
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig09_precision)
 {
     std::printf("# Fig 9: minimum per-layer weight precision "
                 "(16-bit sign-magnitude fixed point)\n\n");

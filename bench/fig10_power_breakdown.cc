@@ -11,11 +11,11 @@
 
 #include "power/power_model.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig10_power_breakdown)
 {
     std::printf("# Fig 10: on-chip power breakdown of the NN design "
                 "(VC707)\n\n");

@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -22,11 +21,25 @@
 #include "pmbus/board.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+namespace
+{
+
+void
+declareFlags(CliParser &cli)
+{
+    cli.addInt("eval-limit", 4000,
+               "test images classified per point (0: all)");
+    cli.addInt("eval-workers", 0,
+               "thread-pool workers for batched evaluation (0: none)");
+}
+
+} // namespace
+
+UVOLT_STUDY(fig11_nn_error, declareFlags)
 {
     std::printf("# Fig 11: NN classification error vs VCCBRAM "
                 "(VC707, default placement)\n\n");
@@ -38,23 +51,17 @@ main()
     // The paper classifies all 10000 images at every point; we do the
     // fault-free baseline at 10000 and the sweep at 4000 per point to
     // keep the bench minutes-scale on one core (sampling error ~0.3%).
-    // UVOLT_EVAL_LIMIT overrides the per-point sample count (CI's
-    // batch-identity leg uses a small one) and UVOLT_EVAL_WORKERS fans
-    // the batched evaluation over a thread pool; both knobs are
-    // bit-identical to the defaults — the emitted CSV never changes.
-    std::size_t eval_limit = 4000;
-    if (const char *env = std::getenv("UVOLT_EVAL_LIMIT")) {
-        if (const long parsed = std::atol(env); parsed >= 1)
-            eval_limit = static_cast<std::size_t>(parsed);
-    }
+    // --eval-limit overrides the per-point sample count (CI's
+    // batch-identity leg uses a small one) and --eval-workers fans the
+    // batched evaluation over a thread pool; the CSV is bit-identical
+    // at any worker count, and at the default limit it is the golden.
     std::unique_ptr<ThreadPool> pool;
-    if (const char *env = std::getenv("UVOLT_EVAL_WORKERS")) {
-        if (const long parsed = std::atol(env); parsed >= 1)
-            pool = std::make_unique<ThreadPool>(
-                static_cast<std::size_t>(parsed));
-    }
-    const nn::EvalOptions eval{.limit = eval_limit, .batch = 0,
-                               .pool = pool.get()};
+    if (const long workers = cli.getInt("eval-workers"); workers >= 1)
+        pool = std::make_unique<ThreadPool>(
+            static_cast<std::size_t>(workers));
+    const nn::EvalOptions eval{
+        .limit = static_cast<std::size_t>(cli.getInt("eval-limit")),
+        .batch = 0, .pool = pool.get()};
 
     const auto &spec = fpga::findPlatform("VC707");
     pmbus::Board board(spec);

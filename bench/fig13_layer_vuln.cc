@@ -19,11 +19,11 @@
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(fig13_layer_vuln)
 {
     std::printf("# Fig 13: per-layer size, faults at Vcrash, and "
                 "normalized vulnerability (VC707 / MNIST)\n\n");

@@ -25,6 +25,7 @@
 #include "power/power_model.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
@@ -113,13 +114,17 @@ runCase(const BenchCase &bench, pmbus::Board &board,
                 (vcrash_errors[1] - inherent) * 100.0);
 }
 
+void
+declareFlags(CliParser &cli)
+{
+    cli.addBool("ablate", "also run the placement ablations");
+}
+
 } // namespace
 
-int
-main(int argc, char **argv)
+UVOLT_STUDY(fig14_icbp, declareFlags)
 {
-    const bool ablate =
-        argc > 1 && std::string(argv[1]) == "--ablate";
+    const bool ablate = cli.getBool("ablate");
     std::printf("# Fig 14: efficiency of ICBP for MNIST, Forest, and "
                 "Reuters on VC707%s\n", ablate ? " (with ablations)" : "");
 

@@ -10,11 +10,11 @@
 
 #include "fpga/platform.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(tab1_platforms)
 {
     std::printf("# Table I: specifications of tested FPGA platforms\n\n");
     TextTable table({"parameter", "VC707", "ZC702", "KC705-A", "KC705-B"});

@@ -13,11 +13,11 @@
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(tab2_stability)
 {
     std::printf("# Table II: fault stability over 100 consecutive runs "
                 "at Vcrash (16'hFFFF)\n\n");

@@ -11,11 +11,11 @@
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
 #include "util/table.hh"
+#include "study.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_STUDY(tab3_nn_spec)
 {
     std::printf("# Table III: detailed specification of the baseline "
                 "NN\n\n");

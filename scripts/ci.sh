@@ -60,9 +60,9 @@ echo "== perf gate: bench_all + ext_serve vs baseline and history =="
 # bench/timeline_seed.jsonl.
 perf_history="build/perf_history.jsonl"
 cp bench/timeline_seed.jsonl "$perf_history"
-./build/bench/bench_all --repeats 5 --min-time-ms 10 \
+./build/bench/uvolt_bench bench_all --repeats 5 --min-time-ms 10 \
     --timeline "$perf_history"
-./build/bench/ext_serve --timeline "$perf_history"
+./build/bench/uvolt_bench ext_serve --timeline "$perf_history"
 python3 scripts/check_perf.py "$perf_history"
 
 echo "== observability gate: trace flows, prometheus, blackboxes =="
@@ -74,7 +74,7 @@ echo "== observability gate: trace flows, prometheus, blackboxes =="
 # storm. scripts/check_trace.py is the structural gate over all three.
 obs_dir="build/obs"
 rm -rf "$obs_dir" && mkdir -p "$obs_dir"
-UVOLT_TELEMETRY=ON ./build/bench/ext_serve --noise --skip-identity \
+UVOLT_TELEMETRY=ON ./build/bench/uvolt_bench ext_serve --noise --skip-identity \
     --requests 300 --clients 4 \
     --trace-out "$obs_dir/trace.json" \
     --prom-out "$obs_dir/metrics.prom" \
@@ -93,7 +93,7 @@ mkdir -p "$fleet_obs_dir"
 (cd "$fleet_obs_dir" &&
     UVOLT_LEDGER_DIR="$fleet_obs_dir/ledger" \
     UVOLT_TIMELINE="$fleet_obs_dir/timeline.jsonl" \
-    "$OLDPWD/build/bench/ext_fleet" > /dev/null)
+    "$OLDPWD/build/bench/uvolt_bench" ext_fleet > /dev/null)
 python3 scripts/check_trace.py "$fleet_obs_dir/results/ext_fleet_trace.json" \
     --min-flows 24 \
     --prometheus "$fleet_obs_dir/results/ext_fleet_metrics.prom"
@@ -107,7 +107,7 @@ echo "== profiling leg: exact span profile, identity =="
 # and the setpoint layer must appear in it.
 prof_dir="build/prof"
 rm -rf "$prof_dir" && mkdir -p "$prof_dir"
-UVOLT_TELEMETRY=ON ./build/bench/ext_serve \
+UVOLT_TELEMETRY=ON ./build/bench/uvolt_bench ext_serve \
     --requests 100 --clients 2 \
     --profile-out "$prof_dir/profile_ext_serve.folded" \
     --flame-out "$prof_dir/profile_ext_serve.html" \
@@ -124,7 +124,7 @@ echo "== memory-backend fleet gate (ext_membackends) =="
 # and at 1 and 8 workers — the binary exits non-zero if any pair of
 # runs diverges — then pins the per-technology envelope table (Vmin,
 # Vcrash, guardband, faults/Mbit, power saving) to its committed golden.
-./build/bench/ext_membackends > /dev/null
+./build/bench/uvolt_bench ext_membackends > /dev/null
 cmp results/ext_membackends.csv goldens/ext_membackends.csv
 echo "mixed-technology fleet bit-identical; envelope CSV matches golden"
 
@@ -153,19 +153,13 @@ echo "perfbench characterize replay bit-identical to Campaign::run"
 
 echo "== golden figures byte-identity (all 22 fig/tab CSVs) =="
 # Regenerate every paper figure/table CSV from scratch and require each
-# to be byte-identical to its committed golden. The figure benches are
+# to be byte-identical to its committed golden. The figure studies are
 # deterministic (seeded RNG, shared model cache), so any diff is a real
 # behaviour change — this is the executable proof that the BRAM path
-# survives refactors bit-for-bit.
-export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
-for fig in fig01_guardband tab1_platforms fig03_voltage_sweep \
-        fig04_patterns tab2_stability fig05_clustering fig06_fvm_vc707 \
-        fig07_fvm_die2die fig08_temperature fig09_precision tab3_nn_spec \
-        fig10_power_breakdown fig11_nn_error fig13_layer_vuln \
-        fig14_icbp; do
-    ./build/bench/"$fig" > /dev/null
-done
-unset UVOLT_CACHE_DIR
+# survives refactors bit-for-bit. `uvolt_bench paper` runs every
+# fig/tab study of the registry in one process.
+UVOLT_CACHE_DIR="$PWD/uvolt_model_cache" \
+    ./build/bench/uvolt_bench paper > /dev/null
 python3 scripts/check_figures.py
 
 echo "== batched-evaluation identity check (fig11) =="
@@ -174,18 +168,18 @@ echo "== batched-evaluation identity check (fig11) =="
 # at batch 1 (the scalar-equivalent width) and once at batch 64 with a
 # 4-worker pool — and require byte-identical CSVs. A scratch directory
 # keeps the committed results/ untouched; the shared model cache avoids
-# retraining; a reduced UVOLT_EVAL_LIMIT keeps the leg seconds-scale
+# retraining; a reduced --eval-limit keeps the leg seconds-scale
 # (identity must hold at ANY limit, so a small one proves as much as
 # the full sweep).
 identity_dir="$(mktemp -d)"
 trap 'rm -rf "$identity_dir"' EXIT
 export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
 (cd "$identity_dir" && mkdir -p results &&
-    UVOLT_BATCH=1 UVOLT_EVAL_LIMIT=400 \
-        "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
+    UVOLT_BATCH=1 "$OLDPWD/build/bench/uvolt_bench" fig11_nn_error \
+        --eval-limit 400 > /dev/null &&
     mv results/fig11_nn_error.csv fig11_batch1.csv &&
-    UVOLT_BATCH=64 UVOLT_EVAL_LIMIT=400 UVOLT_EVAL_WORKERS=4 \
-        "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
+    UVOLT_BATCH=64 "$OLDPWD/build/bench/uvolt_bench" fig11_nn_error \
+        --eval-limit 400 --eval-workers 4 > /dev/null &&
     cmp results/fig11_nn_error.csv fig11_batch1.csv)
 unset UVOLT_CACHE_DIR
 echo "fig11 CSV byte-identical at batch 1 vs batch 64 + 4 workers"
@@ -198,7 +192,7 @@ ASAN_OPTIONS=detect_leaks=0 run_suite build-asan -DUVOLT_SANITIZE=ON
 # Sanitizer timings are not comparable to the plain baseline; run the
 # suite once (it must not crash under ASan) and gate warn-only.
 cp bench/timeline_seed.jsonl build-asan/perf_history.jsonl
-ASAN_OPTIONS=detect_leaks=0 ./build-asan/bench/bench_all \
+ASAN_OPTIONS=detect_leaks=0 ./build-asan/bench/uvolt_bench bench_all \
     --repeats 3 --min-time-ms 5 --timeline build-asan/perf_history.jsonl
 python3 scripts/check_perf.py --warn-only build-asan/perf_history.jsonl
 
@@ -251,9 +245,9 @@ echo "== serve soak: TSan + fault injector, exactly-once =="
 # Request count is sized so the leg stays around half a minute under
 # TSan's ~10x slowdown; latency rows are not gated here (sanitizer
 # timings are incomparable).
-cmake --build build-tsan -j "$jobs" --target ext_serve serve_test
+cmake --build build-tsan -j "$jobs" --target uvolt_bench serve_test
 ./build-tsan/tests/serve_test
-./build-tsan/bench/ext_serve --noise --skip-identity \
+./build-tsan/bench/uvolt_bench ext_serve --noise --skip-identity \
     --requests 800 --clients 6
 
 echo "== all suites passed =="

@@ -12,6 +12,7 @@
 #include "harness/checkpoint.hh"
 #include "harness/fvm_io.hh"
 #include "harness/ledger.hh"
+#include "mem/bram_backend.hh"
 #include "util/flight_recorder.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -226,9 +227,8 @@ std::string
 FvmCache::keyFor(const fpga::PlatformSpec &spec,
                  const PatternSpec &pattern, int runs_per_level)
 {
-    return strFormat("{}-{}-p{}-r{}", sanitized(spec.name),
-                     sanitized(spec.serialNumber),
-                     sanitized(pattern.label()), runs_per_level);
+    return keyForDevice(mem::bramDeviceTraits(spec), pattern,
+                        runs_per_level);
 }
 
 std::string
@@ -324,16 +324,6 @@ FvmCache::obtain(const fpga::PlatformSpec &spec,
     entries_.erase(key);
     ready_.notify_all();
     return produced.error();
-}
-
-Expected<void>
-FvmCache::store(const fpga::PlatformSpec &spec, const PatternSpec &pattern,
-                int runs_per_level, const Fvm &fvm)
-{
-    return storeKeyed(keyFor(spec, pattern, runs_per_level),
-                      fpga::Floorplan::columnGrid(spec.bramCount,
-                                                  spec.columnHeight),
-                      fvm);
 }
 
 Expected<void>

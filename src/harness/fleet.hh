@@ -226,15 +226,18 @@ class FvmCache
     /** Produce the map on a miss; recoverable failures propagate. */
     using Characterize = std::function<Expected<Fvm>()>;
 
-    /** Filesystem-safe cache key for one die + characterization shape. */
+    /**
+     * Filesystem-safe cache key for one die + characterization shape:
+     * keyForDevice() of the platform's BRAM traits.
+     */
     static std::string keyFor(const fpga::PlatformSpec &spec,
                               const PatternSpec &pattern,
                               int runs_per_level);
 
     /**
-     * Cache key of a non-BRAM memory device. Carries the technology
+     * Cache key of a memory device. Non-BRAM keys carry the technology
      * tag so an HBM map can never shadow a BRAM map; BRAM devices keep
-     * the untagged legacy keyFor() format (existing caches stay valid).
+     * the untagged legacy format (existing caches stay valid).
      */
     static std::string keyForDevice(const mem::DeviceTraits &traits,
                                     const PatternSpec &pattern,
@@ -251,16 +254,9 @@ class FvmCache
 
     /**
      * Publish an already-measured map (fleet engines feed the cache as
-     * a side effect of their sweeps). Overwrites memory + disk.
-     */
-    Expected<void> store(const fpga::PlatformSpec &spec,
-                         const PatternSpec &pattern, int runs_per_level,
-                         const Fvm &fvm);
-
-    /**
-     * Generic publication path store() delegates to: key and floorplan
-     * supplied by the caller, so any MemoryDevice backend can publish
-     * its per-domain map.
+     * a side effect of their sweeps). Overwrites memory + disk. Key
+     * and floorplan are supplied by the caller, so any MemoryDevice
+     * backend can publish its per-domain map.
      */
     Expected<void> storeKeyed(const std::string &key,
                               const fpga::Floorplan &floorplan,

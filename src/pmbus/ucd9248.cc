@@ -73,14 +73,6 @@ Ucd9248::currentPage() const
     return const_cast<Ucd9248 *>(this)->currentPage();
 }
 
-const RegulatorPage &
-Ucd9248::pageInfo(int index) const
-{
-    if (index < 0 || static_cast<std::size_t>(index) >= pages_.size())
-        fatal("UCD9248 page {} out of range", index);
-    return pages_[static_cast<std::size_t>(index)];
-}
-
 void
 Ucd9248::writeByte(Command command, std::uint8_t value)
 {

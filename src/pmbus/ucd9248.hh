@@ -77,11 +77,6 @@ class Ucd9248
     /** Currently selected page index. */
     int page() const { return page_; }
 
-    /** Direct page inspection for tests. */
-    const RegulatorPage &pageInfo(int index) const;
-
-    std::size_t pageCount() const { return pages_.size(); }
-
   private:
     RegulatorPage &currentPage();
     const RegulatorPage &currentPage() const;

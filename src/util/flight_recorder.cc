@@ -72,9 +72,8 @@ sanitizedReason(std::string_view reason)
 
 struct FlightRecorder::Impl
 {
-    mutable std::mutex mutex; ///< shard list, directory, dump list
+    mutable std::mutex mutex; ///< shard list, dump list
     std::vector<std::shared_ptr<Shard>> shards;
-    std::string directory = "results";
     std::vector<std::string> dumpPaths;
     std::atomic<std::uint64_t> nextSeq{1};
 
@@ -173,13 +172,8 @@ FlightRecorder::dump(std::string_view reason, const std::string &dir)
     if (events.empty())
         return "";
 
-    std::string base = dir;
-    if (base.empty()) {
-        std::lock_guard lock(impl_->mutex);
-        base = impl_->directory;
-    }
-    const std::string path =
-        base + "/blackbox_" + sanitizedReason(reason) + ".json";
+    const std::string path = (dir.empty() ? "results" : dir) +
+        "/blackbox_" + sanitizedReason(reason) + ".json";
 
     std::string out;
     out += "{\n";
@@ -206,20 +200,6 @@ FlightRecorder::dump(std::string_view reason, const std::string &dir)
     std::lock_guard lock(impl_->mutex);
     impl_->dumpPaths.push_back(path);
     return path;
-}
-
-void
-FlightRecorder::setDirectory(std::string dir)
-{
-    std::lock_guard lock(impl_->mutex);
-    impl_->directory = std::move(dir);
-}
-
-std::string
-FlightRecorder::directory() const
-{
-    std::lock_guard lock(impl_->mutex);
-    return impl_->directory;
 }
 
 std::vector<std::string>

@@ -83,16 +83,12 @@ class FlightRecorder
     std::uint64_t overwritten() const;
 
     /**
-     * Write the current snapshot as <dir>/blackbox_<reason>.json (the
-     * configured directory when @a dir is empty; reason is sanitized to
+     * Write the current snapshot as <dir>/blackbox_<reason>.json
+     * ("results" when @a dir is empty; reason is sanitized to
      * [a-z0-9_]). Returns the path written, or "" on failure or when
      * the ring is empty — an empty black box is noise, not evidence.
      */
     std::string dump(std::string_view reason, const std::string &dir = "");
-
-    /** Directory dump() writes into when not overridden (default "results"). */
-    void setDirectory(std::string dir);
-    std::string directory() const;
 
     /** Paths written by dump() in this process, oldest first. */
     std::vector<std::string> dumps() const;

@@ -20,10 +20,8 @@ namespace uvolt
  * tail), where poor seeding merges the tail clusters.
  */
 KMeansResult
-kMeans1d(const std::vector<double> &samples, std::size_t k,
-         std::size_t max_iterations)
+kMeans1d(const std::vector<double> &samples, std::size_t k)
 {
-    (void)max_iterations; // exact solver; kept for interface stability
     const std::size_t n = samples.size();
     if (k == 0 || k > n)
         fatal("kMeans1d: k={} invalid for {} samples", k, n);
@@ -89,7 +87,6 @@ kMeans1d(const std::vector<double> &samples, std::size_t k,
     }
 
     KMeansResult result;
-    result.iterations = 1;
     result.centroids.resize(k);
     result.sizes.assign(k, 0);
     result.clusterMeans.assign(k, 0.0);

@@ -31,9 +31,6 @@ struct KMeansResult
 
     /** Mean of the samples in each cluster (equals centroid at fixpoint). */
     std::vector<double> clusterMeans;
-
-    /** Lloyd iterations executed before convergence. */
-    std::size_t iterations = 0;
 };
 
 /**
@@ -48,10 +45,8 @@ struct KMeansResult
  *
  * @param samples input values (need not be sorted)
  * @param k number of clusters, 1 <= k <= samples.size()
- * @param max_iterations unused (exact solver); kept for API stability
  */
-KMeansResult kMeans1d(const std::vector<double> &samples, std::size_t k,
-                      std::size_t max_iterations = 200);
+KMeansResult kMeans1d(const std::vector<double> &samples, std::size_t k);
 
 } // namespace uvolt
 

@@ -17,15 +17,13 @@ namespace uvolt
 namespace
 {
 
-std::atomic<bool> quiet{false};
 std::atomic<bool> rateLimit{true};
 std::atomic<std::uint64_t> emittedTotal{0};
 std::atomic<std::uint64_t> suppressedTotal{0};
 
 // One process-wide lock so concurrent fleet workers' messages interleave
 // whole lines, never characters. fprintf to the same FILE* is not atomic
-// across platforms, and ThreadSanitizer flags the unsynchronized quiet
-// flag otherwise. The token buckets share it: log emission is far off
+// across platforms. The token buckets share it: log emission is far off
 // any hot path.
 std::mutex &
 logMutex()
@@ -156,18 +154,10 @@ void
 informImpl(std::string_view component, std::string_view message)
 {
     flightrec::note(flightrec::Level::info, component, message);
-    if (quiet.load(std::memory_order_relaxed))
-        return;
     emitTagged("info", component, message, /*throttle=*/true);
 }
 
 } // namespace detail
-
-void
-setQuiet(bool value)
-{
-    quiet.store(value, std::memory_order_relaxed);
-}
 
 LogStats
 logStats()

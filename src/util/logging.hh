@@ -7,7 +7,7 @@
  *  - fatal(): the caller asked for something impossible (user error);
  *    exits with status 1.
  *  - warn()/inform(): non-fatal status messages on stderr. The tagged
- *    variants warnc()/informc() name the emitting subsystem; every
+ *    variant warnc() names the emitting subsystem; every
  *    message (tagged or not) is also appended to the flight recorder
  *    (util/flight_recorder.hh), so a later black-box dump carries the
  *    full recent history even when stderr was rate-limited.
@@ -76,15 +76,6 @@ warn(std::string_view fmt, Args &&...args)
     detail::warnImpl("app", strFormat(fmt, std::forward<Args>(args)...));
 }
 
-/** Component-tagged informational message. */
-template <typename... Args>
-void
-informc(std::string_view component, std::string_view fmt, Args &&...args)
-{
-    detail::informImpl(component,
-                       strFormat(fmt, std::forward<Args>(args)...));
-}
-
 /** Informational status message on stderr. */
 template <typename... Args>
 void
@@ -93,9 +84,6 @@ inform(std::string_view fmt, Args &&...args)
     detail::informImpl("app",
                        strFormat(fmt, std::forward<Args>(args)...));
 }
-
-/** Suppress / restore inform() output (tests keep their logs quiet). */
-void setQuiet(bool quiet);
 
 /** Lines printed vs. swallowed by the per-component token bucket. */
 struct LogStats
