@@ -184,6 +184,19 @@ export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
 unset UVOLT_CACHE_DIR
 echo "fig11 CSV byte-identical at batch 1 vs batch 64 + 4 workers"
 
+echo "== second ISA: vectorized logsig and dequantize at AVX2 width =="
+# The batched engine's logsig loop is vectorized at whatever width the
+# target ISA offers; its bitwise match with the scalar logsig() spec
+# must hold at every width, not only at -march=native's. Pre-seeding the
+# -march=native check result OFF and building for x86-64-v3 (AVX2 +
+# FMA, no AVX-512) runs the 32-byte loop against the scalar spec, the
+# recorded expf answers, and the exhaustive fixed-point checks.
+cmake -B build/v3 -S . -DUVOLT_HAS_MARCH_NATIVE=OFF \
+    -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+cmake --build build/v3 -j "$jobs" --target nn_test fxp_test
+./build/v3/tests/nn_test --gtest_filter='Activations.*'
+./build/v3/tests/fxp_test
+
 echo "== tier 1: sanitized build (ASan + UBSan) =="
 # fatal() death tests exit(1) mid-flight by design; leak checking on
 # those intentional exits would drown the signal.

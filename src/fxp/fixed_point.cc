@@ -10,7 +10,8 @@ namespace uvolt::fxp
 {
 
 QFormat::QFormat(int digit_bits)
-    : digitBits_(digit_bits), fracBits_(wordBits - 1 - digit_bits)
+    : digitBits_(digit_bits), fracBits_(wordBits - 1 - digit_bits),
+      lsb_(std::ldexp(1.0, -fracBits_)), scale_(std::ldexp(1.0, fracBits_))
 {
     if (digit_bits < 0 || digit_bits > wordBits - 1)
         fatal("QFormat digit bits {} out of [0, {}]", digit_bits,
@@ -26,17 +27,17 @@ QFormat::maxMagnitude() const
 double
 QFormat::resolution() const
 {
-    return std::ldexp(1.0, -fracBits_);
+    return lsb_;
 }
 
 Word
 QFormat::quantize(double value) const
 {
     const bool negative = std::signbit(value);
-    double magnitude = std::abs(value);
-
-    double scaled = std::round(std::ldexp(magnitude, fracBits_));
-    const double max_scaled = std::ldexp(1.0, digitBits_ + fracBits_) - 1.0;
+    // Scaling by a power of two >= 1 is exact short of overflow, where
+    // it gives inf and saturates like any other too-large magnitude.
+    double scaled = std::round(std::abs(value) * scale_);
+    constexpr double max_scaled = (1u << signBit) - 1; // 15 magnitude bits
     if (scaled > max_scaled)
         scaled = max_scaled; // saturate
 
@@ -44,15 +45,6 @@ QFormat::quantize(double value) const
     if (negative && word != 0)
         word = withBit(word, signBit, true);
     return word;
-}
-
-double
-QFormat::dequantize(Word word) const
-{
-    const bool negative = getBit(word, signBit);
-    const Word magnitude = withBit(word, signBit, false);
-    double value = std::ldexp(static_cast<double>(magnitude), -fracBits_);
-    return negative ? -value : value;
 }
 
 std::string

@@ -58,8 +58,17 @@ class QFormat
     /** Quantize with round-to-nearest and saturation. */
     Word quantize(double value) const;
 
-    /** Reconstruct the real value a word encodes. */
-    double dequantize(Word word) const;
+    /**
+     * Reconstruct the real value a word encodes: the 15-bit magnitude
+     * times 2^-frac, negated when the sign bit is set. Exact, since the
+     * magnitude is below 2^15 and the scale is a power of two.
+     */
+    double
+    dequantize(Word word) const
+    {
+        const double value = static_cast<double>(word & 0x7fffu) * lsb_;
+        return (word >> signBit) != 0 ? -value : value;
+    }
 
     /** "s1.d4.f11"-style description used in Fig 9 reports. */
     std::string describe() const;
@@ -69,6 +78,8 @@ class QFormat
   private:
     int digitBits_;
     int fracBits_;
+    double lsb_;   ///< 2^-frac, one LSB
+    double scale_; ///< 2^frac, value to LSBs
 };
 
 /**

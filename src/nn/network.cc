@@ -1,8 +1,11 @@
 #include "nn/network.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "util/logging.hh"
@@ -51,10 +54,88 @@ defaultEvalBatch()
     return batch;
 }
 
+namespace
+{
+
+/*
+ * expf() is glibc 2.36's __expf_fma: the ARM optimized-routines expf
+ * with a 32-entry table, every multiply-add it contracts written as an
+ * explicit std::fma. With x * 32 / ln 2 = k + r, exp(x) = 2^(k/32) *
+ * 2^(r/32), the first factor from the table and the second from a
+ * cubic in r, all in double and rounded to float once.
+ */
+
+/** expTable[i] = bits(2^(i/32)) - (i << 47). Entry k % 32 plus
+ *  k << 47 is then bits(2^(k/32)): the low 5 bits of k cancel the
+ *  subtraction and the rest add k / 32 (rounded down) to the
+ *  exponent. */
+constexpr std::uint64_t expTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double expInvLn2N = 0x1.71547652b82fep+5; ///< 32 / ln 2
+constexpr double expShift = 0x1.8p+52; ///< rounds k into the low bits
+constexpr double expC0 = 0x1.c6af84b912394p-20;
+constexpr double expC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double expC2 = 0x1.62e42ff0c52d6p-6;
+constexpr float expOverflow = 0x1.62e42ep6f;   ///< above: +inf
+constexpr float expUnderflow = -0x1.9fe368p6f; ///< below: 0
+
+/**
+ * expf()'s body. Branch-free, so a loop over it vectorizes: every input
+ * runs the core, and the two range selects replace its result outside
+ * [expUnderflow, expOverflow], where the core gives garbage (but no
+ * trap and no out-of-range load). A NaN fails both compares and stays
+ * NaN through the core. Declared inline, unlike expf(): GCC does not
+ * inline a plain function this long, and a loop with a call in it stays
+ * scalar.
+ */
+inline float
+expInline(float x)
+{
+    const double xd = x;
+    const double zs = std::fma(expInvLn2N, xd, expShift);
+    const std::uint64_t ki = std::bit_cast<std::uint64_t>(zs);
+    const double kd = zs - expShift;
+    const double r = std::fma(expInvLn2N, xd, -kd);
+    const double s = std::bit_cast<double>(expTable[ki & 31] + (ki << 47));
+    const double y = std::fma(std::fma(expC0, r, expC1), r * r,
+                              std::fma(expC2, r, 1.0));
+    float e = static_cast<float>(y * s);
+    e = x > expOverflow ? std::numeric_limits<float>::infinity() : e;
+    e = x < expUnderflow ? 0.0f : e;
+    return e;
+}
+
+/** logsig()'s body, inlined into the engines' hidden-layer loops,
+ *  which GCC then vectorizes. */
+inline float
+logsigInline(float x)
+{
+    return 1.0f / (1.0f + expInline(-x));
+}
+
+} // namespace
+
+float
+expf(float x)
+{
+    return expInline(x);
+}
+
 float
 logsig(float x)
 {
-    return 1.0f / (1.0f + std::exp(-x));
+    return logsigInline(x);
 }
 
 void
@@ -65,7 +146,7 @@ softmaxInPlace(std::span<float> logits)
     const float peak = *std::max_element(logits.begin(), logits.end());
     float sum = 0.0f;
     for (auto &value : logits) {
-        value = std::exp(value - peak);
+        value = expf(value - peak);
         sum += value;
     }
     for (auto &value : logits)
@@ -293,7 +374,7 @@ Network::infer(std::span<const float> input) const
         layer.forward(activations, next);
         if (l + 1 < layerCount()) {
             for (auto &value : next)
-                value = logsig(value);
+                value = logsigInline(value);
         } else {
             softmaxInPlace(next);
         }
@@ -392,7 +473,7 @@ runBatchLayers(const Network &net, int batch, Scratch &a, Scratch &b)
                            std::span<float>(b.data(), out), batch);
         if (l + 1 < net.layerCount()) {
             for (std::size_t k = 0; k < out; ++k)
-                b[k] = logsig(b[k]);
+                b[k] = logsigInline(b[k]);
         }
         a.swap(b);
     }

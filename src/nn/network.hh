@@ -26,10 +26,23 @@ class ThreadPool;
 namespace uvolt::nn
 {
 
-/** Logistic sigmoid, the paper's hidden activation. */
+/**
+ * exp(x) in float, bit-identical to glibc 2.36's expf on an FMA host
+ * (checked on every finite float; see EXPERIMENTS.md). It is the
+ * repo's own, built from correctly rounded steps, so training and
+ * inference give the same bits whatever libm the host links.
+ */
+float expf(float x);
+
+/**
+ * Logistic sigmoid, the paper's hidden activation: 1 / (1 + expf(-x)).
+ * Both are branch-free, and the hidden-layer loops of infer() and the
+ * batched engine inline them and vectorize. Each vector lane does the
+ * IEEE operations of a scalar call, so the bits are the same.
+ */
 float logsig(float x);
 
-/** In-place softmax over a span of logits. */
+/** In-place softmax over a span of logits (through expf()). */
 void softmaxInPlace(std::span<float> logits);
 
 /** One dense (fully-connected) weight layer. */
@@ -124,10 +137,12 @@ struct EvalOptions
 
 /**
  * Evaluation batch width used when EvalOptions::batch is 0: the
- * UVOLT_BATCH environment variable when set (clamped to >= 1),
- * otherwise 64. Two full 32-column strips of the forwardBatch()
- * kernel; in BM_MnistEvalBatched, 32 and 64 measure within each
- * other's spread and 16 and 128 are slower (EXPERIMENTS.md).
+ * UVOLT_BATCH environment variable when std::atoi reads a positive
+ * value from it, otherwise 64. Any other value is not clamped: it
+ * warns once and falls back to 64. Two full 32-column strips of the
+ * forwardBatch() kernel; in BM_MnistEvalBatched, 32 and 64 measure
+ * within each other's spread and 16 and 128 are slower
+ * (EXPERIMENTS.md).
  */
 int defaultEvalBatch();
 

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "fxp/fixed_point.hh"
 #include "util/rng.hh"
@@ -93,6 +97,70 @@ TEST(QFormat, OneToZeroFlipsShrinkMagnitude)
             const Word flipped = withBit(word, bit, false);
             EXPECT_LE(std::abs(fmt.dequantize(flipped)),
                       std::abs(fmt.dequantize(word)));
+        }
+    }
+}
+
+/** Reference forms through std::ldexp, which quantize() and
+ *  dequantize() must match bit for bit. */
+Word
+ldexpQuantize(const QFormat &fmt, double value)
+{
+    double scaled =
+        std::round(std::ldexp(std::abs(value), fmt.fracBits()));
+    const double max_scaled =
+        std::ldexp(1.0, fmt.digitBits() + fmt.fracBits()) - 1.0;
+    if (scaled > max_scaled)
+        scaled = max_scaled;
+    Word word = static_cast<Word>(scaled);
+    if (std::signbit(value) && word != 0)
+        word = withBit(word, signBit, true);
+    return word;
+}
+
+double
+ldexpDequantize(const QFormat &fmt, Word word)
+{
+    const double value = std::ldexp(
+        static_cast<double>(withBit(word, signBit, false)), -fmt.fracBits());
+    return getBit(word, signBit) ? -value : value;
+}
+
+TEST(QFormat, DequantizeMatchesLdexpOnEveryWord)
+{
+    for (int digit = 0; digit < wordBits; ++digit) {
+        const QFormat fmt(digit);
+        for (std::uint32_t w = 0; w <= 0xffff; ++w) {
+            const Word word = static_cast<Word>(w);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(fmt.dequantize(word)),
+                      std::bit_cast<std::uint64_t>(
+                          ldexpDequantize(fmt, word)))
+                << fmt.describe() << " word " << w;
+        }
+    }
+}
+
+TEST(QFormat, QuantizeMatchesLdexpIncludingSaturation)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {
+        0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), 1e-300, 1e300,
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(), inf, -inf};
+    for (int digit = 0; digit < wordBits; ++digit) {
+        const QFormat fmt(digit);
+        std::vector<double> values(std::begin(specials), std::end(specials));
+        // Quarter-LSB steps from -1.25 to +1.25 times the format's range:
+        // every rounding tie, both signs, and saturation on either end.
+        const double step = fmt.resolution() / 4.0;
+        const int steps = 5 << signBit; // 1.25 x 2^15 LSBs, 4 per LSB
+        for (int k = -steps; k <= steps; ++k)
+            values.push_back(static_cast<double>(k) * step);
+        for (double value : values) {
+            ASSERT_EQ(fmt.quantize(value), ldexpQuantize(fmt, value))
+                << fmt.describe() << " value " << value;
         }
     }
 }

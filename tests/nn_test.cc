@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "data/synthetic.hh"
 #include "nn/model_zoo.hh"
@@ -30,6 +36,241 @@ TEST(Activations, Logsig)
     EXPECT_GT(logsig(10.0f), 0.9999f);
     EXPECT_LT(logsig(-10.0f), 0.0001f);
     EXPECT_NEAR(logsig(1.0f), 0.7310586f, 1e-6f);
+}
+
+std::uint32_t
+bitsOf(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
+
+TEST(Activations, ExpfMatchesRecordedGlibcAnswers)
+{
+    // expf() results recorded from glibc 2.36's expf on an FMA host.
+    // A fixed table, so the check does not depend on the libm this test
+    // runs against. It covers the overflow edge, the float-min and
+    // subnormal range, the underflow edge, and the fused steps.
+    struct Answer
+    {
+        float x;
+        std::uint32_t bits;
+    };
+    const Answer answers[] = {
+        {0x0p+0f, 0x3f800000},          // 1
+        {0x1p+0f, 0x402df854},          // e
+        {-0x1p+0f, 0x3ebc5ab2},         // 1/e
+        {0x1p-1f, 0x3fd3094c},
+        {0x1p-30f, 0x3f800000},
+        {0x1.921fb6p+1f, 0x41b92025},   // exp(pi)
+        {0x1.4p+3f, 0x46ac14ee},        // exp(10)
+        {-0x1.4p+3f, 0x383e6bce},       // exp(-10)
+        {0x1.5p+5f, 0x5dc1192b},
+        {-0x1.94p+5f, 0x1b0d6cfa},
+        {-0x1.5d58ap+6f, 0x007fffe6},   // just below FLT_MIN
+        {-0x1.9p+6f, 0x0000001b},       // exp(-100), subnormal
+        {0x1.62e42ep+6f, 0x7f7fff84},   // largest finite result
+        {0x1.62e43p+6f, 0x7f800000},    // overflows to +inf
+        {-0x1.9d1d9ep+6f, 0x00000001},  // smallest subnormal
+        {-0x1.9fe368p+6f, 0x00000001},  // last input above 0
+        {-0x1.9fe36ap+6f, 0x00000000},  // underflows to 0
+        // The only two inputs where the same algorithm with no step
+        // fused (glibc's non-FMA variant) rounds to another float.
+        {0x1.04845ep+5f, 0x56fc9f1c},
+        {-0x1.f8cbb2p+5f, 0x11fa2993},
+    };
+    for (const Answer &answer : answers)
+        EXPECT_EQ(bitsOf(expf(answer.x)), answer.bits)
+            << std::hexfloat << answer.x;
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(expf(inf), inf);
+    EXPECT_EQ(bitsOf(expf(-inf)), 0u);
+    EXPECT_TRUE(std::isnan(expf(std::numeric_limits<float>::quiet_NaN())));
+}
+
+TEST(Activations, ExpfDigestMatchesRecordedGlibcDigest)
+{
+    // The answers above reach 7 of the 32 table entries. This FNV-1a
+    // digest of expf() over every 4099th non-NaN bit pattern (1,043,716
+    // inputs, 68,046 of them with 2^-10 < |x| < 104) reaches all
+    // of them; it was recorded from glibc 2.36's expf.
+    std::uint64_t digest = 0xcbf29ce484222325;
+    for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
+         bits += 4099) {
+        const float x = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+        if (!std::isnan(x))
+            digest = (digest ^ bitsOf(expf(x))) * 0x100000001b3;
+    }
+    EXPECT_EQ(digest, 0xce7ae8323610f809u);
+}
+
+constexpr int probeClasses = 129;
+
+/**
+ * A 1 x lanes x 129 network that shows the hidden activations it
+ * computes in its class distribution, to one ulp. Each input x reaches
+ * all @a lanes hidden neurons unchanged (weight 1, bias -0), so every
+ * hidden activation h is logsig(x). Class 0 has logit 0, and class
+ * c >= 1 reads hidden neuron c % lanes and has logit -2^(c-1) h. The
+ * peak logit is then 0, and for every h one class scales it into
+ * [-64, -32), or by 2^127 when h is below 2^-122. There an ulp of h
+ * moves that logit by 2^-22 or more and its probability by several
+ * ulps (ProbeSeesOneUlpOfTheActivation checks this).
+ */
+Network
+activationProbe(int lanes)
+{
+    Network probe({1, lanes, probeClasses});
+    for (int j = 0; j < lanes; ++j) {
+        probe.layer(0).setWeight(j, 0, 1.0f);
+        probe.layer(0).setBias(j, -0.0f);
+    }
+    for (int c = 1; c < probeClasses; ++c)
+        probe.layer(1).setWeight(c, c % lanes, -std::ldexp(1.0f, c - 1));
+    return probe;
+}
+
+/** The probe's class distribution when every hidden activation is @a h,
+ *  through the scalar DenseLayer::forward() and softmaxInPlace(). */
+void
+probeOutput(const Network &probe, float h, std::vector<float> &probs)
+{
+    const std::vector<float> hidden(
+        static_cast<std::size_t>(probe.layerSizes()[1]), h);
+    probs.resize(probeClasses);
+    probe.layer(1).forward(hidden, probs);
+    softmaxInPlace(probs);
+}
+
+/** Bit for bit, except that any NaN matches any NaN. */
+bool
+sameFloat(float a, float b)
+{
+    return bitsOf(a) == bitsOf(b) || (std::isnan(a) && std::isnan(b));
+}
+
+/**
+ * Run @a inputs through the probe's batched engine, whose hidden-layer
+ * loop covers lanes x batch activations at once and is vectorized, and
+ * expect each sample's distribution to equal probeOutput() of the
+ * scalar logsig() bit for bit. With @a also_infer, expect the same of
+ * infer(), whose hidden-layer loop covers the lanes of one sample.
+ */
+void
+expectProbeMatchesScalarLogsig(const std::vector<float> &inputs, int lanes,
+                               bool also_infer = false)
+{
+    const Network probe = activationProbe(lanes);
+    constexpr std::size_t chunk = 4096;
+    std::vector<float> probs, spec;
+    for (std::size_t first = 0; first < inputs.size(); first += chunk) {
+        const std::size_t batch = std::min(chunk, inputs.size() - first);
+        probs.resize(probeClasses * batch);
+        probe.inferBatch(std::span<const float>(inputs).subspan(first, batch),
+                         probs, static_cast<int>(batch));
+        for (std::size_t s = 0; s < batch; ++s) {
+            const float x = inputs[first + s];
+            probeOutput(probe, logsig(x), spec);
+            for (std::size_t c = 0; c < spec.size(); ++c) {
+                if (!sameFloat(probs[s * probeClasses + c], spec[c]))
+                    FAIL() << "x=" << std::hexfloat << x << ", class " << c
+                           << ", " << lanes << " lanes, batch " << batch;
+            }
+            if (!also_infer)
+                continue;
+            const auto scalar = probe.infer(std::span<const float>(&x, 1));
+            for (std::size_t c = 0; c < spec.size(); ++c) {
+                if (!sameFloat(scalar[c], spec[c]))
+                    FAIL() << "infer, x=" << std::hexfloat << x << ", class "
+                           << c << ", " << lanes << " lanes";
+            }
+        }
+    }
+}
+
+/** The inputs where the range selects and the core meet, with their
+ *  float neighbours. */
+std::vector<float>
+logsigEdgeInputs()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> edges = {
+        0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::min(), -std::numeric_limits<float>::min(),
+        0x1.234p-140f, -0x1.234p-140f, 80.0f, -80.0f, 88.72283f, -88.72283f,
+        103.27892f, -103.27892f, 103.97207f, -103.97207f,
+        std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+    };
+    std::vector<float> inputs;
+    for (float edge : edges) {
+        inputs.push_back(edge);
+        if (std::isfinite(edge)) {
+            inputs.push_back(std::nextafter(edge, inf));
+            inputs.push_back(std::nextafter(edge, -inf));
+        }
+    }
+    return inputs;
+}
+
+/** Every @a stride-th of the 2^32 bit patterns, then the edge inputs.
+ *  An odd stride visits both signs, every exponent and NaN payloads. */
+std::vector<float>
+sweepInputs(std::uint64_t stride)
+{
+    std::vector<float> inputs;
+    for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
+         bits += stride)
+        inputs.push_back(std::bit_cast<float>(
+            static_cast<std::uint32_t>(bits)));
+    const auto edges = logsigEdgeInputs();
+    inputs.insert(inputs.end(), edges.begin(), edges.end());
+    return inputs;
+}
+
+TEST(Activations, ProbeSeesOneUlpOfTheActivation)
+{
+    // Without this the two tests below could pass with a vectorized
+    // logsig that is off by an ulp.
+    const Network probe = activationProbe(1);
+    std::vector<float> spec, moved;
+    for (float x : sweepInputs(131071)) {
+        const float h = logsig(x);
+        if (std::isnan(h))
+            continue;
+        probeOutput(probe, h, spec);
+        for (float off :
+             {std::nextafter(h, -1.0f), std::nextafter(h, 2.0f)}) {
+            probeOutput(probe, off, moved);
+            ASSERT_NE(moved, spec) << "x=" << std::hexfloat << x
+                                   << ", h=" << h;
+        }
+    }
+}
+
+TEST(Activations, BatchedLogsigMatchesScalarOnStridedSweep)
+{
+    // Every 16411th bit pattern (261,713 of them) and the edges, 4096
+    // samples a batch.
+    expectProbeMatchesScalarLogsig(sweepInputs(16411), 1);
+}
+
+TEST(Activations, LogsigLoopsMatchScalarAtEveryShortLength)
+{
+    // Loops of 1..67 activations run every vector width's epilogue: the
+    // batched engine's at batch 1..67 with one lane, infer()'s at 1..67
+    // lanes.
+    const auto edges = logsigEdgeInputs();
+    std::vector<float> pool;
+    for (int k = 0; k < 67; ++k)
+        pool.push_back(edges[static_cast<std::size_t>(k) % edges.size()] *
+                       (k % 3 == 0 ? 1.0f : 0.37f * static_cast<float>(k)));
+    for (int length = 1; length <= 67; ++length) {
+        expectProbeMatchesScalarLogsig(
+            std::vector<float>(pool.begin(), pool.begin() + length), 1);
+        expectProbeMatchesScalarLogsig(edges, length, true);
+    }
 }
 
 TEST(Activations, SoftmaxNormalizesAndOrders)
