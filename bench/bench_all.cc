@@ -137,8 +137,8 @@ UVOLT_BENCHMARK(BM_DeviceFaultCountFirstOfEpoch)
     board.softReset();
 }
 
-/** A random 0.5 fill of the whole VC707 pool: one Rng::fillBernoulli
- *  stream and one epoch bump per BRAM. */
+/** A random 0.5 fill of the whole VC707 pool: one stream and one epoch
+ *  bump per BRAM, 16 streams per fillBernoulliStreams pass. */
 UVOLT_BENCHMARK(BM_RandomFillVc707)
 {
     auto &board = vc707();

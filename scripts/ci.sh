@@ -184,18 +184,23 @@ export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
 unset UVOLT_CACHE_DIR
 echo "fig11 CSV byte-identical at batch 1 vs batch 64 + 4 workers"
 
-echo "== second ISA: vectorized logsig and dequantize at AVX2 width =="
-# The batched engine's logsig loop is vectorized at whatever width the
-# target ISA offers; its bitwise match with the scalar logsig() spec
-# must hold at every width, not only at -march=native's. Pre-seeding the
+echo "== second ISA: vectorized logsig, dequantize and fill at AVX2 width =="
+# The batched engine's logsig loop and the 16-stream Bernoulli fill are
+# vectorized at whatever width the target ISA offers; their bitwise
+# match with the scalar specs (logsig(), Rng::fillBernoulli) must hold
+# at every width, not only at -march=native's. Pre-seeding the
 # -march=native check result OFF and building for x86-64-v3 (AVX2 +
-# FMA, no AVX-512) runs the 32-byte loop against the scalar spec, the
-# recorded expf answers, and the exhaustive fixed-point checks.
+# FMA, no AVX-512 multiplies or rotates) runs the 32-byte loops against
+# the scalar specs, the recorded expf answers, the exhaustive
+# fixed-point checks, and the fill at kernel and device level.
 cmake -B build/v3 -S . -DUVOLT_HAS_MARCH_NATIVE=OFF \
     -DCMAKE_CXX_FLAGS=-march=x86-64-v3
-cmake --build build/v3 -j "$jobs" --target nn_test fxp_test
+cmake --build build/v3 -j "$jobs" \
+    --target nn_test fxp_test util_test harness_test
 ./build/v3/tests/nn_test --gtest_filter='Activations.*'
 ./build/v3/tests/fxp_test
+./build/v3/tests/util_test --gtest_filter='Rng.*'
+./build/v3/tests/harness_test --gtest_filter='PatternSpecTest.*'
 
 echo "== tier 1: sanitized build (ASan + UBSan) =="
 # fatal() death tests exit(1) mid-flight by design; leak checking on

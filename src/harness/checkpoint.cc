@@ -1,9 +1,12 @@
 #include "harness/checkpoint.hh"
 
+#include <charconv>
+#include <cmath>
+#include <concepts>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <string_view>
 
 #include "util/fsio.hh"
 #include "util/logging.hh"
@@ -17,24 +20,111 @@ namespace
 
 constexpr const char *magicLine = "uvolt-sweep-checkpoint v1";
 
+// Checkpoint text is built in one string. Integers print through
+// std::to_chars. Doubles print as %.17g, which is what an ostream at
+// setprecision(17) prints, so the bytes match files written through
+// iostreams.
+
+template <std::integral T>
 void
-writeDoubles(std::ostream &out, const char *key,
-             const std::vector<double> &values)
+appendValue(std::string &out, T value)
 {
-    out << key << ' ' << values.size();
-    for (double v : values)
-        out << ' ' << v;
-    out << '\n';
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 void
-writeInts(std::ostream &out, const char *key,
-          const std::vector<int> &values)
+appendValue(std::string &out, double value)
 {
-    out << key << ' ' << values.size();
-    for (int v : values)
-        out << ' ' << v;
-    out << '\n';
+    // Most doubles in a checkpoint are per-run fault counts. %.17g
+    // prints an integer below 1e17 as its plain digits, so those take
+    // the integer path. The rest go through snprintf, the engine the
+    // iostream writer used: std::to_chars with a precision would page
+    // in ~280 KB of libstdc++ tables and code that nothing else uses.
+    if (value == std::trunc(value) && std::abs(value) < 1e17 &&
+        !(value == 0.0 && std::signbit(value))) {
+        appendValue(out, static_cast<std::int64_t>(value));
+        return;
+    }
+    char buf[32];
+    const int length = std::snprintf(buf, sizeof buf, "%.17g", value);
+    out.append(buf, static_cast<std::size_t>(length));
+}
+
+void
+appendValue(std::string &out, std::string_view text)
+{
+    out += text;
+}
+
+/** "key v1 v2 ...\n" */
+template <typename... Values>
+void
+appendLine(std::string &out, std::string_view key, const Values &...values)
+{
+    out += key;
+    ((out += ' ', appendValue(out, values)), ...);
+    out += '\n';
+}
+
+/** A counted list: "key n v1 ... vn\n" */
+template <typename T>
+void
+appendList(std::string &out, std::string_view key,
+           const std::vector<T> &values)
+{
+    out += key;
+    out += ' ';
+    appendValue(out, values.size());
+    for (T v : values) {
+        out += ' ';
+        appendValue(out, v);
+    }
+    out += '\n';
+}
+
+/** The checkpoint's text, sized up front from its list lengths. */
+std::string
+formatCheckpoint(const SweepCheckpoint &checkpoint)
+{
+    std::size_t doubles = checkpoint.currentRunCounts.size();
+    std::size_t ints = 0;
+    for (const auto &point : checkpoint.completedPoints) {
+        doubles += point.runCounts.size() + 4;
+        ints += point.perBramFaults.size();
+    }
+    std::string out;
+    out.reserve(512 + 25 * doubles + 12 * ints +
+                100 * checkpoint.completedPoints.size());
+
+    appendLine(out, magicLine);
+    appendLine(out, "valid", checkpoint.valid ? 1 : 0);
+    appendLine(out, "platform", std::string_view(checkpoint.platform));
+    if (checkpoint.pattern.kind == PatternSpec::Kind::Fixed)
+        appendLine(out, "pattern fixed", checkpoint.pattern.word);
+    else
+        appendLine(out, "pattern random", checkpoint.pattern.oneDensity,
+                   checkpoint.pattern.seed);
+    appendLine(out, "ambientC", checkpoint.ambientC);
+    appendLine(out, "runsPerLevel", checkpoint.runsPerLevel);
+    appendLine(out, "stepMv", checkpoint.stepMv);
+    appendLine(out, "fromMv", checkpoint.fromMv);
+    appendLine(out, "downToMv", checkpoint.downToMv);
+    appendLine(out, "currentLevelMv", checkpoint.currentLevelMv);
+    appendLine(out, "runsStarted", checkpoint.runsStarted);
+    appendList(out, "currentRunCounts", checkpoint.currentRunCounts);
+    appendLine(out, "points", checkpoint.completedPoints.size());
+    for (const auto &point : checkpoint.completedPoints) {
+        appendLine(out, "point", point.vccBramMv);
+        appendList(out, "runCounts", point.runCounts);
+        appendLine(out, "medianFaults", point.medianFaults);
+        appendLine(out, "faultsPerMbit", point.faultsPerMbit);
+        appendLine(out, "bramPowerW", point.bramPowerW);
+        appendLine(out, "oneToZeroFraction", point.oneToZeroFraction);
+        appendList(out, "perBramFaults", point.perBramFaults);
+    }
+    appendLine(out, "end");
+    return out;
 }
 
 /** Read one expected keyword; badCheckpoint otherwise. */
@@ -96,35 +186,8 @@ readInts(std::istream &in, const char *key)
 void
 saveCheckpoint(const SweepCheckpoint &checkpoint, std::ostream &out)
 {
-    out << magicLine << '\n';
-    out << std::setprecision(17);
-    out << "valid " << (checkpoint.valid ? 1 : 0) << '\n';
-    out << "platform " << checkpoint.platform << '\n';
-    if (checkpoint.pattern.kind == PatternSpec::Kind::Fixed) {
-        out << "pattern fixed " << checkpoint.pattern.word << '\n';
-    } else {
-        out << "pattern random " << checkpoint.pattern.oneDensity << ' '
-            << checkpoint.pattern.seed << '\n';
-    }
-    out << "ambientC " << checkpoint.ambientC << '\n';
-    out << "runsPerLevel " << checkpoint.runsPerLevel << '\n';
-    out << "stepMv " << checkpoint.stepMv << '\n';
-    out << "fromMv " << checkpoint.fromMv << '\n';
-    out << "downToMv " << checkpoint.downToMv << '\n';
-    out << "currentLevelMv " << checkpoint.currentLevelMv << '\n';
-    out << "runsStarted " << checkpoint.runsStarted << '\n';
-    writeDoubles(out, "currentRunCounts", checkpoint.currentRunCounts);
-    out << "points " << checkpoint.completedPoints.size() << '\n';
-    for (const auto &point : checkpoint.completedPoints) {
-        out << "point " << point.vccBramMv << '\n';
-        writeDoubles(out, "runCounts", point.runCounts);
-        out << "medianFaults " << point.medianFaults << '\n';
-        out << "faultsPerMbit " << point.faultsPerMbit << '\n';
-        out << "bramPowerW " << point.bramPowerW << '\n';
-        out << "oneToZeroFraction " << point.oneToZeroFraction << '\n';
-        writeInts(out, "perBramFaults", point.perBramFaults);
-    }
-    out << "end\n";
+    const std::string text = formatCheckpoint(checkpoint);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void
@@ -135,11 +198,7 @@ saveCheckpointFile(const SweepCheckpoint &checkpoint,
         return telemetry::TraceArgs{{"path", path}};
     });
     telemetry::Registry::global().counter("checkpoint.saves").increment();
-    std::ostringstream buffer;
-    saveCheckpoint(checkpoint, buffer);
-    if (!buffer.good())
-        fatal("I/O error serializing checkpoint for '{}'", path);
-    if (auto written = writeFileAtomic(path, buffer.str(),
+    if (auto written = writeFileAtomic(path, formatCheckpoint(checkpoint),
                                        Errc::badCheckpoint);
         !written.ok())
         fatal("{}", written.error().message);

@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "harness/checkpoint.hh"
 #include "harness/fault_analyzer.hh"
@@ -66,12 +67,30 @@ fillPattern(pmbus::Board &board, const PatternSpec &pattern)
         device.fillAll(pattern.word);
         return;
     }
-    // One stream per BRAM, drawn in bit-offset (row*16 + col) order.
-    std::vector<std::uint64_t> plane(fpga::bramWords);
-    for (std::uint32_t b = 0; b < device.bramCount(); ++b) {
-        Rng(combineSeeds(pattern.seed, b))
-            .fillBernoulli(plane, pattern.oneDensity);
-        device.bram(b).assignWords(plane);
+    fillRandomDomains(pattern, device.bramCount(), fpga::bramWords,
+                      [&](std::uint32_t b, fpga::WordSpan plane) {
+                          device.bram(b).assignWords(plane);
+                      });
+}
+
+void
+fillRandomDomains(
+    const PatternSpec &pattern, std::uint32_t domains,
+    std::size_t words_per_domain,
+    const std::function<void(std::uint32_t, fpga::WordSpan)> &assign)
+{
+    constexpr auto lanes = static_cast<std::uint32_t>(bernoulliLanes);
+    std::vector<std::uint64_t> seeds(lanes);
+    std::vector<std::uint64_t> planes(lanes * words_per_domain);
+    for (std::uint32_t first = 0; first < domains; first += lanes) {
+        const std::uint32_t count = std::min(lanes, domains - first);
+        for (std::uint32_t k = 0; k < count; ++k)
+            seeds[k] = combineSeeds(pattern.seed, first + k);
+        fillBernoulliStreams(std::span(seeds).first(count), planes,
+                             words_per_domain, pattern.oneDensity);
+        for (std::uint32_t k = 0; k < count; ++k)
+            assign(first + k, fpga::WordSpan(planes).subspan(
+                                  k * words_per_domain, words_per_domain));
     }
 }
 

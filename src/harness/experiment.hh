@@ -27,9 +27,11 @@
 #define UVOLT_HARNESS_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "fpga/fault_domain.hh"
 #include "fpga/voltage_rail.hh"
 #include "pmbus/board.hh"
 #include "util/error.hh"
@@ -83,6 +85,19 @@ struct PatternSpec
 
 /** Initialize every BRAM of the board per the pattern. */
 void fillPattern(pmbus::Board &board, const PatternSpec &pattern);
+
+/**
+ * The random fill behind fillPattern() and fillMemPattern(): fault
+ * domain d gets its own stream, Rng(combineSeeds(pattern.seed, d)),
+ * drawn in bit-offset order, so its content does not depend on the
+ * domain count. fillBernoulliStreams() draws bernoulliLanes domains per
+ * pass; @a assign then receives each domain's plane of
+ * @a words_per_domain words once, in domain order.
+ */
+void fillRandomDomains(
+    const PatternSpec &pattern, std::uint32_t domains,
+    std::size_t words_per_domain,
+    const std::function<void(std::uint32_t, fpga::WordSpan)> &assign);
 
 /** Fig 1 result for one rail of one platform. */
 struct RegionResult

@@ -93,14 +93,11 @@ fillMemPattern(mem::MemoryDevice &device, const PatternSpec &pattern)
         device.fill(pattern.word);
         return;
     }
-    std::vector<std::uint64_t> plane(device.traits().wordsPerDomain);
-    for (std::uint32_t d = 0; d < device.domainCount(); ++d) {
-        // One stream per domain, like the per-BRAM streams of the
-        // Board path: domain content is independent of domain count.
-        Rng(combineSeeds(pattern.seed, d))
-            .fillBernoulli(plane, pattern.oneDensity);
-        device.assignDomainWords(d, plane);
-    }
+    fillRandomDomains(pattern, device.domainCount(),
+                      device.traits().wordsPerDomain,
+                      [&](std::uint32_t d, fpga::WordSpan plane) {
+                          device.assignDomainWords(d, plane);
+                      });
 }
 
 SweepResult

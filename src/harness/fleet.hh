@@ -103,9 +103,8 @@ struct FleetJobOutcome
 /**
  * Program a memory device per a campaign pattern: the backend-generic
  * counterpart of fillPattern(Board&, ...). Fixed patterns fill every
- * lane; random patterns draw one seeded stream per fault domain
- * (combineSeeds(pattern.seed, domain)), mirroring the per-BRAM streams
- * of the Board path.
+ * lane; random patterns take fillRandomDomains(), one seeded stream per
+ * fault domain, as the Board path does per BRAM.
  */
 void fillMemPattern(mem::MemoryDevice &device, const PatternSpec &pattern);
 

@@ -195,14 +195,32 @@ DenseLayer::forward(std::span<const float> x, std::span<float> z) const
               z.size(), inputs_, outputs_);
     }
     // The executable spec of the batched kernel: one bias-seeded fused
-    // multiply-add chain per output, inputs in ascending order.
-    for (int o = 0; o < outputs_; ++o) {
-        const float *weight_row = weights_.data() +
-            static_cast<std::size_t>(o) * static_cast<std::size_t>(inputs_);
+    // multiply-add chain per output, inputs in ascending order. Eight
+    // chains advance side by side so their FMA latencies overlap; no
+    // chain's order changes.
+    constexpr int chains = 8;
+    const auto inputs = static_cast<std::size_t>(inputs_);
+    int o = 0;
+    for (; o + chains <= outputs_; o += chains) {
+        const float *weight_rows =
+            weights_.data() + static_cast<std::size_t>(o) * inputs;
+        float acc[chains];
+        for (int c = 0; c < chains; ++c)
+            acc[c] = biases_[static_cast<std::size_t>(o + c)];
+        for (std::size_t i = 0; i < inputs; ++i)
+            for (int c = 0; c < chains; ++c)
+                acc[c] = std::fma(
+                    weight_rows[static_cast<std::size_t>(c) * inputs + i],
+                    x[i], acc[c]);
+        for (int c = 0; c < chains; ++c)
+            z[static_cast<std::size_t>(o + c)] = acc[c];
+    }
+    for (; o < outputs_; ++o) {
+        const float *weight_row =
+            weights_.data() + static_cast<std::size_t>(o) * inputs;
         float acc = biases_[static_cast<std::size_t>(o)];
-        for (int i = 0; i < inputs_; ++i)
-            acc = std::fma(weight_row[i], x[static_cast<std::size_t>(i)],
-                           acc);
+        for (std::size_t i = 0; i < inputs; ++i)
+            acc = std::fma(weight_row[i], x[i], acc);
         z[static_cast<std::size_t>(o)] = acc;
     }
 }

@@ -33,6 +33,22 @@ next(std::uint64_t (&state)[4])
     return result;
 }
 
+/**
+ * uniform() < p  <=>  m * 2^-53 < p  <=>  m < ceil(p * 2^53) for the
+ * integer m = x >> 11 in [0, 2^53): the scaling by 2^53 is exact. A p
+ * <= 0 or NaN gives 0 (no bit set), one >= 1 gives 2^53 (every bit).
+ */
+std::uint64_t
+bernoulliThreshold(double probability)
+{
+    constexpr double scale = 0x1.0p53;
+    if (probability >= 1.0)
+        return std::uint64_t{1} << 53;
+    if (probability > 0.0)
+        return static_cast<std::uint64_t>(std::ceil(probability * scale));
+    return 0;
+}
+
 } // namespace
 
 std::uint64_t
@@ -157,15 +173,7 @@ Rng::chance(double probability)
 void
 Rng::fillBernoulli(std::span<std::uint64_t> words, double probability)
 {
-    // uniform() < p  <=>  m * 2^-53 < p  <=>  m < ceil(p * 2^53) for the
-    // integer m = x >> 11 in [0, 2^53): the scaling by 2^53 is exact.
-    constexpr double scale = 0x1.0p53;
-    std::uint64_t threshold = 0; // p <= 0 or NaN: no bit set
-    if (probability >= 1.0)
-        threshold = std::uint64_t{1} << 53;
-    else if (probability > 0.0)
-        threshold =
-            static_cast<std::uint64_t>(std::ceil(probability * scale));
+    const std::uint64_t threshold = bernoulliThreshold(probability);
 
     // A local copy of the state keeps it in registers: the output words
     // could otherwise alias it.
@@ -179,6 +187,58 @@ Rng::fillBernoulli(std::span<std::uint64_t> words, double probability)
         word = bits;
     }
     std::copy(std::begin(state), std::end(state), state_);
+}
+
+void
+fillBernoulliStreams(std::span<const std::uint64_t> seeds,
+                     std::span<std::uint64_t> planes, std::size_t words,
+                     double probability)
+{
+    constexpr std::size_t lanes = bernoulliLanes;
+    // (x >> 11) < threshold is the sign bit of their difference, as both
+    // are below 2^54. Shifting it in from the top, once per draw, leaves
+    // draw k at bit k after 64 draws.
+    const std::uint64_t threshold = bernoulliThreshold(probability);
+    constexpr std::uint64_t signBit = std::uint64_t{1} << 63;
+    std::size_t first = 0;
+    for (; first + lanes <= seeds.size(); first += lanes) {
+        // Lane l holds stream first + l: state word i in s<i>[l].
+        std::uint64_t s0[lanes], s1[lanes], s2[lanes], s3[lanes];
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const Rng seeded(seeds[first + l]);
+            s0[l] = seeded.state_[0];
+            s1[l] = seeded.state_[1];
+            s2[l] = seeded.state_[2];
+            s3[l] = seeded.state_[3];
+        }
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t bits[lanes] = {};
+            for (int draw = 0; draw < 64; ++draw) {
+                // next() per lane, with rotl(s1 * 5, 7) * 9 as shift-adds:
+                // AVX2 has no 64-bit multiply.
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    const std::uint64_t times5 = s1[l] + (s1[l] << 2);
+                    const std::uint64_t rotated =
+                        (times5 << 7) | (times5 >> 57);
+                    const std::uint64_t x = rotated + (rotated << 3);
+                    const std::uint64_t t = s1[l] << 17;
+                    s2[l] ^= s0[l];
+                    s3[l] ^= s1[l];
+                    s1[l] ^= s2[l];
+                    s0[l] ^= s3[l];
+                    s2[l] ^= t;
+                    s3[l] = (s3[l] << 45) | (s3[l] >> 19);
+                    bits[l] = (bits[l] >> 1) |
+                        (((x >> 11) - threshold) & signBit);
+                }
+            }
+            for (std::size_t l = 0; l < lanes; ++l)
+                planes[(first + l) * words + w] = bits[l];
+        }
+    }
+    for (; first < seeds.size(); ++first)
+        Rng(seeds[first]).fillBernoulli(planes.subspan(first * words, words),
+                                        probability);
 }
 
 std::uint64_t

@@ -12,6 +12,7 @@
 #ifndef UVOLT_UTIL_RNG_HH
 #define UVOLT_UTIL_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -112,10 +113,30 @@ class Rng
     }
 
   private:
+    friend void fillBernoulliStreams(std::span<const std::uint64_t> seeds,
+                                     std::span<std::uint64_t> planes,
+                                     std::size_t words, double probability);
+
     std::uint64_t state_[4];
     double cachedGaussian_ = 0.0;
     bool hasCachedGaussian_ = false;
 };
+
+/** Streams fillBernoulliStreams() steps side by side per pass. */
+constexpr std::size_t bernoulliLanes = 16;
+
+/**
+ * Fill one plane of @a words words per seed: plane k, at
+ * planes[k * words, (k + 1) * words), ends up exactly as
+ * Rng(seeds[k]).fillBernoulli(plane_k, probability) would leave it.
+ * The streams are independent, so bernoulliLanes of them step side by
+ * side as a structure of arrays the compiler vectorizes; leftover
+ * streams take the scalar fillBernoulli(), which stays the spec.
+ * @a planes must hold at least seeds.size() * words words.
+ */
+void fillBernoulliStreams(std::span<const std::uint64_t> seeds,
+                          std::span<std::uint64_t> planes, std::size_t words,
+                          double probability);
 
 } // namespace uvolt
 

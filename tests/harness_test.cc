@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -16,9 +17,12 @@
 #include "harness/clusterer.hh"
 #include "harness/experiment.hh"
 #include "harness/fault_analyzer.hh"
+#include "harness/fleet.hh"
 #include "harness/fvm.hh"
 #include "harness/temperature.hh"
+#include "mem/catalog.hh"
 #include "pmbus/board.hh"
+#include "util/rng.hh"
 
 namespace uvolt::harness
 {
@@ -50,6 +54,67 @@ TEST(PatternSpecTest, FillFixedAndRandom)
     const auto row = board.device().bram(3).readRow(17);
     fillPattern(board, PatternSpec::random(0.5, 7));
     EXPECT_EQ(board.device().bram(3).readRow(17), row);
+}
+
+/** The random fill as a plain per-domain loop of scalar streams. */
+template <typename Assign>
+void
+scalarRandomFill(const PatternSpec &pattern, std::uint32_t domains,
+                 std::size_t words, Assign assign)
+{
+    std::vector<std::uint64_t> plane(words);
+    for (std::uint32_t d = 0; d < domains; ++d) {
+        Rng(combineSeeds(pattern.seed, d))
+            .fillBernoulli(plane, pattern.oneDensity);
+        assign(d, plane);
+    }
+}
+
+TEST(PatternSpecTest, RandomFillMatchesPerBramScalarStreams)
+{
+    const auto &spec = fpga::findPlatform("VC707");
+    for (const PatternSpec &pattern :
+         {PatternSpec::random(0.5, 7), PatternSpec::random(0.3, 11)}) {
+        Board fast(spec);
+        Board scalar(spec);
+        fillPattern(fast, pattern);
+        auto &device = scalar.device();
+        scalarRandomFill(pattern, device.bramCount(), fpga::bramWords,
+                         [&](std::uint32_t b, fpga::WordSpan plane) {
+                             device.bram(b).assignWords(plane);
+                         });
+        EXPECT_EQ(fast.device().contentEpoch(), device.contentEpoch());
+        for (std::uint32_t b = 0; b < device.bramCount(); ++b) {
+            const auto got = fast.device().bram(b).words();
+            const auto want = device.bram(b).words();
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                   want.end()))
+                << pattern.label() << " BRAM " << b;
+        }
+    }
+}
+
+TEST(PatternSpecTest, MemRandomFillMatchesPerDomainScalarStreams)
+{
+    for (const char *name : {"HBM2-A", "MORS-SRAM-A"}) {
+        const PatternSpec pattern = PatternSpec::random(0.5, 17);
+        auto fast = mem::makeDevice(name);
+        auto scalar = mem::makeDevice(name);
+        fillMemPattern(*fast, pattern);
+        scalarRandomFill(pattern, scalar->domainCount(),
+                         scalar->traits().wordsPerDomain,
+                         [&](std::uint32_t d, fpga::WordSpan plane) {
+                             scalar->assignDomainWords(d, plane);
+                         });
+        EXPECT_EQ(fast->contentEpoch(), scalar->contentEpoch()) << name;
+        for (std::uint32_t d = 0; d < scalar->domainCount(); ++d) {
+            const auto got = fast->domainWords(d);
+            const auto want = scalar->domainWords(d);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                   want.end()))
+                << name << " domain " << d;
+        }
+    }
 }
 
 TEST(FaultAnalyzerTest, DiffFindsPolarities)

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -297,6 +300,66 @@ TEST(Checkpoint, StreamRoundTrip)
         EXPECT_EQ(restored.completedPoints[i].perBramFaults,
                   checkpoint.completedPoints[i].perBramFaults);
     }
+}
+
+/**
+ * A checkpoint of edge values: signed zero, a subnormal, 1e17 and the
+ * integral doubles on either side of it, 0.1, infinities, NaNs of both
+ * signs, a full 64-bit seed, negative and extreme ints, and a
+ * VC707-sized (2060-entry) perBramFaults.
+ */
+std::vector<SweepCheckpoint>
+edgeValueCheckpoints()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    SweepCheckpoint random;
+    random.valid = true;
+    random.platform = "VC707";
+    random.pattern = PatternSpec::random(0.1, 0xFEDCBA9876543210ull);
+    random.ambientC = -0.0;
+    random.runsPerLevel = 100;
+    random.stepMv = 10;
+    random.fromMv = 610;
+    random.downToMv = 540;
+    random.currentLevelMv = -2147483647 - 1;
+    random.runsStarted = ~std::uint64_t{0};
+    random.currentRunCounts = {
+        std::numeric_limits<double>::denorm_min(), 1e17, 0.1, inf, -inf,
+        nan, -nan, 1.0 / 3.0, 123.0, 2.5e-310, 1e-5, 0.0, -42.0, -1e16,
+        99999999999999984.0, 0x1.0p52 + 1.0, -0x1.0p62, 0.5};
+    SweepPoint point;
+    point.vccBramMv = 600;
+    point.runCounts = {0.0, -0.0, 1e17, 0.1, 12345.678};
+    point.medianFaults = nan;
+    point.faultsPerMbit = inf;
+    point.bramPowerW = 1e17;
+    point.oneToZeroFraction = -0.0;
+    for (int b = 0; b < 2060; ++b)
+        point.perBramFaults.push_back((b * 7919) % 4099 - 17);
+    point.perBramFaults[0] = 2147483647;
+    point.perBramFaults[1] = -2147483647 - 1;
+    random.completedPoints = {point, SweepPoint{}};
+
+    SweepCheckpoint fixed;
+    fixed.platform = "ZC702";
+    fixed.pattern = PatternSpec::fixed(0xFFFF);
+    fixed.ambientC = std::numeric_limits<double>::denorm_min();
+    return {random, fixed};
+}
+
+TEST(Checkpoint, SavedBytesMatchTheFixture)
+{
+    std::ostringstream saved;
+    for (const SweepCheckpoint &checkpoint : edgeValueCheckpoints())
+        saveCheckpoint(checkpoint, saved);
+    std::ifstream fixture(std::string(UVOLT_TEST_FIXTURES) +
+                          "/checkpoint_edge_values.txt",
+                          std::ios::binary);
+    ASSERT_TRUE(fixture) << "missing checkpoint fixture";
+    std::ostringstream expected;
+    expected << fixture.rdbuf();
+    EXPECT_EQ(saved.str(), expected.str());
 }
 
 TEST(Checkpoint, RejectsGarbage)

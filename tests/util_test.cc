@@ -13,6 +13,8 @@
 #include <sstream>
 #include <vector>
 
+#include "mem/hbm_backend.hh"
+#include "mem/sram_backend.hh"
 #include "util/cli.hh"
 #include "util/format.hh"
 #include "util/fsio.hh"
@@ -170,6 +172,52 @@ TEST(Rng, FillBernoulliMatchesAChanceLoopBitForBit)
     rng.fillBernoulli(words, std::numeric_limits<double>::quiet_NaN());
     for (std::uint64_t word : words)
         EXPECT_EQ(word, 0u);
+}
+
+TEST(Rng, FillBernoulliStreamsMatchesOneScalarFillPerStream)
+{
+    std::vector<double> densities = {0.0,
+                                     0x1.0p-53,
+                                     1.0 / 3.0,
+                                     0.5,
+                                     0.7,
+                                     1.0 - 0x1.0p-53,
+                                     1.0,
+                                     std::numeric_limits<double>::quiet_NaN(),
+                                     -0.5,
+                                     1.5};
+    Rng pick(2024);
+    for (int i = 0; i < 3; ++i)
+        densities.push_back(pick.uniform());
+    // Plane sizes of a 256-word BRAM and of the HBM and SRAM domains.
+    const std::size_t word_counts[] = {
+        0, 1, 256,
+        mem::hbmDeviceTraits(*mem::findHbm("HBM2-A")).wordsPerDomain,
+        mem::sramDeviceTraits(*mem::findSram("MORS-SRAM-A")).wordsPerDomain};
+    constexpr std::uint64_t sentinel = 0x5a5a5a5a5a5a5a5aull;
+    for (double p : densities) {
+        for (std::size_t streams : {0, 1, 15, 16, 17, 33}) {
+            for (std::size_t words : word_counts) {
+                std::vector<std::uint64_t> seeds;
+                for (std::size_t k = 0; k < streams; ++k)
+                    seeds.push_back(combineSeeds(pick(), k));
+                // One spare word past the planes must stay untouched.
+                std::vector<std::uint64_t> planes(streams * words + 1,
+                                                  sentinel);
+                fillBernoulliStreams(seeds, planes, words, p);
+                std::vector<std::uint64_t> expected(words);
+                for (std::size_t k = 0; k < streams; ++k) {
+                    Rng(seeds[k]).fillBernoulli(expected, p);
+                    for (std::size_t w = 0; w < words; ++w)
+                        ASSERT_EQ(planes[k * words + w], expected[w])
+                            << "p=" << p << " streams=" << streams
+                            << " words=" << words << " stream " << k
+                            << " word " << w;
+                }
+                EXPECT_EQ(planes.back(), sentinel);
+            }
+        }
+    }
 }
 
 TEST(Rng, ChanceExtremes)
