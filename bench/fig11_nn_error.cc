@@ -52,7 +52,7 @@ UVOLT_STUDY(fig11_nn_error, declareFlags)
     // fault-free baseline at 10000 and the sweep at 4000 per point to
     // keep the bench minutes-scale on one core (sampling error ~0.3%).
     // --eval-limit overrides the per-point sample count (CI's
-    // batch-identity leg uses a small one) and --eval-workers fans the
+    // worker-identity leg uses a small one) and --eval-workers fans the
     // batched evaluation over a thread pool; the CSV is bit-identical
     // at any worker count, and at the default limit it is the golden.
     std::unique_ptr<ThreadPool> pool;
@@ -61,7 +61,7 @@ UVOLT_STUDY(fig11_nn_error, declareFlags)
             static_cast<std::size_t>(workers));
     const nn::EvalOptions eval{
         .limit = static_cast<std::size_t>(cli.getInt("eval-limit")),
-        .batch = 0, .pool = pool.get()};
+        .pool = pool.get()};
 
     const auto &spec = fpga::findPlatform("VC707");
     pmbus::Board board(spec);

@@ -84,8 +84,6 @@ main(int argc, char **argv)
     config.checkpointDir = cli.getString("checkpoint-dir");
     if (cli.getBool("noise"))
         config.noise = pmbus::NoiseConfig::harsh(3, 0.02);
-    config.health.window = 8;
-    config.health.minSamples = 4;
     config.modelProvider =
         [net](int) -> Expected<std::shared_ptr<const nn::Network>> {
         return net;

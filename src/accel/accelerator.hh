@@ -108,9 +108,9 @@ class Accelerator
                                std::size_t limit = 0) const;
 
     /**
-     * Classification error with explicit evaluation options (batch
-     * width, worker pool). Bit-identical to the default overload at
-     * any batch/worker configuration.
+     * Classification error with explicit evaluation options (limit,
+     * worker pool). Bit-identical to the default overload at any
+     * worker count.
      */
     double classificationError(const data::Dataset &test_set,
                                const nn::EvalOptions &options) const;

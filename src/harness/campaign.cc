@@ -105,13 +105,6 @@ Campaign::discoverRegions(bool discover)
 }
 
 Campaign &
-Campaign::recovery(const RecoveryPolicy &policy)
-{
-    recovery_ = policy;
-    return *this;
-}
-
-Campaign &
 Campaign::checkpointUnder(std::string directory)
 {
     options_.checkpointDir = std::move(directory);
@@ -129,16 +122,6 @@ Campaign &
 Campaign::ledgerUnder(std::string directory)
 {
     options_.ledgerDir = std::move(directory);
-    return *this;
-}
-
-Campaign &
-Campaign::retries(int max_attempts_per_job)
-{
-    if (max_attempts_per_job < 1)
-        fatal("Campaign::retries() needs at least one attempt, got {}",
-              max_attempts_per_job);
-    options_.maxAttemptsPerJob = max_attempts_per_job;
     return *this;
 }
 
@@ -160,7 +143,6 @@ Campaign::plan() const
     plan.runsPerLevel = runsPerLevel_;
     plan.stepMv = stepMv_;
     plan.collectPerBram = collectPerBram_;
-    plan.recovery = recovery_;
     plan.discoverRegions = discoverRegions_;
     return plan;
 }

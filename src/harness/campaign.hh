@@ -82,9 +82,6 @@ class Campaign
     /** Also locate the Fig-1 voltage regions of both rails per job. */
     Campaign &discoverRegions(bool discover = true);
 
-    /** Watchdog crash-recovery budget per measurement run. */
-    Campaign &recovery(const RecoveryPolicy &policy);
-
     /** Persist per-job checkpoints here; re-running resumes the fleet. */
     Campaign &checkpointUnder(std::string directory);
 
@@ -98,9 +95,6 @@ class Campaign
      * that run thousands of tiny campaigns (benchmarks) want that.
      */
     Campaign &ledgerUnder(std::string directory);
-
-    /** Engine-level attempts per job (default 3). */
-    Campaign &retries(int max_attempts_per_job);
 
     /** The plan this builder describes (for inspection or hand tuning). */
     FleetPlan plan() const;
@@ -122,7 +116,6 @@ class Campaign
     int stepMv_ = 10;
     bool collectPerBram_ = true;
     bool discoverRegions_ = false;
-    RecoveryPolicy recovery_;
     FleetOptions options_;
 };
 

@@ -115,7 +115,6 @@ struct Watchdog
     PatternSpec pattern;
     fpga::RailId rail = fpga::RailId::VccBram;
     int levelMv = 0;
-    RecoveryPolicy policy;
     ResilienceReport *report = nullptr;
 
     /** Reconfigure and restore campaign conditions after DONE-low. */
@@ -150,8 +149,7 @@ countDeviceFaultsRecoverable(const Watchdog &watchdog)
 {
     pmbus::Board &board = watchdog.board;
     const double jitter = board.runJitterV();
-    for (int recovery = 0; recovery <= watchdog.policy.maxRecoveriesPerRun;
-         ++recovery) {
+    for (int recovery = 0; recovery <= maxRecoveriesPerRun; ++recovery) {
         // One device-level probe: the per-epoch count index on a quiet
         // crash schedule, degrading to the exact legacy per-BRAM probe
         // loop when a spurious-crash schedule is armed.
@@ -171,7 +169,7 @@ countDeviceFaultsRecoverable(const Watchdog &watchdog)
                      "{}: run at {} mV kept crashing through {} "
                      "recoveries",
                      board.spec().name, watchdog.levelMv,
-                     watchdog.policy.maxRecoveriesPerRun);
+                     maxRecoveriesPerRun);
 }
 
 /** Whether the probed rail shows any fault at the present level. */
@@ -237,7 +235,7 @@ tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
     const int step = pmbus::voutStepMv;
     int first_faulty_mv = 0;
 
-    Watchdog watchdog{board, PatternSpec::allOnes(), rail, 0, {}, nullptr};
+    Watchdog watchdog{board, PatternSpec::allOnes(), rail, 0, nullptr};
 
     for (int mv = result.vnomMv; mv >= 0; mv -= step) {
         const auto set = rail == fpga::RailId::VccBram
@@ -337,8 +335,7 @@ collectReferenceMaps(SweepPoint &point, const Watchdog &watchdog)
 {
     pmbus::Board &board = watchdog.board;
     std::vector<std::uint64_t> observed(fpga::bramWords);
-    for (int recovery = 0; recovery <= watchdog.policy.maxRecoveriesPerRun;
-         ++recovery) {
+    for (int recovery = 0; recovery <= maxRecoveriesPerRun; ++recovery) {
         board.startReferenceRun();
         point.perBramFaults.assign(board.device().bramCount(), 0);
         FaultSummary summary;
@@ -367,7 +364,7 @@ collectReferenceMaps(SweepPoint &point, const Watchdog &watchdog)
                      "{}: reference readback at {} mV kept crashing "
                      "through {} recoveries",
                      board.spec().name, watchdog.levelMv,
-                     watchdog.policy.maxRecoveriesPerRun);
+                     maxRecoveriesPerRun);
 }
 
 } // namespace
@@ -426,8 +423,8 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
         checkpoint->valid = true;
     }
 
-    Watchdog watchdog{board,   options.pattern, fpga::RailId::VccBram,
-                      0,       options.recovery, &result.resilience};
+    Watchdog watchdog{board, options.pattern, fpga::RailId::VccBram, 0,
+                      &result.resilience};
 
     int levels_this_call = 0;
     bool finished = true;

@@ -112,11 +112,8 @@ struct RegionResult
     double guardband() const;
 };
 
-/** Crash-recovery budget of a campaign engine. */
-struct RecoveryPolicy
-{
-    int maxRecoveriesPerRun = 16; ///< watchdog budget for one run/pass
-};
+/** Watchdog crash-recovery budget of one measurement run or pass. */
+inline constexpr int maxRecoveriesPerRun = 16;
 
 /** What the environment did to a campaign, and what it cost to survive. */
 struct ResilienceReport
@@ -231,7 +228,6 @@ struct SweepOptions
     int fromMv = 0;          ///< 0 = start at the platform's Vmin
     int downToMv = 0;        ///< 0 = stop at the platform's Vcrash
     bool collectPerBram = true;
-    RecoveryPolicy recovery; ///< watchdog budget under harsh conditions
 
     /**
      * Measure at most this many levels this call (0 = unlimited): a

@@ -25,6 +25,9 @@ namespace uvolt::harness
 namespace
 {
 
+/** Engine-level attempts of one job (FleetEngine::runJob). */
+constexpr int attemptsPerJob = 3;
+
 struct FleetMetrics
 {
     telemetry::Counter &jobs =
@@ -404,7 +407,6 @@ runBoardAttempt(const FleetPlan &plan, const FleetJob &job, int attempt,
     options.runsPerLevel = plan.runsPerLevel;
     options.stepMv = plan.stepMv;
     options.collectPerBram = plan.collectPerBram;
-    options.recovery = plan.recovery;
     options.maxLevels = slice_levels;
     options.checkpointPath = checkpoint_path;
 
@@ -526,10 +528,9 @@ FleetEngine::runJob(const FleetPlan &plan, const FleetJob &job) const
         ckpt_path = strFormat("{}/{}.ckpt", options_.checkpointDir,
                               job.label());
 
-    const int max_attempts = std::max(1, options_.maxAttemptsPerJob);
     Error last = makeError(Errc::recoveryExhausted,
                            "fleet job {} never ran", job.label());
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    for (int attempt = 1; attempt <= attemptsPerJob; ++attempt) {
         UVOLT_TRACE_SCOPE("fleet.attempt", [&] {
             return telemetry::TraceArgs{
                 {"label", job.label()},
@@ -572,14 +573,13 @@ nowIso8601()
 
 /** Canonical plan description the config digest hashes. */
 std::string
-canonicalPlan(const FleetPlan &plan, const FleetOptions &options)
+canonicalPlan(const FleetPlan &plan)
 {
     std::string canonical = strFormat(
         "runs={};step={};perbram={};regions={};recoveries={};"
         "attempts={};jobs=",
         plan.runsPerLevel, plan.stepMv, plan.collectPerBram ? 1 : 0,
-        plan.discoverRegions ? 1 : 0, plan.recovery.maxRecoveriesPerRun,
-        options.maxAttemptsPerJob);
+        plan.discoverRegions ? 1 : 0, maxRecoveriesPerRun, attemptsPerJob);
     for (const auto &job : plan.jobs)
         canonical += job.label() + ";";
     return canonical;
@@ -594,7 +594,7 @@ recordManifest(const FleetOptions &options, const FleetPlan &plan,
     RunManifest manifest;
     manifest.gitSha = buildGitSha();
     manifest.startedAtIso = nowIso8601();
-    manifest.configDigest = configDigest(canonicalPlan(plan, options));
+    manifest.configDigest = configDigest(canonicalPlan(plan));
     manifest.runId = strFormat(
         "{}-{}", manifest.configDigest.substr(0, 8),
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -610,7 +610,7 @@ recordManifest(const FleetOptions &options, const FleetPlan &plan,
     manifest.stepMv = plan.stepMv;
     manifest.collectPerBram = plan.collectPerBram;
     manifest.discoverRegions = plan.discoverRegions;
-    manifest.maxAttemptsPerJob = options.maxAttemptsPerJob;
+    manifest.maxAttemptsPerJob = attemptsPerJob;
     manifest.workers = workers;
     manifest.durationMs = duration_ms;
     manifest.jobRetries = result.jobRetries;

@@ -14,10 +14,10 @@
  * run regardless of worker count or completion order.
  *
  * The engine composes the resilience layer end to end: per-run crash
- * recovery inside each sweep (RecoveryPolicy watchdog), engine-level
- * retry of jobs whose retry budgets were exhausted, and per-job on-disk
- * checkpoints under a scratch directory so a killed fleet resumes with
- * completed levels intact.
+ * recovery inside each sweep (the maxRecoveriesPerRun watchdog), up to
+ * 3 engine-level attempts of a job whose retry budgets were exhausted,
+ * and per-job on-disk checkpoints under a scratch directory so a killed
+ * fleet resumes with completed levels intact.
  *
  * The FvmCache implements the "characterize once, place many times"
  * flow the paper describes (the FVM is "extracted as a pre-process
@@ -74,7 +74,6 @@ struct FleetPlan
     int runsPerLevel = 100;
     int stepMv = 10;
     bool collectPerBram = true;
-    RecoveryPolicy recovery;
 
     /** Also locate Fig-1 voltage regions (both rails) before each sweep. */
     bool discoverRegions = false;
@@ -291,13 +290,6 @@ struct FleetOptions
      */
     std::string checkpointDir;
 
-    /**
-     * Engine-level attempts per job: a job whose recovery budget was
-     * exhausted (Errc::recoveryExhausted etc.) is re-run from its
-     * checkpoint this many times before the fleet reports the error.
-     */
-    int maxAttemptsPerJob = 3;
-
     /** When set, each die's merged FVM is published here (keyed by the
      *  die's reference-pattern job) once its sweeps complete. */
     FvmCache *fvmCache = nullptr;
@@ -330,7 +322,11 @@ class FleetEngine
     Expected<FleetResult> run(const FleetPlan &plan);
 
   private:
-    /** runJobAttempt() under the engine's retry budget. */
+    /**
+     * runJobAttempt() up to 3 times: a job whose recovery budget was
+     * exhausted (Errc::recoveryExhausted etc.) is re-run from its
+     * checkpoint before the fleet reports the error.
+     */
     Expected<FleetJobOutcome> runJob(const FleetPlan &plan,
                                      const FleetJob &job) const;
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <new>
 
@@ -37,22 +36,6 @@ batchMetrics()
 }
 
 } // namespace
-
-int
-defaultEvalBatch()
-{
-    static const int batch = [] {
-        if (const char *env = std::getenv("UVOLT_BATCH")) {
-            const int parsed = std::atoi(env);
-            if (parsed >= 1)
-                return parsed;
-            warn("UVOLT_BATCH='{}' is not a positive integer; using 64",
-                 env);
-        }
-        return 64; // see the batch-width table in EXPERIMENTS.md
-    }();
-    return batch;
-}
 
 namespace
 {
@@ -560,21 +543,6 @@ Network::inferBatch(std::span<const float> inputs, std::span<float> probs,
 }
 
 void
-Network::classifyBatch(std::span<const float> inputs,
-                       std::span<int> classes, int batch) const
-{
-    if (classes.size() != static_cast<std::size_t>(batch))
-        fatal("classifyBatch: {} class slots for batch {}",
-              classes.size(), batch);
-    Scratch a, b;
-    batchLogits(*this, inputs, batch, a, b);
-    std::vector<float> column(static_cast<std::size_t>(sizes_.back()));
-    for (int s = 0; s < batch; ++s)
-        classes[static_cast<std::size_t>(s)] =
-            classifyColumn(a, batch, s, column);
-}
-
-void
 Network::classifyScattered(std::span<const std::span<const float>> samples,
                            std::span<int> classes) const
 {
@@ -610,14 +578,14 @@ Network::classifyScattered(std::span<const std::span<const float>> samples,
 
 std::size_t
 Network::countMisclassified(const data::Dataset &set, std::size_t first,
-                            std::size_t count, int batch) const
+                            std::size_t count) const
 {
     std::size_t wrong = 0;
     Scratch a, b;
     std::vector<float> column(static_cast<std::size_t>(sizes_.back()));
     for (std::size_t start = first; start < first + count;) {
         const int n = static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(batch), first + count - start));
+            static_cast<std::size_t>(evalBatch), first + count - start));
         batchLogits(*this, set.samples(start, static_cast<std::size_t>(n)),
                     n, a, b);
         for (int s = 0; s < n; ++s) {
@@ -646,12 +614,10 @@ Network::evaluateError(const data::Dataset &set,
         : std::min(options.limit, set.size());
     if (n == 0)
         fatal("evaluateError on an empty dataset");
-    const int batch = options.batch > 0 ? options.batch
-                                        : defaultEvalBatch();
     batchMetrics().samples.add(n);
 
     if (options.pool == nullptr) {
-        return static_cast<double>(countMisclassified(set, 0, n, batch)) /
+        return static_cast<double>(countMisclassified(set, 0, n)) /
             static_cast<double>(n);
     }
 
@@ -660,14 +626,14 @@ Network::evaluateError(const data::Dataset &set,
     // completion order never touch the result (exact integer counts
     // make the sum order-free anyway — the plan order is belt and
     // braces, matching the fleet engine's convention).
-    const std::size_t stride = static_cast<std::size_t>(batch);
+    const std::size_t stride = static_cast<std::size_t>(evalBatch);
     const std::size_t jobs = (n + stride - 1) / stride;
     std::vector<std::size_t> slot(jobs, 0);
     for (std::size_t j = 0; j < jobs; ++j) {
-        options.pool->submit([this, &set, &slot, j, n, stride, batch] {
+        options.pool->submit([this, &set, &slot, j, n, stride] {
             const std::size_t start = j * stride;
-            slot[j] = countMisclassified(
-                set, start, std::min(stride, n - start), batch);
+            slot[j] =
+                countMisclassified(set, start, std::min(stride, n - start));
         });
     }
     options.pool->wait();

@@ -115,36 +115,32 @@ class DenseLayer
 inline constexpr std::size_t paperEvalLimit = 2500;
 
 /**
- * Knobs of the batched evaluation engine.
+ * Test-set columns per forwardBatch() call in evaluateError(), and the
+ * width of the serving tier's coalesced classify blocks: two full
+ * 32-column strips of the forwardBatch() kernel. In
+ * BM_MnistEvalBatched, 32 and 64 measured within each other's spread
+ * and 16 and 128 were slower (EXPERIMENTS.md). Results are
+ * bit-identical at any width, so this is a speed constant only.
+ */
+inline constexpr int evalBatch = 64;
+
+/**
+ * Options of the batched evaluation engine.
  *
  * `limit` follows the evaluateError() convention: 0 means the whole
  * set, and a limit larger than the set silently clamps to the set size
  * (both spellings of "everything" are deliberate — see
- * Network::evaluateError). `batch` is the number of test-set columns
- * per forwardBatch() call (0 = defaultEvalBatch(), i.e. the UVOLT_BATCH
- * environment override or 64). A non-null `pool` fans the batches out
- * over its workers; each batch writes its misclassification count into
- * a pre-assigned slot and the reduction sums the slots in plan order,
- * so the result is bit-identical at any worker count (a 0-worker pool
- * runs the same code inline).
+ * Network::evaluateError). A non-null `pool` fans the evalBatch-column
+ * batches out over its workers; each batch writes its
+ * misclassification count into a pre-assigned slot and the reduction
+ * sums the slots in plan order, so the result is bit-identical at any
+ * worker count (a 0-worker pool runs the same code inline).
  */
 struct EvalOptions
 {
     std::size_t limit = 0; ///< 0 = whole set; > size clamps to size
-    int batch = 0;         ///< columns per kernel call; 0 = default
     ThreadPool *pool = nullptr; ///< fan batches out; null = this thread
 };
-
-/**
- * Evaluation batch width used when EvalOptions::batch is 0: the
- * UVOLT_BATCH environment variable when std::atoi reads a positive
- * value from it, otherwise 64. Any other value is not clamped: it
- * warns once and falls back to 64. Two full 32-column strips of the
- * forwardBatch() kernel; in BM_MnistEvalBatched, 32 and 64 measure
- * within each other's spread and 16 and 128 are slower
- * (EXPERIMENTS.md).
- */
-int defaultEvalBatch();
 
 /** The full network. */
 class Network
@@ -190,23 +186,15 @@ class Network
                     std::span<float> probs, int batch) const;
 
     /**
-     * Batched arg-max classification of @a batch samples laid out as in
-     * inferBatch(). Bit-identical to classify() per sample.
-     */
-    void classifyBatch(std::span<const float> inputs,
-                       std::span<int> classes, int batch) const;
-
-    /**
-     * Scatter-gather variant of classifyBatch() for request coalescing:
-     * each entry of @a samples is one sample's feature vector, living
+     * Batched arg-max classification for request coalescing: each
+     * entry of @a samples is one sample's feature vector, living
      * wherever its owner put it (a serving layer packs one block from
      * many clients' buffers without copying them into a contiguous
      * staging area first). The samples are gathered straight into the
-     * kernel's feature-major layout and run through the same batched
-     * stack, so the result is bit-identical to classify() per sample
-     * and to classifyBatch() on a contiguous copy. @a classes must
-     * have samples.size() slots; every sample must have input-layer
-     * width.
+     * kernel's feature-major layout and run through the batched stack,
+     * so the result is bit-identical to classify() per sample.
+     * @a classes must have samples.size() slots; every sample must
+     * have input-layer width.
      */
     void classifyScattered(std::span<const std::span<const float>> samples,
                            std::span<int> classes) const;
@@ -226,7 +214,7 @@ class Network
 
     /**
      * Batched, optionally parallel classification error. Splits the
-     * evaluated prefix into EvalOptions::batch-column batches, runs
+     * evaluated prefix into evalBatch-column batches, runs
      * each through forwardBatch(), and reduces the per-batch
      * misclassification counts in plan order (integer sum — exact at
      * any worker count). fatal() on an empty evaluation set.
@@ -245,8 +233,8 @@ class Network
   private:
     /** Misclassified count over samples [first, first + count). */
     std::size_t countMisclassified(const data::Dataset &set,
-                                   std::size_t first, std::size_t count,
-                                   int batch) const;
+                                   std::size_t first,
+                                   std::size_t count) const;
 
     std::vector<int> sizes_;
     std::vector<DenseLayer> layers_;

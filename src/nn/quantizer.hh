@@ -71,7 +71,7 @@ double quantizationErrorDelta(const Network &net,
                               const data::Dataset &test_set,
                               std::size_t limit = 0);
 
-/** As above with full evaluation options (batch width, worker pool). */
+/** As above with full evaluation options (limit, worker pool). */
 double quantizationErrorDelta(const Network &net,
                               const data::Dataset &test_set,
                               const EvalOptions &options);

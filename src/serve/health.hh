@@ -10,22 +10,27 @@
  * scalar observation per served request (injected-fault events absorbed
  * by the retry stack: crash recoveries, run retries, link/PMBus
  * retries; or a GovernorHealth reading via pressureOf()) and keeps the
- * healthy fraction of the last `window` observations as the score.
+ * healthy fraction of the last 16 observations as the score. The
+ * window, the thresholds and the floor steps are constants of
+ * serve/health.cc; the diagram names their values.
  *
  * The state machine is deliberately a pure function of the observation
  * sequence — no clocks, no randomness — so a scripted fault-pressure
  * profile produces the same transition sequence on every run and at
  * any worker count (the server serializes observe() calls):
  *
- *          score < degradeBelow                 score >= recoverAbove
+ *          score < 0.5                          score >= 0.75
  *   normal ----------------------> degraded ----------------------+
  *     ^        (shed low-priority;    |  ^                        |
- *     |         raise floor toward    |  | score < degradeBelow   v
- *     |         the safe setpoint     |  +-------------------- recovering
- *     |         on each unhealthy     |      (ramp the floor back
- *     |         observation)          |       down one step per
- *     +-------------------------------+       healthy observation)
+ *     |         raise floor 10 mV     |  | score < 0.5            v
+ *     |         toward the safe       |  +-------------------- recovering
+ *     |         setpoint on each      |      (ramp the floor back
+ *     |         unhealthy observation,|       down 10 mV per
+ *     +-------- up to 50 mV) ---------+       healthy observation)
  *            floor reaches 0
+ *
+ * An observation is unhealthy at pressure >= 1, and no transition
+ * happens before the 4th observation.
  *
  * While degraded or recovering, low-priority work is shed and the
  * server refuses to operate below floorMv() — the setpoint is raised
@@ -43,19 +48,6 @@
 
 namespace uvolt::serve
 {
-
-/** Knobs of the degradation state machine. */
-struct HealthConfig
-{
-    std::size_t window = 16;   ///< sliding observations in the score
-    std::size_t minSamples = 4; ///< observations before any transition
-    double faultyThreshold = 1.0; ///< observation >= this is unhealthy
-    double degradeBelow = 0.5; ///< score entering degraded
-    double recoverAbove = 0.75; ///< score entering recovering
-    int setpointStepMv = 10;   ///< floor raise/ramp per observation
-    int maxFloorRaiseMv = 50;  ///< cap on the raised floor ("toward
-                               ///< Vmin", never past the safe region)
-};
 
 /** Serving mode the health score selects. */
 enum class ServeState
@@ -78,8 +70,8 @@ struct HealthTransition
 
 /**
  * Map a governor health reading onto the tracker's pressure scale:
- * ok = 0 (healthy), heldUncertain = 1, recovered = 2 (both unhealthy
- * under the default faultyThreshold).
+ * ok = 0 (healthy), heldUncertain = 1, recovered = 2 (both
+ * unhealthy).
  */
 double pressureOf(harness::GovernorHealth health);
 
@@ -92,11 +84,9 @@ double pressureOf(harness::GovernorHealth health);
 class HealthTracker
 {
   public:
-    explicit HealthTracker(HealthConfig config = {});
-
     /**
-     * Ingest one observation of fault pressure (>= faultyThreshold is
-     * unhealthy) and advance the state machine.
+     * Ingest one observation of fault pressure (>= 1 is unhealthy) and
+     * advance the state machine.
      */
     void observe(double pressure);
 
@@ -125,7 +115,6 @@ class HealthTracker
   private:
     void recordTransition();
 
-    HealthConfig config_;
     std::deque<bool> healthy_; ///< window of per-observation verdicts
     std::size_t healthyCount_ = 0;
     std::uint64_t observations_ = 0;

@@ -18,6 +18,20 @@ namespace uvolt::serve
 namespace
 {
 
+constexpr int attemptsPerRequest = 3; ///< tries on transient faults
+constexpr double backoffFirstMs = 1.0; ///< first retry delay, doubling
+constexpr double backoffCapMs = 50.0;  ///< cap on the doubled delay
+constexpr double backoffJitterSpanMs = 1.0; ///< seeded jitter on top
+
+/** Sweep levels between a characterize's stop/deadline checks. */
+constexpr int levelsPerSlice = 1;
+
+/** Consecutive deadline expiries that dump the flight recorder. */
+constexpr int deadlineStormExpiries = 8;
+
+/** Tolerated failed/responded fraction behind errorBudgetBurn. */
+constexpr double failureBudget = 0.05;
+
 /**
  * Latency bucket ladder reaching @a ceiling_ms. The old fixed ladder
  * topped out at 5000 ms, which a long characterize (full sweep, high
@@ -165,13 +179,10 @@ recordRequestSpan(const char *kind, std::uint64_t id,
 
 UvoltServer::UvoltServer(ServerConfig config)
     : config_(std::move(config)), queue_(std::max<std::size_t>(
-          1, config_.queueCapacity)),
-      health_(config_.health)
+          1, config_.queueCapacity))
 {
     if (config_.workers == 0)
         fatal("UvoltServer needs at least one worker");
-    config_.maxAttempts = std::max(1, config_.maxAttempts);
-    config_.sliceLevels = std::max(1, config_.sliceLevels);
     workers_.reserve(config_.workers);
     for (std::size_t i = 0; i < config_.workers; ++i) {
         workers_.emplace_back(
@@ -317,7 +328,8 @@ UvoltServer::submitClassify(ClassifyRequest request)
                          request.samples.size(), request.sampleCount);
     }
     if (!config_.modelProvider)
-        fatal("submitClassify: server has no model provider");
+        return makeError(Errc::invalidRequest,
+                         "classify: server has no model provider");
     return admit<ClassifyRequest, ClassifyResponse>(std::move(request));
 }
 
@@ -461,11 +473,10 @@ UvoltServer::statusReport() const
     }
     const std::uint64_t responded =
         report.stats.completed + report.stats.failed;
-    if (responded > 0 && config_.errorBudget > 0.0) {
-        report.errorBudgetBurn =
-            (static_cast<double>(report.stats.failed) /
-             static_cast<double>(responded)) /
-            config_.errorBudget;
+    if (responded > 0) {
+        report.errorBudgetBurn = (static_cast<double>(report.stats.failed) /
+                                  static_cast<double>(responded)) /
+                                 failureBudget;
     }
     // Where wall time went: the exact self time of every span recorded
     // so far. Folding only reads the copied span list, so it never
@@ -540,36 +551,36 @@ UvoltServer::workerLoop()
 void
 UvoltServer::respondExpired(Pending &item)
 {
-    auto error = makeError(Errc::deadlineExceeded,
-                           "request {} exceeded its deadline", item.id);
-    {
-        std::unique_lock lock(statsMutex_);
-        ++stats_.failed;
-        ++stats_.deadlineExceeded;
-    }
-    serveMetrics().failed.increment();
-    serveMetrics().deadlineExceeded.increment();
-    noteCompleted(item, false, Errc::deadlineExceeded);
-    std::visit(
-        [&](auto &work) { work.promise.set_value(std::move(error)); },
-        item.work);
-    settled();
+    respondFailed(item, makeError(Errc::deadlineExceeded,
+                                  "request {} exceeded its deadline",
+                                  item.id));
 }
 
 void
 UvoltServer::respondStopped(Pending &item)
 {
-    auto error = makeError(Errc::serverStopped,
-                           "request {} cancelled by server stop",
-                           item.id);
+    respondFailed(item, makeError(Errc::serverStopped,
+                                  "request {} cancelled by server stop",
+                                  item.id));
+}
+
+void
+UvoltServer::respondFailed(Pending &item, Error error)
+{
+    const bool expired = error.code == Errc::deadlineExceeded;
+    const bool stopped = error.code == Errc::serverStopped;
     {
         std::unique_lock lock(statsMutex_);
         ++stats_.failed;
-        ++stats_.cancelled;
+        stats_.deadlineExceeded += expired ? 1 : 0;
+        stats_.cancelled += stopped ? 1 : 0;
     }
     serveMetrics().failed.increment();
-    serveMetrics().cancelled.increment();
-    noteCompleted(item, false, Errc::serverStopped);
+    if (expired)
+        serveMetrics().deadlineExceeded.increment();
+    if (stopped)
+        serveMetrics().cancelled.increment();
+    noteCompleted(item, false, error.code);
     std::visit(
         [&](auto &work) { work.promise.set_value(std::move(error)); },
         item.work);
@@ -603,12 +614,9 @@ UvoltServer::noteCompleted(const Pending &item, bool ok, Errc code)
 void
 UvoltServer::noteDeadlineExpiry()
 {
-    const int threshold = config_.deadlineStormThreshold;
-    if (threshold <= 0)
-        return;
     const int streak =
         deadlineStreak_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (streak < threshold)
+    if (streak < deadlineStormExpiries)
         return;
     deadlineStreak_.store(0, std::memory_order_relaxed);
     if (config_.blackboxDir.empty())
@@ -661,9 +669,7 @@ UvoltServer::process(Pending item)
     // preserved — only the head is ever considered.
     const auto &request = std::get<ClassifyWork>(item.work).request;
     const int setpoint = request.setpointMv;
-    const std::size_t width = static_cast<std::size_t>(
-        config_.coalesceBatch > 0 ? config_.coalesceBatch
-                                  : nn::defaultEvalBatch());
+    const std::size_t width = static_cast<std::size_t>(nn::evalBatch);
     std::vector<Pending> group;
     std::size_t samples = request.sampleCount;
     group.push_back(std::move(item));
@@ -720,7 +726,6 @@ UvoltServer::finishCharacterize(Pending &item)
     // resubmission after a restart — faces a reproducible environment.
     harness::FleetPlan plan;
     plan.runsPerLevel = request.runsPerLevel;
-    plan.recovery = config_.recovery;
     harness::FleetJob job{request.platform, request.pattern,
                           request.ambientC, std::nullopt};
     std::string ckpt_path;
@@ -746,7 +751,7 @@ UvoltServer::finishCharacterize(Pending &item)
 
     Error last = makeError(Errc::recoveryExhausted,
                            "characterize {} never ran", item.id);
-    for (int attempt = 1; attempt <= config_.maxAttempts; ++attempt) {
+    for (int attempt = 1; attempt <= attemptsPerRequest; ++attempt) {
         if (stopRequested()) {
             respondStopped(item);
             return;
@@ -758,7 +763,7 @@ UvoltServer::finishCharacterize(Pending &item)
         });
         auto result =
             harness::runJobAttempt(plan, job, attempt, request_seed,
-                                   ckpt_path, config_.sliceLevels, at_slice);
+                                   ckpt_path, levelsPerSlice, at_slice);
         if (result.ok()) {
             harness::FleetJobOutcome outcome = result.take();
             CharacterizeResponse response;
@@ -819,8 +824,7 @@ UvoltServer::finishCharacterize(Pending &item)
             respondStopped(item);
             return;
         }
-        if (!transientErrc(last.code) ||
-            attempt == config_.maxAttempts)
+        if (!transientErrc(last.code) || attempt == attemptsPerRequest)
             break;
         {
             std::unique_lock lock(statsMutex_);
@@ -838,16 +842,8 @@ UvoltServer::finishCharacterize(Pending &item)
         }
     }
 
-    observeFaultPressure(
-        static_cast<double>(config_.maxAttempts));
-    {
-        std::unique_lock lock(statsMutex_);
-        ++stats_.failed;
-    }
-    serveMetrics().failed.increment();
-    noteCompleted(item, false, last.code);
-    work.promise.set_value(std::move(last));
-    settled();
+    observeFaultPressure(static_cast<double>(attemptsPerRequest));
+    respondFailed(item, std::move(last));
 }
 
 Expected<std::shared_ptr<const nn::Network>>
@@ -856,13 +852,12 @@ UvoltServer::obtainModel(int setpoint_mv, std::uint64_t request_seed,
 {
     Error last = makeError(Errc::recoveryExhausted,
                            "model provider never ran");
-    for (attempts = 1; attempts <= config_.maxAttempts; ++attempts) {
+    for (attempts = 1; attempts <= attemptsPerRequest; ++attempts) {
         auto model = config_.modelProvider(setpoint_mv);
         if (model.ok())
             return model;
         last = model.error();
-        if (!transientErrc(last.code) ||
-            attempts == config_.maxAttempts)
+        if (!transientErrc(last.code) || attempts == attemptsPerRequest)
             return last;
         {
             std::unique_lock lock(statsMutex_);
@@ -913,7 +908,6 @@ UvoltServer::finishClassifyGroup(std::vector<Pending> items)
         member.item = std::move(pending);
         members.push_back(std::move(member));
     }
-    const bool group_coalesced = members.size() > 1;
     const int requested_setpoint =
         std::get<ClassifyWork>(members.front().item.work)
             .request.setpointMv;
@@ -929,30 +923,32 @@ UvoltServer::finishClassifyGroup(std::vector<Pending> items)
                     combineSeeds(config_.seed, members.front().item.id),
                     model_attempts);
     if (!model.ok()) {
-        for (auto &member : members) {
-            if (model.error().code == Errc::serverStopped) {
-                respondStopped(member.item);
-            } else {
-                Error error = model.error();
-                {
-                    std::unique_lock lock(statsMutex_);
-                    ++stats_.failed;
-                }
-                serveMetrics().failed.increment();
-                noteCompleted(member.item, false, error.code);
-                std::get<ClassifyWork>(member.item.work)
-                    .promise.set_value(std::move(error));
-                settled();
-            }
-        }
+        for (auto &member : members)
+            respondFailed(member.item, model.error());
         observeFaultPressure(static_cast<double>(model_attempts));
         return;
     }
     const std::shared_ptr<const nn::Network> &net = model.value();
 
-    const std::size_t width = static_cast<std::size_t>(
-        config_.coalesceBatch > 0 ? config_.coalesceBatch
-                                  : nn::defaultEvalBatch());
+    // A row width the model does not take is the client's error, not
+    // fault pressure: answer that member and serve the rest.
+    const std::size_t inputs =
+        static_cast<std::size_t>(net->layerSizes().front());
+    std::size_t served = 0;
+    for (auto &member : members) {
+        if (member.features == inputs) {
+            ++served;
+            continue;
+        }
+        respondFailed(member.item,
+                      makeError(Errc::invalidRequest,
+                                "classify: rows of {} features for a "
+                                "model of {} inputs",
+                                member.features, inputs));
+        member.finished = true;
+    }
+    const bool group_coalesced = served > 1;
+    const std::size_t width = static_cast<std::size_t>(nn::evalBatch);
 
     // Run block by block, checking stop and per-member deadlines at
     // every block boundary (the batch-block cancellation granularity).
@@ -1042,17 +1038,12 @@ UvoltServer::finishClassifyGroup(std::vector<Pending> items)
 bool
 UvoltServer::backoff(int attempt, std::uint64_t request_seed)
 {
-    const double exponential =
-        config_.backoffBaseMs * std::ldexp(1.0, attempt - 1);
+    const double exponential = backoffFirstMs * std::ldexp(1.0, attempt - 1);
     Rng rng(combineSeeds(request_seed,
                          0xb0ffull + static_cast<std::uint64_t>(
                                          attempt)));
-    const double jitter =
-        config_.backoffJitterMs > 0.0
-            ? rng.uniform(0.0, config_.backoffJitterMs)
-            : 0.0;
-    const double delay_ms =
-        std::min(config_.backoffMaxMs, exponential) + jitter;
+    const double jitter = rng.uniform(0.0, backoffJitterSpanMs);
+    const double delay_ms = std::min(backoffCapMs, exponential) + jitter;
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(delay_ms));
     return !stopRequested();

@@ -18,14 +18,15 @@
  *    and at batch-block granularity (classify blocks), so an expired
  *    request stops consuming the board promptly.
  *  - Retries. Transient fault classes (crash-detected, link/PMBus/
- *    verify/recovery exhausted) are retried with exponential backoff
- *    plus seeded jitter. Requests are idempotent by construction:
+ *    verify/recovery exhausted) get 3 tries, with exponential backoff
+ *    (1 ms doubling, capped at 50 ms) plus up to 1 ms of seeded
+ *    jitter between them. Requests are idempotent by construction:
  *    every characterize derives its seed from the PR 4 config-digest
  *    of its own shape, so a retry (or a resubmission after a restart)
  *    replays the identical campaign — and the PR 1 masking guarantee
  *    makes the result bit-identical with the injector on or off.
  *  - Coalescing. Concurrent classify requests at the same operating
- *    point are packed into forwardBatch-sized blocks (scatter-gather,
+ *    point are packed into nn::evalBatch-sample blocks (scatter-gather,
  *    no staging copies) and share one FvmCache across tenants.
  *  - Graceful degradation. A sliding-window health score fed from the
  *    retry/recovery accounting (and GovernorHealth via pressureOf())
@@ -126,19 +127,15 @@ struct ClassifyResponse
 using ModelProvider = std::function<
     Expected<std::shared_ptr<const nn::Network>>(int setpoint_mv)>;
 
-/** Serving knobs. */
+/**
+ * What a deployment sets. The retry, backoff, slicing, coalescing and
+ * degradation policies are constants of serve/server.cc and
+ * serve/health.cc.
+ */
 struct ServerConfig
 {
     std::size_t queueCapacity = 64; ///< admission-control bound
     std::size_t workers = 2;        ///< serving threads (>= 1)
-
-    int maxAttempts = 3;        ///< tries per request on transient faults
-    double backoffBaseMs = 1.0; ///< first retry delay (doubles per try)
-    double backoffJitterMs = 1.0; ///< uniform seeded jitter on top
-    double backoffMaxMs = 50.0;   ///< delay cap
-
-    int coalesceBatch = 0; ///< classify block width; 0 = defaultEvalBatch
-    int sliceLevels = 1;   ///< sweep levels between deadline checks
 
     /** Characterize checkpoints + resume-after-restart ("" = off). */
     std::string checkpointDir;
@@ -152,25 +149,15 @@ struct ServerConfig
      *  SRAM) characterize has no board and fails invalidRequest. */
     std::optional<pmbus::NoiseConfig> noise;
 
-    harness::RecoveryPolicy recovery; ///< per-run watchdog budget
-
-    HealthConfig health; ///< degradation state machine knobs
-
-    /** Serves classify requests; required before the first classify. */
+    /** Serves classify requests; without one, classify is refused. */
     ModelProvider modelProvider;
 
     std::uint64_t seed = 1; ///< base of per-request seed derivation
 
-    /** Flight-recorder dump directory ("" disables server dumps). */
+    /** Flight-recorder dump directory ("" disables server dumps). The
+     *  server dumps on entering the degraded state and on every 8th
+     *  consecutive deadline expiry (blackbox_deadline_storm.json). */
     std::string blackboxDir = "results";
-
-    /** Consecutive deadline expiries that trigger a flight-recorder
-     *  dump (blackbox_deadline_storm.json); 0 disables. */
-    int deadlineStormThreshold = 8;
-
-    /** Tolerated failed/responded fraction; statusReport() reports the
-     *  actual fraction divided by this budget (1.0 = budget spent). */
-    double errorBudget = 0.05;
 };
 
 /** Exactly-once accounting, mirrored in serve.* telemetry counters. */
@@ -206,7 +193,7 @@ struct StatusReport
     double characterizeP50Ms = 0.0, characterizeP99Ms = 0.0;
     double classifyP50Ms = 0.0, classifyP99Ms = 0.0;
 
-    /** failed/responded over the configured budget; >= 1 = budget
+    /** failed/responded over the 5 % error budget; >= 1 = budget
      *  exhausted. 0 while nothing has been responded to. */
     double errorBudgetBurn = 0.0;
 
@@ -251,9 +238,13 @@ class UvoltServer
     Expected<std::future<Expected<CharacterizeResponse>>>
     submitCharacterize(CharacterizeRequest request);
 
-    /** Admit a classification batch; same admission contract
-     *  (invalidRequest when the samples do not divide into
-     *  sampleCount > 0 rows). */
+    /**
+     * Admit a classification batch; same admission contract
+     * (invalidRequest when the samples do not divide into
+     * sampleCount > 0 rows, or the server has no modelProvider). A
+     * request whose row width is not the served model's input width
+     * resolves to invalidRequest; the rest of its block is served.
+     */
     Expected<std::future<Expected<ClassifyResponse>>>
     submitClassify(ClassifyRequest request);
 
@@ -354,10 +345,14 @@ class UvoltServer
 
     void respondExpired(Pending &item);
     void respondStopped(Pending &item);
+
+    /** Resolve @a item with @a error: counted failed, and expired or
+     *  cancelled when its code is deadlineExceeded or serverStopped. */
+    void respondFailed(Pending &item, Error error);
     void noteCompleted(const Pending &item, bool ok, Errc code);
 
     /** Deadline-storm detection: count consecutive expiries and dump
-     *  the flight recorder when the configured threshold is crossed. */
+     *  the flight recorder at every 8th. */
     void noteDeadlineExpiry();
 
     ServerConfig config_;

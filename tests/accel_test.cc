@@ -386,12 +386,13 @@ TEST(AcceleratorTest, BatchedEvalOptionsMatchDefaultOverload)
     board.setVccBramMv(board.spec().calib.bramVcrashMv);
     board.startReferenceRun();
 
-    const double reference = accel.classificationError(smallTestSet());
     ThreadPool pool(4);
-    const nn::EvalOptions options{.limit = 0, .batch = 11,
-                                  .pool = &pool};
-    EXPECT_DOUBLE_EQ(accel.classificationError(smallTestSet(), options),
-                     reference);
+    for (const std::size_t limit : {0u, 65u}) {
+        const nn::EvalOptions options{.limit = limit, .pool = &pool};
+        EXPECT_DOUBLE_EQ(accel.classificationError(smallTestSet(), options),
+                         accel.classificationError(smallTestSet(), limit))
+            << "limit " << limit;
+    }
 }
 
 TEST(AcceleratorTest, FaultCountGrowsWithDepth)

@@ -268,21 +268,22 @@ TEST(FleetErrors, UnmaskableEnvironmentComesBackAsError)
     FleetPlan plan = FleetPlan::crossProduct(
         {"ZC702"}, {PatternSpec::allOnes()}, {50.0});
     plan.runsPerLevel = 3;
-    // A board that crashes on every measurement, with a recovery budget
-    // far too small to ride it out: unmaskable, but recoverable-error.
+    // A board that crashes on every measurement: no recovery budget
+    // rides that out, so each of the 3 job attempts spends all 16
+    // recoveries of its first run. Unmaskable, but a recoverable error.
     NoiseConfig noise;
     noise.seed = 7;
     noise.spuriousCrashProb = 1.0;
     noise.crashBandMv = 10000; // crash anywhere, not just near Vcrash
     plan.jobs.front().noise = noise;
-    plan.recovery.maxRecoveriesPerRun = 2;
 
-    FleetOptions options;
-    options.maxAttemptsPerJob = 2;
-    FleetEngine engine(options);
+    FleetEngine engine;
     auto result = engine.run(plan);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.code(), Errc::recoveryExhausted);
+    EXPECT_NE(result.error().message.find("through 16 recoveries"),
+              std::string::npos)
+        << result.error().message;
 }
 
 TEST(FleetCheckpoint, ResumesAfterKillAndMatchesFreshRun)

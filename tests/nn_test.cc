@@ -611,8 +611,6 @@ TEST(BatchedEval, InferBatchBitIdenticalToInfer)
     }
     std::vector<float> probs(classes * batch);
     fx.net.inferBatch(inputs, probs, batch);
-    std::vector<int> predicted(batch);
-    fx.net.classifyBatch(inputs, predicted, batch);
 
     for (int s = 0; s < batch; ++s) {
         const auto sample = fx.set.sample(static_cast<std::size_t>(s));
@@ -622,41 +620,79 @@ TEST(BatchedEval, InferBatchBitIdenticalToInfer)
                       expected[c])
                 << "sample " << s << " class " << c;
         }
-        EXPECT_EQ(predicted[static_cast<std::size_t>(s)],
-                  fx.net.classify(sample));
     }
 }
+
+TEST(BatchedEval, ClassifyScatteredMatchesClassifyAtEveryWidth)
+{
+    // The forest net, and one whose layer widths are not multiples of
+    // the kernel's 8-output row tile. Block widths 1..65 run every
+    // column strip, the single-column tail and one past evalBatch.
+    Network forest({data::forestFeatures, 16, data::forestClasses});
+    forest.initWeights(42);
+    Network odd({30, 13, 11, 5});
+    odd.initWeights(7);
+    Rng rng(23);
+    for (const Network *net : {&forest, &odd}) {
+        const std::size_t features =
+            static_cast<std::size_t>(net->layerSizes().front());
+        // One buffer per sample: a scattered block, as a coalesced
+        // serve block is.
+        std::vector<std::vector<float>> rows(65,
+                                             std::vector<float>(features));
+        for (auto &row : rows)
+            for (auto &x : row)
+                x = static_cast<float>(rng.uniform(-2.0, 2.0));
+        std::vector<int> expected;
+        for (const auto &row : rows)
+            expected.push_back(net->classify(row));
+        for (std::size_t width = 1; width <= rows.size(); ++width) {
+            std::vector<std::span<const float>> block(rows.begin(),
+                                                      rows.begin() +
+                                                          width);
+            std::vector<int> classes(width, -1);
+            net->classifyScattered(block, classes);
+            EXPECT_TRUE(std::equal(classes.begin(), classes.end(),
+                                   expected.begin()))
+                << net->layerSizes().back() << " classes, width " << width;
+        }
+    }
+}
+
+/** Prefix limits around evalBatch = 64: one batch short, exact and one
+ *  over, then ragged tails behind one and two full batches. */
+constexpr std::size_t raggedLimits[] = {1, 63, 64, 65, 100, 129};
 
 TEST(BatchedEval, BitIdenticalToScalarAcrossBatchSizes)
 {
     BatchedFixture fx;
-    const double scalar = fx.net.evaluateErrorScalar(fx.set);
-    for (const int batch :
-         {1, 7, 32, static_cast<int>(fx.set.size())}) {
-        EXPECT_DOUBLE_EQ(
-            fx.net.evaluateError(fx.set, EvalOptions{.batch = batch}),
-            scalar)
-            << "batch " << batch;
+    for (const std::size_t limit : raggedLimits) {
+        EXPECT_DOUBLE_EQ(fx.net.evaluateError(fx.set, limit),
+                         fx.net.evaluateErrorScalar(fx.set, limit))
+            << "limit " << limit;
     }
     // The two spellings of "whole set" and a clamping limit agree.
+    const double scalar = fx.net.evaluateErrorScalar(fx.set);
     EXPECT_DOUBLE_EQ(fx.net.evaluateError(fx.set, 0), scalar);
     EXPECT_DOUBLE_EQ(fx.net.evaluateError(fx.set, fx.set.size() + 999),
                      scalar);
-    // A real prefix limit matches the scalar path on the same prefix.
-    EXPECT_DOUBLE_EQ(fx.net.evaluateError(fx.set, 100),
-                     fx.net.evaluateErrorScalar(fx.set, 100));
 }
 
 TEST(BatchedEval, BitIdenticalAtAnyWorkerCount)
 {
     BatchedFixture fx;
-    const double scalar = fx.net.evaluateErrorScalar(fx.set);
-    for (const std::size_t workers : {0u, 1u, 8u}) {
+    for (const std::size_t workers : {0u, 1u, 4u, 8u}) {
         ThreadPool pool(workers);
+        for (const std::size_t limit : raggedLimits) {
+            EXPECT_DOUBLE_EQ(
+                fx.net.evaluateError(
+                    fx.set, EvalOptions{.limit = limit, .pool = &pool}),
+                fx.net.evaluateErrorScalar(fx.set, limit))
+                << workers << " workers, limit " << limit;
+        }
         EXPECT_DOUBLE_EQ(
-            fx.net.evaluateError(
-                fx.set, EvalOptions{.batch = 16, .pool = &pool}),
-            scalar)
+            fx.net.evaluateError(fx.set, EvalOptions{.pool = &pool}),
+            fx.net.evaluateErrorScalar(fx.set))
             << workers << " workers";
     }
 }

@@ -113,6 +113,32 @@ forestRequest(std::size_t count, std::uint64_t seed, int setpoint_mv)
     return request;
 }
 
+/** @a count rows of @a width features, for the malformed-width cases. */
+ClassifyRequest
+rowsOfWidth(std::size_t width, std::size_t count)
+{
+    ClassifyRequest request;
+    request.sampleCount = count;
+    request.setpointMv = 850;
+    request.samples.assign(width * count, 0.25f);
+    return request;
+}
+
+/** @a classes are what the scalar Network::classify gives per row. */
+void
+expectScalarClasses(const ClassifyRequest &request,
+                    const std::vector<int> &classes)
+{
+    ASSERT_EQ(classes.size(), request.sampleCount);
+    const auto net = fixedNet();
+    for (std::size_t s = 0; s < request.sampleCount; ++s) {
+        const std::span<const float> sample(
+            request.samples.data() + s * data::forestFeatures,
+            data::forestFeatures);
+        EXPECT_EQ(classes[s], net->classify(sample)) << "sample " << s;
+    }
+}
+
 // --- BoundedQueue --------------------------------------------------------
 
 TEST(BoundedQueueTest, RejectsWhenFullWithoutBlocking)
@@ -197,10 +223,7 @@ stormThenCalm()
 
 TEST(HealthTrackerTest, DegradesUnderStormAndRampsBack)
 {
-    HealthConfig config;
-    config.window = 8;
-    config.minSamples = 4;
-    HealthTracker tracker(config);
+    HealthTracker tracker;
     EXPECT_EQ(tracker.state(), ServeState::normal);
     EXPECT_EQ(tracker.score(), 1.0);
 
@@ -225,28 +248,33 @@ TEST(HealthTrackerTest, DegradesUnderStormAndRampsBack)
 
 TEST(HealthTrackerTest, FloorRaiseIsCappedAndShedsWhileDegraded)
 {
-    HealthConfig config;
-    config.window = 8;
-    config.minSamples = 2;
-    config.setpointStepMv = 20;
-    config.maxFloorRaiseMv = 50;
-    HealthTracker tracker(config);
+    HealthTracker tracker;
     for (int i = 0; i < 40; ++i)
         tracker.observe(5.0); // permanent storm
     EXPECT_EQ(tracker.state(), ServeState::degraded);
-    EXPECT_EQ(tracker.floorRaiseMv(), 50); // capped, not 40 * 20
+    // 10 mV per unhealthy observation, capped at 50 mV (not 37 * 10).
+    EXPECT_EQ(tracker.floorRaiseMv(), 50);
     EXPECT_TRUE(tracker.sheddingLowPriority());
+    ASSERT_EQ(tracker.transitions().size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(tracker.transitions()[i].observation, 4 + i);
+        EXPECT_EQ(tracker.transitions()[i].floorRaiseMv,
+                  static_cast<int>(10 * (i + 1)));
+    }
 }
 
 TEST(HealthTrackerTest, NoTransitionsBeforeMinSamples)
 {
-    HealthConfig config;
-    config.minSamples = 6;
-    HealthTracker tracker(config);
-    for (int i = 0; i < 5; ++i)
+    HealthTracker tracker;
+    for (int i = 0; i < 3; ++i)
         tracker.observe(9.0);
     EXPECT_EQ(tracker.state(), ServeState::normal);
     EXPECT_TRUE(tracker.transitions().empty());
+    // The 4th observation is the first that may move the state.
+    tracker.observe(9.0);
+    EXPECT_EQ(tracker.state(), ServeState::degraded);
+    ASSERT_EQ(tracker.transitions().size(), 1u);
+    EXPECT_EQ(tracker.transitions().front().observation, 4u);
 }
 
 TEST(HealthTrackerTest, PureFunctionOfObservationSequence)
@@ -399,7 +427,18 @@ TEST(ServeAdmission, MalformedRequestsAreRefusedAndServingContinues)
     EXPECT_EQ(uneven.code(), Errc::invalidRequest);
     EXPECT_EQ(server.stats().admitted, 0u);
 
-    // Nothing was admitted, and the daemon still serves both classes.
+    // Rows that divide evenly but do not match the model's 54 inputs
+    // (0 = no feature at all) pass admission and fail when served.
+    for (std::size_t width : {53u, 55u, 0u}) {
+        auto admitted = server.submitClassify(rowsOfWidth(width, 4));
+        ASSERT_TRUE(admitted.ok()) << width;
+        auto response = admitted.take().get();
+        ASSERT_FALSE(response.ok()) << width;
+        EXPECT_EQ(response.code(), Errc::invalidRequest) << width;
+    }
+    EXPECT_EQ(server.stats().failed, 3u);
+
+    // The daemon still serves both classes.
     CharacterizeRequest valid;
     valid.platform = "HBM2-A";
     valid.runsPerLevel = 2;
@@ -410,6 +449,43 @@ TEST(ServeAdmission, MalformedRequestsAreRefusedAndServingContinues)
     EXPECT_TRUE(characterized.value().get().ok());
     EXPECT_TRUE(classified.value().get().ok());
     server.stop();
+
+    // One bad member of a coalesced group fails alone; the good members
+    // around it get the scalar classes.
+    BlockableProvider gate;
+    ServerConfig gated;
+    gated.workers = 1;
+    gated.modelProvider = gate.provider();
+    UvoltServer coalescing(std::move(gated));
+    auto held = coalescing.submitClassify(forestRequest(2, 1, 850));
+    ASSERT_TRUE(held.ok());
+    while (gate.calls.load() == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::vector<ClassifyRequest> group{
+        forestRequest(5, 2, 850), rowsOfWidth(53, 3),
+        forestRequest(7, 3, 850)};
+    std::vector<std::future<Expected<ClassifyResponse>>> futures;
+    for (const auto &request : group)
+        futures.push_back(coalescing.submitClassify(request).orFatal());
+    gate.release.store(true);
+    ASSERT_TRUE(held.take().get().ok());
+    for (std::size_t i : {0u, 2u}) {
+        auto response = futures[i].get();
+        ASSERT_TRUE(response.ok()) << i;
+        EXPECT_TRUE(response.value().coalesced) << i;
+        expectScalarClasses(group[i], response.value().classes);
+    }
+    auto bad = futures[1].get();
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.code(), Errc::invalidRequest);
+    coalescing.stop();
+
+    // A server without a model provider refuses classify at admission.
+    UvoltServer no_model(ServerConfig{});
+    auto no_provider = no_model.submitClassify(forestRequest(2, 1, 850));
+    ASSERT_FALSE(no_provider.ok());
+    EXPECT_EQ(no_provider.code(), Errc::invalidRequest);
+    no_model.stop();
 }
 
 TEST(ServeAdmission, NoiseOnABackendCharacterizeFailsWithoutRetry)
@@ -437,8 +513,6 @@ TEST(ServeAdmission, DegradedServerShedsLowPriorityOnly)
 {
     ServerConfig config;
     config.workers = 1;
-    config.health.minSamples = 2;
-    config.health.window = 4;
     config.modelProvider = fixedProvider();
     UvoltServer server(std::move(config));
 
@@ -511,9 +585,6 @@ TEST(ServeRetry, TransientModelFaultsRetryWithBackoff)
     std::atomic<int> calls{0};
     ServerConfig config;
     config.workers = 1;
-    config.maxAttempts = 4;
-    config.backoffBaseMs = 0.1;
-    config.backoffJitterMs = 0.1;
     config.modelProvider =
         [&calls](int) -> Expected<std::shared_ptr<const nn::Network>> {
         if (calls.fetch_add(1) < 2)
@@ -533,12 +604,34 @@ TEST(ServeRetry, TransientModelFaultsRetryWithBackoff)
     server.stop();
 }
 
+TEST(ServeRetry, TransientFaultsGiveUpAfterThreeAttempts)
+{
+    std::atomic<int> calls{0};
+    ServerConfig config;
+    config.workers = 1;
+    config.modelProvider =
+        [&calls](int) -> Expected<std::shared_ptr<const nn::Network>> {
+        calls.fetch_add(1);
+        return makeError(Errc::linkExhausted, "injected fault");
+    };
+    UvoltServer server(std::move(config));
+
+    auto future = server.submitClassify(forestRequest(3, 9, 850));
+    ASSERT_TRUE(future.ok());
+    auto response = future.value().get();
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.code(), Errc::linkExhausted);
+    EXPECT_EQ(calls.load(), 3);
+    EXPECT_EQ(server.stats().retried, 2u);
+    EXPECT_EQ(server.stats().failed, 1u);
+    server.stop();
+}
+
 TEST(ServeRetry, NonTransientFaultsFailFast)
 {
     std::atomic<int> calls{0};
     ServerConfig config;
     config.workers = 1;
-    config.maxAttempts = 4;
     config.modelProvider =
         [&calls](int) -> Expected<std::shared_ptr<const nn::Network>> {
         calls.fetch_add(1);
@@ -564,16 +657,18 @@ TEST(ServeCoalesce, CoalescedBlocksAreBitIdenticalToScalarClassify)
     ServerConfig config;
     config.workers = 1;
     config.queueCapacity = 32;
-    config.coalesceBatch = 16;
     config.modelProvider = gate.provider();
     UvoltServer server(std::move(config));
 
     // Hold the worker on a first request, queue several more at the
     // same operating point, then release: the queued ones coalesce.
+    // Their 14 + 15 + 16 + 17 + 18 = 80 samples fill one 64-sample
+    // block and spill into a second, which splits the last request.
     std::vector<ClassifyRequest> requests;
     std::vector<std::future<Expected<ClassifyResponse>>> futures;
     for (int i = 0; i < 6; ++i)
-        requests.push_back(forestRequest(3 + i, 100 + i, 850));
+        requests.push_back(
+            forestRequest(i == 0 ? 3 : 13 + i, 100 + i, 850));
     {
         auto first = server.submitClassify(requests[0]);
         ASSERT_TRUE(first.ok());
@@ -589,25 +684,18 @@ TEST(ServeCoalesce, CoalescedBlocksAreBitIdenticalToScalarClassify)
     gate.release.store(true);
     server.drain();
 
-    const auto net = fixedNet();
     bool any_coalesced = false;
     for (std::size_t i = 0; i < futures.size(); ++i) {
         auto response = futures[i].get();
         ASSERT_TRUE(response.ok()) << "request " << i;
-        const auto &classes = response.value().classes;
-        ASSERT_EQ(classes.size(), requests[i].sampleCount);
         // Bit-identity with the scalar path, member by member: block
         // packing across tenants must not change a single result.
-        for (std::size_t s = 0; s < requests[i].sampleCount; ++s) {
-            const std::span<const float> sample(
-                requests[i].samples.data() + s * data::forestFeatures,
-                data::forestFeatures);
-            EXPECT_EQ(classes[s], net->classify(sample));
-        }
+        expectScalarClasses(requests[i], response.value().classes);
         any_coalesced |= response.value().coalesced;
     }
     EXPECT_TRUE(any_coalesced);
-    EXPECT_GE(server.stats().coalescedBlocks, 1u);
+    // The second block holds only the rest of the last request.
+    EXPECT_EQ(server.stats().coalescedBlocks, 1u);
     server.stop();
 }
 
@@ -821,24 +909,6 @@ TEST(ServeIdentity, RepeatedRequestsAreIdempotent)
 
 // --- backend (HBM, MoRS-SRAM) characterize -------------------------------
 
-/** Serve @a request on a fresh one-worker server; the response value. */
-CharacterizeResponse
-characterizeOn(const CharacterizeRequest &request, int slice_levels)
-{
-    ServerConfig config;
-    config.workers = 1;
-    config.sliceLevels = slice_levels;
-    UvoltServer server(std::move(config));
-    auto future = server.submitCharacterize(request);
-    EXPECT_TRUE(future.ok());
-    if (!future.ok())
-        return {};
-    auto response = future.value().get();
-    EXPECT_TRUE(response.ok());
-    server.stop();
-    return response.ok() ? response.take() : CharacterizeResponse{};
-}
-
 /** A backend characterize long enough to be cut at a slice boundary:
  *  every level re-reads the device this many times. */
 constexpr int longRunsPerLevel = 20000;
@@ -849,20 +919,54 @@ class ServeBackend : public ::testing::TestWithParam<const char *>
 
 TEST_P(ServeBackend, SliceLengthNeverChangesTheSweep)
 {
-    CharacterizeRequest request;
-    request.platform = GetParam();
-    request.pattern = PatternSpec::fixed(0xAAAA);
-    request.runsPerLevel = 4;
+    // The server cuts a sweep into one-level slices; the fleet runs it
+    // whole (slice length 0). Both go through runJobAttempt.
+    harness::FleetPlan plan;
+    plan.runsPerLevel = 4;
+    const harness::FleetJob job{GetParam(), PatternSpec::fixed(0xAAAA),
+                                50.0, std::nullopt};
+    const auto sliced = [&](int slice_levels, int &checks) {
+        checks = 0;
+        const harness::SliceCheck count = [&]() -> Expected<void> {
+            ++checks;
+            return {};
+        };
+        auto outcome =
+            harness::runJobAttempt(plan, job, 1, 0x5eed, {}, slice_levels,
+                                   count);
+        EXPECT_TRUE(outcome.ok()) << slice_levels;
+        return outcome.ok() ? outcome.take().sweep : SweepResult{};
+    };
 
-    const CharacterizeResponse reference = characterizeOn(request, 1);
-    EXPECT_EQ(reference.sweep.platform, GetParam());
-    ASSERT_GT(reference.sweep.points.size(), 1u);
-    EXPECT_FALSE(reference.sweep.truncated);
+    int checks = 0;
+    const SweepResult reference = sliced(0, checks);
+    EXPECT_EQ(reference.platform, GetParam());
+    const std::size_t levels = reference.points.size();
+    ASSERT_GT(levels, 1u);
+    EXPECT_FALSE(reference.truncated);
+    EXPECT_EQ(checks, 1);
     // The stateless per-(level, run) jitter stream: however the sweep
     // is cut into slices, the merged result is the same bits.
-    for (int slice_levels : {0, 3, 1000})
-        expectSameSweep(characterizeOn(request, slice_levels).sweep,
-                        reference.sweep);
+    for (int slice_levels : {1, 3, 1000}) {
+        expectSameSweep(sliced(slice_levels, checks), reference);
+        EXPECT_GE(static_cast<std::size_t>(checks),
+                  (levels + slice_levels - 1) / slice_levels)
+            << slice_levels;
+    }
+
+    // And the server's sliced path serves the sweep whole.
+    ServerConfig config;
+    config.workers = 1;
+    UvoltServer server(std::move(config));
+    CharacterizeRequest request;
+    request.platform = GetParam();
+    request.pattern = job.pattern;
+    request.runsPerLevel = plan.runsPerLevel;
+    auto served = server.submitCharacterize(request).orFatal().get();
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(served.value().sweep.points.size(), levels);
+    EXPECT_FALSE(served.value().sweep.truncated);
+    server.stop();
 }
 
 TEST_P(ServeBackend, RepeatedRequestsReturnTheIdenticalSweep)
@@ -1163,12 +1267,13 @@ TEST(ServeObservability, DeadlineStormDumpsBlackbox)
     config.workers = 1;
     config.modelProvider = fixedProvider();
     config.blackboxDir = dir;
-    config.deadlineStormThreshold = 3;
     UvoltServer server(std::move(config));
 
     // Every request is born expired: each expiry extends the streak,
-    // and the third crossing dumps the recorder.
-    for (int i = 0; i < 4; ++i) {
+    // and the 8th in a row dumps the recorder.
+    const std::string path = dir + "/blackbox_deadline_storm.json";
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_FALSE(std::filesystem::exists(path)) << i;
         ClassifyRequest request = forestRequest(2, 50 + i, 850);
         request.deadlineMs = 1e-3;
         auto future = server.submitClassify(std::move(request));
@@ -1179,8 +1284,7 @@ TEST(ServeObservability, DeadlineStormDumpsBlackbox)
     }
     server.stop();
 
-    EXPECT_TRUE(std::filesystem::exists(
-        dir + "/blackbox_deadline_storm.json"));
+    EXPECT_TRUE(std::filesystem::exists(path));
     flightrec::FlightRecorder::global().resetForTest();
 }
 
@@ -1192,7 +1296,6 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     config.workers = 2;
     config.modelProvider = fixedProvider();
     config.blackboxDir = "";
-    config.errorBudget = 0.5;
     UvoltServer server(std::move(config));
 
     for (int i = 0; i < 6; ++i)
@@ -1224,8 +1327,8 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     EXPECT_EQ(report.queueDepth, 0u);
     EXPECT_EQ(report.queueCapacity, 64u);
     EXPECT_EQ(report.state, ServeState::normal);
-    // 1 failure of 8 responses over a 0.5 budget = 1/4 burned.
-    EXPECT_NEAR(report.errorBudgetBurn, (1.0 / 8.0) / 0.5, 1e-9);
+    // 1 failure of 8 responses over the 5 % budget = 2.5 budgets.
+    EXPECT_NEAR(report.errorBudgetBurn, (1.0 / 8.0) / 0.05, 1e-9);
     const std::string screen = report.render();
     EXPECT_GT(report.e2eP99Ms, 0.0);
     EXPECT_GT(report.classifyP50Ms, 0.0);
@@ -1240,7 +1343,8 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     EXPECT_NE(screen.find("hot frames"), std::string::npos);
     EXPECT_NE(screen.find("state"), std::string::npos);
     EXPECT_NE(screen.find("normal"), std::string::npos);
-    EXPECT_NE(screen.find("error budget"), std::string::npos);
+    EXPECT_NE(screen.find("error budget    250.0% burned"),
+              std::string::npos);
 }
 
 } // namespace
