@@ -26,6 +26,14 @@ run_suite() {
 echo "== tier 1: plain build =="
 run_suite build
 
+echo "== reachability gate: every src/ function has a workload caller =="
+# Builds uvolt_bench, uvolt_perfbench and the six examples with every
+# function in its own section and --gc-sections, then fails on any
+# uvolt:: function no workload binary keeps that scripts/reach_allow.txt
+# does not list with its reason (a test seam, a test oracle, or a
+# decision left to a later change).
+python3 scripts/check_reach.py --jobs "$jobs"
+
 echo "== examples smoke: quickstart and characterize_board =="
 # ctest never runs examples/. These commands drive their flag parsing,
 # region discovery, packed BRAM readback, FVM and BRAM-map paths end to
@@ -185,6 +193,14 @@ export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
 unset UVOLT_CACHE_DIR
 echo "fig11 CSV byte-identical on the calling thread vs 4 workers"
 
+echo "== libm without FMA: the tier-1 goldens under non-FMA libm variants =="
+# glibc picks its log, sin, cos and exp variants by CPU feature. Masking
+# AVX2, FMA and AVX-512 makes it pick the non-FMA ones, which differ
+# from the FMA variants in the last ulp on up to 7 of every 10^4
+# inputs; no golden may move with them.
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX512F \
+    ctest --test-dir build -R '^bench_goldens$' --output-on-failure
+
 echo "== second ISA: vectorized logsig, dequantize and fill at AVX2 width =="
 # The batched engine's logsig loop and the 16-stream Bernoulli fill are
 # vectorized at whatever width the target ISA offers; their bitwise
@@ -202,6 +218,27 @@ cmake --build build/v3 -j "$jobs" \
 ./build/v3/tests/fxp_test
 ./build/v3/tests/util_test --gtest_filter='Rng.*'
 ./build/v3/tests/harness_test --gtest_filter='PatternSpecTest.*'
+
+echo "== second ISA: retrained models and every golden from the v3 build =="
+# Results must not depend on the build host. The x86-64-v3 build
+# retrains MNIST, Forest and Reuters into an empty cache; each model
+# must be byte-identical to the -march=native build's cache, and every
+# fig/tab golden plus ext_membackends must reproduce from them. Runs in
+# a scratch directory so results/ and the ledger stay out of the tree.
+cmake --build build/v3 -j "$jobs" --target uvolt_bench
+v3_dir="$PWD/build/v3/host_independence"
+rm -rf "$v3_dir" && mkdir -p "$v3_dir"
+(cd "$v3_dir" &&
+    UVOLT_CACHE_DIR="$v3_dir/cache" UVOLT_LEDGER_DIR="$v3_dir/ledger" \
+    UVOLT_TIMELINE="$v3_dir/timeline.jsonl" \
+    "$OLDPWD/build/v3/bench/uvolt_bench" paper ext_membackends > /dev/null)
+test "$(ls "$v3_dir"/cache/*.nnw | wc -l)" -eq 3
+for model in "$v3_dir"/cache/*.nnw; do
+    cmp "$model" "uvolt_model_cache/$(basename "$model")"
+done
+python3 scripts/check_figures.py --results "$v3_dir/results"
+cmp "$v3_dir/results/ext_membackends.csv" goldens/ext_membackends.csv
+echo "v3 models byte-identical to the native cache; every golden matches"
 
 echo "== tier 1: sanitized build (ASan + UBSan) =="
 # fatal() death tests exit(1) mid-flight by design; leak checking on
@@ -222,8 +259,8 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # build is fast enough to run the four suites that exercise every one
 # of those paths on each CI pass — ASan's memory instrumentation isn't
 # needed here and would double the leg. The flavor also checks float
-# casts, so the timeline and ledger suites ride along: their parsers
-# turn persisted doubles into integer fields.
+# casts, so the timeline and ledger suites ride along for their
+# writers' number formatting.
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
     --target fpga_test vmodel_test harness_test membackend_test \

@@ -11,6 +11,13 @@ WeightImage::WeightImage(const nn::QuantizedModel &model) : model_(model)
     static_assert(weightsPerBram == fpga::bramRows,
                   "one weight word per BRAM row");
 
+    // Sized up front: regrowing the outer vector, which holds every
+    // BRAM's words, leaves holes in the heap of a process that builds
+    // one image per operating point, and its peak RSS creeps up.
+    std::size_t brams = 0;
+    for (const auto &layer : model_.layers)
+        brams += (layer.weights.size() + weightsPerBram - 1) / weightsPerBram;
+    contents_.reserve(brams);
     for (std::size_t l = 0; l < model_.layers.size(); ++l) {
         const auto &layer = model_.layers[l];
         LayerSpan span;
@@ -30,19 +37,9 @@ WeightImage::WeightImage(const nn::QuantizedModel &model) : model_(model)
             for (std::size_t w = 0; w < take; ++w)
                 rows[w] = layer.weights[base + w];
             contents_.push_back(fpga::packRows(rows));
-            layerOf_.push_back(span.layer);
         }
         spans_.push_back(span);
     }
-}
-
-int
-WeightImage::layerOf(std::uint32_t logical_bram) const
-{
-    if (logical_bram >= layerOf_.size())
-        fatal("layerOf: logical BRAM {} out of {}", logical_bram,
-              layerOf_.size());
-    return layerOf_[logical_bram];
 }
 
 const std::vector<std::uint64_t> &

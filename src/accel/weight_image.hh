@@ -52,9 +52,6 @@ class WeightImage
     /** Per-layer extents, in layer order. */
     const std::vector<LayerSpan> &layerSpans() const { return spans_; }
 
-    /** Layer owning a logical BRAM. */
-    int layerOf(std::uint32_t logical_bram) const;
-
     /**
      * Packed contents of one logical BRAM (zero-padded tail): the
      * fault-domain words programmed into the block, ready for
@@ -80,7 +77,6 @@ class WeightImage
     nn::QuantizedModel model_;
     std::vector<LayerSpan> spans_;
     std::vector<std::vector<std::uint64_t>> contents_; ///< packed words
-    std::vector<int> layerOf_;
 };
 
 } // namespace uvolt::accel

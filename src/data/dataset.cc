@@ -44,14 +44,4 @@ Dataset::samples(std::size_t first, std::size_t count) const
     return {data_.data() + first * width, count * width};
 }
 
-Dataset
-Dataset::head(std::size_t count) const
-{
-    Dataset out(name_, features_, classes_);
-    const std::size_t n = count < size() ? count : size();
-    for (std::size_t i = 0; i < n; ++i)
-        out.add(sample(i), label(i));
-    return out;
-}
-
 } // namespace uvolt::data

@@ -52,9 +52,6 @@ class Dataset
     /** Label of sample @a index. */
     int label(std::size_t index) const { return labels_[index]; }
 
-    /** First @a count samples as a new dataset (cheap subsetting). */
-    Dataset head(std::size_t count) const;
-
   private:
     std::string name_;
     int features_ = 0;

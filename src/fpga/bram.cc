@@ -92,21 +92,6 @@ Bram::testBit(int row, int col) const
     return (words_[addr.wordIndex()] >> addr.wordBit()) & 1u;
 }
 
-void
-Bram::assignBit(int row, int col, bool value)
-{
-    checkRow(row);
-    checkCol(col);
-    const BitAddress addr = BitAddress::fromBitOffset(
-        0, static_cast<std::uint32_t>(row * bramCols + col));
-    auto &word = words_[addr.wordIndex()];
-    if (value)
-        word |= addr.wordMask();
-    else
-        word &= ~addr.wordMask();
-    bump();
-}
-
 int
 Bram::countOnes() const
 {

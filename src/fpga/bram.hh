@@ -143,9 +143,8 @@ class Bram
     /** Fill every row with the same pattern (e.g. 0xFFFF). */
     void fill(std::uint16_t pattern);
 
-    /** Bounds-checked single-bit access (the BitAddress-based shim). */
+    /** Bounds-checked single-bit read (the BitAddress-based shim). */
     bool testBit(int row, int col) const;
-    void assignBit(int row, int col, bool value);
 
     /** Number of "1" data bitcells currently stored. */
     int countOnes() const;

@@ -45,9 +45,6 @@ class Device
     Bram &bram(std::uint32_t index);
     const Bram &bram(std::uint32_t index) const;
 
-    /** The whole pool, for span-level iteration without per-index checks. */
-    std::span<const Bram> brams() const { return brams_; }
-
     /** Fill every BRAM with the same row pattern (test initialization). */
     void fillAll(std::uint16_t pattern);
 

@@ -62,14 +62,4 @@ Floorplan::bramAt(Site site) const
     return static_cast<std::uint32_t>(index);
 }
 
-double
-Floorplan::distance(std::uint32_t bram_a, std::uint32_t bram_b) const
-{
-    const Site a = siteOf(bram_a);
-    const Site b = siteOf(bram_b);
-    const double dx = a.x - b.x;
-    const double dy = a.y - b.y;
-    return std::sqrt(dx * dx + dy * dy);
-}
-
 } // namespace uvolt::fpga

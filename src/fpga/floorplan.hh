@@ -59,12 +59,6 @@ class Floorplan
     /** Whether a site holds a BRAM. */
     bool occupied(Site site) const { return bramAt(site).has_value(); }
 
-    /**
-     * Euclidean distance between the sites of two BRAMs, used by the
-     * process-variation model's spatial correlation kernel.
-     */
-    double distance(std::uint32_t bram_a, std::uint32_t bram_b) const;
-
   private:
     Floorplan() = default;
 

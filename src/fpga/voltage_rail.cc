@@ -35,11 +35,4 @@ VoltageRail::setMillivolts(int mv)
     currentMv_ = std::clamp(mv, 0, nominalMv_ + nominalMv_ / 5);
 }
 
-double
-VoltageRail::underscale() const
-{
-    return 1.0 - static_cast<double>(currentMv_) /
-        static_cast<double>(nominalMv_);
-}
-
 } // namespace uvolt::fpga

@@ -50,9 +50,6 @@ class VoltageRail
     /** Restore the factory nominal level. */
     void reset() { currentMv_ = nominalMv_; }
 
-    /** Fraction below nominal, e.g. 0.39 at 610 mV from 1000 mV. */
-    double underscale() const;
-
   private:
     RailId id_;
     int nominalMv_;

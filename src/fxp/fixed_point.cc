@@ -18,18 +18,6 @@ QFormat::QFormat(int digit_bits)
               wordBits - 1);
 }
 
-double
-QFormat::maxMagnitude() const
-{
-    return std::ldexp(1.0, digitBits_) - resolution();
-}
-
-double
-QFormat::resolution() const
-{
-    return lsb_;
-}
-
 Word
 QFormat::quantize(double value) const
 {
@@ -63,12 +51,6 @@ minDigitBits(double max_abs_value)
     while (magnitude >= std::ldexp(1.0, bits) && bits < wordBits - 1)
         ++bits;
     return bits;
-}
-
-int
-popcount(Word word)
-{
-    return std::popcount(word);
 }
 
 std::uint64_t

@@ -49,12 +49,6 @@ class QFormat
     int digitBits() const { return digitBits_; }
     int fracBits() const { return fracBits_; }
 
-    /** Largest representable magnitude: 2^digit - 2^-frac. */
-    double maxMagnitude() const;
-
-    /** Value of one LSB: 2^-frac. */
-    double resolution() const;
-
     /** Quantize with round-to-nearest and saturation. */
     Word quantize(double value) const;
 
@@ -104,9 +98,6 @@ withBit(Word word, int bit, bool value)
     return value ? static_cast<Word>(word | mask)
                  : static_cast<Word>(word & ~mask);
 }
-
-/** Number of "1" bits in a word. */
-int popcount(Word word);
 
 /** Number of "1" bits across a span of words. */
 std::uint64_t popcount(std::span<const Word> words);

@@ -184,13 +184,6 @@ readInts(std::istream &in, const char *key)
 } // namespace
 
 void
-saveCheckpoint(const SweepCheckpoint &checkpoint, std::ostream &out)
-{
-    const std::string text = formatCheckpoint(checkpoint);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-void
 saveCheckpointFile(const SweepCheckpoint &checkpoint,
                    const std::string &path)
 {

@@ -4,7 +4,7 @@
  * the board. The paper's Listing-1 campaign is hours of wall-clock on
  * real hardware; a host-process death should not restart it from
  * scratch. A SweepCheckpoint (harness/experiment.hh) can be written to
- * a stream/file after every completed level and loaded by a later
+ * a file after every completed level and loaded by a later
  * process, which resumes the campaign bit-identically: completed points
  * are trusted, the interrupted level keeps its partial run counts, and
  * the board's run-jitter stream is fast-forwarded to the stored cursor.
@@ -26,10 +26,7 @@
 namespace uvolt::harness
 {
 
-/** Serialize a checkpoint (valid or not) to a stream. */
-void saveCheckpoint(const SweepCheckpoint &checkpoint, std::ostream &out);
-
-/** Serialize atomically-ish to a file (write temp, then rename). */
+/** Serialize a checkpoint (valid or not) atomically to a file. */
 void saveCheckpointFile(const SweepCheckpoint &checkpoint,
                         const std::string &path);
 

@@ -293,23 +293,6 @@ SweepResult::atVcrash() const
     return points.back();
 }
 
-const SweepPoint &
-SweepResult::at(int vcc_bram_mv) const
-{
-    for (const auto &point : points) {
-        if (point.vccBramMv == vcc_bram_mv)
-            return point;
-    }
-    std::string available;
-    for (const auto &point : points) {
-        if (!available.empty())
-            available += ", ";
-        available += strFormat("{}", point.vccBramMv);
-    }
-    fatal("sweep has no point at {} mV; {} measured {} level(s): [{}] mV",
-          vcc_bram_mv, describe(), points.size(), available);
-}
-
 namespace
 {
 

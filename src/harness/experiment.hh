@@ -208,13 +208,6 @@ struct SweepResult
     /** The point at the lowest operable voltage. */
     const SweepPoint &atVcrash() const;
 
-    /**
-     * Point at a specific level; fatal() if the sweep skipped it. The
-     * diagnostic names the board *and die* (fleet campaigns hold many
-     * sweeps of identical platforms) plus the levels actually measured.
-     */
-    const SweepPoint &at(int vcc_bram_mv) const;
-
     /** "VC707 (die 1308-6520)", or just the platform when no die id. */
     std::string describe() const;
 };

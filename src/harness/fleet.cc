@@ -199,17 +199,6 @@ FleetResult::die(const std::string &platform) const
     fatal("fleet has no die report for platform '{}'", platform);
 }
 
-double
-FvmCacheStats::hitRate() const
-{
-    const std::uint64_t served =
-        memoryHits + diskHits + singleFlightWaits;
-    const std::uint64_t total = served + misses;
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(served) / static_cast<double>(total);
-}
-
 FvmCache::FvmCache(std::string directory)
     : directory_(std::move(directory))
 {

@@ -195,9 +195,6 @@ struct FvmCacheStats
     std::uint64_t misses = 0;            ///< characterizations executed
     std::uint64_t corruptFiles = 0;      ///< re-characterized + rewritten
     std::uint64_t singleFlightWaits = 0; ///< callers that joined a peer
-
-    /** Requests served without characterizing, as a fraction. */
-    double hitRate() const;
 };
 
 /**

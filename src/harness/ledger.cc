@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "util/format.hh"
@@ -111,129 +109,6 @@ RunManifest::toJson() const
     return out.str();
 }
 
-Expected<RunManifest>
-RunManifest::fromJson(std::string_view text)
-{
-    auto parsed = json::Value::parse(text);
-    if (!parsed.ok())
-        return parsed.error();
-    const json::Value &root = parsed.value();
-    if (!root.isObject() || root.stringOr("schema", "") != schema) {
-        return makeError(Errc::corruptCache,
-                         "not a {} document (schema = '{}')", schema,
-                         root.isObject() ? root.stringOr("schema", "?")
-                                         : "<non-object>");
-    }
-
-    json::Counts count;
-    constexpr std::uint64_t intMax = std::numeric_limits<int>::max();
-
-    RunManifest manifest;
-    manifest.tool = root.stringOr("tool", "");
-    manifest.runId = root.stringOr("run_id", "");
-    manifest.gitSha = root.stringOr("git_sha", "");
-    manifest.startedAtIso = root.stringOr("started_at", "");
-    manifest.configDigest = root.stringOr("config_digest", "");
-
-    if (const json::Value *plan = root.find("plan");
-        plan && plan->isObject()) {
-        manifest.runsPerLevel = static_cast<int>(
-            count(plan->countOr("runs_per_level", 0, intMax)));
-        manifest.stepMv =
-            static_cast<int>(count(plan->countOr("step_mv", 0, intMax)));
-        manifest.collectPerBram = plan->boolOr("collect_per_bram", true);
-        manifest.discoverRegions =
-            plan->boolOr("discover_regions", false);
-        manifest.maxAttemptsPerJob = static_cast<int>(
-            count(plan->countOr("max_attempts_per_job", 0, intMax)));
-        if (const json::Value *jobs = plan->find("jobs");
-            jobs && jobs->isArray()) {
-            for (const json::Value &job : jobs->items()) {
-                if (!job.isObject())
-                    continue;
-                manifest.jobLabels.push_back(job.stringOr("label", ""));
-                manifest.noiseSeeds.push_back(
-                    count(job.countOr("noise_seed", 0)));
-                manifest.backends.push_back(
-                    job.stringOr("backend", "bram"));
-            }
-        }
-    }
-
-    if (const json::Value *execution = root.find("execution");
-        execution && execution->isObject()) {
-        manifest.workers = count(execution->countOr("workers", 0));
-        manifest.durationMs = execution->numberOr("duration_ms", 0.0);
-        manifest.jobRetries = count(execution->countOr("job_retries", 0));
-        manifest.crashRecoveries =
-            count(execution->countOr("crash_recoveries", 0));
-        manifest.checkpointResumes =
-            count(execution->countOr("checkpoint_resumes", 0));
-    }
-
-    if (const json::Value *dies = root.find("dies");
-        dies && dies->isArray()) {
-        for (const json::Value &die : dies->items()) {
-            if (!die.isObject())
-                continue;
-            manifest.dieRates.emplace_back(
-                die.stringOr("platform", ""),
-                die.numberOr("faults_per_mbit_at_vcrash", 0.0));
-        }
-    }
-
-    if (const json::Value *artifacts = root.find("artifacts");
-        artifacts && artifacts->isArray()) {
-        for (const json::Value &artifact : artifacts->items()) {
-            if (artifact.isString())
-                manifest.artifacts.push_back(artifact.string());
-        }
-    }
-
-    if (const json::Value *obs = root.find("observability");
-        obs && obs->isObject()) {
-        manifest.tracePath = obs->stringOr("trace", "");
-        manifest.prometheusPath = obs->stringOr("prometheus", "");
-        if (const json::Value *boxes = obs->find("blackboxes");
-            boxes && boxes->isArray()) {
-            for (const json::Value &box : boxes->items()) {
-                if (box.isString())
-                    manifest.blackboxPaths.push_back(box.string());
-            }
-        }
-    }
-
-    if (const json::Value *telemetry = root.find("telemetry");
-        telemetry && telemetry->isObject()) {
-        for (const auto &[name, value] : telemetry->members()) {
-            if (value.isNumber())
-                manifest.counters.emplace_back(name,
-                                               count(value.count()));
-        }
-    }
-    if (count.error())
-        return *count.error();
-    return manifest;
-}
-
-Expected<RunManifest>
-RunManifest::load(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        return makeError(Errc::cacheMiss,
-                         "cannot open manifest '{}' for reading", path);
-    }
-    std::ostringstream content;
-    content << in.rdbuf();
-    auto manifest = fromJson(content.str());
-    if (!manifest.ok()) {
-        return makeError(manifest.error().code, "{}: {}", path,
-                         manifest.error().message);
-    }
-    return manifest;
-}
-
 std::string
 Ledger::defaultDirectory()
 {
@@ -260,7 +135,7 @@ Ledger::record(const RunManifest &manifest) const
     const std::string document = manifest.toJson();
 
     // Crash-atomic: a spurious crash mid-record must never leave a
-    // truncated manifest that a later RunManifest::load() chokes on.
+    // truncated manifest in the archive.
     if (auto latest = writeFileAtomic(latestPath(), document);
         !latest.ok())
         return latest;

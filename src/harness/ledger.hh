@@ -22,10 +22,11 @@
  * The manifest is the schema-versioned "uvolt-run-manifest-v1" JSON
  * document: config digest, per-job seeds, worker count, duration, a
  * telemetry counter snapshot, artifact paths, and per-die headline
- * rates. RunManifest::load() parses it back (util/json.hh), so tools
- * and tests can treat the ledger as a queryable record instead of an
- * opaque log. The manifest is provenance, not a perf record: timings
- * are gated from the perf timeline (harness/timeline.hh).
+ * rates. The library writes the archive and reads none of it back:
+ * the manifest is a diffable record for people and scripts, and a
+ * future reproduce path brings the one reader it needs. The manifest
+ * is provenance, not a perf record: timings are gated from the perf
+ * timeline (harness/timeline.hh).
  */
 
 #ifndef UVOLT_HARNESS_LEDGER_HH
@@ -44,7 +45,7 @@ namespace uvolt::harness
 /** One archived campaign run. */
 struct RunManifest
 {
-    /** Schema tag every reader checks first. */
+    /** Schema tag, the document's first member. */
     static constexpr const char *schema = "uvolt-run-manifest-v1";
 
     std::string tool = "FleetEngine"; ///< what produced the run
@@ -57,7 +58,7 @@ struct RunManifest
     std::vector<std::string> jobLabels;   ///< plan order
     std::vector<std::uint64_t> noiseSeeds; ///< per job; 0 = quiet
     /** Per-job memory technology tag ("bram", "hbm", "sram"); parallel
-     *  to jobLabels. Absent entries in old manifests read as "bram". */
+     *  to jobLabels. A job with no entry is written as "bram". */
     std::vector<std::string> backends;
     int runsPerLevel = 0;
     int stepMv = 0;
@@ -89,15 +90,6 @@ struct RunManifest
 
     /** Serialize as the "uvolt-run-manifest-v1" document. */
     std::string toJson() const;
-
-    /**
-     * Parse a manifest document (schema checked). A negative,
-     * non-finite or out-of-range integer field is Errc::corruptCache.
-     */
-    static Expected<RunManifest> fromJson(std::string_view text);
-
-    /** Load and parse the manifest at @a path. */
-    static Expected<RunManifest> load(const std::string &path);
 };
 
 /** FNV-1a 64-bit over a canonical description, as 16 hex digits. */

@@ -3,25 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "util/stats.hh"
-
 namespace uvolt::harness
 {
-
-double
-BramStructure::columnChiSquare() const
-{
-    if (faults == 0)
-        return 0.0;
-    const double expected =
-        static_cast<double>(faults) / fpga::bramCols;
-    double chi = 0.0;
-    for (int count : perColumn) {
-        const double diff = count - expected;
-        chi += diff * diff / expected;
-    }
-    return chi;
-}
 
 double
 BramStructure::topTwoColumnShare() const
@@ -32,28 +15,6 @@ BramStructure::topTwoColumnShare() const
     std::sort(sorted.rbegin(), sorted.rend());
     return static_cast<double>(sorted[0] + sorted[1]) /
         static_cast<double>(faults);
-}
-
-double
-StructureReport::meanTopTwoShare(int min_faults) const
-{
-    RunningStats stats;
-    for (const auto &entry : perBram) {
-        if (entry.faults >= min_faults)
-            stats.add(entry.topTwoColumnShare());
-    }
-    return stats.mean();
-}
-
-double
-StructureReport::medianChiSquare(int min_faults) const
-{
-    std::vector<double> scores;
-    for (const auto &entry : perBram) {
-        if (entry.faults >= min_faults)
-            scores.push_back(entry.columnChiSquare());
-    }
-    return scores.empty() ? 0.0 : median(std::move(scores));
 }
 
 std::string

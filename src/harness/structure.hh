@@ -5,10 +5,9 @@
  * The paper characterizes faults per BRAM; this library additionally
  * models weak-column clustering inside each BRAM (see
  * vmodel::VariationParams). These statistics let experiments *measure*
- * that structure from readback data instead of trusting the model: a
- * chi-square uniformity score of the per-column fault histogram, the
- * share of faults on each BRAM's dominant columns, and aggregate
- * row/column histograms for the whole chip.
+ * that structure from readback data instead of trusting the model: the
+ * per-column fault histogram of each BRAM, the share of its faults on
+ * its dominant columns, and the column totals of the whole chip.
  */
 
 #ifndef UVOLT_HARNESS_STRUCTURE_HH
@@ -32,13 +31,6 @@ struct BramStructure
     int faults = 0;
     std::array<int, fpga::bramCols> perColumn{};
 
-    /**
-     * Chi-square statistic of the per-column histogram against the
-     * uniform hypothesis (15 degrees of freedom). Large values mean the
-     * faults cluster on a few columns.
-     */
-    double columnChiSquare() const;
-
     /** Share of this BRAM's faults on its two most-faulty columns. */
     double topTwoColumnShare() const;
 };
@@ -49,23 +41,11 @@ struct StructureReport
     std::vector<BramStructure> perBram; ///< only BRAMs with faults
     std::array<std::uint64_t, fpga::bramCols> columnTotals{};
     std::uint64_t totalFaults = 0;
-
-    /** Mean top-two-column share over BRAMs with >= min_faults faults. */
-    double meanTopTwoShare(int min_faults = 8) const;
-
-    /** Median per-BRAM chi-square over BRAMs with >= min_faults. */
-    double medianChiSquare(int min_faults = 8) const;
 };
 
 /** Build the report from a flat list of fault observations. */
 StructureReport analyzeStructure(
     const std::vector<FaultObservation> &faults);
-
-/**
- * The 95th-percentile chi-square critical value for 15 degrees of
- * freedom: per-BRAM scores above this reject column uniformity.
- */
-constexpr double chiSquare95Df15 = 24.996;
 
 /**
  * Render one BRAM's fault locations as ASCII art: 16 columns wide, the

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <sys/utsname.h>
@@ -154,58 +153,6 @@ TimelineRow::toJsonLine() const
     return out.str();
 }
 
-Expected<TimelineRow>
-TimelineRow::fromJson(std::string_view text)
-{
-    auto parsed = json::Value::parse(text);
-    if (!parsed.ok())
-        return parsed.error();
-    const json::Value &root = parsed.value();
-    if (!root.isObject() || root.stringOr("schema", "") != schema) {
-        return makeError(Errc::corruptCache,
-                         "not a {} row (schema = '{}')", schema,
-                         root.isObject() ? root.stringOr("schema", "?")
-                                         : "<non-object>");
-    }
-
-    json::Counts count;
-
-    TimelineRow row;
-    row.tool = root.stringOr("tool", "");
-    row.runId = root.stringOr("run_id", "");
-    row.gitSha = root.stringOr("git_sha", "");
-    row.startedAtIso = root.stringOr("started_at", "");
-    row.configDigest = root.stringOr("config_digest", "");
-    if (const json::Value *machine = root.find("machine");
-        machine && machine->isObject()) {
-        Machine &m = row.machine;
-        m.digest = machine->stringOr("digest", "");
-        m.cpuModel = machine->stringOr("cpu_model", m.cpuModel);
-        m.cores = count(machine->countOr("cores", 0));
-        m.isa = machine->stringOr("isa", m.isa);
-        m.compiler = machine->stringOr("compiler", m.compiler);
-        m.buildType = machine->stringOr("build_type", m.buildType);
-        m.buildFlags = machine->stringOr("build_flags", m.buildFlags);
-        m.telemetryEnabled = machine->boolOr("telemetry_enabled", false);
-        m.host = machine->stringOr("host", m.host);
-        m.os = machine->stringOr("os", m.os);
-    }
-    row.baseline = root.boolOr("baseline", false);
-    row.workers = count(root.countOr("workers", 0));
-    row.durationMs = root.numberOr("duration_ms", 0.0);
-
-    if (const json::Value *metrics = root.find("metrics");
-        metrics && metrics->isObject()) {
-        for (const auto &[name, value] : metrics->members()) {
-            if (value.isNumber())
-                row.metrics.emplace_back(name, value.number());
-        }
-    }
-    if (count.error())
-        return *count.error();
-    return row;
-}
-
 std::string
 nowIso8601()
 {
@@ -242,34 +189,6 @@ Timeline::record(const std::string &path, const TimelineRow &row)
     if (Timeline(path).append(row).ok())
         std::printf("timeline: appended run %s -> %s\n",
                     row.runId.c_str(), path.c_str());
-}
-
-Expected<std::vector<TimelineRow>>
-Timeline::load() const
-{
-    std::vector<TimelineRow> rows;
-    if (!std::filesystem::exists(path_))
-        return rows; // no history yet is a valid (empty) timeline
-
-    std::ifstream in(path_);
-    if (!in) {
-        return makeError(Errc::cacheMiss,
-                         "cannot open timeline '{}' for reading", path_);
-    }
-    std::string line;
-    std::size_t number = 0;
-    while (std::getline(in, line)) {
-        ++number;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        auto row = TimelineRow::fromJson(line);
-        if (!row.ok()) {
-            return makeError(row.error().code, "{}:{}: {}", path_,
-                             number, row.error().message);
-        }
-        rows.push_back(std::move(row.value()));
-    }
-    return rows;
 }
 
 } // namespace uvolt::harness

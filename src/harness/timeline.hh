@@ -5,14 +5,15 @@
  * Every bench/fleet/serve run appends one schema-versioned
  * "uvolt-timeline-v2" JSON line (git SHA, config digest, the machine
  * and build it ran on, per-metric values) to results/timeline.jsonl.
- * scripts/check_perf.py is the one gate over that history: the newest
- * row of each tool is held to the tool's committed baseline row
+ * scripts/check_perf.py is the one reader of that history and the one
+ * gate over it (the library only writes rows): the newest row of each
+ * tool is held to the tool's committed baseline row
  * (bench/timeline_seed.jsonl) with per-metric tolerance, and to its own
  * history with robust-z (step changes) and EWMA (monotonic creep)
- * tests. The history test only compares rows
- * whose machine digests match: like fault rates, which the paper only
- * compares on one die, perf numbers from two machines or two builds
- * are different experiments.
+ * tests. The history test only compares rows whose machine digests
+ * match: like fault rates, which the paper only compares on one die,
+ * perf numbers from two machines or two builds are different
+ * experiments.
  *
  * Appends go through util/fsio's appendFileRecord — a single O_APPEND
  * write per row — so parallel runs stamping the same timeline (a CI
@@ -38,8 +39,8 @@ namespace uvolt::harness
 /**
  * The machine and build a row was measured on. Host and OS are
  * provenance only; every other field feeds the digest, and two rows
- * are comparable only when their digests match. Fields a row never
- * recorded read "unknown" (cores: 0).
+ * are comparable only when their digests match. Fields the process
+ * cannot determine stay "unknown" (cores: 0).
  */
 struct Machine
 {
@@ -66,7 +67,7 @@ struct Machine
 /** One run's worth of gate-able numbers. */
 struct TimelineRow
 {
-    /** Schema tag every reader checks first. */
+    /** Schema tag scripts/check_perf.py checks first. */
     static constexpr const char *schema = "uvolt-timeline-v2";
 
     std::string tool;         ///< "bench_all", "ext_serve", ...
@@ -84,7 +85,6 @@ struct TimelineRow
      * Metric name -> value (ns, ms, ratios — the name says which). A
      * run with telemetry on adds "<frame>.self_ms" for every frame of
      * its folded span profile, so the history gate covers each layer.
-     * Keys a row does not know (a legacy "top_frames") are ignored.
      */
     std::vector<std::pair<std::string, double>> metrics;
 
@@ -98,14 +98,6 @@ struct TimelineRow
 
     /** Serialize as one JSON line (no interior newlines). */
     std::string toJsonLine() const;
-
-    /**
-     * Parse one timeline line (schema checked). A negative, non-finite
-     * or out-of-range integer field is Errc::corruptCache. Machine keys
-     * the struct does not carry (a legacy "telemetry_compiled_in") are
-     * ignored.
-     */
-    static Expected<TimelineRow> fromJson(std::string_view text);
 };
 
 /** Wall-clock UTC "YYYY-MM-DDTHH:MM:SSZ" for row provenance. */
@@ -132,14 +124,6 @@ class Timeline
      * an empty path appends nothing (the binaries' --timeline "").
      */
     static void record(const std::string &path, const TimelineRow &row);
-
-    /**
-     * Parse every row in the file, oldest first. Blank lines are
-     * skipped; a malformed line is an error (a torn append would be a
-     * bug worth failing loudly on, not skipping). A missing file loads
-     * as an empty history.
-     */
-    Expected<std::vector<TimelineRow>> load() const;
 
   private:
     std::string path_;

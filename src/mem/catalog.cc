@@ -55,15 +55,4 @@ makeDevice(const std::string &name)
                                          pmbus::sharedChipModel(spec));
 }
 
-std::vector<std::string>
-extendedCatalogNames()
-{
-    std::vector<std::string> names;
-    for (const HbmSpec &spec : hbmCatalog())
-        names.push_back(spec.name);
-    for (const SramSpec &spec : sramCatalog())
-        names.push_back(spec.name);
-    return names;
-}
-
 } // namespace uvolt::mem

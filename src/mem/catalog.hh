@@ -43,9 +43,6 @@ DeviceTraits traitsOfName(const std::string &name);
  */
 std::unique_ptr<MemoryDevice> makeDevice(const std::string &name);
 
-/** Every non-BRAM catalog name (for docs/tests enumeration). */
-std::vector<std::string> extendedCatalogNames();
-
 } // namespace uvolt::mem
 
 #endif // UVOLT_MEM_CATALOG_HH

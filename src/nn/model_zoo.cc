@@ -2,11 +2,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
+#include <span>
+#include <string>
 
 #include "data/synthetic.hh"
 #include "util/format.hh"
+#include "util/fsio.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -148,17 +150,14 @@ constexpr std::uint32_t zooVersion = 1;
 bool
 saveNetwork(const Network &net, const std::string &path)
 {
-    std::error_code ec;
-    std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        warn("model cache: cannot write '{}'", path);
-        return false;
-    }
-    auto put32 = [&out](std::uint32_t value) {
-        out.write(reinterpret_cast<const char *>(&value), sizeof(value));
+    std::string bytes;
+    const auto put = [&bytes](std::span<const float> values) {
+        bytes.append(reinterpret_cast<const char *>(values.data()),
+                     values.size_bytes());
+    };
+    const auto put32 = [&bytes](std::uint32_t value) {
+        bytes.append(reinterpret_cast<const char *>(&value),
+                     sizeof(value));
     };
     put32(zooMagic);
     put32(zooVersion);
@@ -166,15 +165,16 @@ saveNetwork(const Network &net, const std::string &path)
     for (int size : net.layerSizes())
         put32(static_cast<std::uint32_t>(size));
     for (int l = 0; l < net.layerCount(); ++l) {
-        const auto &layer = net.layer(l);
-        out.write(reinterpret_cast<const char *>(layer.weights().data()),
-                  static_cast<std::streamsize>(
-                      layer.weights().size() * sizeof(float)));
-        out.write(reinterpret_cast<const char *>(layer.biases().data()),
-                  static_cast<std::streamsize>(
-                      layer.biases().size() * sizeof(float)));
+        put(net.layer(l).weights());
+        put(net.layer(l).biases());
     }
-    return static_cast<bool>(out);
+    // Crash-atomic, like every other persisted artifact: a crash
+    // mid-write must never leave a truncated model in the cache.
+    if (auto written = writeFileAtomic(path, bytes); !written.ok()) {
+        warn("model cache: {}", written.error().message);
+        return false;
+    }
+    return true;
 }
 
 bool
@@ -206,7 +206,9 @@ loadNetwork(Network &net, const std::string &path)
                 static_cast<std::streamsize>(
                     layer.biases().size() * sizeof(float)));
     }
-    return static_cast<bool>(in);
+    // The last bias ends the file: trailing bytes mean a different
+    // writer or a damaged file.
+    return in && in.peek() == std::ifstream::traits_type::eof();
 }
 
 Network

@@ -60,10 +60,16 @@ data::Dataset makeTestSet(const ZooSpec &spec, std::size_t count = 10000);
 /** Resolve the cache directory (UVOLT_CACHE_DIR or the default). */
 std::string cacheDirectory();
 
-/** Save a trained network; returns false (warn) on I/O failure. */
+/**
+ * Save a trained network crash-atomically (util/fsio's
+ * writeFileAtomic); returns false (warn) on I/O failure.
+ */
 bool saveNetwork(const Network &net, const std::string &path);
 
-/** Load a network; returns false if missing/corrupt/shape-mismatched. */
+/**
+ * Load a network; returns false if missing, corrupt, shape-mismatched,
+ * or with bytes after the last bias.
+ */
 bool loadNetwork(Network &net, const std::string &path);
 
 /**

@@ -147,28 +147,6 @@ DenseLayer::DenseLayer(int inputs, int outputs)
               outputs);
 }
 
-float
-DenseLayer::weight(int output, int input) const
-{
-    return weights_[static_cast<std::size_t>(output) *
-                    static_cast<std::size_t>(inputs_) +
-                    static_cast<std::size_t>(input)];
-}
-
-void
-DenseLayer::setWeight(int output, int input, float value)
-{
-    weights_[static_cast<std::size_t>(output) *
-             static_cast<std::size_t>(inputs_) +
-             static_cast<std::size_t>(input)] = value;
-}
-
-void
-DenseLayer::setBias(int output, float value)
-{
-    biases_[static_cast<std::size_t>(output)] = value;
-}
-
 void
 DenseLayer::forward(std::span<const float> x, std::span<float> z) const
 {

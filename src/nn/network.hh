@@ -54,13 +54,8 @@ class DenseLayer
     int inputs() const { return inputs_; }
     int outputs() const { return outputs_; }
 
-    /** Row-major weights: weight(o, i) multiplies input i for output o. */
-    float weight(int output, int input) const;
-    void setWeight(int output, int input, float value);
-
     float bias(int output) const { return biases_[
         static_cast<std::size_t>(output)]; }
-    void setBias(int output, float value);
 
     /** Flat storage access (used by the quantizer and the accelerator). */
     std::span<const float> weights() const { return weights_; }
@@ -181,6 +176,11 @@ class Network
      * s at inputs[s * inputFeatures]), @a probs receives the
      * distributions back to back (sample s at probs[s * classCount]).
      * Column results are bit-identical to infer() on each sample.
+     *
+     * The test seam of the batched kernel: no workload calls it, but it
+     * is the one entry point that exposes the kernel's class
+     * distributions, which the one-ulp activation probes need
+     * (classifyScattered() returns only arg-max classes).
      */
     void inferBatch(std::span<const float> inputs,
                     std::span<float> probs, int batch) const;

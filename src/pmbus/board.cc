@@ -294,12 +294,12 @@ Board::tryReadBramPacked(std::uint32_t bram,
     faults_->applyFaults(out, bram, effectiveVoltage());
     // Ship through the CRC-verified serial path, as the real setup does.
     // On a little-endian host the plane's memory IS the wire stream.
-    if constexpr (std::endian::native == std::endian::little)
-        return link_.transferReliable(
-            {reinterpret_cast<const std::uint8_t *>(out.data()),
-             out.size_bytes()});
-    else
-        return link_.transferReliable(SerialLink::packWordBytes(out));
+    static_assert(std::endian::native == std::endian::little,
+                  "the BRAM readback ships the plane's memory as the "
+                  "little-endian wire stream");
+    return link_.transferReliable(
+        {reinterpret_cast<const std::uint8_t *>(out.data()),
+         out.size_bytes()});
 }
 
 Expected<std::vector<std::uint64_t>>

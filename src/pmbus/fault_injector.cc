@@ -32,14 +32,6 @@ noiseMetrics()
 
 } // namespace
 
-bool
-NoiseConfig::any() const
-{
-    return frameCorruptProb > 0.0 || pmbusNackProb > 0.0 ||
-        setpointJitterProb > 0.0 || spuriousCrashProb > 0.0 ||
-        tempDriftC > 0.0;
-}
-
 NoiseConfig
 NoiseConfig::harsh(std::uint64_t seed, double p)
 {

@@ -41,9 +41,6 @@ struct NoiseConfig
     double tempDriftC = 0.0;         ///< ambient random-walk step, degC
                                      ///< (perturbs physics; not masked)
 
-    /** Whether any injection is enabled at all. */
-    bool any() const;
-
     /**
      * Uniformly harsh environment: probability @a p on every maskable
      * channel (frames, NACKs, setpoint jitter, spurious crashes).

@@ -20,11 +20,4 @@ decodeLinear16(std::uint16_t mantissa)
     return std::ldexp(static_cast<double>(mantissa), linear16Exponent);
 }
 
-std::uint8_t
-encodeVoutMode()
-{
-    // Linear mode, 5-bit two's-complement exponent in the low bits.
-    return static_cast<std::uint8_t>(linear16Exponent & 0x1f);
-}
-
 } // namespace uvolt::pmbus

@@ -47,12 +47,6 @@ std::uint16_t encodeLinear16(double volts);
 /** Decode a LINEAR16 mantissa back to volts. */
 double decodeLinear16(std::uint16_t mantissa);
 
-/**
- * Encode the VOUT_MODE byte: linear mode (upper 3 bits 0) with a 5-bit
- * two's-complement exponent.
- */
-std::uint8_t encodeVoutMode();
-
 } // namespace uvolt::pmbus
 
 #endif // UVOLT_PMBUS_PMBUS_HH

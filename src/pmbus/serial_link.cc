@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <cstring>
 
 #include "pmbus/fault_injector.hh"
 #include "util/logging.hh"
@@ -176,38 +174,6 @@ SerialLink::packWords(const std::vector<std::uint16_t> &words)
     for (std::uint16_t word : words) {
         bytes.push_back(static_cast<std::uint8_t>(word & 0xFF));
         bytes.push_back(static_cast<std::uint8_t>(word >> 8));
-    }
-    return bytes;
-}
-
-std::vector<std::uint16_t>
-SerialLink::unpackWords(const std::vector<std::uint8_t> &bytes)
-{
-    if (bytes.size() % 2 != 0)
-        fatal("unpackWords: odd byte count {}", bytes.size());
-    std::vector<std::uint16_t> words;
-    words.reserve(bytes.size() / 2);
-    for (std::size_t i = 0; i < bytes.size(); i += 2) {
-        words.push_back(static_cast<std::uint16_t>(
-            bytes[i] | (static_cast<std::uint16_t>(bytes[i + 1]) << 8)));
-    }
-    return words;
-}
-
-std::vector<std::uint8_t>
-SerialLink::packWordBytes(std::span<const std::uint64_t> words)
-{
-    // The wire format is little-endian bytes of each 64-bit word; on a
-    // little-endian host that IS the in-memory representation.
-    std::vector<std::uint8_t> bytes(words.size() * 8);
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(bytes.data(), words.data(), bytes.size());
-    } else {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            for (std::size_t k = 0; k < 8; ++k)
-                bytes[w * 8 + k] =
-                    static_cast<std::uint8_t>(words[w] >> (8 * k));
-        }
     }
     return bytes;
 }

@@ -89,20 +89,6 @@ class SerialLink
     static std::vector<std::uint8_t>
     packWords(const std::vector<std::uint16_t> &words);
 
-    /** Inverse of packWords. */
-    static std::vector<std::uint16_t>
-    unpackWords(const std::vector<std::uint8_t> &bytes);
-
-    /**
-     * Serialize packed 64-bit fault-domain words little-endian. The wire
-     * format is unchanged: byte k of word w carries bit offsets
-     * 64w+8k .. 64w+8k+7, exactly the stream packWords() produced from
-     * the same contents as 16-bit rows — so CRC values, frame sizes and
-     * injected-corruption positions are byte-identical.
-     */
-    static std::vector<std::uint8_t>
-    packWordBytes(std::span<const std::uint64_t> words);
-
   private:
     /** Count one frame of @a bytes on the wire; true when the injector
      *  corrupts it in flight. */

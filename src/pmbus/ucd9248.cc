@@ -164,20 +164,6 @@ Ucd9248::tryReadWord(Command command, std::uint16_t &value_out) const
     return true;
 }
 
-std::uint8_t
-Ucd9248::readByte(Command command) const
-{
-    switch (command) {
-      case Command::Page:
-        return static_cast<std::uint8_t>(page_);
-      case Command::VoutMode:
-        return encodeVoutMode();
-      default:
-        fatal("unsupported PMBus byte read, command 0x{:02x}",
-              static_cast<unsigned>(command));
-    }
-}
-
 std::uint16_t
 Ucd9248::readWord(Command command) const
 {

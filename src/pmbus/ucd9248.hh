@@ -57,7 +57,6 @@ class Ucd9248
     void writeWord(Command command, std::uint16_t value);
 
     /** PMBus read transaction. */
-    std::uint8_t readByte(Command command) const;
     std::uint16_t readWord(Command command) const;
 
     /**

@@ -31,12 +31,6 @@ TimingModel::fmaxMhz(double volts) const
     return fmaxNomMhz_ / relativeDelay(volts);
 }
 
-double
-TimingModel::minOperableVolts() const
-{
-    return vth_ + 0.02;
-}
-
 LogicPowerModel::LogicPowerModel(double nominal_w, double fnom_mhz,
                                  double dynamic_fraction,
                                  double leakage_slope)

@@ -45,9 +45,6 @@ class TimingModel
     /** Maximum safe clock at the given VCCINT level, MHz. */
     double fmaxMhz(double volts) const;
 
-    /** Lowest voltage with a finite delay (just above Vth). */
-    double minOperableVolts() const;
-
   private:
     double fmaxNomMhz_;
     double vth_;

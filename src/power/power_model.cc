@@ -34,12 +34,6 @@ RailPowerModel::bramPower(double volts) const
 }
 
 double
-RailPowerModel::savingVsNominal(double volts) const
-{
-    return 1.0 - relativePower(volts);
-}
-
-double
 RailPowerModel::savingVs(double volts, double reference_volts) const
 {
     return 1.0 - relativePower(volts) / relativePower(reference_volts);

@@ -35,9 +35,6 @@ class RailPowerModel
     /** Absolute BRAM rail power in watts at VCCBRAM = @a volts. */
     double bramPower(double volts) const;
 
-    /** Power saving fraction vs nominal: 1 - relativePower(v). */
-    double savingVsNominal(double volts) const;
-
     /** Power saving fraction of @a volts vs @a reference_volts. */
     double savingVs(double volts, double reference_volts) const;
 

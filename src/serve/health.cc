@@ -36,21 +36,6 @@ serveStateName(ServeState state)
     panic("serveStateName: invalid state {}", static_cast<int>(state));
 }
 
-double
-pressureOf(harness::GovernorHealth health)
-{
-    switch (health) {
-      case harness::GovernorHealth::ok:
-        return 0.0;
-      case harness::GovernorHealth::heldUncertain:
-        return 1.0;
-      case harness::GovernorHealth::recovered:
-        return 2.0;
-    }
-    panic("pressureOf: invalid GovernorHealth {}",
-          static_cast<int>(health));
-}
-
 void
 HealthTracker::observe(double pressure)
 {

@@ -9,10 +9,9 @@
  * fault pressure as a signal, not as bad luck. The tracker ingests one
  * scalar observation per served request (injected-fault events absorbed
  * by the retry stack: crash recoveries, run retries, link/PMBus
- * retries; or a GovernorHealth reading via pressureOf()) and keeps the
- * healthy fraction of the last 16 observations as the score. The
- * window, the thresholds and the floor steps are constants of
- * serve/health.cc; the diagram names their values.
+ * retries) and keeps the healthy fraction of the last 16 observations
+ * as the score. The window, the thresholds and the floor steps are
+ * constants of serve/health.cc; the diagram names their values.
  *
  * The state machine is deliberately a pure function of the observation
  * sequence — no clocks, no randomness — so a scripted fault-pressure
@@ -44,7 +43,6 @@
 #include <deque>
 #include <vector>
 
-#include "harness/governor.hh"
 
 namespace uvolt::serve
 {
@@ -67,13 +65,6 @@ struct HealthTransition
     ServeState state = ServeState::normal;
     int floorRaiseMv = 0; ///< raised floor after this transition
 };
-
-/**
- * Map a governor health reading onto the tracker's pressure scale:
- * ok = 0 (healthy), heldUncertain = 1, recovered = 2 (both
- * unhealthy).
- */
-double pressureOf(harness::GovernorHealth health);
 
 /**
  * The sliding-window health score and degradation state machine.

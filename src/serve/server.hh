@@ -29,10 +29,9 @@
  *    point are packed into nn::evalBatch-sample blocks (scatter-gather,
  *    no staging copies) and share one FvmCache across tenants.
  *  - Graceful degradation. A sliding-window health score fed from the
- *    retry/recovery accounting (and GovernorHealth via pressureOf())
- *    sheds low-priority work and raises the operating setpoint toward
- *    the safe region under sustained fault pressure, then ramps back
- *    down when healthy — see serve/health.hh.
+ *    retry/recovery accounting sheds low-priority work and raises the
+ *    operating setpoint toward the safe region under sustained fault
+ *    pressure, then ramps back down when healthy — see serve/health.hh.
  *  - Lifecycle. start (construction) / drain / stop. Checkpoints are
  *    flushed after every sweep slice, so an in-flight characterize
  *    cancelled by stop() resumes bit-identically when the same request
@@ -278,8 +277,8 @@ class UvoltServer
     // --- degradation ----------------------------------------------------
 
     /**
-     * Feed one fault-pressure observation (scripted profiles, governor
-     * health via pressureOf(), external monitors). The server also
+     * Feed one fault-pressure observation (scripted profiles, external
+     * monitors). The server also
      * feeds itself: every served request contributes its own
      * retry/recovery accounting. Serialized internally.
      */

@@ -1,7 +1,6 @@
 #include "util/logging.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,10 +15,6 @@ namespace uvolt
 
 namespace
 {
-
-std::atomic<bool> rateLimit{true};
-std::atomic<std::uint64_t> emittedTotal{0};
-std::atomic<std::uint64_t> suppressedTotal{0};
 
 // One process-wide lock so concurrent fleet workers' messages interleave
 // whole lines, never characters. fprintf to the same FILE* is not atomic
@@ -63,8 +58,6 @@ buckets()
 bool
 admitLine(std::string_view component, std::string &suffix)
 {
-    if (!rateLimit.load(std::memory_order_relaxed))
-        return true;
     auto it = buckets().find(component);
     if (it == buckets().end())
         it = buckets().emplace(std::string(component), Bucket{}).first;
@@ -100,11 +93,8 @@ emitTagged(const char *prefix, std::string_view component,
 {
     std::lock_guard lock(logMutex());
     std::string suffix;
-    if (throttle && !admitLine(component, suffix)) {
-        suppressedTotal.fetch_add(1, std::memory_order_relaxed);
+    if (throttle && !admitLine(component, suffix))
         return;
-    }
-    emittedTotal.fetch_add(1, std::memory_order_relaxed);
     if (component.empty() || component == "app") {
         std::fprintf(stderr, "%s: %.*s%s\n", prefix,
                      static_cast<int>(message.size()), message.data(),
@@ -158,20 +148,5 @@ informImpl(std::string_view component, std::string_view message)
 }
 
 } // namespace detail
-
-LogStats
-logStats()
-{
-    LogStats stats;
-    stats.emitted = emittedTotal.load(std::memory_order_relaxed);
-    stats.suppressed = suppressedTotal.load(std::memory_order_relaxed);
-    return stats;
-}
-
-void
-setLogRateLimit(bool on)
-{
-    rateLimit.store(on, std::memory_order_relaxed);
-}
 
 } // namespace uvolt

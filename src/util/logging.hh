@@ -85,19 +85,6 @@ inform(std::string_view fmt, Args &&...args)
                        strFormat(fmt, std::forward<Args>(args)...));
 }
 
-/** Lines printed vs. swallowed by the per-component token bucket. */
-struct LogStats
-{
-    std::uint64_t emitted = 0;
-    std::uint64_t suppressed = 0;
-};
-
-/** Process-wide stderr throttling stats (monotonic). */
-LogStats logStats();
-
-/** Turn the stderr token bucket off/on (tests; default on). */
-void setLogRateLimit(bool on);
-
 } // namespace uvolt
 
 #endif // UVOLT_UTIL_LOGGING_HH

@@ -95,12 +95,6 @@ Rng::operator()()
     return next(state_);
 }
 
-Rng
-Rng::fork()
-{
-    return Rng((*this)());
-}
-
 double
 Rng::uniform()
 {

@@ -6,7 +6,7 @@
  * training, fault-injection campaigns) flows through Rng so that a chip,
  * an experiment, or a whole benchmark run is a pure function of its seeds.
  * The generator is xoshiro256** seeded via SplitMix64, which gives
- * high-quality 64-bit streams that are cheap to fork per-subsystem.
+ * high-quality 64-bit streams that are cheap to seed per-subsystem.
  */
 
 #ifndef UVOLT_UTIL_RNG_HH
@@ -56,9 +56,6 @@ class Rng
 
     /** Next raw 64-bit value. */
     std::uint64_t operator()();
-
-    /** Fork an independent child stream (e.g. one per BRAM). */
-    Rng fork();
 
     /** Uniform double in [0, 1). */
     double uniform();

@@ -38,26 +38,6 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * n2 / (n1 + n2);
-    m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
 double
 quantile(std::vector<double> values, double q)
 {
@@ -85,37 +65,6 @@ double
 median(std::vector<double> values)
 {
     return quantile(std::move(values), 0.5);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    if (bins == 0 || !(hi > lo))
-        fatal("Histogram requires hi > lo and at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    double frac = (x - lo_) / (hi_ - lo_);
-    auto bin = static_cast<long>(frac * static_cast<double>(counts_.size()));
-    bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(bin)];
-    ++total_;
-}
-
-double
-Histogram::binLow(std::size_t bin) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-        static_cast<double>(counts_.size());
-}
-
-double
-Histogram::binHigh(std::size_t bin) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(bin + 1) /
-        static_cast<double>(counts_.size());
 }
 
 } // namespace uvolt

@@ -3,8 +3,7 @@
  * Small statistics toolkit used by the characterization harness.
  *
  * The paper reports its results as medians of 100 runs plus min/max/stddev
- * summaries (Table II) and per-BRAM distribution statistics (Fig 5); this
- * header provides exactly those reductions.
+ * summaries (Table II); this header provides exactly those reductions.
  */
 
 #ifndef UVOLT_UTIL_STATS_HH
@@ -42,9 +41,6 @@ class RunningStats
     double maximum() const { return count_ ? max_ : 0.0; }
     double sum() const { return sum_; }
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStats &other);
-
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
@@ -63,34 +59,6 @@ double quantile(std::vector<double> values, double q);
 
 /** Median shorthand: quantile(values, 0.5). */
 double median(std::vector<double> values);
-
-/**
- * Fixed-width histogram over [lo, hi) with the given number of bins.
- * Out-of-range samples are clamped to the edge bins.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t countAt(std::size_t bin) const { return counts_[bin]; }
-    std::size_t total() const { return total_; }
-
-    /** Lower edge of a bin. */
-    double binLow(std::size_t bin) const;
-
-    /** Upper edge of a bin. */
-    double binHigh(std::size_t bin) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
 
 } // namespace uvolt
 

@@ -24,26 +24,6 @@ MetricsSnapshot::counter(std::string_view name) const
 }
 
 double
-MetricsSnapshot::gauge(std::string_view name) const
-{
-    for (const auto &[key, value] : gauges) {
-        if (key == name)
-            return value;
-    }
-    return 0.0;
-}
-
-const HistogramSnapshot *
-MetricsSnapshot::histogram(std::string_view name) const
-{
-    for (const auto &histogram : histograms) {
-        if (histogram.name == name)
-            return &histogram;
-    }
-    return nullptr;
-}
-
-double
 HistogramSnapshot::quantile(double q) const
 {
     if (count == 0 || bounds.empty())

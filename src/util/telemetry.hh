@@ -136,12 +136,6 @@ struct MetricsSnapshot
 
     /** Counter by name; 0 when never registered. */
     std::uint64_t counter(std::string_view name) const;
-
-    /** Gauge by name; 0.0 when never registered. */
-    double gauge(std::string_view name) const;
-
-    /** Histogram by name; nullptr when never registered. */
-    const HistogramSnapshot *histogram(std::string_view name) const;
 };
 
 namespace detail

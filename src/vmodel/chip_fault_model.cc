@@ -377,10 +377,9 @@ ChipFaultModel::countDeviceFaults(const fpga::Device &device,
                                   double effective_v) const
 {
     std::uint64_t total = 0;
-    std::uint32_t b = 0;
-    for (const fpga::Bram &bram : device.brams())
+    for (std::uint32_t b = 0; b < device.bramCount(); ++b)
         total += static_cast<std::uint64_t>(
-            countFaults(bram.words(), b++, effective_v));
+            countFaults(device.bram(b).words(), b, effective_v));
     return total;
 }
 

@@ -17,7 +17,7 @@
 
 #include "harness/timeline.hh"
 #include "util/bench.hh"
-#include "util/json.hh"
+#include "json_value.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::bench

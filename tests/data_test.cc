@@ -32,19 +32,6 @@ TEST(DatasetTest, AddAndAccess)
     EXPECT_EQ(set.label(1), 1);
 }
 
-TEST(DatasetTest, Head)
-{
-    Dataset set("toy", 1, 2);
-    for (int i = 0; i < 10; ++i) {
-        const float x = static_cast<float>(i);
-        set.add({&x, 1}, i % 2);
-    }
-    const Dataset top = set.head(4);
-    ASSERT_EQ(top.size(), 4u);
-    EXPECT_EQ(top.sample(3)[0], 3.0f);
-    EXPECT_EQ(set.head(99).size(), 10u);
-}
-
 TEST(MnistLike, ShapeAndRange)
 {
     const Dataset set = makeMnistLike(200, 1);

@@ -40,7 +40,6 @@ TEST(TimingModelTest, BelowThresholdDies)
     TimingModel timing(100.0);
     EXPECT_EXIT(timing.relativeDelay(0.30), ::testing::ExitedWithCode(1),
                 "threshold");
-    EXPECT_GT(timing.minOperableVolts(), 0.35);
 }
 
 TEST(LogicPowerTest, NominalAndScaling)

@@ -44,25 +44,23 @@ TEST(BramTest, RowReadWrite)
 TEST(BramTest, BitAccess)
 {
     Bram bram;
-    bram.assignBit(5, 3, true);
+    bram.writeRow(5, 1u << 3);
     EXPECT_TRUE(bram.testBit(5, 3));
     EXPECT_FALSE(bram.testBit(5, 2));
-    EXPECT_EQ(bram.readRow(5), 1u << 3);
-    bram.assignBit(5, 3, false);
-    EXPECT_EQ(bram.readRow(5), 0);
+    bram.writeRow(5, 0);
+    EXPECT_FALSE(bram.testBit(5, 3));
 }
 
 TEST(BramTest, BitAccessRoundTripsThroughWords)
 {
-    // The per-bitcell shims are gone (the tree builds with
-    // -Werror=deprecated-declarations); the BitAddress-based accessors
-    // are the only single-bit API and must agree with the packed plane.
+    // testBit is the one single-bit accessor and must agree with the
+    // packed plane.
     Bram bram;
-    bram.assignBit(7, 11, true);
+    bram.writeRow(7, 1u << 11);
     EXPECT_TRUE(bram.testBit(7, 11));
     const BitAddress addr{0, 7, 11};
     EXPECT_TRUE(bram.words()[addr.wordIndex()] & addr.wordMask());
-    bram.assignBit(7, 11, false);
+    bram.writeRow(7, 0);
     EXPECT_FALSE(bram.testBit(7, 11));
     EXPECT_FALSE(bram.words()[addr.wordIndex()] & addr.wordMask());
 }
@@ -151,8 +149,6 @@ TEST(BramTest, EpochBumpsOnEveryMutation)
     EXPECT_TRUE(bumped());
     bram.fill(0xFFFF);
     EXPECT_TRUE(bumped());
-    bram.assignBit(1, 1, true);
-    EXPECT_TRUE(bumped());
     bram.setParityBit(2, 0, true);
     EXPECT_TRUE(bumped());
     const std::vector<std::uint64_t> image(
@@ -233,15 +229,6 @@ TEST(FloorplanTest, RoundTripMapping)
     }
 }
 
-TEST(FloorplanTest, Distance)
-{
-    const Floorplan plan = Floorplan::columnGrid(280, 70);
-    EXPECT_DOUBLE_EQ(plan.distance(0, 0), 0.0);
-    EXPECT_DOUBLE_EQ(plan.distance(0, 1), 1.0);   // same column, next row
-    EXPECT_DOUBLE_EQ(plan.distance(0, 70), 1.0);  // next column, same row
-    EXPECT_NEAR(plan.distance(0, 71), std::sqrt(2.0), 1e-12);
-}
-
 TEST(VoltageRailTest, SetAndClamp)
 {
     VoltageRail rail(RailId::VccBram, 1000);
@@ -249,7 +236,6 @@ TEST(VoltageRailTest, SetAndClamp)
     rail.setMillivolts(610);
     EXPECT_EQ(rail.millivolts(), 610);
     EXPECT_DOUBLE_EQ(rail.volts(), 0.61);
-    EXPECT_NEAR(rail.underscale(), 0.39, 1e-12);
     rail.setMillivolts(-5);
     EXPECT_EQ(rail.millivolts(), 0);
     rail.setMillivolts(5000);

@@ -14,12 +14,15 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <set>
+#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "json_value.hh"
 #include "fpga/device.hh"
 #include "fpga/fault_domain.hh"
 #include "fpga/platform.hh"
@@ -68,8 +71,10 @@ TEST(MemCatalog, NamesResolveToTheirTechnology)
 TEST(MemCatalog, KnownDeviceCoversEveryCatalogWithoutFatal)
 {
     EXPECT_TRUE(knownDevice("VC707"));
-    for (const std::string &name : extendedCatalogNames())
-        EXPECT_TRUE(knownDevice(name)) << name;
+    for (const HbmSpec &spec : hbmCatalog())
+        EXPECT_TRUE(knownDevice(spec.name)) << spec.name;
+    for (const SramSpec &spec : sramCatalog())
+        EXPECT_TRUE(knownDevice(spec.name)) << spec.name;
     EXPECT_FALSE(knownDevice("NOT-A-DEVICE"));
 }
 
@@ -734,27 +739,13 @@ TEST(LedgerBackends, ManifestRoundTripsPerJobBackendTags)
     manifest.noiseSeeds = {0, 0, 0};
     manifest.backends = {"bram", "hbm", "sram"};
 
-    const auto parsed = harness::RunManifest::fromJson(manifest.toJson());
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    EXPECT_EQ(parsed.value().backends, manifest.backends);
-}
-
-TEST(LedgerBackends, ManifestsWithoutBackendFieldReadAsBram)
-{
-    harness::RunManifest manifest;
-    manifest.tool = "membackend_test";
-    manifest.runId = "legacy-run";
-    manifest.jobLabels = {"VC707-ones-50C"};
-    manifest.noiseSeeds = {7};
-    std::string text = manifest.toJson();
-    const auto pos = text.find(", \"backend\": \"bram\"");
-    ASSERT_NE(pos, std::string::npos);
-    text.erase(pos, std::string(", \"backend\": \"bram\"").size());
-
-    const auto parsed = harness::RunManifest::fromJson(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    ASSERT_EQ(parsed.value().backends.size(), 1u);
-    EXPECT_EQ(parsed.value().backends[0], "bram");
+    // Each job carries its own tag, byte for byte as the fixture has it.
+    std::ifstream fixture(std::string(UVOLT_TEST_FIXTURES) +
+                          "/run_manifest_backends.json");
+    ASSERT_TRUE(fixture) << "missing manifest fixture";
+    std::ostringstream expected;
+    expected << fixture.rdbuf();
+    EXPECT_EQ(manifest.toJson(), expected.str());
 }
 
 TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)
@@ -770,12 +761,13 @@ TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)
             .run();
     ASSERT_TRUE(result.ok()) << result.error().message;
 
-    const auto manifest = harness::RunManifest::load(
+    const auto manifest = json::Value::parseFile(
         harness::Ledger(dir.string()).latestPath());
     ASSERT_TRUE(manifest.ok()) << manifest.error().message;
-    ASSERT_EQ(manifest.value().backends.size(), 2u);
-    EXPECT_EQ(manifest.value().backends[0], "bram");
-    EXPECT_EQ(manifest.value().backends[1], "hbm");
+    const auto &jobs = manifest.value().at("plan").at("jobs").items();
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].stringOr("backend", ""), "bram");
+    EXPECT_EQ(jobs[1].stringOr("backend", ""), "hbm");
     std::filesystem::remove_all(dir);
 }
 

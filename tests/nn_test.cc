@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <span>
 #include <vector>
@@ -120,12 +121,15 @@ Network
 activationProbe(int lanes)
 {
     Network probe({1, lanes, probeClasses});
+    // Weights are row-major: weights()[o * inputs + i] multiplies
+    // input i for output o.
     for (int j = 0; j < lanes; ++j) {
-        probe.layer(0).setWeight(j, 0, 1.0f);
-        probe.layer(0).setBias(j, -0.0f);
+        probe.layer(0).weights()[j] = 1.0f;
+        probe.layer(0).biases()[j] = -0.0f;
     }
     for (int c = 1; c < probeClasses; ++c)
-        probe.layer(1).setWeight(c, c % lanes, -std::ldexp(1.0f, c - 1));
+        probe.layer(1).weights()[c * lanes + c % lanes] =
+            -std::ldexp(1.0f, c - 1);
     return probe;
 }
 
@@ -296,12 +300,10 @@ TEST(Activations, SoftmaxStableForLargeLogits)
 TEST(DenseLayerTest, ForwardMatrixVector)
 {
     DenseLayer layer(2, 2);
-    layer.setWeight(0, 0, 1.0f);
-    layer.setWeight(0, 1, 2.0f);
-    layer.setWeight(1, 0, -1.0f);
-    layer.setWeight(1, 1, 0.5f);
-    layer.setBias(0, 0.25f);
-    layer.setBias(1, -0.25f);
+    const float weights[] = {1.0f, 2.0f, -1.0f, 0.5f}; // row-major
+    const float biases[] = {0.25f, -0.25f};
+    std::ranges::copy(weights, layer.weights().begin());
+    std::ranges::copy(biases, layer.biases().begin());
 
     const float x[2] = {3.0f, 4.0f};
     float z[2];
@@ -317,8 +319,8 @@ TEST(DenseLayerTest, ProductsAreFused)
     // fused, the 2^-24 survives.
     const float w = 1.0f + 0x1p-12f;
     DenseLayer layer(1, 1);
-    layer.setWeight(0, 0, w);
-    layer.setBias(0, -(1.0f + 0x1p-11f));
+    layer.weights()[0] = w;
+    layer.biases()[0] = -(1.0f + 0x1p-11f);
 
     float z = -1.0f;
     layer.forward(std::span<const float>(&w, 1), std::span<float>(&z, 1));
@@ -336,8 +338,8 @@ TEST(DenseLayerTest, ProductsAreFused)
 TEST(DenseLayerTest, MaxAbsWeight)
 {
     DenseLayer layer(2, 1);
-    layer.setWeight(0, 0, -3.5f);
-    layer.setWeight(0, 1, 2.0f);
+    layer.weights()[0] = -3.5f;
+    layer.weights()[1] = 2.0f;
     EXPECT_FLOAT_EQ(layer.maxAbsWeight(), 3.5f);
 }
 
@@ -372,9 +374,11 @@ TEST(NetworkTest, InitIsDeterministic)
     Network a({4, 8, 3}), b({4, 8, 3});
     a.initWeights(5);
     b.initWeights(5);
-    EXPECT_EQ(a.layer(0).weight(3, 2), b.layer(0).weight(3, 2));
+    EXPECT_TRUE(std::ranges::equal(a.layer(0).weights(),
+                                   b.layer(0).weights()));
     b.initWeights(6);
-    EXPECT_NE(a.layer(0).weight(3, 2), b.layer(0).weight(3, 2));
+    EXPECT_FALSE(std::ranges::equal(a.layer(0).weights(),
+                                    b.layer(0).weights()));
 }
 
 TEST(TrainerTest, LearnsForestLike)
@@ -402,7 +406,8 @@ TEST(TrainerTest, DeterministicGivenSeeds)
     options.epochs = 2;
     train(a, train_set, options);
     train(b, train_set, options);
-    EXPECT_EQ(a.layer(0).weight(5, 7), b.layer(0).weight(5, 7));
+    EXPECT_TRUE(std::ranges::equal(a.layer(0).weights(),
+                                   b.layer(0).weights()));
     EXPECT_EQ(a.layer(1).bias(3), b.layer(1).bias(3));
 }
 
@@ -434,7 +439,8 @@ TEST(TrainerTest, OutputMseRefinementGrowsWeightsNotError)
     Network reference({data::forestFeatures, 64, 32,
                        data::forestClasses});
     train(reference, train_set, options);
-    EXPECT_EQ(net.layer(0).weight(3, 5), reference.layer(0).weight(3, 5));
+    EXPECT_TRUE(std::ranges::equal(net.layer(0).weights(),
+                                   reference.layer(0).weights()));
 }
 
 TEST(TrainerTest, OutputMseZeroEpochsIsNoOp)
@@ -442,21 +448,22 @@ TEST(TrainerTest, OutputMseZeroEpochsIsNoOp)
     const data::Dataset train_set = data::makeForestLike(200, 3);
     Network net({data::forestFeatures, 16, data::forestClasses});
     net.initWeights(3);
-    const float w = net.layer(1).weight(2, 3);
+    const std::vector<float> before(net.layer(1).weights().begin(),
+                                    net.layer(1).weights().end());
     OutputMseOptions refine;
     refine.epochs = 0;
     finetuneOutputMse(net, train_set, refine);
-    EXPECT_EQ(net.layer(1).weight(2, 3), w);
+    EXPECT_TRUE(std::ranges::equal(net.layer(1).weights(), before));
 }
 
 TEST(QuantizerTest, PerLayerMinimumPrecision)
 {
     Network net({2, 2, 2});
     // Layer 0 weights inside (-1, 1): no digit bits.
-    net.layer(0).setWeight(0, 0, 0.5f);
-    net.layer(0).setWeight(1, 1, -0.75f);
+    net.layer(0).weights()[0] = 0.5f;
+    net.layer(0).weights()[3] = -0.75f;
     // Layer 1 has a weight of magnitude 9: needs 4 digit bits.
-    net.layer(1).setWeight(0, 0, 9.0f);
+    net.layer(1).weights()[0] = 9.0f;
 
     const QuantizedModel model = quantize(net);
     EXPECT_EQ(model.layers[0].format.digitBits(), 0);
@@ -483,12 +490,12 @@ TEST(QuantizerTest, RoundTripPreservesAccuracy)
 TEST(QuantizerTest, DecodedWeightsCloseToFloat)
 {
     Network net({2, 1, 2});
-    net.layer(0).setWeight(0, 0, 0.123f);
-    net.layer(0).setWeight(0, 1, -0.456f);
+    net.layer(0).weights()[0] = 0.123f;
+    net.layer(0).weights()[1] = -0.456f;
     const QuantizedModel model = quantize(net);
     const Network rebuilt = model.toNetwork();
-    EXPECT_NEAR(rebuilt.layer(0).weight(0, 0), 0.123f, 1e-4f);
-    EXPECT_NEAR(rebuilt.layer(0).weight(0, 1), -0.456f, 1e-4f);
+    EXPECT_NEAR(rebuilt.layer(0).weights()[0], 0.123f, 1e-4f);
+    EXPECT_NEAR(rebuilt.layer(0).weights()[1], -0.456f, 1e-4f);
 }
 
 TEST(QuantizerTest, ZeroBitFractionOfTrainedNetIsHigh)
@@ -535,12 +542,26 @@ TEST(ModelZoo, SaveLoadRoundTrip)
 
     Network loaded({4, 6, 3});
     ASSERT_TRUE(loadNetwork(loaded, path));
-    EXPECT_EQ(loaded.layer(0).weight(2, 1), net.layer(0).weight(2, 1));
-    EXPECT_EQ(loaded.layer(1).weight(1, 5), net.layer(1).weight(1, 5));
+    for (int l = 0; l < net.layerCount(); ++l) {
+        EXPECT_TRUE(std::ranges::equal(loaded.layer(l).weights(),
+                                       net.layer(l).weights()));
+        EXPECT_TRUE(std::ranges::equal(loaded.layer(l).biases(),
+                                       net.layer(l).biases()));
+    }
 
     // Shape mismatch is rejected.
     Network wrong({4, 7, 3});
     EXPECT_FALSE(loadNetwork(wrong, path));
+
+    // So is a file one byte short or one byte long.
+    const auto size = std::filesystem::file_size(path);
+    const std::string longer = "test_zoo_cache/longer.nnw";
+    std::filesystem::copy_file(
+        path, longer, std::filesystem::copy_options::overwrite_existing);
+    std::ofstream(longer, std::ios::binary | std::ios::app).put('\0');
+    EXPECT_FALSE(loadNetwork(loaded, longer));
+    std::filesystem::resize_file(path, size - 1);
+    EXPECT_FALSE(loadNetwork(loaded, path));
     EXPECT_FALSE(loadNetwork(loaded, "test_zoo_cache/nonexistent.nnw"));
     std::filesystem::remove_all("test_zoo_cache");
 }

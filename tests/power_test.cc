@@ -23,7 +23,6 @@ TEST(RailPowerModel, NominalIsUnity)
         RailPowerModel model(spec);
         EXPECT_NEAR(model.relativePower(1.0), 1.0, 1e-12) << spec.name;
         EXPECT_NEAR(model.bramPower(1.0), spec.calib.bramPowerNomW, 1e-12);
-        EXPECT_NEAR(model.savingVsNominal(1.0), 0.0, 1e-12);
     }
 }
 

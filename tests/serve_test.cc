@@ -38,7 +38,7 @@
 #include "serve/request_queue.hh"
 #include "serve/server.hh"
 #include "util/flight_recorder.hh"
-#include "util/json.hh"
+#include "json_value.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::serve
@@ -293,14 +293,6 @@ TEST(HealthTrackerTest, PureFunctionOfObservationSequence)
         EXPECT_EQ(a.transitions()[i].floorRaiseMv,
                   b.transitions()[i].floorRaiseMv);
     }
-}
-
-TEST(HealthTrackerTest, GovernorHealthMapsOntoPressureScale)
-{
-    EXPECT_EQ(pressureOf(harness::GovernorHealth::ok), 0.0);
-    EXPECT_GE(pressureOf(harness::GovernorHealth::heldUncertain), 1.0);
-    EXPECT_GE(pressureOf(harness::GovernorHealth::recovered),
-              pressureOf(harness::GovernorHealth::heldUncertain));
 }
 
 // --- admission control ---------------------------------------------------

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "mem/hbm_backend.hh"
@@ -229,17 +233,6 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng parent(77);
-    Rng child = parent.fork();
-    // The child stream must not simply replay the parent.
-    int equal = 0;
-    for (int i = 0; i < 64; ++i)
-        equal += (parent() == child());
-    EXPECT_LT(equal, 3);
-}
-
 TEST(Rng, ShufflePermutes)
 {
     Rng rng(13);
@@ -277,23 +270,6 @@ TEST(RunningStats, EmptyIsSafe)
     EXPECT_EQ(stats.stddev(), 0.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential)
-{
-    Rng rng(21);
-    RunningStats all, left, right;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.gaussian();
-        all.add(x);
-        (i < 400 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.minimum(), all.minimum());
-    EXPECT_DOUBLE_EQ(left.maximum(), all.maximum());
-}
-
 TEST(Quantile, MedianAndInterpolation)
 {
     std::vector<double> odd{5.0, 1.0, 3.0};
@@ -322,20 +298,6 @@ TEST(Quantile, EdgeCases)
     // NaN q must not reach the index arithmetic; it clamps to 0.
     EXPECT_DOUBLE_EQ(
         quantile(values, std::numeric_limits<double>::quiet_NaN()), 0.1);
-}
-
-TEST(HistogramTest, BinningAndClamping)
-{
-    Histogram hist(0.0, 10.0, 5);
-    hist.add(0.5);
-    hist.add(9.9);
-    hist.add(-3.0); // clamps to first bin
-    hist.add(42.0); // clamps to last bin
-    EXPECT_EQ(hist.total(), 4u);
-    EXPECT_EQ(hist.countAt(0), 2u);
-    EXPECT_EQ(hist.countAt(4), 2u);
-    EXPECT_DOUBLE_EQ(hist.binLow(1), 2.0);
-    EXPECT_DOUBLE_EQ(hist.binHigh(1), 4.0);
 }
 
 TEST(KMeans, SeparatedClustersRecovered)
@@ -541,23 +503,22 @@ TEST(Logging, TokenBucketSuppressesStorms)
     // 4/s): a back-to-back storm of 40 lines prints the burst and
     // swallows the rest. The storm runs in well under a second, so at
     // most a few refill tokens can leak back in — assert with slack.
-    setLogRateLimit(true);
-    const LogStats before = logStats();
+    ::testing::internal::CaptureStderr();
     for (int i = 0; i < 40; ++i)
         warnc("ratelimit_test", "storm line {}", i);
-    const LogStats after = logStats();
-    EXPECT_GE(after.suppressed - before.suppressed, 25u);
-    EXPECT_LE(after.emitted - before.emitted, 12u);
+    const std::string storm = ::testing::internal::GetCapturedStderr();
+    const auto printed = std::count(storm.begin(), storm.end(), '\n');
+    EXPECT_GE(40 - printed, 25);
+    EXPECT_LE(printed, 12);
 
-    // With the bucket off, every line is admitted.
-    setLogRateLimit(false);
-    const LogStats open = logStats();
-    for (int i = 0; i < 5; ++i)
-        warnc("ratelimit_test", "unthrottled line {}", i);
-    const LogStats closed = logStats();
-    setLogRateLimit(true);
-    EXPECT_EQ(closed.suppressed - open.suppressed, 0u);
-    EXPECT_EQ(closed.emitted - open.emitted, 5u);
+    // Once a token refills, the next line that passes carries the
+    // count of the lines swallowed meanwhile.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ::testing::internal::CaptureStderr();
+    warnc("ratelimit_test", "after the storm");
+    const std::string after = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(after.find("similar suppressed)"), std::string::npos)
+        << after;
 }
 
 } // namespace
