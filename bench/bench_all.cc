@@ -368,6 +368,20 @@ UVOLT_BENCHMARK(BM_MnistGeneration)
 }
 
 /**
+ * The held-out set every NN study and nn_icbp's set-up build:
+ * makeTestSet(paperMnistSpec()), 10,000 images, so past
+ * data::mnistParallelMin and rendered on the worker pool (the 32-image
+ * row above stays on the inline path). Report-only: no baseline row.
+ */
+UVOLT_BENCHMARK(BM_MnistPaperTestSet)
+{
+    const nn::ZooSpec spec = nn::paperMnistSpec();
+    for (auto _ : state)
+        bench::doNotOptimize(nn::makeTestSet(spec));
+    state.setItemsPerIteration(10000);
+}
+
+/**
  * The batched-evaluation tentpole: one iteration is one full
  * 10 000-image evaluateError() pass over a shared synthetic MNIST set
  * with a mid-size MLP. Three variants share net and data so their

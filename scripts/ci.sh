@@ -213,11 +213,19 @@ echo "== second ISA: vectorized logsig, dequantize and fill at AVX2 width =="
 cmake -B build/v3 -S . -DUVOLT_HAS_MARCH_NATIVE=OFF \
     -DCMAKE_CXX_FLAGS=-march=x86-64-v3
 cmake --build build/v3 -j "$jobs" \
-    --target nn_test fxp_test util_test harness_test
+    --target nn_test fxp_test util_test harness_test data_test
 ./build/v3/tests/nn_test --gtest_filter='Activations.*'
 ./build/v3/tests/fxp_test
 ./build/v3/tests/util_test --gtest_filter='Rng.*'
 ./build/v3/tests/harness_test --gtest_filter='PatternSpecTest.*'
+# The parallel MNIST generator against its serial reference and the
+# pinned corpus digests, at AVX2 width and again with glibc's non-FMA
+# log, sin and cos: each pixel must make the same libm calls on the same
+# uniforms whichever thread renders it.
+mnist_identity='MnistLike.*Reference*:MnistLike.*Digest*'
+./build/v3/tests/data_test --gtest_filter="$mnist_identity"
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX512F \
+    ./build/v3/tests/data_test --gtest_filter="$mnist_identity"
 
 echo "== second ISA: retrained models and every golden from the v3 build =="
 # Results must not depend on the build host. The x86-64-v3 build
@@ -278,16 +286,19 @@ echo "== tier 1: thread-sanitized build (TSan) =="
 # whole fleet suite so the lock-free counter shards and per-thread span
 # buffers are exercised under every scheduling the pool produces.
 # nn_test joined the list with the batched evaluation engine: its
-# pool fan-out writes per-batch slots from worker threads.
+# pool fan-out writes per-batch slots from worker threads. data_test
+# joined with the MNIST generator, whose pool renders image ranges
+# while the calling thread is still recording the next ones.
 cmake -B build-tsan -S . -DUVOLT_SANITIZE=thread
 cmake --build build-tsan -j "$jobs" \
     --target fleet_test resilience_test telemetry_test nn_test \
-    report_test
+    report_test data_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/fleet_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/resilience_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/nn_test \
     --gtest_filter='BatchedEval.*'
+./build-tsan/tests/data_test
 # The profile fold copies and folds the span buffers while eight
 # threads churn spans — exactly the interleaving TSan exists to judge.
 ./build-tsan/tests/report_test --gtest_filter='Profiler*'

@@ -15,6 +15,7 @@
 #define UVOLT_ACCEL_WEIGHT_IMAGE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fpga/fault_domain.hh"
@@ -35,30 +36,35 @@ struct LayerSpan
     std::size_t weightCount = 0;
 };
 
-/** The BRAM initialization image of a quantized model. */
+/**
+ * The BRAM initialization image of a quantized model. An image never
+ * changes once built, so copies share one immutable body: handing an
+ * image to each Accelerator or MitigationLab copies a pointer, not the
+ * model and its packed words.
+ */
 class WeightImage
 {
   public:
     explicit WeightImage(const nn::QuantizedModel &model);
 
-    const nn::QuantizedModel &model() const { return model_; }
+    const nn::QuantizedModel &model() const { return body_->model; }
 
     /** Logical BRAMs the image occupies. */
-    std::uint32_t logicalBramCount() const
-    {
-        return static_cast<std::uint32_t>(contents_.size());
-    }
+    std::uint32_t logicalBramCount() const { return body_->bramCount; }
 
     /** Per-layer extents, in layer order. */
-    const std::vector<LayerSpan> &layerSpans() const { return spans_; }
+    const std::vector<LayerSpan> &layerSpans() const
+    {
+        return body_->spans;
+    }
 
     /**
      * Packed contents of one logical BRAM (zero-padded tail): the
      * fault-domain words programmed into the block, ready for
      * Bram::assignWords() or diffPopcount() against a packed readback.
+     * The span views the image's own storage.
      */
-    const std::vector<std::uint64_t> &
-    wordsOf(std::uint32_t logical_bram) const;
+    fpga::WordSpan wordsOf(std::uint32_t logical_bram) const;
 
     /**
      * Rebuild a quantized model from observed packed per-logical-BRAM
@@ -74,9 +80,15 @@ class WeightImage
     double utilizationOf(std::uint32_t device_bram_count) const;
 
   private:
-    nn::QuantizedModel model_;
-    std::vector<LayerSpan> spans_;
-    std::vector<std::vector<std::uint64_t>> contents_; ///< packed words
+    struct Body
+    {
+        nn::QuantizedModel model;
+        std::vector<LayerSpan> spans;
+        std::uint32_t bramCount = 0;
+        /** Packed words, fpga::bramWords per logical BRAM, in order. */
+        std::vector<std::uint64_t> words;
+    };
+    std::shared_ptr<const Body> body_;
 };
 
 } // namespace uvolt::accel

@@ -13,6 +13,21 @@ Dataset::Dataset(std::string name, int features, int classes)
               name_);
 }
 
+Dataset::Dataset(std::string name, int features, int classes,
+                 std::vector<float> rows, std::vector<int> labels)
+    : Dataset(std::move(name), features, classes)
+{
+    if (rows.size() != labels.size() * static_cast<std::size_t>(features))
+        fatal("{} feature values for {} samples of width {}", rows.size(),
+              labels.size(), features);
+    for (int label : labels) {
+        if (label < 0 || label >= classes)
+            fatal("label {} outside [0, {})", label, classes);
+    }
+    data_ = std::move(rows);
+    labels_ = std::move(labels);
+}
+
 void
 Dataset::add(std::span<const float> features, int label)
 {

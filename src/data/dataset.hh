@@ -29,6 +29,13 @@ class Dataset
     /** @param name corpus label, @param features per-sample width. */
     Dataset(std::string name, int features, int classes);
 
+    /**
+     * Adopt a corpus built in place: @a rows holds labels.size() feature
+     * rows back to back, and each label lies in [0, classes).
+     */
+    Dataset(std::string name, int features, int classes,
+            std::vector<float> rows, std::vector<int> labels);
+
     const std::string &name() const { return name_; }
     int featureCount() const { return features_; }
     int classCount() const { return classes_; }

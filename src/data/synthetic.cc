@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace uvolt::data
 {
@@ -44,28 +45,28 @@ constexpr int glyphBottom = 23;
 constexpr int strokeThickness = 2;
 
 void
-paintHorizontal(std::vector<float> &image, int y, float level)
+paintHorizontal(float *image, int y, float level)
 {
     for (int t = 0; t < strokeThickness; ++t) {
         for (int x = glyphLeft; x <= glyphRight; ++x)
-            image[static_cast<std::size_t>((y + t) * mnistSide + x)] = level;
+            image[(y + t) * mnistSide + x] = level;
     }
 }
 
 void
-paintVertical(std::vector<float> &image, int x, int y0, int y1, float level)
+paintVertical(float *image, int x, int y0, int y1, float level)
 {
     for (int t = 0; t < strokeThickness; ++t) {
         for (int y = y0; y <= y1; ++y)
-            image[static_cast<std::size_t>(y * mnistSide + x + t)] = level;
+            image[y * mnistSide + x + t] = level;
     }
 }
 
-/** Render the clean prototype of one digit. */
-std::vector<float>
-renderDigit(int digit, float level)
+/** Render the clean prototype of one digit into @a image. */
+void
+renderDigit(int digit, float level, float *image)
 {
-    std::vector<float> image(mnistPixels, 0.0f);
+    std::fill_n(image, mnistPixels, 0.0f);
     const std::uint8_t segments = digitSegments[
         static_cast<std::size_t>(digit)];
     if (segments & 0b0000001) // A
@@ -84,7 +85,149 @@ renderDigit(int digit, float level)
         paintVertical(image, glyphLeft, glyphTop, glyphMid, level);
     if (segments & 0b1000000) // G
         paintHorizontal(image, glyphMid, level);
-    return image;
+}
+
+/** Images one pass-2 job renders. */
+constexpr std::size_t mnistRangeImages = 256;
+
+/**
+ * Everything about one image except its pixel noise. The serial pass
+ * makes these draws in stream order and records where the image's
+ * noise deviates start.
+ */
+struct MnistDraws
+{
+    Rng noise;               ///< the stream at the image's first noise draw
+    int digit = 0;
+    float level = 0.0f;
+    int ghost = -1;          ///< overlay digit, or -1 for none
+    float ghostLevel = 0.0f; ///< level * alpha of the overlay
+    std::array<std::int8_t, mnistSide> jitter{}; ///< per-row wobble
+    int dx = 0;
+    int dy = 0;
+    bool erased = false;
+    int ex = 0;
+    int ey = 0;
+};
+
+// Each Box-Muller pair takes two raw draws and yields two deviates, and
+// noise is the only gaussian() caller: with an even pixel count no
+// cached deviate carries over from one image to the next, so an image's
+// noise is exactly the mnistPixels raw draws that follow its structure.
+static_assert(mnistPixels % 2 == 0, "one image's noise must end a pair");
+
+/** Pass 1: one image's structural draws, then skip over its noise. */
+MnistDraws
+drawStructure(Rng &rng, const MnistOptions &options)
+{
+    MnistDraws draws;
+    draws.digit = static_cast<int>(rng.uniformInt(0, 9));
+    draws.level = static_cast<float>(rng.uniform(0.7, 1.0));
+
+    // Ghost overlay: a fainter second digit blended in, making the
+    // sample's class evidence ambiguous in proportion to alpha.
+    if (rng.chance(options.ghostProb)) {
+        do {
+            draws.ghost = static_cast<int>(rng.uniformInt(0, 9));
+        } while (draws.ghost == draws.digit);
+        const float alpha = static_cast<float>(
+            rng.uniform(0.0, options.ghostMax));
+        draws.ghostLevel = draws.level * alpha;
+    }
+
+    // Per-row horizontal wobble (stroke slant / handwriting jitter).
+    if (rng.chance(options.wobbleProb)) {
+        for (auto &jitter : draws.jitter)
+            jitter = static_cast<std::int8_t>(
+                static_cast<int>(rng.uniformInt(0, 2)) - 1);
+    }
+
+    // Global translation.
+    const int max_shift = options.maxShift;
+    draws.dx = static_cast<int>(rng.uniformInt(
+                   0, static_cast<std::uint64_t>(2 * max_shift))) -
+        max_shift;
+    draws.dy = static_cast<int>(rng.uniformInt(
+                   0, static_cast<std::uint64_t>(2 * max_shift))) -
+        max_shift;
+
+    // Patch erasure: drop a square chunk of the glyph.
+    if (rng.chance(options.erasureProb)) {
+        draws.erased = true;
+        draws.ex = static_cast<int>(rng.uniformInt(
+            glyphLeft - 2, static_cast<std::uint64_t>(glyphRight - 2)));
+        draws.ey = static_cast<int>(rng.uniformInt(
+            glyphTop, static_cast<std::uint64_t>(glyphBottom - 2)));
+    }
+
+    draws.noise = rng;
+    rng.discard(mnistPixels);
+    return draws;
+}
+
+/** Pass 2: render one image from its draws into @a out. */
+void
+renderImage(const MnistDraws &draws, const MnistOptions &options,
+            float *out)
+{
+    std::array<float, mnistPixels> image;
+    renderDigit(draws.digit, draws.level, image.data());
+    if (draws.ghost >= 0) {
+        std::array<float, mnistPixels> ghost_image;
+        renderDigit(draws.ghost, draws.ghostLevel, ghost_image.data());
+        for (int p = 0; p < mnistPixels; ++p) {
+            auto &pixel = image[static_cast<std::size_t>(p)];
+            pixel = std::max(pixel,
+                             ghost_image[static_cast<std::size_t>(p)]);
+        }
+    }
+
+    for (int y = 0; y < mnistSide; ++y) {
+        const int jitter = draws.jitter[static_cast<std::size_t>(y)];
+        if (jitter == 0)
+            continue;
+        float *row = image.data() + y * mnistSide;
+        if (jitter > 0) {
+            for (int x = mnistSide - 1; x >= 1; --x)
+                row[x] = row[x - 1];
+            row[0] = 0.0f;
+        } else {
+            for (int x = 0; x < mnistSide - 1; ++x)
+                row[x] = row[x + 1];
+            row[mnistSide - 1] = 0.0f;
+        }
+    }
+
+    std::fill_n(out, mnistPixels, 0.0f);
+    for (int y = 0; y < mnistSide; ++y) {
+        const int sy = y - draws.dy;
+        if (sy < 0 || sy >= mnistSide)
+            continue;
+        for (int x = 0; x < mnistSide; ++x) {
+            const int sx = x - draws.dx;
+            if (sx < 0 || sx >= mnistSide)
+                continue;
+            out[y * mnistSide + x] =
+                image[static_cast<std::size_t>(sy * mnistSide + sx)];
+        }
+    }
+
+    if (draws.erased) {
+        for (int y = draws.ey; y < draws.ey + options.erasureSize; ++y) {
+            for (int x = draws.ex; x < draws.ex + options.erasureSize; ++x) {
+                if (y >= 0 && y < mnistSide && x >= 0 && x < mnistSide)
+                    out[y * mnistSide + x] = 0.0f;
+            }
+        }
+    }
+
+    // Additive sensor noise, clamped to the valid intensity range.
+    Rng noise = draws.noise;
+    for (int p = 0; p < mnistPixels; ++p) {
+        float &pixel = out[p];
+        pixel += static_cast<float>(noise.gaussian(0.0, options.noiseSigma));
+        pixel = std::clamp(pixel, 0.0f, 1.0f);
+    }
 }
 
 } // namespace
@@ -93,104 +236,32 @@ Dataset
 makeMnistLike(std::size_t count, std::uint64_t seed,
               const MnistOptions &options)
 {
-    Dataset set("mnist-like", mnistPixels, mnistClasses);
     Rng rng(combineSeeds(seed, hashSeed("mnist-like")));
+    std::vector<MnistDraws> draws(count);
+    std::vector<int> labels(count);
+    std::vector<float> pixels(count * mnistPixels);
 
-    std::vector<float> image(mnistPixels);
-    std::vector<float> shifted(mnistPixels);
-    for (std::size_t i = 0; i < count; ++i) {
-        const int digit = static_cast<int>(rng.uniformInt(0, 9));
-        const float level =
-            static_cast<float>(rng.uniform(0.7, 1.0));
-        image = renderDigit(digit, level);
-
-        // Ghost overlay: a fainter second digit blended in, making the
-        // sample's class evidence ambiguous in proportion to alpha.
-        if (rng.chance(options.ghostProb)) {
-            int ghost;
-            do {
-                ghost = static_cast<int>(rng.uniformInt(0, 9));
-            } while (ghost == digit);
-            const float alpha = static_cast<float>(
-                rng.uniform(0.0, options.ghostMax));
-            const std::vector<float> ghost_image =
-                renderDigit(ghost, level * alpha);
-            for (int p = 0; p < mnistPixels; ++p) {
-                auto &pixel = image[static_cast<std::size_t>(p)];
-                pixel = std::max(pixel,
-                                 ghost_image[static_cast<std::size_t>(p)]);
-            }
+    // Pass 1 runs here, one range ahead of pass 2: each range goes to
+    // the pool as soon as its draws are recorded. A range writes only
+    // its own rows, so the bytes do not depend on the worker count.
+    ThreadPool pool(count < mnistParallelMin ? 0
+                                             : ThreadPool::hardwareWorkers(),
+                    "data-worker");
+    for (std::size_t first = 0; first < count; first += mnistRangeImages) {
+        const std::size_t last = std::min(count, first + mnistRangeImages);
+        for (std::size_t i = first; i < last; ++i) {
+            draws[i] = drawStructure(rng, options);
+            labels[i] = draws[i].digit;
         }
-
-        // Per-row horizontal wobble (stroke slant / handwriting jitter).
-        if (rng.chance(options.wobbleProb)) {
-            for (int y = 0; y < mnistSide; ++y) {
-                const int jitter =
-                    static_cast<int>(rng.uniformInt(0, 2)) - 1;
-                if (jitter == 0)
-                    continue;
-                float *row = image.data() + y * mnistSide;
-                if (jitter > 0) {
-                    for (int x = mnistSide - 1; x >= 1; --x)
-                        row[x] = row[x - 1];
-                    row[0] = 0.0f;
-                } else {
-                    for (int x = 0; x < mnistSide - 1; ++x)
-                        row[x] = row[x + 1];
-                    row[mnistSide - 1] = 0.0f;
-                }
-            }
-        }
-
-        // Global translation.
-        const int max_shift = options.maxShift;
-        const int dx = static_cast<int>(rng.uniformInt(
-                           0, static_cast<std::uint64_t>(2 * max_shift))) -
-            max_shift;
-        const int dy = static_cast<int>(rng.uniformInt(
-                           0, static_cast<std::uint64_t>(2 * max_shift))) -
-            max_shift;
-        std::fill(shifted.begin(), shifted.end(), 0.0f);
-        for (int y = 0; y < mnistSide; ++y) {
-            const int sy = y - dy;
-            if (sy < 0 || sy >= mnistSide)
-                continue;
-            for (int x = 0; x < mnistSide; ++x) {
-                const int sx = x - dx;
-                if (sx < 0 || sx >= mnistSide)
-                    continue;
-                shifted[static_cast<std::size_t>(y * mnistSide + x)] =
-                    image[static_cast<std::size_t>(sy * mnistSide + sx)];
-            }
-        }
-
-        // Patch erasure: drop a square chunk of the glyph.
-        if (rng.chance(options.erasureProb)) {
-            const int ex = static_cast<int>(rng.uniformInt(
-                glyphLeft - 2,
-                static_cast<std::uint64_t>(glyphRight - 2)));
-            const int ey = static_cast<int>(rng.uniformInt(
-                glyphTop, static_cast<std::uint64_t>(glyphBottom - 2)));
-            for (int y = ey; y < ey + options.erasureSize; ++y) {
-                for (int x = ex; x < ex + options.erasureSize; ++x) {
-                    if (y >= 0 && y < mnistSide && x >= 0 && x < mnistSide) {
-                        shifted[static_cast<std::size_t>(
-                            y * mnistSide + x)] = 0.0f;
-                    }
-                }
-            }
-        }
-
-        // Additive sensor noise, clamped to the valid intensity range.
-        for (auto &pixel : shifted) {
-            pixel += static_cast<float>(
-                rng.gaussian(0.0, options.noiseSigma));
-            pixel = std::clamp(pixel, 0.0f, 1.0f);
-        }
-
-        set.add(shifted, digit);
+        pool.submit([&draws, &options, &pixels, first, last] {
+            for (std::size_t i = first; i < last; ++i)
+                renderImage(draws[i], options,
+                            pixels.data() + i * mnistPixels);
+        });
     }
-    return set;
+    pool.wait();
+    return Dataset("mnist-like", mnistPixels, mnistClasses,
+                   std::move(pixels), std::move(labels));
 }
 
 Dataset

@@ -20,6 +20,7 @@
 #ifndef UVOLT_DATA_SYNTHETIC_HH
 #define UVOLT_DATA_SYNTHETIC_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "data/dataset.hh"
@@ -54,7 +55,18 @@ struct MnistOptions
     double ghostMax = 0.60;
 };
 
-/** Generate an MNIST-like digit dataset. */
+/** Image count from which makeMnistLike() renders on a worker pool. */
+constexpr std::size_t mnistParallelMin = 1024;
+
+/**
+ * Generate an MNIST-like digit dataset, deterministic in (count, seed,
+ * options) and independent of the worker count. One Rng walks every
+ * image's structural draws (digit, level, ghost, wobble, shift,
+ * erasure) in order on the calling thread and records, per image, the
+ * stream where that image's noise starts. From mnistParallelMin images
+ * on, a fresh pool of ThreadPool::hardwareWorkers() threads renders
+ * fixed image ranges from those records; smaller sets render inline.
+ */
 Dataset makeMnistLike(std::size_t count, std::uint64_t seed,
                       const MnistOptions &options = {});
 

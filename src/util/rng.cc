@@ -95,6 +95,13 @@ Rng::operator()()
     return next(state_);
 }
 
+void
+Rng::discard(std::uint64_t n)
+{
+    for (; n > 0; --n)
+        next(state_);
+}
+
 double
 Rng::uniform()
 {

@@ -57,6 +57,12 @@ class Rng
     /** Next raw 64-bit value. */
     std::uint64_t operator()();
 
+    /**
+     * Skip @a n raw values, exactly as @a n operator()() calls would;
+     * a cached gaussian() value stays cached.
+     */
+    void discard(std::uint64_t n);
+
     /** Uniform double in [0, 1). */
     double uniform();
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "accel/accelerator.hh"
@@ -53,6 +54,18 @@ smallTestSet()
     static const data::Dataset set = data::makeForestLike(
         600, combineSeeds(3, hashSeed("held-out")));
     return set;
+}
+
+/** A fault-free readback of @a image: one word vector per BRAM. */
+std::vector<std::vector<std::uint64_t>>
+pristineReadback(const WeightImage &image)
+{
+    std::vector<std::vector<std::uint64_t>> observed;
+    for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b) {
+        const fpga::WordSpan words = image.wordsOf(b);
+        observed.emplace_back(words.begin(), words.end());
+    }
+    return observed;
 }
 
 TEST(WeightImageTest, PaperTopologyLayout)
@@ -104,12 +117,31 @@ TEST(WeightImageTest, RowsHoldWeightsThenPadding)
     }
 }
 
+TEST(WeightImageTest, EveryBramIsItsZeroPaddedRowsPacked)
+{
+    const WeightImage image(smallModel());
+    for (const LayerSpan &span : image.layerSpans()) {
+        const auto &weights =
+            smallModel().layers[static_cast<std::size_t>(span.layer)].weights;
+        for (std::uint32_t b = 0; b < span.bramCount; ++b) {
+            std::vector<std::uint16_t> rows(fpga::bramRows, 0);
+            const std::size_t base = std::size_t{b} * weightsPerBram;
+            for (std::size_t w = base;
+                 w < std::min(weights.size(), base + weightsPerBram); ++w)
+                rows[w - base] = weights[w];
+            const fpga::WordSpan words =
+                image.wordsOf(span.firstLogicalBram + b);
+            EXPECT_TRUE(std::ranges::equal(words, fpga::packRows(rows)))
+                << "layer " << span.layer << ", BRAM " << b;
+        }
+    }
+}
+
 TEST(WeightImageTest, DecodeIsInverseOfLayout)
 {
     const WeightImage image(smallModel());
-    std::vector<std::vector<std::uint64_t>> observed;
-    for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.wordsOf(b));
+    std::vector<std::vector<std::uint64_t>> observed =
+        pristineReadback(image);
     const nn::QuantizedModel decoded = image.decode(observed);
     for (std::size_t l = 0; l < decoded.layers.size(); ++l)
         EXPECT_EQ(decoded.layers[l].weights,
@@ -119,9 +151,8 @@ TEST(WeightImageTest, DecodeIsInverseOfLayout)
 TEST(WeightImageTest, DecodeAppliesCorruption)
 {
     const WeightImage image(smallModel());
-    std::vector<std::vector<std::uint64_t>> observed;
-    for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.wordsOf(b));
+    std::vector<std::vector<std::uint64_t>> observed =
+        pristineReadback(image);
     auto rows = fpga::unpackRows(observed[0]);
     rows[5] = static_cast<std::uint16_t>(rows[5] ^ 0x8000);
     observed[0] = fpga::packRows(rows);
@@ -133,9 +164,8 @@ TEST(WeightImageTest, DecodeAppliesCorruption)
 TEST(WeightImageTest, PaddingCorruptionIsIgnoredByDecode)
 {
     const WeightImage image(smallModel());
-    std::vector<std::vector<std::uint64_t>> observed;
-    for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.wordsOf(b));
+    std::vector<std::vector<std::uint64_t>> observed =
+        pristineReadback(image);
 
     // Corrupt a padding row (beyond the layer's weight count) in the
     // last BRAM of layer 0.
@@ -177,9 +207,8 @@ TEST_P(TopologyLayout, SpansTileExactly)
     EXPECT_EQ(weights, net.totalWeights());
 
     // Decode of the pristine image is the identity.
-    std::vector<std::vector<std::uint64_t>> observed;
-    for (std::uint32_t b = 0; b < image.logicalBramCount(); ++b)
-        observed.push_back(image.wordsOf(b));
+    std::vector<std::vector<std::uint64_t>> observed =
+        pristineReadback(image);
     const nn::QuantizedModel decoded = image.decode(observed);
     for (std::size_t l = 0; l < decoded.layers.size(); ++l) {
         EXPECT_EQ(decoded.layers[l].weights,

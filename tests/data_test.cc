@@ -8,9 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "data/dataset.hh"
 #include "data/synthetic.hh"
+#include "mnist_reference.hh"
+#include "nn/model_zoo.hh"
+#include "util/rng.hh"
 
 namespace uvolt::data
 {
@@ -30,6 +35,114 @@ TEST(DatasetTest, AddAndAccess)
     EXPECT_EQ(set.sample(1)[2], 6.0f);
     EXPECT_EQ(set.label(0), 0);
     EXPECT_EQ(set.label(1), 1);
+}
+
+TEST(DatasetTest, AdoptsRowsBuiltInPlace)
+{
+    const Dataset set("toy", 2, 3, {1.0f, 2.0f, 3.0f, 4.0f}, {2, 0});
+    ASSERT_EQ(set.size(), 2u);
+    EXPECT_EQ(set.sample(1)[0], 3.0f);
+    EXPECT_EQ(set.label(0), 2);
+    EXPECT_EQ(set.samples(0, 2).size(), 4u);
+}
+
+/**
+ * FNV-1a-64 over the float bytes of samples(0, size), then over each
+ * label as a little-endian int32.
+ */
+std::uint64_t
+corpusDigest(const Dataset &set)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](unsigned char byte) {
+        hash ^= byte;
+        hash *= 0x100000001b3ULL;
+    };
+    const auto rows = set.samples(0, set.size());
+    const auto *bytes = reinterpret_cast<const unsigned char *>(rows.data());
+    for (std::size_t i = 0; i < rows.size_bytes(); ++i)
+        mix(bytes[i]);
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        const auto label = static_cast<std::uint32_t>(set.label(i));
+        for (int shift = 0; shift < 32; shift += 8)
+            mix(static_cast<unsigned char>(label >> shift));
+    }
+    return hash;
+}
+
+/** Samples and labels equal byte for byte. */
+void
+expectSameCorpus(const Dataset &got, const Dataset &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.name(), want.name());
+    EXPECT_EQ(got.featureCount(), want.featureCount());
+    EXPECT_EQ(got.classCount(), want.classCount());
+    const auto a = got.samples(0, got.size());
+    const auto b = want.samples(0, want.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got.label(i), want.label(i)) << "sample " << i;
+}
+
+/** The held-out seed makeTestSet(paperMnistSpec()) draws from. */
+std::uint64_t
+paperTestSeed()
+{
+    return combineSeeds(nn::paperMnistSpec().dataSeed, hashSeed("held-out"));
+}
+
+TEST(MnistLike, MatchesSerialReferenceOverSeedsAndCounts)
+{
+    const std::size_t counts[] = {0,
+                                  1,
+                                  32,
+                                  mnistParallelMin - 1,
+                                  mnistParallelMin,
+                                  mnistParallelMin + 1,
+                                  10000};
+    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{5},
+                               std::uint64_t{42}, paperTestSeed()}) {
+        for (std::size_t count : counts) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << ", " << count << " images");
+            expectSameCorpus(makeMnistLike(count, seed),
+                             referenceMnistLike(count, seed));
+        }
+    }
+}
+
+TEST(MnistLike, MatchesSerialReferenceUnderEveryOption)
+{
+    std::vector<std::pair<const char *, MnistOptions>> variants;
+    auto add = [&variants](const char *name, auto &&edit) {
+        MnistOptions options;
+        edit(options);
+        variants.emplace_back(name, options);
+    };
+    add("ghostProb 0", [](MnistOptions &o) { o.ghostProb = 0.0; });
+    add("ghostProb 1", [](MnistOptions &o) { o.ghostProb = 1.0; });
+    add("wobbleProb 1", [](MnistOptions &o) { o.wobbleProb = 1.0; });
+    add("erasureProb 1", [](MnistOptions &o) { o.erasureProb = 1.0; });
+    add("maxShift 0", [](MnistOptions &o) { o.maxShift = 0; });
+    add("noiseSigma 0", [](MnistOptions &o) { o.noiseSigma = 0.0; });
+    for (const auto &[name, options] : variants) {
+        for (std::size_t count : {std::size_t{32}, mnistParallelMin + 1}) {
+            SCOPED_TRACE(testing::Message()
+                         << name << ", " << count << " images");
+            expectSameCorpus(makeMnistLike(count, 7, options),
+                             referenceMnistLike(count, 7, options));
+        }
+    }
+}
+
+TEST(MnistLike, PaperCorpusDigestsArePinned)
+{
+    // Recorded from the serial generator; they hold under glibc's FMA
+    // and non-FMA libm variants alike.
+    const nn::ZooSpec spec = nn::paperMnistSpec();
+    EXPECT_EQ(corpusDigest(nn::makeTestSet(spec)), 0xc7ba3fd8a750a4a9ULL);
+    EXPECT_EQ(corpusDigest(nn::makeTrainSet(spec)), 0x4695d51088e726feULL);
 }
 
 TEST(MnistLike, ShapeAndRange)

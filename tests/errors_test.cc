@@ -108,6 +108,10 @@ TEST(ErrorsDeathTest, DatasetMisuse)
     const float ok[3] = {1.0f, 2.0f, 3.0f};
     EXPECT_EXIT(set.add({ok, 3}, 2), ExitedWithCode(1), "label");
     EXPECT_EXIT(set.sample(0), ExitedWithCode(1), "out of dataset");
+    EXPECT_EXIT(data::Dataset("toy", 3, 2, std::vector<float>(5), {0, 1}),
+                ExitedWithCode(1), "feature values");
+    EXPECT_EXIT(data::Dataset("toy", 3, 2, std::vector<float>(3), {2}),
+                ExitedWithCode(1), "label");
 }
 
 TEST(ErrorsDeathTest, NetworkMisuse)
