@@ -65,7 +65,6 @@
 #include "pmbus/fault_injector.hh"
 #include "serve/server.hh"
 #include "util/cli.hh"
-#include "util/flight_recorder.hh"
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
@@ -457,8 +456,7 @@ UVOLT_STUDY(ext_serve, declareFlags)
         harness::writePrometheus(telemetry::Registry::global().metrics(),
                                  prom_out))
         std::printf("prometheus -> %s\n", prom_out.c_str());
-    const std::vector<std::string> blackboxes =
-        flightrec::FlightRecorder::global().dumps();
+    const std::vector<std::string> blackboxes = blackbox::dumps();
     for (const auto &box : blackboxes)
         std::printf("blackbox -> %s\n", box.c_str());
     const std::string profile_out = cli.getString("profile-out");

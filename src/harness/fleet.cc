@@ -12,8 +12,8 @@
 #include "harness/checkpoint.hh"
 #include "harness/fvm_io.hh"
 #include "harness/ledger.hh"
+#include "harness/timeline.hh"
 #include "mem/bram_backend.hh"
-#include "util/flight_recorder.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -547,19 +547,6 @@ FleetEngine::runJob(const FleetPlan &plan, const FleetJob &job) const
 namespace
 {
 
-/** UTC wall clock as "2026-08-05T12:34:56Z". */
-std::string
-nowIso8601()
-{
-    const std::time_t now = std::chrono::system_clock::to_time_t(
-        std::chrono::system_clock::now());
-    std::tm utc = {};
-    gmtime_r(&now, &utc);
-    return strFormat("{}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
-                     utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday,
-                     utc.tm_hour, utc.tm_min, utc.tm_sec);
-}
-
 /** Canonical plan description the config digest hashes. */
 std::string
 canonicalPlan(const FleetPlan &plan)
@@ -612,7 +599,7 @@ recordManifest(const FleetOptions &options, const FleetPlan &plan,
         manifest.artifacts.push_back(options.checkpointDir);
     if (options.fvmCache)
         manifest.artifacts.push_back(options.fvmCache->directory());
-    manifest.blackboxPaths = flightrec::FlightRecorder::global().dumps();
+    manifest.blackboxPaths = blackbox::dumps();
     for (const auto &[name, value] :
          telemetry::Registry::global().metrics().counters) {
         if (value)

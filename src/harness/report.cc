@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 
@@ -18,34 +16,11 @@ namespace uvolt::harness
 namespace
 {
 
-/** Escape a string for inclusion inside JSON double quotes. */
-std::string
-jsonEscaped(std::string_view text)
-{
-    return json::escaped(text);
-}
-
 /** Microseconds with nanosecond precision (Chrome's timebase). */
 std::string
 microseconds(std::uint64_t ns)
 {
     return strFormat("{}.{:03}", ns / 1000, ns % 1000);
-}
-
-bool
-writeDocument(const std::string &document, const std::string &path)
-{
-    std::error_code ec;
-    std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream out(path);
-    if (!out) {
-        warnc("report", "could not open '{}' for writing", path);
-        return false;
-    }
-    out << document;
-    return static_cast<bool>(out);
 }
 
 } // namespace
@@ -67,14 +42,14 @@ chromeTraceJson(const std::vector<telemetry::TraceEvent> &events,
             out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                    "\"tid\":"
                 << tid << ",\"args\":{\"name\":\""
-                << jsonEscaped(name) << "\"}}";
+                << json::escaped(name) << "\"}}";
         }
     }
     for (const auto &event : events) {
         if (!first)
             out << ",";
         first = false;
-        out << "\n{\"name\":\"" << jsonEscaped(event.name)
+        out << "\n{\"name\":\"" << json::escaped(event.name)
             << "\",\"cat\":\"uvolt\",\"ph\":\"X\",\"pid\":1,\"tid\":"
             << event.tid << ",\"ts\":" << microseconds(event.startNs)
             << ",\"dur\":" << microseconds(event.durNs);
@@ -87,8 +62,8 @@ chromeTraceJson(const std::vector<telemetry::TraceEvent> &events,
                 if (!first_arg)
                     out << ",";
                 first_arg = false;
-                out << "\"" << jsonEscaped(key) << "\":\""
-                    << jsonEscaped(value) << "\"";
+                out << "\"" << json::escaped(key) << "\":\""
+                    << json::escaped(value) << "\"";
             }
             if (event.spanId != 0) {
                 out << (first_arg ? "" : ",") << "\"span\":\""
@@ -135,7 +110,13 @@ writeChromeTrace(const std::vector<telemetry::TraceEvent> &events,
                  const std::string &path,
                  const ThreadNames &thread_names)
 {
-    return writeDocument(chromeTraceJson(events, thread_names), path);
+    const auto written =
+        writeFileAtomic(path, chromeTraceJson(events, thread_names));
+    if (!written) {
+        warnc("report", "could not write chrome trace '{}'", path);
+        return false;
+    }
+    return true;
 }
 
 bool
@@ -473,7 +454,13 @@ bool
 writeFlameGraph(const Profile &profile,
                 const std::string &title, const std::string &path)
 {
-    return writeDocument(flameGraphHtml(profile, title), path);
+    const auto written =
+        writeFileAtomic(path, flameGraphHtml(profile, title));
+    if (!written) {
+        warnc("report", "could not write flame graph '{}'", path);
+        return false;
+    }
+    return true;
 }
 
 MetricsPulse::MetricsPulse(std::string path,

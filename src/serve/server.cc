@@ -6,7 +6,6 @@
 #include "fpga/floorplan.hh"
 #include "harness/fvm.hh"
 #include "harness/ledger.hh"
-#include "util/flight_recorder.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -394,20 +393,16 @@ UvoltServer::observeFaultPressure(double pressure)
     }
     if (after == before)
         return;
-    // Record and dump outside healthMutex_: the recorder takes its own
-    // locks and a dump writes a file — no reader of healthState() /
+    // Record and dump outside healthMutex_: the black box takes the log
+    // lock and a dump writes a file — no reader of healthState() /
     // statusReport() should ever wait behind that.
-    flightrec::note(after == ServeState::degraded
-                        ? flightrec::Level::error
-                        : flightrec::Level::info,
-                    "serve",
-                    strFormat("health {} -> {} (floor raise {} mV)",
-                              serveStateName(before),
-                              serveStateName(after), raise));
+    note(after == ServeState::degraded ? LogLevel::error : LogLevel::info,
+         "serve",
+         strFormat("health {} -> {} (floor raise {} mV)",
+                   serveStateName(before), serveStateName(after), raise));
     if (after == ServeState::degraded && !config_.blackboxDir.empty()) {
         const std::string path =
-            flightrec::FlightRecorder::global().dump(
-                "degraded", config_.blackboxDir);
+            blackbox::dump("degraded", config_.blackboxDir);
         if (!path.empty()) {
             warnc("serve",
                   "entered degraded state: flight recorder dumped to {}",
@@ -603,10 +598,10 @@ UvoltServer::noteCompleted(const Pending &item, bool ok, Errc code)
         deadlineStreak_.store(0, std::memory_order_relaxed);
         return;
     }
-    flightrec::note(flightrec::Level::warn, "serve",
-                    strFormat("{} request {} failed: {}", kind, item.id,
-                              errcName(code)),
-                    item.trace.flowId);
+    note(LogLevel::warn, "serve",
+         strFormat("{} request {} failed: {}", kind, item.id,
+                   errcName(code)),
+         item.trace.flowId);
     if (code == Errc::deadlineExceeded)
         noteDeadlineExpiry();
 }
@@ -621,11 +616,10 @@ UvoltServer::noteDeadlineExpiry()
     deadlineStreak_.store(0, std::memory_order_relaxed);
     if (config_.blackboxDir.empty())
         return;
-    flightrec::note(
-        flightrec::Level::error, "serve",
-        strFormat("{} consecutive deadline expiries", streak));
-    const std::string path = flightrec::FlightRecorder::global().dump(
-        "deadline_storm", config_.blackboxDir);
+    note(LogLevel::error, "serve",
+         strFormat("{} consecutive deadline expiries", streak));
+    const std::string path =
+        blackbox::dump("deadline_storm", config_.blackboxDir);
     if (!path.empty()) {
         warnc("serve", "deadline storm ({} expiries): flight recorder "
               "dumped to {}",
@@ -831,11 +825,10 @@ UvoltServer::finishCharacterize(Pending &item)
             ++stats_.retried;
         }
         serveMetrics().retried.increment();
-        flightrec::note(flightrec::Level::info, "serve",
-                        strFormat("characterize {} attempt {} hit {}; "
-                                  "backing off",
-                                  item.id, attempt, errcName(last.code)),
-                        item.trace.flowId);
+        note(LogLevel::info, "serve",
+             strFormat("characterize {} attempt {} hit {}; backing off",
+                       item.id, attempt, errcName(last.code)),
+             item.trace.flowId);
         if (!backoff(attempt, request_seed)) {
             respondStopped(item);
             return;

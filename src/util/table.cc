@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <sstream>
 
+#include "util/fsio.hh"
 #include "util/logging.hh"
 
 namespace uvolt
@@ -107,17 +107,13 @@ fmtPercent(double fraction, int decimals)
 bool
 writeCsv(const TextTable &table, const std::string &path)
 {
-    std::error_code ec;
-    std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream out(path);
-    if (!out) {
-        warn("could not open '{}' for writing", path);
+    std::ostringstream csv;
+    table.printCsv(csv);
+    if (!writeFileAtomic(path, csv.str())) {
+        warn("could not write '{}'", path);
         return false;
     }
-    table.printCsv(out);
-    return static_cast<bool>(out);
+    return true;
 }
 
 } // namespace uvolt

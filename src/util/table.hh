@@ -51,9 +51,10 @@ std::string fmtVolts(double volts);
 std::string fmtPercent(double fraction, int decimals = 1);
 
 /**
- * Write a table to a CSV file under the given path, creating parent
- * directories as needed. Returns false (with a warning) on I/O failure
- * so benches can keep running in read-only environments.
+ * Write a table to a CSV file under the given path through
+ * writeFileAtomic (parent directories created; a reader sees the old
+ * file or the new one, never a prefix). Returns false (with a warning)
+ * on I/O failure so benches can keep running in read-only environments.
  */
 bool writeCsv(const TextTable &table, const std::string &path);
 

@@ -170,24 +170,60 @@ struct Registry::Impl
     std::vector<std::vector<double>> histogramBounds;
     std::vector<std::unique_ptr<Histogram>> histogramHandles;
 
-    /** Shards stay alive past thread exit so their counts persist. */
-    std::vector<std::shared_ptr<ThreadState>> states;
+    /**
+     * Every shard ever made. An exiting thread hands its shard to
+     * freeStates and the next new thread adopts it — counts, spans and
+     * tid included — so shards number at most the peak of live threads
+     * and a tid is a lane that sequential threads can share.
+     */
+    std::vector<std::unique_ptr<ThreadState>> states;
+    std::vector<ThreadState *> freeStates;
     std::uint32_t nextTid = 0;
 
     /** Spans refused by a full per-thread buffer. */
     Counter *traceDropped = nullptr;
 
+    ThreadState *
+    adoptState()
+    {
+        std::lock_guard lock(mutex);
+        if (!freeStates.empty()) {
+            ThreadState *state = freeStates.back();
+            freeStates.pop_back();
+            return state;
+        }
+        states.push_back(std::make_unique<ThreadState>());
+        states.back()->tid = nextTid++;
+        return states.back().get();
+    }
+
     ThreadState &
     threadState()
     {
-        thread_local std::shared_ptr<ThreadState> local;
-        if (!local) {
-            local = std::make_shared<ThreadState>();
-            std::lock_guard lock(mutex);
-            local->tid = nextTid++;
-            states.push_back(local);
+        /** The calling thread's hold on its shard until it exits. */
+        struct Lease
+        {
+            Impl *impl = nullptr;
+            ThreadState *state = nullptr;
+
+            Lease() = default;
+            Lease(const Lease &) = delete;
+            Lease &operator=(const Lease &) = delete;
+
+            ~Lease()
+            {
+                if (!state)
+                    return;
+                std::lock_guard lock(impl->mutex);
+                impl->freeStates.push_back(state);
+            }
+        };
+        thread_local Lease lease;
+        if (!lease.state) {
+            lease.impl = this;
+            lease.state = adoptState();
         }
-        return *local;
+        return *lease.state;
     }
 };
 

@@ -268,7 +268,11 @@ class Registry
      */
     void setThreadName(std::string name);
 
-    /** (tid, name) for every thread that named itself, tid order. */
+    /**
+     * (tid, name) for every named lane, tid order. A tid is a lane that
+     * sequential threads can share: a new thread adopts the shard of
+     * one that exited, and the latest setThreadName() labels the lane.
+     */
     std::vector<std::pair<std::uint32_t, std::string>>
     threadNames() const;
 

@@ -37,7 +37,6 @@
 #include "serve/health.hh"
 #include "serve/request_queue.hh"
 #include "serve/server.hh"
-#include "util/flight_recorder.hh"
 #include "json_value.hh"
 #include "util/telemetry.hh"
 
@@ -1196,7 +1195,7 @@ TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
 TEST(ServeObservability, DegradationTransitionDumpsBlackbox)
 {
     const std::string dir = scratchDir("uvolt_serve_blackbox");
-    flightrec::FlightRecorder::global().resetForTest();
+    blackbox::resetForTest();
 
     ServerConfig config;
     config.workers = 1;
@@ -1210,7 +1209,7 @@ TEST(ServeObservability, DegradationTransitionDumpsBlackbox)
                     .orFatal()
                     .get()
                     .ok());
-    flightrec::note(flightrec::Level::info, "test", "storm incoming");
+    note(LogLevel::info, "test", "storm incoming");
     for (int i = 0; i < 12; ++i)
         server.observeFaultPressure(3.0);
     EXPECT_EQ(server.healthState(), ServeState::degraded);
@@ -1230,14 +1229,14 @@ TEST(ServeObservability, DegradationTransitionDumpsBlackbox)
     ASSERT_TRUE(events->isArray());
     ASSERT_FALSE(events->items().empty());
     // The transition note itself must be in the box: the dump happens
-    // after the recorder sees the "health normal -> degraded" event.
+    // after the black box sees the "health normal -> degraded" event.
     bool transition_noted = false;
     std::uint64_t last_seq = 0;
     for (const json::Value &event : events->items()) {
         ASSERT_TRUE(event.isObject());
         const auto seq =
             static_cast<std::uint64_t>(event.numberOr("seq", 0));
-        EXPECT_GT(seq, last_seq) << "merge must preserve seq order";
+        EXPECT_GT(seq, last_seq) << "seq must strictly increase";
         last_seq = seq;
         if (event.stringOr("component", "") == "serve" &&
             event.stringOr("message", "").find("degraded") !=
@@ -1245,15 +1244,15 @@ TEST(ServeObservability, DegradationTransitionDumpsBlackbox)
             transition_noted = true;
     }
     EXPECT_TRUE(transition_noted);
-    const auto dumps = flightrec::FlightRecorder::global().dumps();
+    const auto dumps = blackbox::dumps();
     EXPECT_NE(std::find(dumps.begin(), dumps.end(), path), dumps.end());
-    flightrec::FlightRecorder::global().resetForTest();
+    blackbox::resetForTest();
 }
 
 TEST(ServeObservability, DeadlineStormDumpsBlackbox)
 {
     const std::string dir = scratchDir("uvolt_serve_deadline_storm");
-    flightrec::FlightRecorder::global().resetForTest();
+    blackbox::resetForTest();
 
     ServerConfig config;
     config.workers = 1;
@@ -1262,7 +1261,7 @@ TEST(ServeObservability, DeadlineStormDumpsBlackbox)
     UvoltServer server(std::move(config));
 
     // Every request is born expired: each expiry extends the streak,
-    // and the 8th in a row dumps the recorder.
+    // and the 8th in a row dumps the black box.
     const std::string path = dir + "/blackbox_deadline_storm.json";
     for (int i = 0; i < 8; ++i) {
         EXPECT_FALSE(std::filesystem::exists(path)) << i;
@@ -1277,7 +1276,7 @@ TEST(ServeObservability, DeadlineStormDumpsBlackbox)
     server.stop();
 
     EXPECT_TRUE(std::filesystem::exists(path));
-    flightrec::FlightRecorder::global().resetForTest();
+    blackbox::resetForTest();
 }
 
 TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)

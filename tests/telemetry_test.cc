@@ -3,27 +3,31 @@
  * Tests for the telemetry layer: lock-free shard aggregation under a
  * ThreadPool, trace-span well-formedness, the Chrome trace-event JSON
  * exporter (golden file + a structural check of a real fleet trace),
- * and the central contract that enabling telemetry never changes a
- * sweep's results.
+ * the central contract that enabling telemetry never changes a sweep's
+ * results, and the black-box ring the logging layer keeps.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "harness/campaign.hh"
 #include "harness/fleet.hh"
 #include "harness/report.hh"
-#include "util/flight_recorder.hh"
 #include "json_value.hh"
+#include "util/format.hh"
+#include "util/logging.hh"
 #include "util/telemetry.hh"
 #include "util/thread_pool.hh"
 
@@ -536,32 +540,24 @@ TEST(TelemetryTest, FlowRecordsBindToSliceEnds)
         << json;
 }
 
-TEST(TelemetryTest, FlightRecorderDumpSchema)
+TEST(TelemetryTest, BlackboxDumpSchema)
 {
-    auto &recorder = flightrec::FlightRecorder::global();
-    recorder.resetForTest();
+    blackbox::resetForTest();
 
-    flightrec::note(flightrec::Level::info, "test", "first", 11);
-    flightrec::note(flightrec::Level::warn, "pmbus",
-                    "NACK on setpoint write");
-    flightrec::note(flightrec::Level::error, "serve",
-                    "deadline streak at 8");
-    EXPECT_EQ(recorder.recorded(), 3u);
-    EXPECT_EQ(recorder.overwritten(), 0u);
+    note(LogLevel::info, "test", "first", 11);
+    note(LogLevel::warn, "pmbus", "NACK on setpoint write");
+    note(LogLevel::error, "serve", "deadline streak at 8");
 
     const auto dir = std::filesystem::temp_directory_path() /
                      "uvolt_blackbox_schema";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    const std::string path = recorder.dump("schema check", dir.string());
+    const std::string path = blackbox::dump("schema check", dir.string());
     ASSERT_FALSE(path.empty());
     // The reason is sanitized into the file name.
     EXPECT_EQ(path, (dir / "blackbox_schema_check.json").string());
 
-    std::ifstream in(path);
-    std::stringstream content;
-    content << in.rdbuf();
-    auto parsed = json::Value::parse(content.str());
+    auto parsed = json::Value::parseFile(path);
     ASSERT_TRUE(parsed.ok()) << parsed.error().message;
     const json::Value &root = parsed.value();
     EXPECT_EQ(root.stringOr("schema", ""), "uvolt-blackbox-v1");
@@ -579,29 +575,144 @@ TEST(TelemetryTest, FlightRecorderDumpSchema)
     EXPECT_GT(first.numberOr("seq", 0), 0.0);
 
     // An empty ring refuses to dump: a blank black box is noise.
-    recorder.resetForTest();
-    EXPECT_TRUE(recorder.dump("empty", dir.string()).empty());
+    blackbox::resetForTest();
+    EXPECT_TRUE(blackbox::dump("empty", dir.string()).empty());
 }
 
-TEST(TelemetryTest, FlightRecorderRingOverwritesOldest)
+TEST(TelemetryTest, BlackboxRingOverwritesOldest)
 {
-    auto &recorder = flightrec::FlightRecorder::global();
-    recorder.resetForTest();
+    blackbox::resetForTest();
 
-    const std::size_t capacity =
-        flightrec::FlightRecorder::shardCapacity;
+    const std::size_t capacity = blackbox::capacity;
     for (std::size_t i = 0; i < capacity + 10; ++i)
-        flightrec::note(flightrec::Level::debug, "test",
-                        "event " + std::to_string(i));
-    EXPECT_EQ(recorder.recorded(), capacity + 10);
-    EXPECT_EQ(recorder.overwritten(), 10u);
-    const auto events = recorder.snapshot();
+        note(LogLevel::info, "test", "event " + std::to_string(i));
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "uvolt_blackbox_wrap";
+    auto parsed =
+        json::Value::parseFile(blackbox::dump("wrap", dir.string()));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(parsed.value().numberOr("recorded", 0),
+              static_cast<double>(capacity + 10));
+    EXPECT_EQ(parsed.value().numberOr("dropped", 0), 10.0);
+    const auto &events = parsed.value().find("events")->items();
     ASSERT_EQ(events.size(), capacity);
     // The retained window is the most recent `capacity` events, still
     // in sequence order after the wrap.
-    EXPECT_EQ(events.front().seq, 11u);
-    EXPECT_EQ(events.back().seq, capacity + 10);
-    recorder.resetForTest();
+    EXPECT_EQ(events.front().numberOr("seq", 0), 11.0);
+    EXPECT_EQ(events.back().numberOr("seq", 0),
+              static_cast<double>(capacity + 10));
+    blackbox::resetForTest();
+}
+
+TEST(TelemetryTest, BlackboxRingStaysOrderedUnderConcurrentWriters)
+{
+    blackbox::resetForTest();
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "uvolt_blackbox_ring";
+    std::filesystem::remove_all(dir);
+
+    // 8 writers x 200 events wrap the 1024-event ring while a ninth
+    // thread dumps it in a loop. Each writer's last event waits until
+    // every writer is through its other events, so the last 8 events
+    // of the run are known and a dump after the joins must hold them.
+    constexpr int writers = 8;
+    constexpr int perWriter = 200;
+    std::latch last_round(writers);
+    std::atomic<bool> done{false};
+    int dumps = 0;
+    int disordered = 0;
+    std::thread dumper([&] {
+        while (!done.load() || dumps < 3) {
+            const std::string path =
+                blackbox::dump("concurrent", dir.string());
+            if (path.empty())
+                continue; // no writer has recorded yet
+            ++dumps;
+            auto parsed = json::Value::parseFile(path);
+            if (!parsed.ok()) {
+                ++disordered;
+                continue;
+            }
+            double last_seq = 0;
+            for (const json::Value &event :
+                 parsed.value().find("events")->items()) {
+                const double seq = event.numberOr("seq", 0);
+                disordered += seq <= last_seq;
+                last_seq = seq;
+            }
+        }
+    });
+    std::vector<std::thread> producers;
+    for (int w = 0; w < writers; ++w) {
+        producers.emplace_back([&last_round, w] {
+            for (int i = 0; i + 1 < perWriter; ++i) {
+                if (i % 2)
+                    warnc("ringtest", "writer {} event {}", w, i);
+                else
+                    note(LogLevel::info, "ringtest",
+                         strFormat("writer {} event {}", w, i));
+            }
+            last_round.arrive_and_wait();
+            note(LogLevel::info, "ringtest", strFormat("writer {} last", w));
+        });
+    }
+    for (std::thread &producer : producers)
+        producer.join();
+    done = true;
+    dumper.join();
+    EXPECT_GE(dumps, 3);
+    EXPECT_EQ(disordered, 0);
+
+    auto parsed =
+        json::Value::parseFile(blackbox::dump("joined", dir.string()));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const double recorded = writers * perWriter;
+    EXPECT_EQ(parsed.value().numberOr("recorded", 0), recorded);
+    EXPECT_EQ(parsed.value().numberOr("dropped", 0),
+              recorded - static_cast<double>(blackbox::capacity));
+    const auto &events = parsed.value().find("events")->items();
+    ASSERT_EQ(events.size(), blackbox::capacity);
+    std::set<std::string> last_events;
+    for (std::size_t i = events.size() - writers; i < events.size(); ++i)
+        last_events.insert(events[i].stringOr("message", ""));
+    for (int w = 0; w < writers; ++w)
+        EXPECT_EQ(last_events.count(strFormat("writer {} last", w)), 1u)
+            << w;
+    blackbox::resetForTest();
+}
+
+TEST(TelemetryTest, ExitedThreadsHandTheirShardsToNewThreads)
+{
+    TelemetryOn guard;
+    Counter &bumps = Registry::global().counter("test.recycled_bumps");
+
+    // Five pools of 4 workers, one after another: each pool's workers
+    // adopt the shards the previous pool's workers left behind, so the
+    // named lanes stop growing after the first pool, and the exited
+    // workers' counts still merge into the snapshot. Each pool's jobs
+    // meet at a latch, so all 4 of its workers are alive at once (a
+    // worker that started after a sibling exited would reuse its lane).
+    constexpr int pools = 5;
+    constexpr int workers = 4;
+    std::vector<std::size_t> lanes;
+    for (int p = 0; p < pools; ++p) {
+        {
+            ThreadPool pool(workers, strFormat("recycle-{}", p));
+            std::latch all_live(workers);
+            for (int job = 0; job < workers; ++job) {
+                pool.submit([&bumps, &all_live] {
+                    bumps.increment();
+                    all_live.arrive_and_wait();
+                });
+            }
+            pool.wait();
+        }
+        lanes.push_back(Registry::global().threadNames().size());
+    }
+    for (int p = 1; p < pools; ++p)
+        EXPECT_EQ(lanes[p], lanes[0]) << "pool " << p;
+    EXPECT_EQ(Registry::global().metrics().counter("test.recycled_bumps"),
+              static_cast<std::uint64_t>(pools * workers));
 }
 
 } // namespace
