@@ -251,6 +251,25 @@ UVOLT_BENCHMARK(BM_MemSweepHbm)
             mem::runMemSweep(*device, options).points.size());
 }
 
+/**
+ * What a served HBM/SRAM characterize pays before its first count: a
+ * device over the die's shared personality (synthesized once, by the
+ * warm-up) plus one fill of its content planes. Report-only: no
+ * baseline row.
+ */
+void
+runMakeDevice(bench::State &state, const char *name)
+{
+    for (auto _ : state) {
+        const auto device = mem::makeDevice(name);
+        device->fill(0xFFFF);
+        bench::doNotOptimize(device->contentEpoch());
+    }
+}
+
+UVOLT_BENCHMARK(BM_MakeDeviceHbm) { runMakeDevice(state, "HBM2-A"); }
+UVOLT_BENCHMARK(BM_MakeDeviceSram) { runMakeDevice(state, "MORS-SRAM-A"); }
+
 UVOLT_BENCHMARK(BM_FvmCacheHit)
 {
     auto &board = vc707();

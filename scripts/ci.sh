@@ -288,17 +288,21 @@ echo "== tier 1: thread-sanitized build (TSan) =="
 # nn_test joined the list with the batched evaluation engine: its
 # pool fan-out writes per-batch slots from worker threads. data_test
 # joined with the MNIST generator, whose pool renders image ranges
-# while the calling thread is still recording the next ones.
+# while the calling thread is still recording the next ones. The
+# shared-personality cache joined with four threads building the same
+# HBM stack and SRAM chip at their first use.
 cmake -B build-tsan -S . -DUVOLT_SANITIZE=thread
 cmake --build build-tsan -j "$jobs" \
     --target fleet_test resilience_test telemetry_test nn_test \
-    report_test data_test
+    report_test data_test membackend_test util_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/fleet_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/resilience_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/nn_test \
     --gtest_filter='BatchedEval.*'
 ./build-tsan/tests/data_test
+./build-tsan/tests/membackend_test --gtest_filter='SharedPersonality.*'
+./build-tsan/tests/util_test --gtest_filter='SharedCache.*'
 # The profile fold copies and folds the span buffers while eight
 # threads churn spans — exactly the interleaving TSan exists to judge.
 ./build-tsan/tests/report_test --gtest_filter='Profiler*'

@@ -625,14 +625,11 @@ FleetEngine::run(const FleetPlan &plan, ThreadPool &pool)
     if (plan.jobs.empty())
         return result;
 
-    // Warm the per-die chip models serially so workers alias instead of
-    // racing on the synthesis lock, and create the checkpoint scratch
-    // space before anyone needs it.
-    for (const auto &job : plan.jobs) {
-        if (mem::technologyOfName(job.platform) == mem::Technology::bram)
-            (void)pmbus::sharedChipModel(
-                fpga::findPlatform(job.platform));
-    }
+    // Warm the per-die personalities serially so workers alias instead
+    // of queueing on the synthesis lock, and create the checkpoint
+    // scratch space before anyone needs it.
+    for (const auto &job : plan.jobs)
+        mem::warmPersonality(job.platform);
     if (!options_.checkpointDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(options_.checkpointDir, ec);

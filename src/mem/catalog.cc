@@ -55,4 +55,15 @@ makeDevice(const std::string &name)
                                          pmbus::sharedChipModel(spec));
 }
 
+void
+warmPersonality(const std::string &name)
+{
+    if (const HbmSpec *hbm = findHbm(name))
+        (void)sharedHbmPersonality(*hbm);
+    else if (const SramSpec *sram = findSram(name))
+        (void)sharedSramPersonality(*sram);
+    else
+        (void)pmbus::sharedChipModel(fpga::findPlatform(name));
+}
+
 } // namespace uvolt::mem

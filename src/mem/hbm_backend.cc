@@ -6,6 +6,7 @@
 
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/shared_cache.hh"
 #include "vmodel/chip_fault_model.hh"
 
 namespace uvolt::mem
@@ -81,43 +82,42 @@ rowMask(std::uint32_t row)
 
 } // namespace
 
-HbmBackend::HbmBackend(const HbmSpec &spec)
-    : PlaneDevice(hbmDeviceTraits(spec)), spec_(spec)
+HbmPersonality::HbmPersonality(const HbmSpec &spec)
+    : rows(spec.bankCount()), ladders(spec.bankCount())
 {
-    const std::uint64_t stackSeed = hashSeed(spec_.stackId);
-    const double vmin = spec_.vminMv / 1000.0;
-    const double vcrash = spec_.vcrashMv / 1000.0;
+    const std::uint64_t stackSeed = hashSeed(spec.stackId);
+    const double vmin = spec.vminMv / 1000.0;
+    const double vcrash = spec.vcrashMv / 1000.0;
     const float cap = static_cast<float>(vmin - 0.002);
 
     // Exponential growth of active weak rows from ~1 at Vmin to the
     // full population at Vcrash: rate k with N*exp(-k*(vmin-vcrash))=1.
     const double population =
-        std::max(2.0, spec_.weakRowsPerBankAtVcrash * spec_.bankCount());
+        std::max(2.0, spec.weakRowsPerBankAtVcrash * spec.bankCount());
     const double k = std::log(population) / (vmin - vcrash);
 
-    rows_.resize(spec_.bankCount());
     std::uint32_t marginalBank = 0;
     std::size_t marginalIndex = 0;
     float marginalThreshold = -1.0f;
-    for (std::uint32_t b = 0; b < spec_.bankCount(); ++b) {
+    for (std::uint32_t b = 0; b < spec.bankCount(); ++b) {
         Rng rng(combineSeeds(stackSeed,
                              combineSeeds(hashSeed("weak-rows"), b)));
         // Mild bank-to-bank variation (mean-preserving log-normal).
         const double sigma = 0.25;
-        const double lambda = spec_.weakRowsPerBankAtVcrash *
+        const double lambda = spec.weakRowsPerBankAtVcrash *
             rng.logNormal(-0.5 * sigma * sigma, sigma);
         const std::uint64_t target = rng.poisson(lambda);
 
         std::unordered_set<std::uint32_t> used;
-        auto &bank = rows_[b];
-        while (bank.size() < target && used.size() < spec_.rowsPerBank) {
+        auto &bank = rows[b];
+        while (bank.size() < target && used.size() < spec.rowsPerBank) {
             const auto row = static_cast<std::uint32_t>(
-                rng.uniformInt(0, spec_.rowsPerBank - 1));
+                rng.uniformInt(0, spec.rowsPerBank - 1));
             if (!used.insert(row).second)
                 continue; // a row fails as a unit; never sample it twice
             WeakRow weak;
             weak.row = row;
-            weak.oneToZero = rng.chance(spec_.oneToZeroShare);
+            weak.oneToZero = rng.chance(spec.oneToZeroShare);
             weak.thresholdV = std::min(
                 static_cast<float>(vcrash + rng.exponential(k)), cap);
             if (weak.thresholdV > marginalThreshold) {
@@ -131,18 +131,35 @@ HbmBackend::HbmBackend(const HbmSpec &spec)
     // Pin the most marginal row to the cap so the stack's first fault
     // appears right below Vmin regardless of sampling luck.
     if (marginalThreshold > 0.0f)
-        rows_[marginalBank][marginalIndex].thresholdV = cap;
+        rows[marginalBank][marginalIndex].thresholdV = cap;
 
-    for (std::uint32_t b = 0; b < spec_.bankCount(); ++b) {
-        for (const WeakRow &weak : rows_[b])
-            ladders_[b].push(weak.oneToZero, weak.thresholdV,
-                             rowWord(weak.row), rowMask(weak.row));
-        ladders_[b].sortDescending();
-        std::sort(rows_[b].begin(), rows_[b].end(),
+    for (std::uint32_t b = 0; b < spec.bankCount(); ++b) {
+        for (const WeakRow &weak : rows[b])
+            ladders[b].push(weak.oneToZero, weak.thresholdV,
+                            rowWord(weak.row), rowMask(weak.row));
+        ladders[b].sortDescending();
+        std::sort(rows[b].begin(), rows[b].end(),
                   [](const WeakRow &a, const WeakRow &c) {
                       return a.row < c.row;
                   });
     }
+}
+
+std::shared_ptr<const HbmPersonality>
+sharedHbmPersonality(const HbmSpec &spec)
+{
+    static SharedCache<HbmPersonality> personalities;
+    return personalities.obtain(
+        cacheKey(spec.stackId, spec.pseudoChannels, spec.banksPerChannel,
+                 spec.rowsPerBank, spec.vminMv, spec.vcrashMv,
+                 spec.weakRowsPerBankAtVcrash, spec.oneToZeroShare),
+        [&] { return HbmPersonality(spec); });
+}
+
+HbmBackend::HbmBackend(const HbmSpec &spec)
+    : PlaneDevice(hbmDeviceTraits(spec)), spec_(spec),
+      personality_(sharedHbmPersonality(spec))
+{
 }
 
 double
@@ -163,7 +180,7 @@ HbmBackend::countDomainFaultsReference(std::uint32_t domain,
 {
     const fpga::WordSpan words = domainWords(domain);
     int total = 0;
-    for (const WeakRow &weak : rows_[domain]) {
+    for (const HbmPersonality::WeakRow &weak : personality_->rows[domain]) {
         if (!vmodel::cellFailsAt(weak.thresholdV, effective_v))
             continue;
         // Probe the lane's 16 bitcells one by one: a failing row faults
@@ -194,17 +211,17 @@ HbmBackend::railPowerW(double rail_v) const
              std::exp(-spec_.leakageSlope * (vnom - rail_v)));
 }
 
+const vmodel::DomainLadders &
+HbmBackend::domainLadders(std::uint32_t domain) const
+{
+    checkDomain(domain);
+    return personality_->ladders[domain];
+}
+
 std::unique_ptr<MemoryDevice>
 HbmBackend::clone() const
 {
     return std::unique_ptr<MemoryDevice>(new HbmBackend(*this));
-}
-
-const std::vector<HbmBackend::WeakRow> &
-HbmBackend::weakRows(std::uint32_t domain) const
-{
-    checkDomain(domain);
-    return rows_[domain];
 }
 
 } // namespace uvolt::mem

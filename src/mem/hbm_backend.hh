@@ -70,22 +70,15 @@ const HbmSpec *findHbm(const std::string &name);
 /** MemoryDevice traits of an HBM stack (no backend construction). */
 DeviceTraits hbmDeviceTraits(const HbmSpec &spec);
 
-/** One HBM stack as a MemoryDevice; domains are banks. */
-class HbmBackend : public PlaneDevice
+/**
+ * The fault personality of one HBM stack: its weak rows and their
+ * per-bank threshold ladders. Immutable once built and a pure function
+ * of the spec fields the synthesis reads (serial, geometry, envelope,
+ * weak-row density, 1->0 share), so every HbmBackend of one stack
+ * aliases a single instance (sharedHbmPersonality).
+ */
+struct HbmPersonality
 {
-  public:
-    /** Synthesize the stack's weak-row map: deterministic in the spec. */
-    explicit HbmBackend(const HbmSpec &spec);
-
-    double effectiveVoltage(double rail_v, double temp_c,
-                            double jitter_v = 0.0) const override;
-
-    int countDomainFaultsReference(std::uint32_t domain,
-                                   double effective_v) const override;
-    double railPowerW(double rail_v) const override;
-
-    std::unique_ptr<MemoryDevice> clone() const override;
-
     /** One weak DRAM row (the coarse fault element). */
     struct WeakRow
     {
@@ -94,16 +87,44 @@ class HbmBackend : public PlaneDevice
         float thresholdV;
     };
 
-    /** Weak rows of one bank, sorted by row (testing/diagnostics). */
-    const std::vector<WeakRow> &weakRows(std::uint32_t domain) const;
+    /** Synthesize the stack's weak-row map: deterministic in the spec. */
+    explicit HbmPersonality(const HbmSpec &spec);
+
+    std::vector<std::vector<WeakRow>> rows; ///< per bank, sorted by row
+    std::vector<vmodel::DomainLadders> ladders; ///< per bank
+};
+
+/** The personality of @a spec, synthesized once per process and shared
+ *  (the pmbus::sharedChipModel rule). Thread-safe. */
+std::shared_ptr<const HbmPersonality>
+sharedHbmPersonality(const HbmSpec &spec);
+
+/** One HBM stack as a MemoryDevice; domains are banks. */
+class HbmBackend : public PlaneDevice
+{
+  public:
+    /** Zeroed banks over the stack's shared personality. */
+    explicit HbmBackend(const HbmSpec &spec);
+
+    double effectiveVoltage(double rail_v, double temp_c,
+                            double jitter_v = 0.0) const override;
+
+    int countDomainFaultsReference(std::uint32_t domain,
+                                   double effective_v) const override;
+    const vmodel::DomainLadders &
+    domainLadders(std::uint32_t domain) const override;
+    double railPowerW(double rail_v) const override;
+
+    std::unique_ptr<MemoryDevice> clone() const override;
 
     const HbmSpec &spec() const { return spec_; }
+    const HbmPersonality &personality() const { return *personality_; }
 
   private:
     HbmBackend(const HbmBackend &) = default;
 
     HbmSpec spec_;
-    std::vector<std::vector<WeakRow>> rows_; // per bank, sorted by row
+    std::shared_ptr<const HbmPersonality> personality_;
 };
 
 } // namespace uvolt::mem

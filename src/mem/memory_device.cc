@@ -47,7 +47,7 @@ MemoryDevice::countFaults(double effective_v) const
 }
 
 PlaneDevice::PlaneDevice(DeviceTraits traits)
-    : MemoryDevice(std::move(traits)), ladders_(this->traits().domainCount),
+    : MemoryDevice(std::move(traits)),
       planes_(this->traits().domainCount,
               std::vector<std::uint64_t>(this->traits().wordsPerDomain, 0))
 {
@@ -90,20 +90,13 @@ PlaneDevice::assignDomainWords(std::uint32_t domain, fpga::WordSpan words)
     ++epoch_;
 }
 
-const vmodel::DomainLadders &
-PlaneDevice::domainLadders(std::uint32_t domain) const
-{
-    checkDomain(domain);
-    return ladders_[domain];
-}
-
 std::vector<std::uint64_t>
 PlaneDevice::readDomainPacked(std::uint32_t domain,
                               double effective_v) const
 {
     const fpga::WordSpan words = domainWords(domain);
     std::vector<std::uint64_t> observed(words.begin(), words.end());
-    ladders_[domain].applyFaults(observed, effective_v);
+    domainLadders(domain).applyFaults(observed, effective_v);
     return observed;
 }
 

@@ -32,6 +32,9 @@
  * epochs or indexes with their source — a copy starts with an invalid
  * index and its own counter, so divergent writes after a copy can never
  * serve a stale total (the Bram::bindEpoch detach rule, generalized).
+ * What they do share is the die's fault personality: immutable, built
+ * once per process (pmbus::sharedChipModel, mem::sharedHbmPersonality,
+ * mem::sharedSramPersonality) and aliased by every device of that die.
  */
 
 #ifndef UVOLT_MEM_MEMORY_DEVICE_HH
@@ -177,7 +180,8 @@ class MemoryDevice
     // --- lifecycle -------------------------------------------------------
 
     /**
-     * Deep copy with detached epochs and an invalid count index: the
+     * Copy of the content with detached epochs and an invalid count
+     * index, aliasing the source's immutable fault personality: the
      * clone and the source may diverge freely and each indexes
      * independently.
      */
@@ -199,12 +203,12 @@ class MemoryDevice
 };
 
 /**
- * The storage and fault kernel of the non-BRAM backends: one packed word
- * plane and one vmodel::DomainLadders pair per fault domain, bound to one
- * content-epoch counter. A backend synthesizes its weak elements into
- * ladders_ and supplies the voltage, reference and power laws. Copies
- * detach — the copied planes belong to the copy's own counter (the Bram
- * copy rule).
+ * The storage of the non-BRAM backends: one packed word plane per fault
+ * domain, bound to one content-epoch counter. A backend supplies the
+ * ladders (from its shared, immutable personality) and the voltage,
+ * reference and power laws. Copies detach — the copied planes belong to
+ * the copy's own counter (the Bram copy rule) — while the personality
+ * stays shared.
  */
 class PlaneDevice : public MemoryDevice
 {
@@ -215,8 +219,6 @@ class PlaneDevice : public MemoryDevice
                            fpga::WordSpan words) override;
     std::uint64_t contentEpoch() const override { return epoch_; }
 
-    const vmodel::DomainLadders &
-    domainLadders(std::uint32_t domain) const override;
     std::vector<std::uint64_t>
     readDomainPacked(std::uint32_t domain,
                      double effective_v) const override;
@@ -227,8 +229,6 @@ class PlaneDevice : public MemoryDevice
 
     /** fatal() unless @a domain indexes the pool. */
     void checkDomain(std::uint32_t domain) const;
-
-    std::vector<vmodel::DomainLadders> ladders_; ///< per domain
 
   private:
     std::vector<std::vector<std::uint64_t>> planes_;

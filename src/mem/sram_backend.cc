@@ -6,6 +6,7 @@
 
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/shared_cache.hh"
 #include "vmodel/chip_fault_model.hh"
 
 namespace uvolt::mem
@@ -60,62 +61,61 @@ sramDeviceTraits(const SramSpec &spec)
     return traits;
 }
 
-SramMorsBackend::SramMorsBackend(const SramSpec &spec)
-    : PlaneDevice(sramDeviceTraits(spec)), spec_(spec)
+SramPersonality::SramPersonality(const SramSpec &spec)
+    : cells(spec.arrayCount), ladders(spec.arrayCount)
 {
-    const std::uint64_t chipSeed = hashSeed(spec_.chipId);
-    const double vmin = spec_.vminMv / 1000.0;
-    const double vcrash = spec_.vcrashMv / 1000.0;
+    const std::uint64_t chipSeed = hashSeed(spec.chipId);
+    const double vmin = spec.vminMv / 1000.0;
+    const double vcrash = spec.vcrashMv / 1000.0;
     const float cap = static_cast<float>(vmin - 0.002);
 
     const double population = std::max(
-        2.0, spec_.weakCellsPerArrayAtVcrash * spec_.arrayCount);
+        2.0, spec.weakCellsPerArrayAtVcrash * spec.arrayCount);
     const double k = std::log(population) / (vmin - vcrash);
 
-    cells_.resize(spec_.arrayCount);
     std::uint32_t marginalArray = 0;
     std::size_t marginalIndex = 0;
     float marginalThreshold = -1.0f;
-    for (std::uint32_t a = 0; a < spec_.arrayCount; ++a) {
+    for (std::uint32_t a = 0; a < spec.arrayCount; ++a) {
         Rng rng(combineSeeds(chipSeed,
                              combineSeeds(hashSeed("mors-cells"), a)));
 
         // The MoRS spatial skeleton of this array: the few rows and
         // bit-line columns that concentrate the configured shares.
-        std::vector<std::uint32_t> weakRows(spec_.weakRowsPerArray);
+        std::vector<std::uint32_t> weakRows(spec.weakRowsPerArray);
         for (auto &row : weakRows)
             row = static_cast<std::uint32_t>(
-                rng.uniformInt(0, spec_.rowsPerArray - 1));
-        std::vector<std::uint8_t> weakCols(spec_.weakColsPerArray);
+                rng.uniformInt(0, spec.rowsPerArray - 1));
+        std::vector<std::uint8_t> weakCols(spec.weakColsPerArray);
         for (auto &col : weakCols)
             col = static_cast<std::uint8_t>(
                 rng.uniformInt(0, fpga::bramCols - 1));
 
         const double sigma = 0.3;
-        const double lambda = spec_.weakCellsPerArrayAtVcrash *
+        const double lambda = spec.weakCellsPerArrayAtVcrash *
             rng.logNormal(-0.5 * sigma * sigma, sigma);
         const std::uint64_t target = rng.poisson(lambda);
 
         std::unordered_set<std::uint32_t> used;
-        auto &array = cells_[a];
+        auto &array = cells[a];
         const std::uint64_t capacity =
-            static_cast<std::uint64_t>(spec_.rowsPerArray) * fpga::bramCols;
+            static_cast<std::uint64_t>(spec.rowsPerArray) * fpga::bramCols;
         while (array.size() < target && used.size() < capacity) {
             // Sample the location from the three-component mixture.
             const double where = rng.uniform();
             std::uint32_t row;
             std::uint8_t col;
-            if (where < spec_.weakRowShare) {
+            if (where < spec.weakRowShare) {
                 row = weakRows[rng.uniformInt(0, weakRows.size() - 1)];
                 col = static_cast<std::uint8_t>(
                     rng.uniformInt(0, fpga::bramCols - 1));
-            } else if (where < spec_.weakRowShare + spec_.weakColShare) {
+            } else if (where < spec.weakRowShare + spec.weakColShare) {
                 row = static_cast<std::uint32_t>(
-                    rng.uniformInt(0, spec_.rowsPerArray - 1));
+                    rng.uniformInt(0, spec.rowsPerArray - 1));
                 col = weakCols[rng.uniformInt(0, weakCols.size() - 1)];
             } else {
                 row = static_cast<std::uint32_t>(
-                    rng.uniformInt(0, spec_.rowsPerArray - 1));
+                    rng.uniformInt(0, spec.rowsPerArray - 1));
                 col = static_cast<std::uint8_t>(
                     rng.uniformInt(0, fpga::bramCols - 1));
             }
@@ -127,7 +127,7 @@ SramMorsBackend::SramMorsBackend(const SramSpec &spec)
             WeakCell cell;
             cell.row = row;
             cell.col = col;
-            cell.oneToZero = rng.chance(spec_.oneToZeroShare);
+            cell.oneToZero = rng.chance(spec.oneToZeroShare);
             cell.thresholdV = std::min(
                 static_cast<float>(vcrash + rng.exponential(k)), cap);
             if (cell.thresholdV > marginalThreshold) {
@@ -139,25 +139,44 @@ SramMorsBackend::SramMorsBackend(const SramSpec &spec)
         }
     }
     if (marginalThreshold > 0.0f)
-        cells_[marginalArray][marginalIndex].thresholdV = cap;
+        cells[marginalArray][marginalIndex].thresholdV = cap;
 
-    for (std::uint32_t a = 0; a < spec_.arrayCount; ++a) {
-        for (const WeakCell &cell : cells_[a]) {
+    for (std::uint32_t a = 0; a < spec.arrayCount; ++a) {
+        for (const WeakCell &cell : cells[a]) {
             const std::uint32_t offset =
                 cell.row * static_cast<std::uint32_t>(fpga::bramCols) +
                 cell.col;
-            ladders_[a].push(
+            ladders[a].push(
                 cell.oneToZero, cell.thresholdV,
                 offset / fpga::bramWordBits,
                 std::uint64_t{1} << (offset % fpga::bramWordBits));
         }
-        ladders_[a].sortDescending();
-        std::sort(cells_[a].begin(), cells_[a].end(),
+        ladders[a].sortDescending();
+        std::sort(cells[a].begin(), cells[a].end(),
                   [](const WeakCell &x, const WeakCell &y) {
                       return x.row != y.row ? x.row < y.row
                                             : x.col < y.col;
                   });
     }
+}
+
+std::shared_ptr<const SramPersonality>
+sharedSramPersonality(const SramSpec &spec)
+{
+    static SharedCache<SramPersonality> personalities;
+    return personalities.obtain(
+        cacheKey(spec.chipId, spec.arrayCount, spec.rowsPerArray,
+                 spec.vminMv, spec.vcrashMv, spec.weakCellsPerArrayAtVcrash,
+                 spec.weakRowShare, spec.weakColShare,
+                 spec.weakRowsPerArray, spec.weakColsPerArray,
+                 spec.oneToZeroShare),
+        [&] { return SramPersonality(spec); });
+}
+
+SramMorsBackend::SramMorsBackend(const SramSpec &spec)
+    : PlaneDevice(sramDeviceTraits(spec)), spec_(spec),
+      personality_(sharedSramPersonality(spec))
+{
 }
 
 double
@@ -177,7 +196,8 @@ SramMorsBackend::countDomainFaultsReference(std::uint32_t domain,
 {
     const fpga::WordSpan words = domainWords(domain);
     int total = 0;
-    for (const WeakCell &cell : cells_[domain]) {
+    for (const SramPersonality::WeakCell &cell :
+         personality_->cells[domain]) {
         if (!vmodel::cellFailsAt(cell.thresholdV, effective_v))
             continue;
         const std::uint32_t offset =
@@ -203,17 +223,17 @@ SramMorsBackend::railPowerW(double rail_v) const
              std::exp(-spec_.leakageSlope * (vnom - rail_v)));
 }
 
+const vmodel::DomainLadders &
+SramMorsBackend::domainLadders(std::uint32_t domain) const
+{
+    checkDomain(domain);
+    return personality_->ladders[domain];
+}
+
 std::unique_ptr<MemoryDevice>
 SramMorsBackend::clone() const
 {
     return std::unique_ptr<MemoryDevice>(new SramMorsBackend(*this));
-}
-
-const std::vector<SramMorsBackend::WeakCell> &
-SramMorsBackend::weakCells(std::uint32_t domain) const
-{
-    checkDomain(domain);
-    return cells_[domain];
 }
 
 } // namespace uvolt::mem

@@ -66,22 +66,16 @@ const SramSpec *findSram(const std::string &name);
 /** MemoryDevice traits of a MoRS SRAM chip (no backend construction). */
 DeviceTraits sramDeviceTraits(const SramSpec &spec);
 
-/** One SRAM chip as a MemoryDevice; domains are sub-arrays. */
-class SramMorsBackend : public PlaneDevice
+/**
+ * The fault personality of one MoRS SRAM chip: its weak cells and their
+ * per-array threshold ladders. Immutable once built and a pure function
+ * of the spec fields the sampler reads (serial, geometry, envelope,
+ * weak-cell density, spatial statistics, 1->0 share), so every
+ * SramMorsBackend of one chip aliases a single instance
+ * (sharedSramPersonality).
+ */
+struct SramPersonality
 {
-  public:
-    /** Sample the chip's weak-cell map: deterministic in the spec. */
-    explicit SramMorsBackend(const SramSpec &spec);
-
-    double effectiveVoltage(double rail_v, double temp_c,
-                            double jitter_v = 0.0) const override;
-
-    int countDomainFaultsReference(std::uint32_t domain,
-                                   double effective_v) const override;
-    double railPowerW(double rail_v) const override;
-
-    std::unique_ptr<MemoryDevice> clone() const override;
-
     /** One weak bitcell (single-bit fault element). */
     struct WeakCell
     {
@@ -91,16 +85,44 @@ class SramMorsBackend : public PlaneDevice
         float thresholdV;
     };
 
-    /** Weak cells of one array, sorted by (row, col). */
-    const std::vector<WeakCell> &weakCells(std::uint32_t domain) const;
+    /** Sample the chip's weak-cell map: deterministic in the spec. */
+    explicit SramPersonality(const SramSpec &spec);
+
+    std::vector<std::vector<WeakCell>> cells; ///< per array, (row, col)
+    std::vector<vmodel::DomainLadders> ladders; ///< per array
+};
+
+/** The personality of @a spec, sampled once per process and shared
+ *  (the pmbus::sharedChipModel rule). Thread-safe. */
+std::shared_ptr<const SramPersonality>
+sharedSramPersonality(const SramSpec &spec);
+
+/** One SRAM chip as a MemoryDevice; domains are sub-arrays. */
+class SramMorsBackend : public PlaneDevice
+{
+  public:
+    /** Zeroed arrays over the chip's shared personality. */
+    explicit SramMorsBackend(const SramSpec &spec);
+
+    double effectiveVoltage(double rail_v, double temp_c,
+                            double jitter_v = 0.0) const override;
+
+    int countDomainFaultsReference(std::uint32_t domain,
+                                   double effective_v) const override;
+    const vmodel::DomainLadders &
+    domainLadders(std::uint32_t domain) const override;
+    double railPowerW(double rail_v) const override;
+
+    std::unique_ptr<MemoryDevice> clone() const override;
 
     const SramSpec &spec() const { return spec_; }
+    const SramPersonality &personality() const { return *personality_; }
 
   private:
     SramMorsBackend(const SramMorsBackend &) = default;
 
     SramSpec spec_;
-    std::vector<std::vector<WeakCell>> cells_; // per array, sorted
+    std::shared_ptr<const SramPersonality> personality_;
 };
 
 } // namespace uvolt::mem

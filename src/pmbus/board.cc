@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <mutex>
 
 #include "fpga/fault_domain.hh"
 #include "power/power_model.hh"
-#include "util/format.hh"
 #include "util/logging.hh"
+#include "util/shared_cache.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::pmbus
@@ -46,28 +44,22 @@ std::shared_ptr<const vmodel::ChipFaultModel>
 sharedChipModel(const fpga::PlatformSpec &spec,
                 const vmodel::VariationParams &params)
 {
-    // The model is a pure function of this key, so a single-flight map
-    // keyed by it is safe to share process-wide; holding the lock across
-    // construction means concurrent first requests for the same die
-    // synthesize the weak-cell map exactly once.
-    const std::string key = strFormat(
-        "{}|{}|{}|{}|{}|{}|{}|{}", spec.name, spec.serialNumber,
-        spec.bramCount, spec.columnHeight, params.sigmaLn,
-        params.spatialWeight, params.weakColumnShare,
-        params.meanWeakColumns);
-
-    static std::mutex mutex;
-    static std::map<std::string,
-                    std::shared_ptr<const vmodel::ChipFaultModel>> cache;
-    std::lock_guard lock(mutex);
-    auto &slot = cache[key];
-    if (!slot) {
-        slot = std::make_shared<const vmodel::ChipFaultModel>(
-            spec, fpga::Floorplan::columnGrid(spec.bramCount,
-                                              spec.columnHeight),
-            params);
-    }
-    return slot;
+    static SharedCache<vmodel::ChipFaultModel> models;
+    return models.obtain(
+        cacheKey(spec.name, spec.serialNumber, spec.bramCount,
+                 spec.columnHeight, spec.calib.bramVminMv,
+                 spec.calib.bramVcrashMv, spec.calib.faultsPerMbitAtVcrash,
+                 spec.calib.neverFaultyFraction, spec.calib.maxBramFaultRate,
+                 spec.calib.spatialCorrLength, spec.calib.itdMvPerC,
+                 params.sigmaLn, params.spatialWeight,
+                 params.weakColumnShare, params.meanWeakColumns),
+        [&] {
+            return vmodel::ChipFaultModel(
+                spec,
+                fpga::Floorplan::columnGrid(spec.bramCount,
+                                            spec.columnHeight),
+                params);
+        });
 }
 
 Board::Board(const fpga::PlatformSpec &spec,

@@ -48,10 +48,11 @@ struct PmbusStats
 /**
  * The chip personality of @a spec, built once and shared. The weak-cell
  * map is immutable after construction and deterministic in (serial
- * number, geometry, params), so every Board of the same die can alias
- * one instance; a process-wide single-flight cache makes repeat lookups
- * (e.g. one Board per fleet worker) a map probe instead of a full
- * weak-cell synthesis. Thread-safe.
+ * number, geometry, the calibration fields the model reads, params), so
+ * every Board of the same die can alias one instance; a process-wide
+ * single-flight cache keyed by all of them makes repeat lookups (e.g.
+ * one Board per fleet worker) a map probe instead of a full weak-cell
+ * synthesis. Thread-safe.
  */
 std::shared_ptr<const vmodel::ChipFaultModel>
 sharedChipModel(const fpga::PlatformSpec &spec,

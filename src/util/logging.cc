@@ -269,7 +269,9 @@ dump(std::string_view reason, const std::string &dir)
     if (!writeFileAtomic(path, out))
         return "";
     std::lock_guard lock(logMutex());
-    blackBox.dumpPaths.push_back(path);
+    if (std::find(blackBox.dumpPaths.begin(), blackBox.dumpPaths.end(),
+                  path) == blackBox.dumpPaths.end())
+        blackBox.dumpPaths.push_back(path);
     return path;
 }
 

@@ -81,7 +81,8 @@ inline constexpr std::size_t capacity = 1024;
  */
 std::string dump(std::string_view reason, const std::string &dir = "");
 
-/** Paths written by dump() in this process, oldest first. */
+/** Files written by dump() in this process, each once however often it
+ *  was rewritten, in the order of their first dump. */
 std::vector<std::string> dumps();
 
 /** Drop every event, the counts, and the dump list. Tests only. */

@@ -16,9 +16,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <latch>
 #include <map>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -219,6 +221,13 @@ TEST_P(BackendConformance, CloneDivergenceNeverSharesMemoizedCounts)
 
     auto clone = source->clone();
     ASSERT_NE(clone, nullptr);
+    // The clone aliases the die's immutable personality (the very same
+    // ladders) but owns its content planes.
+    for (std::uint32_t d : {0u, source->domainCount() - 1}) {
+        EXPECT_EQ(&clone->domainLadders(d), &source->domainLadders(d));
+        EXPECT_NE(clone->domainWords(d).data(),
+                  source->domainWords(d).data());
+    }
     EXPECT_EQ(clone->countFaults(v), all_ones);
     EXPECT_EQ(clone->countFaults(v_mid), all_ones_mid);
 
@@ -395,7 +404,8 @@ TEST(HbmBackendTest, FaultsComeInWholeLaneUnits)
     for (std::uint32_t bank = 0; bank < spec->bankCount(); ++bank) {
         const int faults = backend.countDomainFaults(bank, v);
         std::uint64_t expected = 0;
-        for (const HbmBackend::WeakRow &row : backend.weakRows(bank)) {
+        for (const HbmPersonality::WeakRow &row :
+             backend.personality().rows[bank]) {
             if (vmodel::cellFailsAt(row.thresholdV, v) && row.oneToZero)
                 expected += 16;
         }
@@ -435,8 +445,8 @@ TEST(SramBackendTest, WeakCellsClusterOnRowsAndColumns)
     for (std::uint32_t array = 0; array < spec->arrayCount; ++array) {
         std::map<std::uint32_t, std::uint64_t> by_row;
         std::map<std::uint32_t, std::uint64_t> by_col;
-        for (const SramMorsBackend::WeakCell &cell :
-             backend.weakCells(array)) {
+        for (const SramPersonality::WeakCell &cell :
+             backend.personality().cells[array]) {
             ++by_row[cell.row];
             ++by_col[cell.col];
             ++total;
@@ -526,6 +536,291 @@ TEST(BackendBoundary, ThresholdEqualToProbeVoltageIsHealthy)
                        "ulp below its threshold";
         EXPECT_EQ(device->countFaults(probe_hi), 0u) << name;
     }
+}
+
+// ---------------------------------------------------------------------
+// Shared personalities: synthesized once per die, aliased by every device
+// ---------------------------------------------------------------------
+
+bool
+sameElement(const HbmPersonality::WeakRow &a,
+            const HbmPersonality::WeakRow &b)
+{
+    return a.row == b.row && a.oneToZero == b.oneToZero &&
+        a.thresholdV == b.thresholdV;
+}
+
+bool
+sameElement(const SramPersonality::WeakCell &a,
+            const SramPersonality::WeakCell &b)
+{
+    return a.row == b.row && a.col == b.col && a.oneToZero == b.oneToZero &&
+        a.thresholdV == b.thresholdV;
+}
+
+bool
+sameLadder(const vmodel::MaskLadder &a, const vmodel::MaskLadder &b)
+{
+    return a.thresholds == b.thresholds && a.words == b.words &&
+        a.masks == b.masks;
+}
+
+/**
+ * The personality behind @a device (its @a cached elements and its
+ * ladders) against a @a fresh synthesis: element by element, ladder by
+ * ladder, and device-wide counts every 5 mV of the envelope under three
+ * patterns, the fresh ladders counted against the device's own planes.
+ */
+template <typename Personality, typename Element>
+void
+expectSamePersonality(MemoryDevice &device,
+                      const std::vector<std::vector<Element>> &cached,
+                      const Personality &fresh,
+                      const std::vector<std::vector<Element>> &fresh_elements)
+{
+    const std::string &name = device.name();
+    ASSERT_EQ(cached.size(), device.domainCount()) << name;
+    ASSERT_EQ(fresh_elements.size(), cached.size()) << name;
+    ASSERT_EQ(fresh.ladders.size(), cached.size()) << name;
+    for (std::uint32_t d = 0; d < device.domainCount(); ++d) {
+        ASSERT_EQ(cached[d].size(), fresh_elements[d].size())
+            << name << " domain " << d;
+        for (std::size_t i = 0; i < cached[d].size(); ++i)
+            EXPECT_TRUE(sameElement(cached[d][i], fresh_elements[d][i]))
+                << name << " domain " << d << " element " << i;
+        const vmodel::DomainLadders &ladders = device.domainLadders(d);
+        EXPECT_TRUE(sameLadder(ladders.oneToZero,
+                               fresh.ladders[d].oneToZero))
+            << name << " domain " << d;
+        EXPECT_TRUE(sameLadder(ladders.zeroToOne,
+                               fresh.ladders[d].zeroToOne))
+            << name << " domain " << d;
+    }
+    const DeviceTraits &traits = device.traits();
+    for (const harness::PatternSpec &pattern :
+         {harness::PatternSpec::allOnes(), harness::PatternSpec::fixed(0x0000),
+          harness::PatternSpec::random(0.5, 23)}) {
+        harness::fillMemPattern(device, pattern);
+        for (int level = traits.vminMv; level >= traits.vcrashMv;
+             level -= 5) {
+            std::uint64_t expected = 0;
+            for (std::uint32_t d = 0; d < device.domainCount(); ++d)
+                expected += fresh.ladders[d].countFaults(
+                    device.domainWords(d), mv(level));
+            EXPECT_EQ(device.countFaults(mv(level)), expected)
+                << name << " " << pattern.label() << " at " << level
+                << " mV";
+        }
+    }
+}
+
+TEST(SharedPersonality, CachedDeviceEqualsAFreshSynthesis)
+{
+    for (const char *name : {"HBM2-A", "HBM2-B"}) {
+        const auto device = makeDevice(name);
+        const auto &hbm = dynamic_cast<const HbmBackend &>(*device);
+        const HbmPersonality fresh(*findHbm(name));
+        expectSamePersonality(*device, hbm.personality().rows, fresh,
+                              fresh.rows);
+    }
+    const auto device = makeDevice("MORS-SRAM-A");
+    const auto &sram = dynamic_cast<const SramMorsBackend &>(*device);
+    const SramPersonality fresh(*findSram("MORS-SRAM-A"));
+    expectSamePersonality(*device, sram.personality().cells, fresh,
+                          fresh.cells);
+}
+
+// A key that leaves out a field the synthesis reads would hand a spec
+// the personality of another: change each such field alone (doubles by
+// one ulp) and each copy must get its own, for all three technologies.
+// Fields only the other laws read (power, temperature, jitter, and the
+// HBM/SRAM names) must not split the personality.
+TEST(SharedPersonality, EverySynthesisFieldKeysItsOwnPersonality)
+{
+    const HbmSpec hbm = *findHbm("HBM2-A");
+    const auto hbm_shared = sharedHbmPersonality(hbm);
+    std::vector<std::pair<std::string, HbmSpec>> hbm_copies;
+    const auto vary_hbm = [&](const std::string &field, auto change) {
+        HbmSpec copy = hbm;
+        change(copy);
+        hbm_copies.emplace_back(field, copy);
+    };
+    vary_hbm("stackId", [](HbmSpec &s) { s.stackId += "-X"; });
+    vary_hbm("pseudoChannels", [](HbmSpec &s) { s.pseudoChannels = 4; });
+    vary_hbm("banksPerChannel", [](HbmSpec &s) { s.banksPerChannel = 4; });
+    vary_hbm("rowsPerBank", [](HbmSpec &s) { s.rowsPerBank = 1024; });
+    vary_hbm("vminMv", [](HbmSpec &s) { s.vminMv = 970; });
+    vary_hbm("vcrashMv", [](HbmSpec &s) { s.vcrashMv = 820; });
+    vary_hbm("weakRowsPerBankAtVcrash", [](HbmSpec &s) {
+        s.weakRowsPerBankAtVcrash =
+            std::nextafter(s.weakRowsPerBankAtVcrash, 100.0);
+    });
+    vary_hbm("oneToZeroShare", [](HbmSpec &s) {
+        s.oneToZeroShare = std::nextafter(s.oneToZeroShare, 1.0);
+    });
+    std::set<const HbmPersonality *> hbm_seen{hbm_shared.get()};
+    for (const auto &[field, copy] : hbm_copies)
+        EXPECT_TRUE(hbm_seen.insert(sharedHbmPersonality(copy).get()).second)
+            << "HBM field " << field;
+    HbmSpec hbm_laws = hbm;
+    hbm_laws.name = "HBM2-A-laws";
+    hbm_laws.vnomMv += 50;
+    hbm_laws.runJitterMv *= 2.0;
+    hbm_laws.retentionMvPerC *= 2.0;
+    hbm_laws.railPowerNomW *= 2.0;
+    hbm_laws.dynamicFraction /= 2.0;
+    hbm_laws.leakageSlope *= 2.0;
+    EXPECT_EQ(sharedHbmPersonality(hbm_laws).get(), hbm_shared.get());
+
+    const SramSpec sram = *findSram("MORS-SRAM-A");
+    const auto sram_shared = sharedSramPersonality(sram);
+    std::vector<std::pair<std::string, SramSpec>> sram_copies;
+    const auto vary_sram = [&](const std::string &field, auto change) {
+        SramSpec copy = sram;
+        change(copy);
+        sram_copies.emplace_back(field, copy);
+    };
+    const auto ulp_up = [](double x) { return std::nextafter(x, 2.0 * x); };
+    vary_sram("chipId", [](SramSpec &s) { s.chipId += "-X"; });
+    vary_sram("arrayCount", [](SramSpec &s) { s.arrayCount = 64; });
+    vary_sram("rowsPerArray", [](SramSpec &s) { s.rowsPerArray = 256; });
+    vary_sram("vminMv", [](SramSpec &s) { s.vminMv = 850; });
+    vary_sram("vcrashMv", [](SramSpec &s) { s.vcrashMv = 710; });
+    vary_sram("weakCellsPerArrayAtVcrash", [&](SramSpec &s) {
+        s.weakCellsPerArrayAtVcrash = ulp_up(s.weakCellsPerArrayAtVcrash);
+    });
+    vary_sram("weakRowShare",
+              [&](SramSpec &s) { s.weakRowShare = ulp_up(s.weakRowShare); });
+    vary_sram("weakColShare",
+              [&](SramSpec &s) { s.weakColShare = ulp_up(s.weakColShare); });
+    vary_sram("weakRowsPerArray", [](SramSpec &s) { s.weakRowsPerArray = 5; });
+    vary_sram("weakColsPerArray", [](SramSpec &s) { s.weakColsPerArray = 3; });
+    vary_sram("oneToZeroShare", [&](SramSpec &s) {
+        s.oneToZeroShare = ulp_up(s.oneToZeroShare);
+    });
+    std::set<const SramPersonality *> sram_seen{sram_shared.get()};
+    for (const auto &[field, copy] : sram_copies)
+        EXPECT_TRUE(
+            sram_seen.insert(sharedSramPersonality(copy).get()).second)
+            << "SRAM field " << field;
+    SramSpec sram_laws = sram;
+    sram_laws.name = "MORS-SRAM-A-laws";
+    sram_laws.vnomMv += 50;
+    sram_laws.runJitterMv *= 2.0;
+    sram_laws.itdMvPerC *= 2.0;
+    sram_laws.railPowerNomW *= 2.0;
+    sram_laws.dynamicFraction /= 2.0;
+    sram_laws.leakageSlope *= 2.0;
+    EXPECT_EQ(sharedSramPersonality(sram_laws).get(), sram_shared.get());
+
+    // BRAM: the chip model reads the serial, the geometry, the fault
+    // calibration and the variation params; power, VCCINT and run-jitter
+    // calibration belong to the board's other laws.
+    const fpga::PlatformSpec bram = fpga::findPlatform("ZC702");
+    const auto bram_shared = pmbus::sharedChipModel(bram);
+    std::vector<std::pair<std::string, fpga::PlatformSpec>> bram_copies;
+    const auto vary_bram = [&](const std::string &field, auto change) {
+        fpga::PlatformSpec copy = bram;
+        change(copy);
+        bram_copies.emplace_back(field, copy);
+    };
+    vary_bram("serialNumber",
+              [](fpga::PlatformSpec &s) { s.serialNumber += "-X"; });
+    vary_bram("bramCount", [](fpga::PlatformSpec &s) { s.bramCount -= 20; });
+    vary_bram("columnHeight",
+              [](fpga::PlatformSpec &s) { s.columnHeight += 10; });
+    vary_bram("bramVminMv",
+              [](fpga::PlatformSpec &s) { s.calib.bramVminMv -= 10; });
+    vary_bram("bramVcrashMv",
+              [](fpga::PlatformSpec &s) { s.calib.bramVcrashMv += 10; });
+    vary_bram("faultsPerMbitAtVcrash", [&](fpga::PlatformSpec &s) {
+        s.calib.faultsPerMbitAtVcrash = ulp_up(s.calib.faultsPerMbitAtVcrash);
+    });
+    vary_bram("neverFaultyFraction", [&](fpga::PlatformSpec &s) {
+        s.calib.neverFaultyFraction = ulp_up(s.calib.neverFaultyFraction);
+    });
+    vary_bram("maxBramFaultRate", [&](fpga::PlatformSpec &s) {
+        s.calib.maxBramFaultRate = ulp_up(s.calib.maxBramFaultRate);
+    });
+    vary_bram("spatialCorrLength", [&](fpga::PlatformSpec &s) {
+        s.calib.spatialCorrLength = ulp_up(s.calib.spatialCorrLength);
+    });
+    vary_bram("itdMvPerC", [&](fpga::PlatformSpec &s) {
+        s.calib.itdMvPerC = ulp_up(s.calib.itdMvPerC);
+    });
+    std::set<const vmodel::ChipFaultModel *> bram_seen{bram_shared.get()};
+    for (const auto &[field, copy] : bram_copies)
+        EXPECT_TRUE(
+            bram_seen.insert(pmbus::sharedChipModel(copy).get()).second)
+            << "BRAM field " << field;
+    vmodel::VariationParams params;
+    params.sigmaLn = ulp_up(params.sigmaLn);
+    EXPECT_TRUE(
+        bram_seen.insert(pmbus::sharedChipModel(bram, params).get()).second)
+        << "BRAM variation params";
+    fpga::PlatformSpec bram_laws = bram;
+    bram_laws.calib.runJitterMv *= 2.0;
+    bram_laws.calib.intVminMv += 10;
+    bram_laws.calib.bramPowerNomW *= 2.0;
+    bram_laws.calib.leakageSlope *= 2.0;
+    EXPECT_EQ(pmbus::sharedChipModel(bram_laws).get(), bram_shared.get());
+}
+
+// Four threads build the same HBM stack and SRAM chip at once, at the
+// first use of both dies in the process (serials no other test uses):
+// every device aliases one personality per die and counts the same.
+// scripts/ci.sh runs this under ThreadSanitizer.
+TEST(SharedPersonality, ConcurrentFirstUseBuildsEachPersonalityOnce)
+{
+    HbmSpec hbm = *findHbm("HBM2-A");
+    hbm.stackId = "H2A-CONCURRENT-FIRST-USE";
+    SramSpec sram = *findSram("MORS-SRAM-A");
+    sram.chipId = "MS-CONCURRENT-FIRST-USE";
+
+    constexpr int threads = 4;
+    std::vector<std::unique_ptr<HbmBackend>> stacks(threads);
+    std::vector<std::unique_ptr<SramMorsBackend>> chips(threads);
+    std::latch start(threads);
+    {
+        std::vector<std::jthread> workers;
+        for (int t = 0; t < threads; ++t) {
+            workers.emplace_back([&, t] {
+                start.arrive_and_wait();
+                // Half the threads ask for the chip first, so the two
+                // dies' first uses overlap in both orders.
+                if (t % 2) {
+                    chips[t] = std::make_unique<SramMorsBackend>(sram);
+                    stacks[t] = std::make_unique<HbmBackend>(hbm);
+                } else {
+                    stacks[t] = std::make_unique<HbmBackend>(hbm);
+                    chips[t] = std::make_unique<SramMorsBackend>(sram);
+                }
+                stacks[t]->fill(0xFFFF);
+                chips[t]->fill(0xFFFF);
+            });
+        }
+    }
+
+    const HbmPersonality fresh_hbm(hbm);
+    const SramPersonality fresh_sram(sram);
+    for (int t = 0; t < threads; ++t) {
+        EXPECT_EQ(&stacks[t]->personality(), &stacks[0]->personality());
+        EXPECT_EQ(&chips[t]->personality(), &chips[0]->personality());
+    }
+    EXPECT_EQ(&stacks[0]->personality(), sharedHbmPersonality(hbm).get());
+    EXPECT_EQ(&chips[0]->personality(), sharedSramPersonality(sram).get());
+    for (int t = 1; t < threads; ++t) {
+        for (int level = hbm.vminMv; level >= hbm.vcrashMv; level -= 10)
+            EXPECT_EQ(stacks[t]->countFaults(mv(level)),
+                      stacks[0]->countFaults(mv(level)));
+        for (int level = sram.vminMv; level >= sram.vcrashMv; level -= 10)
+            EXPECT_EQ(chips[t]->countFaults(mv(level)),
+                      chips[0]->countFaults(mv(level)));
+    }
+    expectSamePersonality(*stacks[0], stacks[0]->personality().rows,
+                          fresh_hbm, fresh_hbm.rows);
+    expectSamePersonality(*chips[0], chips[0]->personality().cells,
+                          fresh_sram, fresh_sram.cells);
 }
 
 // ---------------------------------------------------------------------

@@ -579,6 +579,26 @@ TEST(TelemetryTest, BlackboxDumpSchema)
     EXPECT_TRUE(blackbox::dump("empty", dir.string()).empty());
 }
 
+// A server that dumps the same reason again and again rewrites one
+// file; the dump list names that file once, not once per dump.
+TEST(TelemetryTest, BlackboxListsARewrittenFileOnce)
+{
+    blackbox::resetForTest();
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "uvolt_blackbox_once";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    note(LogLevel::error, "serve", "deadline streak at 8");
+    const std::string first = blackbox::dump("storm", dir.string());
+    ASSERT_FALSE(first.empty());
+    note(LogLevel::error, "serve", "deadline streak at 8");
+    EXPECT_EQ(blackbox::dump("storm", dir.string()), first);
+
+    EXPECT_EQ(blackbox::dumps(), std::vector<std::string>{first});
+    blackbox::resetForTest();
+}
+
 TEST(TelemetryTest, BlackboxRingOverwritesOldest)
 {
     blackbox::resetForTest();

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "util/logging.hh"
 #include "util/kmeans.hh"
 #include "util/rng.hh"
+#include "util/shared_cache.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -353,6 +357,48 @@ TEST(KMeans, HeavyTailedZeroMass)
     EXPECT_EQ(result.sizes[0], 900u);
     EXPECT_EQ(result.sizes[1], 90u);
     EXPECT_EQ(result.sizes[2], 10u);
+}
+
+// Four threads ask for one key at once: make() runs exactly once and
+// every caller aliases its value; a second key gets its own.
+TEST(SharedCache, ConcurrentFirstRequestsBuildOnce)
+{
+    SharedCache<std::vector<int>> cache;
+    std::atomic<int> builds{0};
+    const auto make = [&builds] {
+        ++builds;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return std::vector<int>(1000, 7);
+    };
+    constexpr int threads = 4;
+    std::vector<std::shared_ptr<const std::vector<int>>> got(threads);
+    std::latch start(threads);
+    {
+        std::vector<std::jthread> workers;
+        for (int t = 0; t < threads; ++t)
+            workers.emplace_back([&, t] {
+                start.arrive_and_wait();
+                got[t] = cache.obtain("die", make);
+            });
+    }
+    EXPECT_EQ(builds.load(), 1);
+    for (const auto &value : got)
+        EXPECT_EQ(value.get(), got[0].get());
+    EXPECT_EQ(got[0]->size(), 1000u);
+    EXPECT_NE(cache.obtain("other die", make).get(), got[0].get());
+    EXPECT_EQ(builds.load(), 2);
+}
+
+TEST(SharedCache, KeysSeparateEveryFieldValue)
+{
+    EXPECT_EQ(cacheKey(std::string("H2A"), 8, 0.95),
+              cacheKey(std::string("H2A"), 8, 0.95));
+    // One ulp apart is two keys: doubles are not rounded.
+    EXPECT_NE(cacheKey(0.95), cacheKey(std::nextafter(0.95, 1.0)));
+    // Field boundaries cannot shift: strings carry their length.
+    EXPECT_NE(cacheKey(1, 23), cacheKey(12, 3));
+    EXPECT_NE(cacheKey(std::string("a|1"), 2),
+              cacheKey(std::string("a"), std::string("1|2")));
 }
 
 TEST(Format, Placeholders)
