@@ -522,6 +522,15 @@ TEST(ModelZoo, SpecKeysDistinguishConfigs)
     EXPECT_NE(a.cacheKey(), c.cacheKey());
 }
 
+// The paper specs' keys name the model files cached under
+// uvolt_model_cache/: a changed key silently retrains every model.
+TEST(ModelZoo, PaperSpecKeysNameTheCachedModels)
+{
+    EXPECT_EQ(paperMnistSpec().cacheKey(), "6114abe974db127d");
+    EXPECT_EQ(paperForestSpec().cacheKey(), "3801f9ecd63ccb18");
+    EXPECT_EQ(paperReutersSpec().cacheKey(), "0e39c795c4545f5c");
+}
+
 TEST(ModelZoo, PaperSpecShapes)
 {
     const ZooSpec mnist = paperMnistSpec();
