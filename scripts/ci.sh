@@ -165,10 +165,14 @@ echo "== golden figures byte-identity (all 22 fig/tab CSVs) =="
 # deterministic (seeded RNG, shared model cache), so any diff is a real
 # behaviour change — this is the executable proof that the BRAM path
 # survives refactors bit-for-bit. `uvolt_bench paper` runs every
-# fig/tab study of the registry in one process.
+# fig/tab study of the registry in one process. The two extension
+# studies that load the cached models (VCCINT datapath faults and the
+# fault-model ablation) run alongside and are held to their goldens.
 UVOLT_CACHE_DIR="$PWD/uvolt_model_cache" \
-    ./build/bench/uvolt_bench paper > /dev/null
+    ./build/bench/uvolt_bench paper ext_vccint ext_ablation > /dev/null
 python3 scripts/check_figures.py
+cmp results/ext_vccint.csv goldens/ext_vccint.csv
+cmp results/ext_ablation.csv goldens/ext_ablation.csv
 
 echo "== batched-evaluation identity check (fig11) =="
 # The batched engine's contract is bit-identity at any worker count.

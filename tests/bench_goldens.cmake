@@ -1,5 +1,6 @@
-# Runs every paper study that needs no trained model, plus
-# ext_membackends, in one uvolt_bench process from a scratch working
+# Runs every paper study that needs no trained model, plus the
+# model-free extension studies ext_membackends, ext_governor, ext_dvfs
+# and ext_platforms, in one uvolt_bench process from a scratch working
 # directory, then byte-compares each CSV they write with its committed
 # golden. Running the studies together also proves that no study's
 # process state leaks into the next one's output.
@@ -10,9 +11,9 @@
 set(studies tab1_platforms fig01_guardband fig03_voltage_sweep
     fig04_patterns tab2_stability fig05_clustering fig06_fvm_vc707
     fig07_fvm_die2die fig08_temperature fig10_power_breakdown
-    ext_membackends)
-# The 15 fig/tab CSVs of those studies, plus ext_membackends.csv.
-set(expected_csvs 16)
+    ext_membackends ext_governor ext_dvfs ext_platforms)
+# The 15 fig/tab CSVs of those studies, plus one CSV per ext study.
+set(expected_csvs 19)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
