@@ -179,7 +179,7 @@ harness::Campaign
 fanoutCampaign()
 {
     harness::Campaign campaign =
-        harness::Campaign::onPlatforms(
+        harness::Campaign::onDevices(
             {"VC707", "ZC702", "KC705-A", "KC705-B"})
             .withPatterns({harness::PatternSpec::allOnes(),
                            harness::PatternSpec::fixed(0x0000)});

@@ -70,7 +70,7 @@ UVOLT_STUDY(ext_fleet)
     harness::FvmCache cache(cache_dir);
 
     harness::Campaign campaign =
-        harness::Campaign::onPlatforms(
+        harness::Campaign::onDevices(
             {"VC707", "ZC702", "KC705-A", "KC705-B"})
             .withPatterns({harness::PatternSpec::allOnes(),
                            harness::PatternSpec::fixed(0xAAAA),

@@ -47,15 +47,8 @@ UVOLT_STUDY(fig13_layer_vuln)
     board.softReset();
 
     // Per-fault sensitivity from controlled random injection.
-    accel::InjectionOptions options;
-    // Dose chosen well below the output layer's saturation point so
-    // the per-fault comparison stays linear (2 BRAMs hold only ~9k "1"
-    // bits; thousands of faults would saturate the small layers).
-    options.faultsPerTrial = 100;
-    options.trials = 5;
-    options.evalLimit = nn::paperEvalLimit;
     const auto vulnerability =
-        accel::analyzeLayerVulnerability(model, test_set, options);
+        accel::analyzeLayerVulnerability(model, test_set);
 
     TextTable table({"layer", "#BRAMs", "#faults @ Vcrash",
                      "error delta / 100 faults",

@@ -34,20 +34,30 @@ echo "== reachability gate: every src/ function has a workload caller =="
 # decision left to a later change).
 python3 scripts/check_reach.py --jobs "$jobs"
 
-echo "== examples smoke: quickstart and characterize_board =="
+echo "== examples smoke: quickstart, characterize_board, fvm_cache, heat_chamber =="
 # ctest never runs examples/. These commands drive their flag parsing,
-# region discovery, packed BRAM readback, FVM and BRAM-map paths end to
-# end (each well under a second). They run from a scratch directory so
-# nothing lands in the tree, with the run ledger under build/.
+# region discovery, packed BRAM readback, FVM, BRAM-map, clustering,
+# FVM disk cache and temperature paths end to end (each well under a
+# second). fvm_cache runs twice: the second run must load the FVM the
+# first one stored. They run from a scratch directory so nothing lands
+# in the tree, with the run ledger under build/ and the committed model
+# cache (fvm_cache deploys the cached Forest model).
 examples_dir="$PWD/build/examples_smoke"
 rm -rf "$examples_dir" && mkdir -p "$examples_dir"
 (cd "$examples_dir" &&
     export UVOLT_LEDGER_DIR="$examples_dir/ledger" &&
+    export UVOLT_CACHE_DIR="$OLDPWD/uvolt_model_cache" &&
     "$OLDPWD/build/examples/quickstart" --runs 5 > quickstart.txt &&
     "$OLDPWD/build/examples/quickstart" --runs 5 --noise 0.05 \
         > quickstart_noise.txt &&
     "$OLDPWD/build/examples/characterize_board" --platform ZC702 \
-        --runs 5 --fvm --bram-map > characterize_board.txt)
+        --runs 5 --fvm --bram-map > characterize_board.txt &&
+    "$OLDPWD/build/examples/fvm_cache" --platform ZC702 --runs 3 \
+        --dir "$examples_dir/fvm" > fvm_cache_cold.txt &&
+    "$OLDPWD/build/examples/fvm_cache" --platform ZC702 --runs 3 \
+        --dir "$examples_dir/fvm" > fvm_cache_warm.txt &&
+    grep -q 'cache hit' fvm_cache_warm.txt &&
+    "$OLDPWD/build/examples/heat_chamber" --runs 5 > heat_chamber.txt)
 echo "examples ran clean"
 
 echo "== perf gate: bench_all + ext_serve vs baseline and history =="

@@ -13,6 +13,9 @@ namespace uvolt::accel
 namespace
 {
 
+/** Per-neuron-evaluation upset probability at the logic Vcrash. */
+constexpr double upsetProbAtVcrash = 2e-2;
+
 /** Accumulator format: wide enough for a 1024-input dot product. */
 const fxp::QFormat accumulatorFormat(6); // s1.d6.f9
 
@@ -36,13 +39,9 @@ upsetValue(float value, Rng &rng)
 
 } // namespace
 
-LogicFaultModel::LogicFaultModel(const fpga::PlatformSpec &spec,
-                                 double fault_prob_at_vcrash)
-    : spec_(spec), probAtVcrash_(fault_prob_at_vcrash)
+LogicFaultModel::LogicFaultModel(const fpga::PlatformSpec &spec)
+    : spec_(spec)
 {
-    if (fault_prob_at_vcrash <= 0.0 || fault_prob_at_vcrash > 1.0)
-        fatal("logic fault probability {} outside (0, 1]",
-              fault_prob_at_vcrash);
     const double span =
         (spec_.calib.intVminMv - spec_.calib.intVcrashMv) / 1000.0;
     // Same exponential-growth convention as the BRAM rail: roughly one
@@ -58,8 +57,8 @@ LogicFaultModel::neuronUpsetProbability(double vcc_int_v) const
     if (vcc_int_v >= v_min)
         return 0.0;
     const double v = std::max(vcc_int_v, v_crash);
-    return std::min(1.0, probAtVcrash_ * std::exp(-slope_ *
-                                                  (v - v_crash)));
+    return std::min(1.0, upsetProbAtVcrash * std::exp(-slope_ *
+                                                      (v - v_crash)));
 }
 
 int

@@ -38,14 +38,13 @@ class LogicFaultModel
   public:
     /**
      * @param spec platform (logic Vmin/Vcrash come from its calibration)
-     * @param fault_prob_at_vcrash per-neuron-evaluation upset
-     *        probability at the logic Vcrash. A neuron evaluation
-     *        aggregates hundreds of MAC operations, each a potential
-     *        timing victim, so the default of 2e-2 corresponds to a
-     *        per-MAC failure rate of order 1e-4.
+     *
+     * The per-neuron-evaluation upset probability at the logic Vcrash
+     * is 2e-2. A neuron evaluation aggregates hundreds of MAC
+     * operations, each a potential timing victim, so that corresponds
+     * to a per-MAC failure rate of order 1e-4.
      */
-    explicit LogicFaultModel(const fpga::PlatformSpec &spec,
-                             double fault_prob_at_vcrash = 2e-2);
+    explicit LogicFaultModel(const fpga::PlatformSpec &spec);
 
     /**
      * Per-neuron-evaluation upset probability at a VCCINT level:
@@ -58,7 +57,6 @@ class LogicFaultModel
 
   private:
     fpga::PlatformSpec spec_;
-    double probAtVcrash_;
     double slope_;
 };
 

@@ -5,21 +5,32 @@
 namespace uvolt::accel
 {
 
+namespace
+{
+
+/** Parallel DSP MACs (Table III scale). */
+constexpr std::uint64_t macUnits = 240;
+
+/** Per-layer pipeline fill/drain cycles. */
+constexpr std::uint64_t pipelineDepth = 12;
+
+/** Nominal clock (Table III), MHz. */
+constexpr double clockMhz = 100.0;
+
+/** Share of the device's BRAMs the design charges to its power budget
+ *  (Table III). */
+constexpr double bramUtilization = 0.708;
+
+} // namespace
+
 PerfModel::PerfModel(const std::vector<int> &topology,
                      const fpga::PlatformSpec &spec,
-                     double logic_nominal_w, double bram_utilization,
-                     const DatapathConfig &config)
-    : topology_(topology), config_(config), bramPower_(spec),
-      logicPower_(logic_nominal_w, config.clockMhz),
-      bramUtilization_(bram_utilization)
+                     double logic_nominal_w)
+    : topology_(topology), bramPower_(spec),
+      logicPower_(logic_nominal_w, clockMhz)
 {
-    if (bram_utilization <= 0.0 || bram_utilization > 1.0)
-        fatal("PerfModel: BRAM utilization {} outside (0, 1]",
-              bram_utilization);
     if (topology_.size() < 2)
         fatal("PerfModel needs at least two layer sizes");
-    if (config_.macUnits <= 0)
-        fatal("PerfModel needs a positive MAC count");
 }
 
 std::uint64_t
@@ -29,10 +40,7 @@ PerfModel::cyclesPerInference() const
     for (std::size_t l = 0; l + 1 < topology_.size(); ++l) {
         const auto macs = static_cast<std::uint64_t>(topology_[l]) *
             static_cast<std::uint64_t>(topology_[l + 1]);
-        cycles += (macs + static_cast<std::uint64_t>(config_.macUnits) -
-                   1) /
-            static_cast<std::uint64_t>(config_.macUnits);
-        cycles += static_cast<std::uint64_t>(config_.pipelineDepth);
+        cycles += (macs + macUnits - 1) / macUnits + pipelineDepth;
     }
     return cycles;
 }
@@ -46,7 +54,7 @@ PerfModel::evaluate(const power::OperatingPoint &point) const
     result.inferencesPerSecond = point.clockMhz * 1e6 /
         static_cast<double>(result.cyclesPerInference);
     result.totalPowerW =
-        bramUtilization_ * bramPower_.bramPower(point.vccBramV) +
+        bramUtilization * bramPower_.bramPower(point.vccBramV) +
         logicPower_.watts(point.vccIntV, point.clockMhz);
     result.energyPerInferenceMj = result.totalPowerW /
         result.inferencesPerSecond * 1e3;

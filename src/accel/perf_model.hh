@@ -23,14 +23,6 @@
 namespace uvolt::accel
 {
 
-/** The accelerator's datapath resources. */
-struct DatapathConfig
-{
-    int macUnits = 240;        ///< parallel DSP MACs (Table III scale)
-    int pipelineDepth = 12;    ///< per-layer fill/drain cycles
-    double clockMhz = 100.0;   ///< nominal clock (Table III)
-};
-
 /** Throughput and energy at one operating point. */
 struct PerfPoint
 {
@@ -41,7 +33,12 @@ struct PerfPoint
     double energyPerInferenceMj = 0.0; ///< millijoules
 };
 
-/** Performance model bound to one design and platform. */
+/**
+ * Performance model bound to one design and platform: Table III's
+ * design, with 240 parallel DSP MACs, 12 fill/drain cycles per layer, a
+ * 100 MHz nominal clock, and 70.8% of the device's BRAMs charged to its
+ * power budget.
+ */
 class PerfModel
 {
   public:
@@ -49,13 +46,9 @@ class PerfModel
      * @param topology layer sizes of the deployed network
      * @param spec platform (for the BRAM power model)
      * @param logic_nominal_w logic power at nominal (Fig 10's "rest")
-     * @param bram_utilization share of the device's BRAMs the design
-     *        charges to its power budget (Table III: 0.708)
      */
     PerfModel(const std::vector<int> &topology,
-              const fpga::PlatformSpec &spec, double logic_nominal_w,
-              double bram_utilization = 0.708,
-              const DatapathConfig &config = {});
+              const fpga::PlatformSpec &spec, double logic_nominal_w);
 
     /** MAC cycles for one inference at any clock. */
     std::uint64_t cyclesPerInference() const;
@@ -63,14 +56,10 @@ class PerfModel
     /** Evaluate an operating point end to end. */
     PerfPoint evaluate(const power::OperatingPoint &point) const;
 
-    const DatapathConfig &config() const { return config_; }
-
   private:
     std::vector<int> topology_;
-    DatapathConfig config_;
     power::RailPowerModel bramPower_;
     power::LogicPowerModel logicPower_;
-    double bramUtilization_;
 };
 
 } // namespace uvolt::accel

@@ -265,8 +265,11 @@ makeMnistLike(std::size_t count, std::uint64_t seed,
 }
 
 Dataset
-makeForestLike(std::size_t count, std::uint64_t seed, double separation)
+makeForestLike(std::size_t count, std::uint64_t seed)
 {
+    // Class-center spread relative to unit noise.
+    constexpr double separation = 0.5;
+
     Dataset set("forest-like", forestFeatures, forestClasses);
     // Class structure is a fixed property of the corpus, not of the
     // sample seed: train and held-out sets drawn with different seeds

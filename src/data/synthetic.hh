@@ -75,11 +75,10 @@ constexpr int forestFeatures = 54;
 constexpr int forestClasses = 7;
 
 /**
- * Generate a Forest-like tabular dataset.
- * @param separation class-center spread relative to unit noise
+ * Generate a Forest-like tabular dataset. Class centers spread 0.5
+ * relative to unit noise.
  */
-Dataset makeForestLike(std::size_t count, std::uint64_t seed,
-                       double separation = 0.5);
+Dataset makeForestLike(std::size_t count, std::uint64_t seed);
 
 /** Shape of the Reuters-like corpus. */
 constexpr int reutersVocab = 600;

@@ -20,19 +20,13 @@ Campaign::onPlatform(std::string platform)
 }
 
 Campaign
-Campaign::onPlatforms(std::vector<std::string> platforms)
-{
-    if (platforms.empty())
-        fatal("Campaign::onPlatforms() needs at least one platform");
-    Campaign campaign;
-    campaign.platforms_ = std::move(platforms);
-    return campaign;
-}
-
-Campaign
 Campaign::onDevices(std::vector<std::string> devices)
 {
-    return onPlatforms(std::move(devices));
+    if (devices.empty())
+        fatal("Campaign::onDevices() needs at least one device");
+    Campaign campaign;
+    campaign.platforms_ = std::move(devices);
+    return campaign;
 }
 
 Campaign &
@@ -98,9 +92,9 @@ Campaign::perBramMaps(bool collect)
 }
 
 Campaign &
-Campaign::discoverRegions(bool discover)
+Campaign::discoverRegions()
 {
-    discoverRegions_ = discover;
+    discoverRegions_ = true;
     return *this;
 }
 

@@ -19,7 +19,7 @@
  * Platform names are resolved through the mem:: catalog, so a campaign
  * can mix memory technologies in one fleet: BRAM dies (fpga platform
  * catalog), HBM stacks (mem::hbmCatalog), and MoRS-SRAM chips
- * (mem::sramCatalog) are all valid `onPlatforms` entries. Non-BRAM
+ * (mem::sramCatalog) are all valid `onDevices` entries. Non-BRAM
  * jobs run the backend sweep (mem::runMemSweep) instead of the board
  * path; noise injection and region discovery are BRAM-only, and a
  * run that asks for either on another technology fails with
@@ -50,9 +50,6 @@ class Campaign
      * Entries may name any catalogued memory device — BRAM platforms,
      * HBM stacks, or MoRS-SRAM chips — and one fleet may mix them.
      */
-    static Campaign onPlatforms(std::vector<std::string> platforms);
-
-    /** Alias of onPlatforms for heterogeneous memory fleets. */
     static Campaign onDevices(std::vector<std::string> devices);
 
     /** Add one data pattern (default when none added: 0xFFFF). */
@@ -80,7 +77,7 @@ class Campaign
     Campaign &perBramMaps(bool collect);
 
     /** Also locate the Fig-1 voltage regions of both rails per job. */
-    Campaign &discoverRegions(bool discover = true);
+    Campaign &discoverRegions();
 
     /** Persist per-job checkpoints here; re-running resumes the fleet. */
     Campaign &checkpointUnder(std::string directory);

@@ -38,10 +38,10 @@ ClusterReport::shareOf(VulnClass cls) const
 }
 
 ClusterReport
-clusterBrams(const Fvm &fvm, std::size_t k)
+clusterBrams(const Fvm &fvm)
 {
-    if (k == 0 || k > 3)
-        fatal("clusterBrams supports 1..3 classes, got {}", k);
+    // One class per VulnClass: low, mid and high.
+    constexpr std::size_t k = 3;
 
     std::vector<double> rates(fvm.bramCount());
     for (std::uint32_t b = 0; b < fvm.bramCount(); ++b)

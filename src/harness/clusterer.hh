@@ -54,10 +54,10 @@ struct ClusterReport
 };
 
 /**
- * Cluster an FVM's per-BRAM fault rates into k vulnerability classes
- * (k = 3 in the paper) using 1-D k-means.
+ * Cluster an FVM's per-BRAM fault rates into the paper's three
+ * vulnerability classes using 1-D k-means.
  */
-ClusterReport clusterBrams(const Fvm &fvm, std::size_t k = 3);
+ClusterReport clusterBrams(const Fvm &fvm);
 
 } // namespace uvolt::harness
 

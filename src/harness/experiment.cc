@@ -172,13 +172,15 @@ countDeviceFaultsRecoverable(const Watchdog &watchdog)
                      maxRecoveriesPerRun);
 }
 
+/** Measurement runs region discovery probes each BRAM level with. */
+constexpr int regionProbeRuns = 5;
+
 /** Whether the probed rail shows any fault at the present level. */
 Expected<bool>
-probeFaulty(pmbus::Board &board, fpga::RailId rail, int runs,
-            const Watchdog &watchdog)
+probeFaulty(pmbus::Board &board, fpga::RailId rail, const Watchdog &watchdog)
 {
     if (rail == fpga::RailId::VccBram) {
-        for (int run = 0; run < runs; ++run) {
+        for (int run = 0; run < regionProbeRuns; ++run) {
             board.startRun();
             auto count = countDeviceFaultsRecoverable(watchdog);
             if (!count.ok())
@@ -215,8 +217,7 @@ struct ChannelBaseline
 } // namespace
 
 Expected<RegionResult>
-tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
-                   int runs_per_level)
+tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail)
 {
     if (rail == fpga::RailId::VccAux)
         fatal("tryDiscoverRegions: VCCAUX is not underscaled in this study");
@@ -252,8 +253,7 @@ tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
         }
         watchdog.levelMv = mv;
         if (first_faulty_mv == 0) {
-            auto faulty = probeFaulty(board, rail, runs_per_level,
-                                      watchdog);
+            auto faulty = probeFaulty(board, rail, watchdog);
             if (!faulty.ok())
                 return faulty.error();
             if (faulty.value())
@@ -365,8 +365,7 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
     sweepMetrics().sweeps.increment();
     const int from =
         options.fromMv > 0 ? options.fromMv : spec.calib.bramVminMv;
-    const int down_to =
-        options.downToMv > 0 ? options.downToMv : spec.calib.bramVcrashMv;
+    const int down_to = spec.calib.bramVcrashMv;
     if (down_to > from)
         fatal("runCriticalSweep: downTo {} mV above from {} mV", down_to,
               from);

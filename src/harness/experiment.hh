@@ -137,8 +137,7 @@ struct ResilienceReport
  * terminating, so campaign engines can retry or reschedule the die.
  */
 Expected<RegionResult> tryDiscoverRegions(pmbus::Board &board,
-                                          fpga::RailId rail,
-                                          int runs_per_level = 5);
+                                          fpga::RailId rail);
 
 /** One voltage level of a Listing-1 sweep. */
 struct SweepPoint
@@ -219,7 +218,6 @@ struct SweepOptions
     int runsPerLevel = 100;  ///< the paper's statistical population
     int stepMv = 10;         ///< regulator DAC granularity
     int fromMv = 0;          ///< 0 = start at the platform's Vmin
-    int downToMv = 0;        ///< 0 = stop at the platform's Vcrash
     bool collectPerBram = true;
 
     /**

@@ -12,6 +12,15 @@ namespace uvolt::harness
 namespace
 {
 
+/** Spare BRAMs used as canaries. */
+constexpr std::size_t canaryCount = 8;
+
+/** Back-off distance above a faulty level: one regulator step. */
+constexpr int guardMv = pmbus::voutStepMv;
+
+/** Control steps settle() takes at most. */
+constexpr int maxSettleSteps = 100;
+
 /** Clean steps at the hold level before re-probing lower (ITD chase). */
 constexpr int reprobeAfterCleanSteps = 8;
 
@@ -39,13 +48,9 @@ governorMetrics()
 } // namespace
 
 VoltageGovernor::VoltageGovernor(pmbus::Board &board, const Fvm &fvm,
-                                 const std::vector<std::uint32_t> &reserved,
-                                 const GovernorConfig &config)
-    : board_(board), config_(config)
+                                 const std::vector<std::uint32_t> &reserved)
+    : board_(board)
 {
-    if (config_.canaryCount <= 0)
-        fatal("governor needs at least one canary BRAM");
-
     std::vector<bool> taken(board_.device().bramCount(), false);
     for (std::uint32_t physical : reserved) {
         if (physical >= taken.size())
@@ -56,21 +61,17 @@ VoltageGovernor::VoltageGovernor(pmbus::Board &board, const Fvm &fvm,
     // Most vulnerable spare BRAMs first: they fault before the payload.
     const auto order = fvm.bramsByReliability();
     for (auto it = order.rbegin();
-         it != order.rend() &&
-         canaries_.size() < static_cast<std::size_t>(config_.canaryCount);
-         ++it) {
+         it != order.rend() && canaries_.size() < canaryCount; ++it) {
         if (!taken[*it])
             canaries_.push_back(*it);
     }
-    if (canaries_.size() < static_cast<std::size_t>(config_.canaryCount))
+    if (canaries_.size() < canaryCount)
         fatal("governor: only {} spare BRAMs for {} canaries",
-              canaries_.size(), config_.canaryCount);
+              canaries_.size(), canaryCount);
 
     refillCanaries();
 
     setpointMv_ = board_.vccBramMv();
-    floorMv_ = config_.floorMv > 0 ? config_.floorMv
-                                   : board_.spec().calib.bramVcrashMv;
 }
 
 void
@@ -122,7 +123,7 @@ VoltageGovernor::step()
             // again.
             board_.softReset();
             refillCanaries();
-            holdMv_ = setpointMv_ + config_.guardSteps * config_.stepMv;
+            holdMv_ = setpointMv_ + guardMv;
             cleanStreak_ = 0;
             setpointMv_ = std::min(holdMv_, board_.spec().vnomMv);
             record.backedOff = true;
@@ -148,21 +149,22 @@ VoltageGovernor::step()
     if (record.canaryFaults > 0) {
         // Back off and hold: don't descend to this level again until a
         // long clean streak suggests conditions changed (ITD).
-        holdMv_ = setpointMv_ + config_.guardSteps * config_.stepMv;
+        holdMv_ = setpointMv_ + guardMv;
         cleanStreak_ = 0;
         setpointMv_ = std::min(holdMv_, board_.spec().vnomMv);
         record.backedOff = true;
         governorMetrics().backoffs.increment();
     } else {
         ++cleanStreak_;
-        int floor = std::max(floorMv_, holdMv_);
+        const int vcrash_mv = board_.spec().calib.bramVcrashMv;
+        int floor = std::max(vcrash_mv, holdMv_);
         if (cleanStreak_ >= reprobeAfterCleanSteps && holdMv_ > 0) {
             // Conditions may have improved; forget the hold once.
             holdMv_ = 0;
             cleanStreak_ = 0;
-            floor = floorMv_;
+            floor = vcrash_mv;
         }
-        setpointMv_ = std::max(setpointMv_ - config_.stepMv, floor);
+        setpointMv_ = std::max(setpointMv_ - pmbus::voutStepMv, floor);
     }
     board_.setVccBramMv(setpointMv_);
     record.commandedMv = setpointMv_;
@@ -171,11 +173,11 @@ VoltageGovernor::step()
 }
 
 std::vector<GovernorStep>
-VoltageGovernor::settle(int max_steps)
+VoltageGovernor::settle()
 {
     std::vector<GovernorStep> trace;
     int previous = -1;
-    for (int i = 0; i < max_steps; ++i) {
+    for (int i = 0; i < maxSettleSteps; ++i) {
         trace.push_back(step());
         const int commanded = trace.back().commandedMv;
         if (commanded == previous && !trace.back().backedOff &&

@@ -11,8 +11,9 @@
  * vulnerable* population, so they fail before anything the design
  * cares about) are kept filled with 0xFFFF and re-read every control
  * step; the rail steps 10 mV down while the canaries stay clean and
- * steps back up the moment they fault, holding a configurable
- * guard distance above the observed failure level.
+ * steps back up the moment they fault, holding one 10 mV guard step
+ * above the observed failure level. The loop is fixed: eight canaries,
+ * 10 mV steps, one guard step, and never a command below Vcrash.
  *
  * Because the canaries are the chip's weakest cells under the
  * worst-case pattern, canary-clean implies payload-clean with margin —
@@ -37,15 +38,6 @@
 
 namespace uvolt::harness
 {
-
-/** Governor configuration. */
-struct GovernorConfig
-{
-    int canaryCount = 8;     ///< spare BRAMs used as canaries
-    int guardSteps = 1;      ///< 10 mV steps to hold above first-fault
-    int floorMv = 0;         ///< never command below this (0 = Vcrash)
-    int stepMv = 10;         ///< regulator granularity
-};
 
 /** What the control loop knows about its own last reading. */
 enum class GovernorHealth
@@ -80,8 +72,7 @@ class VoltageGovernor
      * @param reserved physical BRAMs the payload occupies
      */
     VoltageGovernor(pmbus::Board &board, const Fvm &fvm,
-                    const std::vector<std::uint32_t> &reserved,
-                    const GovernorConfig &config = {});
+                    const std::vector<std::uint32_t> &reserved);
 
     /** Physical BRAMs chosen as canaries (most vulnerable first). */
     const std::vector<std::uint32_t> &canaries() const
@@ -91,16 +82,16 @@ class VoltageGovernor
 
     /**
      * Run one control step: read the canaries at the present level and
-     * command the next setpoint (down one step if clean, up by
-     * guardSteps if faulty). Returns the step record.
+     * command the next setpoint (down one step if clean, up one guard
+     * step if faulty). Returns the step record.
      */
     GovernorStep step();
 
     /**
      * Run the loop until the setpoint stabilizes (same level commanded
-     * twice in a row) or @a max_steps elapse. Returns the trace.
+     * twice in a row) or 100 steps elapse. Returns the trace.
      */
-    std::vector<GovernorStep> settle(int max_steps = 100);
+    std::vector<GovernorStep> settle();
 
     /** The level the loop last commanded. */
     int setpointMv() const { return setpointMv_; }
@@ -110,12 +101,10 @@ class VoltageGovernor
     void refillCanaries();
 
     pmbus::Board &board_;
-    GovernorConfig config_;
     std::vector<std::uint32_t> canaries_;
     std::vector<std::uint64_t> plane_ =
         std::vector<std::uint64_t>(fpga::bramWords); ///< canary readback
     int setpointMv_;
-    int floorMv_;
     int holdMv_ = 0;     ///< level we backed off to; do not descend past
     int cleanStreak_ = 0;
 };

@@ -19,15 +19,11 @@ BramStructure::topTwoColumnShare() const
 
 std::string
 renderBramMap(const BramStructure &bram,
-              const std::vector<FaultObservation> &faults, int fold_rows)
+              const std::vector<FaultObservation> &faults)
 {
-    if (fold_rows <= 0)
-        fold_rows = 32;
-    const int bands = (fpga::bramRows + fold_rows - 1) / fold_rows;
-    std::vector<std::array<int, fpga::bramCols>> grid(
-        static_cast<std::size_t>(bands));
-    for (auto &band : grid)
-        band.fill(0);
+    constexpr int fold_rows = 32;
+    constexpr int bands = (fpga::bramRows + fold_rows - 1) / fold_rows;
+    std::array<std::array<int, fpga::bramCols>, bands> grid{};
     for (const FaultObservation &fault : faults) {
         if (fault.bram != bram.bram)
             continue;
@@ -36,12 +32,11 @@ renderBramMap(const BramStructure &bram,
     }
 
     std::string art;
-    art.reserve(static_cast<std::size_t>(bands) * (fpga::bramCols + 1));
+    art.reserve(bands * (fpga::bramCols + 1));
     // MSB (col 15) on the left, like a register diagram.
-    for (int band = 0; band < bands; ++band) {
+    for (const auto &band : grid) {
         for (int col = fpga::bramCols - 1; col >= 0; --col) {
-            const int count = grid[static_cast<std::size_t>(band)]
-                                  [col];
+            const int count = band[static_cast<std::size_t>(col)];
             if (count == 0)
                 art.push_back('.');
             else if (count <= 9)

@@ -49,13 +49,12 @@ StructureReport analyzeStructure(
 
 /**
  * Render one BRAM's fault locations as ASCII art: 16 columns wide, the
- * 1024 rows folded into @a fold_rows bands ('.' clean band, '1'-'9'/'#'
- * by faulty-cell count in the band). Lets an experimenter *see* the
- * weak-column structure of a hot BRAM.
+ * 1024 rows folded into 32 bands of 32 rows ('.' clean band,
+ * '1'-'9'/'#' by faulty-cell count in the band). Lets an experimenter
+ * *see* the weak-column structure of a hot BRAM.
  */
 std::string renderBramMap(const BramStructure &bram,
-                          const std::vector<FaultObservation> &faults,
-                          int fold_rows = 32);
+                          const std::vector<FaultObservation> &faults);
 
 } // namespace uvolt::harness
 

@@ -28,14 +28,8 @@ MemSweepResult
 runMemSweep(const MemoryDevice &device, const MemSweepOptions &options)
 {
     const DeviceTraits &traits = device.traits();
-    const int from =
-        options.fromMv.value_or(traits.vminMv + options.stepMv);
-    const int downTo = options.downToMv.value_or(traits.vcrashMv);
     if (options.stepMv <= 0)
         fatal("mem sweep: step {} mV must be positive", options.stepMv);
-    if (from < downTo)
-        fatal("mem sweep: from {} mV must be above down-to {} mV", from,
-              downTo);
     if (options.runsPerLevel <= 0)
         fatal("mem sweep: runsPerLevel {} must be positive",
               options.runsPerLevel);
@@ -49,7 +43,8 @@ runMemSweep(const MemoryDevice &device, const MemSweepOptions &options)
 
     const double mbit = traits.totalMbit();
     int emitted = 0;
-    for (int mv = from; mv >= downTo; mv -= options.stepMv) {
+    for (int mv = traits.vminMv + options.stepMv; mv >= traits.vcrashMv;
+         mv -= options.stepMv) {
         if (options.resumeFromMv && mv >= *options.resumeFromMv)
             continue; // already measured by an earlier slice
         if (options.maxLevels && emitted >= *options.maxLevels) {

@@ -33,11 +33,6 @@ struct MemSweepOptions
     double ambientC = 50.0;
     std::uint64_t seed = 0; ///< jitter stream seed
 
-    /** Start level; defaults to the device's Vmin + one step. */
-    std::optional<int> fromMv;
-    /** Stop level; defaults to the device's Vcrash. */
-    std::optional<int> downToMv;
-
     bool collectPerDomain = false;
 
     /** Slice: stop after this many levels (resume with resumeFromMv). */
@@ -70,8 +65,8 @@ struct MemSweepResult
 };
 
 /**
- * Sweep @a device from Vmin-adjacent levels down to Vcrash. The device
- * content must already be programmed (fill / assignDomainWords);
+ * Sweep @a device from one step above its Vmin down to its Vcrash. The
+ * device content must already be programmed (fill / assignDomainWords);
  * readbacks never mutate it, so the device is taken const.
  */
 MemSweepResult runMemSweep(const MemoryDevice &device,

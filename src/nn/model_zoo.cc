@@ -28,8 +28,9 @@ ZooSpec::cacheKey() const
                             train.learningRate * 1e6));
     h = combineSeeds(h, static_cast<std::uint64_t>(train.momentum * 1e6));
     h = combineSeeds(h, static_cast<std::uint64_t>(train.lrDecay * 1e6));
-    h = combineSeeds(h, static_cast<std::uint64_t>(
-                            train.weightDecay * 1e9));
+    // Weight decay: training uses none, hashed as 0 so the keys of the
+    // committed models stay valid.
+    h = combineSeeds(h, 0);
     h = combineSeeds(h, train.seed);
     h = combineSeeds(h, static_cast<std::uint64_t>(refine.epochs));
     h = combineSeeds(h, static_cast<std::uint64_t>(

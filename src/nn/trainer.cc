@@ -131,7 +131,6 @@ train(Network &net, const data::Dataset &train_set,
             // ---- update --------------------------------------------------
             const auto lr_f = static_cast<float>(lr);
             const auto momentum_f = static_cast<float>(options.momentum);
-            const auto decay_f = static_cast<float>(options.weightDecay);
             for (int l = 0; l < layer_count; ++l) {
                 auto &layer = net.layer(l);
                 auto weights = layer.weights();
@@ -151,9 +150,8 @@ train(Network &net, const data::Dataset &train_set,
                         static_cast<std::size_t>(o) *
                         static_cast<std::size_t>(width);
                     for (int i = 0; i < width; ++i) {
-                        const float grad = d * input_act[
-                            static_cast<std::size_t>(i)] +
-                            decay_f * row[i];
+                        const float grad =
+                            d * input_act[static_cast<std::size_t>(i)];
                         vel[i] = momentum_f * vel[i] - lr_f * grad;
                         row[i] += vel[i];
                     }

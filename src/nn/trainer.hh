@@ -24,7 +24,6 @@ struct TrainOptions
     double learningRate = 0.05;
     double momentum = 0.9;
     double lrDecay = 0.7;     ///< per-epoch learning-rate multiplier
-    double weightDecay = 0.0; ///< L2 penalty (0 = off)
     std::uint64_t seed = 7;   ///< init + shuffling seed
     bool verbose = false;     ///< inform() a line per epoch
 };

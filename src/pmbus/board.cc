@@ -51,8 +51,7 @@ sharedChipModel(const fpga::PlatformSpec &spec,
                  spec.calib.bramVcrashMv, spec.calib.faultsPerMbitAtVcrash,
                  spec.calib.neverFaultyFraction, spec.calib.maxBramFaultRate,
                  spec.calib.spatialCorrLength, spec.calib.itdMvPerC,
-                 params.sigmaLn, params.spatialWeight,
-                 params.weakColumnShare, params.meanWeakColumns),
+                 params.spatialWeight, params.weakColumnShare),
         [&] {
             return vmodel::ChipFaultModel(
                 spec,
@@ -74,7 +73,7 @@ Board::Board(const fpga::PlatformSpec &spec,
 Board::Board(const fpga::PlatformSpec &spec,
              std::shared_ptr<const vmodel::ChipFaultModel> model)
     : device_(spec), faults_(std::move(model)),
-      regulator_([this] { return effectiveAmbientC(); }),
+      regulator_([this] { return ambientC_; }),
       runRng_(combineSeeds(hashSeed(spec.serialNumber),
                            hashSeed("run-jitter")))
 {
@@ -176,12 +175,6 @@ Board::vccBramMv() const
     return device_.rail(fpga::RailId::VccBram).millivolts();
 }
 
-double
-Board::effectiveAmbientC() const
-{
-    return ambientC_ + (injector_ ? injector_->tempDriftC() : 0.0);
-}
-
 void
 Board::softReset()
 {
@@ -220,8 +213,6 @@ Board::startRun()
 {
     runJitterV_ = runRng_.gaussian(0.0, spec().calib.runJitterMv / 1000.0);
     ++runsStarted_;
-    if (injector_)
-        injector_->nextTempDriftC();
     armCrashSchedule();
 }
 
@@ -263,7 +254,7 @@ double
 Board::effectiveVoltage() const
 {
     return faults_->effectiveVoltage(vccBramMv() / 1000.0,
-                                     effectiveAmbientC(), runJitterV_);
+                                     ambientC_, runJitterV_);
 }
 
 Expected<void>

@@ -9,10 +9,10 @@
  *
  * The board can operate in a harsh environment (attachNoise()): serial
  * frames corrupt, PMBus transactions NACK, latched setpoints jitter,
- * the configuration crashes spuriously in a band above Vcrash, and the
- * ambient drifts. The instrumentation path then defends itself with
- * CRC-verified retransmission, verify-after-write setpoint retries, and
- * a recoverable-error measurement path (try* methods) that campaign
+ * and the configuration crashes spuriously in a band above Vcrash. The
+ * instrumentation path then defends itself with CRC-verified
+ * retransmission, verify-after-write setpoint retries, and a
+ * recoverable-error measurement path (try* methods) that campaign
  * engines use to soft-reset and resume instead of dying.
  */
 
@@ -126,9 +126,6 @@ class Board
     /** Heat-chamber control: set the on-board ambient temperature. */
     void setAmbientC(double temp_c) { ambientC_ = temp_c; }
     double ambientC() const { return ambientC_; }
-
-    /** Commanded ambient plus any harsh-environment drift. */
-    double effectiveAmbientC() const;
 
     /** DONE pin: high while the configuration is alive (not crashed). */
     bool donePin() const { return device_.operational() && !forcedCrash_; }

@@ -1,7 +1,5 @@
 #include "pmbus/fault_injector.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -111,18 +109,6 @@ FaultInjector::armCrash(int level_mv, int vcrash_mv, std::uint32_t op_count)
     if (!rng_.chance(config_.spuriousCrashProb))
         return -1;
     return static_cast<int>(rng_.uniformInt(0, op_count - 1));
-}
-
-double
-FaultInjector::nextTempDriftC()
-{
-    if (config_.tempDriftC <= 0.0)
-        return 0.0;
-    // Mean-reverting walk bounded to a few step sizes of amplitude.
-    driftC_ = 0.9 * driftC_ + rng_.gaussian(0.0, config_.tempDriftC);
-    driftC_ = std::clamp(driftC_, -5.0 * config_.tempDriftC,
-                         5.0 * config_.tempDriftC);
-    return driftC_;
 }
 
 } // namespace uvolt::pmbus

@@ -9,8 +9,8 @@
  * and recovery as first-class methodology. This injector is the noisy
  * environment: a seeded, deterministic policy the Board composes that
  * corrupts serial frames, NACKs PMBus transactions, jitters latched rail
- * setpoints by one DAC step, crashes the configuration spuriously in a
- * band above Vcrash, and drifts the ambient temperature.
+ * setpoints by one DAC step, and crashes the configuration spuriously
+ * in a band above Vcrash.
  *
  * Every decision draws from the injector's own RNG stream, never from
  * the board's run-jitter stream, so the *physics* of a campaign is
@@ -38,8 +38,6 @@ struct NoiseConfig
     double setpointJitterProb = 0.0; ///< per VOUT write: latch 1 step off
     double spuriousCrashProb = 0.0;  ///< per measurement run, in-band
     int crashBandMv = 30;            ///< band above Vcrash that can crash
-    double tempDriftC = 0.0;         ///< ambient random-walk step, degC
-                                     ///< (perturbs physics; not masked)
 
     /**
      * Uniformly harsh environment: probability @a p on every maskable
@@ -89,17 +87,10 @@ class FaultInjector
     /** Count a fired spurious crash (called by the board). */
     void recordSpuriousCrash();
 
-    /** Advance the ambient temperature random walk; returns drift degC. */
-    double nextTempDriftC();
-
-    /** Current ambient drift without advancing the walk. */
-    double tempDriftC() const { return driftC_; }
-
   private:
     NoiseConfig config_;
     NoiseStats stats_;
     Rng rng_;
-    double driftC_ = 0.0;
 };
 
 } // namespace uvolt::pmbus

@@ -7,22 +7,32 @@
 namespace uvolt::power
 {
 
-TimingModel::TimingModel(double fmax_nom_mhz, double vth_v, double alpha)
-    : fmaxNomMhz_(fmax_nom_mhz), vth_(vth_v), alpha_(alpha)
+namespace
 {
-    if (fmax_nom_mhz <= 0.0 || vth_v <= 0.0 || alpha <= 0.0)
-        fatal("TimingModel needs positive Fmax, Vth, and alpha");
-    nominalDelay_ = 1.0 / std::pow(1.0 - vth_, alpha_);
+
+/** Effective threshold voltage of the critical path (28 nm), volts. */
+constexpr double vthV = 0.35;
+
+/** Velocity-saturation exponent of the alpha-power law (28 nm). */
+constexpr double alpha = 1.3;
+
+} // namespace
+
+TimingModel::TimingModel(double fmax_nom_mhz) : fmaxNomMhz_(fmax_nom_mhz)
+{
+    if (fmax_nom_mhz <= 0.0)
+        fatal("TimingModel needs a positive Fmax");
 }
 
 double
 TimingModel::relativeDelay(double volts) const
 {
-    if (volts <= vth_)
+    if (volts <= vthV)
         fatal("relativeDelay: {} V is at/below the {} V threshold",
-              volts, vth_);
-    const double delay = volts / std::pow(volts - vth_, alpha_);
-    return delay / nominalDelay_;
+              volts, vthV);
+    const double nominal_delay = 1.0 / std::pow(1.0 - vthV, alpha);
+    const double delay = volts / std::pow(volts - vthV, alpha);
+    return delay / nominal_delay;
 }
 
 double

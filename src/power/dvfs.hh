@@ -27,17 +27,16 @@
 namespace uvolt::power
 {
 
-/** Alpha-power-law timing model of the design's critical path. */
+/**
+ * Alpha-power-law timing model of the design's critical path, with the
+ * 28 nm effective threshold voltage (0.35 V) and velocity-saturation
+ * exponent (1.3).
+ */
 class TimingModel
 {
   public:
-    /**
-     * @param fmax_nom_mhz post-route Fmax at nominal voltage
-     * @param vth_v effective threshold voltage (28 nm: ~0.35 V)
-     * @param alpha velocity-saturation exponent (28 nm: ~1.3)
-     */
-    explicit TimingModel(double fmax_nom_mhz, double vth_v = 0.35,
-                         double alpha = 1.3);
+    /** @param fmax_nom_mhz post-route Fmax at nominal voltage */
+    explicit TimingModel(double fmax_nom_mhz);
 
     /** Critical-path delay relative to nominal (1.0 at Vnom). */
     double relativeDelay(double volts) const;
@@ -47,9 +46,6 @@ class TimingModel
 
   private:
     double fmaxNomMhz_;
-    double vth_;
-    double alpha_;
-    double nominalDelay_;
 };
 
 /** One (voltage, frequency) operating point and its consequences. */

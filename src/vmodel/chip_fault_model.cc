@@ -91,6 +91,9 @@ DomainLadders::applyFaults(std::span<std::uint64_t> words,
 namespace
 {
 
+/** Mean number of weak columns per faulty BRAM (at least 1). */
+constexpr double meanWeakColumns = 2.0;
+
 /** A float's bits mapped so unsigned order is numeric order. */
 std::uint32_t
 orderedBits(float value)
@@ -220,9 +223,8 @@ ChipFaultModel::ChipFaultModel(const fpga::PlatformSpec &spec,
         // column mux / sense-amp path, so most weak cells concentrate
         // on a few columns (params.weakColumnShare of them), the rest
         // scatter uniformly.
-        const auto weak_column_count = std::max<std::uint64_t>(
-            1, rng.poisson(std::max(0.0, params.meanWeakColumns - 1.0)) +
-                   1);
+        const std::uint64_t weak_column_count =
+            rng.poisson(meanWeakColumns - 1.0) + 1;
         std::vector<int> weak_columns;
         for (std::uint64_t c = 0; c < weak_column_count; ++c) {
             weak_columns.push_back(static_cast<int>(

@@ -10,6 +10,14 @@
 namespace uvolt::vmodel
 {
 
+namespace
+{
+
+/** Log-normal shape of the per-BRAM vulnerability (heavy tail). */
+constexpr double sigmaLn = 1.6;
+
+} // namespace
+
 std::vector<double>
 latentField(const fpga::PlatformSpec &spec, const fpga::Floorplan &floorplan,
             const VariationParams &params)
@@ -69,7 +77,7 @@ bramVulnerability(const fpga::PlatformSpec &spec,
 
     std::vector<double> raw(count);
     for (std::uint32_t b = 0; b < count; ++b)
-        raw[b] = std::exp(params.sigmaLn * field[b]);
+        raw[b] = std::exp(sigmaLn * field[b]);
 
     // Zero out the least-vulnerable quantile: those BRAMs never fault,
     // even at Vcrash (38.9% of them on VC707).

@@ -29,10 +29,13 @@
 namespace uvolt::vmodel
 {
 
-/** Parameters of the latent vulnerability field. */
+/**
+ * Parameters of the latent vulnerability field: the two the fault-model
+ * ablation varies. The log-normal shape (1.6) and the mean weak-column
+ * count of a faulty BRAM (2) are fixed.
+ */
 struct VariationParams
 {
-    double sigmaLn = 1.6;        ///< log-normal shape (heavy tail)
     double spatialWeight = 0.55; ///< share of variance from the smooth field
 
     /**
@@ -43,9 +46,6 @@ struct VariationParams
      * uniform. Set to 0 for the fully-IID ablation.
      */
     double weakColumnShare = 0.7;
-
-    /** Mean number of weak columns per faulty BRAM (at least 1). */
-    double meanWeakColumns = 2.0;
 };
 
 /**

@@ -469,12 +469,8 @@ TEST(InjectionTest, BoundedByOnePopulation)
 
 TEST(VulnerabilityTest, ReportShapeAndNormalization)
 {
-    InjectionOptions options;
-    options.faultsPerTrial = 300;
-    options.trials = 2;
-    options.evalLimit = 400;
     const auto report =
-        analyzeLayerVulnerability(smallModel(), smallTestSet(), options);
+        analyzeLayerVulnerability(smallModel(), smallTestSet());
 
     ASSERT_EQ(report.size(), smallModel().layers.size());
     double max_norm = 0.0;

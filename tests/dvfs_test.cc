@@ -93,12 +93,10 @@ TEST(DvfsPolicyTest, NeverOverclocks)
 TEST(PerfModelTest, CycleCountMatchesHandMath)
 {
     const auto &spec = fpga::findPlatform("VC707");
-    accel::DatapathConfig config;
-    config.macUnits = 100;
-    config.pipelineDepth = 10;
-    accel::PerfModel perf({20, 50, 10}, spec, 5.0, 0.708, config);
-    // ceil(1000/100) + 10 + ceil(500/100) + 10 = 10+10+5+10 = 35.
-    EXPECT_EQ(perf.cyclesPerInference(), 35u);
+    accel::PerfModel perf({20, 50, 10}, spec, 5.0);
+    // 240 MACs, 12 drain cycles a layer:
+    // ceil(1000/240) + 12 + ceil(500/240) + 12 = 5+12+3+12 = 32.
+    EXPECT_EQ(perf.cyclesPerInference(), 32u);
 }
 
 TEST(PerfModelTest, ThroughputTracksClock)

@@ -346,7 +346,7 @@ TEST(CampaignFacade, MatchesHandWiredSweep)
 TEST(CampaignFacade, CrossProductShapeAndDefaults)
 {
     const FleetPlan plan =
-        Campaign::onPlatforms({"KC705-A", "KC705-B"})
+        Campaign::onDevices({"KC705-A", "KC705-B"})
             .withPattern(PatternSpec::allOnes())
             .withPattern(PatternSpec::fixed(0xAAAA))
             .atTemperatures({30.0, 50.0, 80.0})

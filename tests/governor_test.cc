@@ -205,15 +205,21 @@ TEST(GovernorTest, NeverCommandsBelowFloor)
 {
     auto &w = world();
     w.board.softReset();
-    GovernorConfig config;
-    config.floorMv = w.board.spec().calib.bramVminMv + 30;
-    VoltageGovernor governor(w.board, *w.fvm, {}, config);
+    // Reserve every BRAM but the eight most reliable ones, which never
+    // fault: the canaries stay clean all the way down, so only the
+    // Vcrash floor stops the descent.
+    const auto order = w.fvm->bramsByReliability();
+    ASSERT_EQ(w.fvm->faultsOf(order[7]), 0);
+    const std::vector<std::uint32_t> reserved(order.begin() + 8,
+                                              order.end());
+    VoltageGovernor governor(w.board, *w.fvm, reserved);
     const auto trace = governor.settle();
-    for (const auto &step : trace)
-        EXPECT_GE(step.commandedMv, config.floorMv);
-    // With the floor above Vmin, the canaries never fault.
-    for (const auto &step : trace)
+    const int v_crash = w.board.spec().calib.bramVcrashMv;
+    for (const auto &step : trace) {
+        EXPECT_GE(step.commandedMv, v_crash);
         EXPECT_EQ(step.canaryFaults, 0);
+    }
+    EXPECT_EQ(governor.setpointMv(), v_crash);
     w.board.softReset();
 }
 

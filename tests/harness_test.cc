@@ -434,11 +434,9 @@ TEST(SweepTest, DieToDieDifferenceMatchesFig7)
     Board board_b(fpga::findPlatform("KC705-B"));
     SweepOptions options;
     options.runsPerLevel = 11;
-    options.fromMv = 540;
-    options.downToMv = 540;
+    options.fromMv = 540; // each die's Vcrash: the only level compared
     SweepOptions options_b = options;
     options_b.fromMv = 550;
-    options_b.downToMv = 550;
 
     const SweepResult sweep_a = runCriticalSweep(board_a, options);
     const SweepResult sweep_b = runCriticalSweep(board_b, options_b);

@@ -754,7 +754,7 @@ TEST(SharedPersonality, EverySynthesisFieldKeysItsOwnPersonality)
             bram_seen.insert(pmbus::sharedChipModel(copy).get()).second)
             << "BRAM field " << field;
     vmodel::VariationParams params;
-    params.sigmaLn = ulp_up(params.sigmaLn);
+    params.spatialWeight = ulp_up(params.spatialWeight);
     EXPECT_TRUE(
         bram_seen.insert(pmbus::sharedChipModel(bram, params).get()).second)
         << "BRAM variation params";

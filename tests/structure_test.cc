@@ -151,10 +151,9 @@ TEST(StructureTest, RenderBramMapShowsWeakColumn)
     for (int row = 0; row < 200; ++row)
         faults.push_back({3, static_cast<std::uint16_t>(row), 13, true});
     const StructureReport report = analyzeStructure(faults);
-    const std::string art = renderBramMap(report.perBram.front(), faults,
-                                          128);
-    // 8 bands of 16 chars + newlines.
-    EXPECT_EQ(art.size(), 8u * 17u);
+    const std::string art = renderBramMap(report.perBram.front(), faults);
+    // 32 bands of 16 chars + newlines.
+    EXPECT_EQ(art.size(), 32u * 17u);
     // Column 13 is the third character from the left (cols 15, 14, 13).
     int marked = 0;
     std::size_t line_start = 0;
@@ -163,7 +162,8 @@ TEST(StructureTest, RenderBramMapShowsWeakColumn)
         EXPECT_EQ(art[line_start + 0], '.'); // col 15 clean
         line_start += 17;
     }
-    EXPECT_GE(marked, 2);
+    // Rows 0-199 fill the first seven 32-row bands.
+    EXPECT_EQ(marked, 7);
 }
 
 TEST(StructureTest, EmptyInput)
