@@ -1,9 +1,9 @@
 /**
  * @file
  * The unified benchmark binary: every hot path of the library on one
- * UVOLT_BENCHMARK harness, one results table, and one perf-timeline
- * row (min and median ns per benchmark, plus the machine it ran on)
- * that scripts/check_perf.py gates CI with.
+ * UVOLT_BENCHMARK harness, one results table, and one run record
+ * (min and median ns per benchmark, plus the machine it ran on) that
+ * scripts/check_perf.py gates CI with.
  *
  * Coverage: the sweep inner loop (telemetry off and on), BRAM readback
  * and device-wide fault counting at Vcrash (indexed and first of an
@@ -30,7 +30,7 @@
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
-#include "harness/timeline.hh"
+#include "harness/run_record.hh"
 #include "mem/catalog.hh"
 #include "mem/sweep.hh"
 #include "nn/model_zoo.hh"
@@ -255,7 +255,7 @@ UVOLT_BENCHMARK(BM_MemSweepHbm)
  * What a served HBM/SRAM characterize pays before its first count: a
  * device over the die's shared personality (synthesized once, by the
  * warm-up) plus one fill of its content planes. Report-only: no
- * baseline row.
+ * baseline metric.
  */
 void
 runMakeDevice(bench::State &state, const char *name)
@@ -518,8 +518,8 @@ declareFlags(CliParser &cli)
                   "calibrated minimum time per repeat");
     cli.addString("filter", "", "substring filter on benchmark names");
     cli.addBool("list", "list registered benchmarks and exit");
-    cli.addString("timeline", harness::Timeline::defaultPath(),
-                  "perf-timeline JSONL to append to (\"\" disables)");
+    cli.addString("timeline", harness::defaultTimelinePath(),
+                  "run-record JSONL to append to (\"\" disables)");
 }
 
 } // namespace
@@ -548,21 +548,21 @@ UVOLT_STUDY(bench_all, declareFlags)
     bench::resultsTable(results).print(std::cout);
     writeTelemetryComparison(results);
 
-    // One row per suite run, keyed by benchmark name. It is built after
-    // the timed runs: heap traffic before them moves where the NN
+    // One record per suite run, keyed by benchmark name. It is built
+    // after the timed runs: heap traffic before them moves where the NN
     // benchmarks' buffers land, and with them BM_QuantizeMnistModel's
     // time by about a third. The telemetry benches leave recording off;
-    // the row records the state the process was started with.
+    // the record keeps the state the process was started with.
     telemetry::Telemetry::setEnabled(telemetry_on);
-    harness::TimelineRow row = harness::TimelineRow::start(
+    harness::RunRecord record = harness::RunRecord::start(
         "bench_all",
         strFormat("bench_all;repeats={};min_time_ms={};filter={}",
                   options.repeats, options.minTimeMs, options.filter));
-    row.workers = 1;
-    row.metrics = bench::timelineMetrics(results);
+    record.workers = 1;
+    record.metrics = bench::timelineMetrics(results);
     for (const auto &result : results)
-        row.durationMs += result.wall.medianNs / 1e6;
+        record.durationMs += result.wall.medianNs / 1e6;
     std::printf("\n");
-    harness::Timeline::record(cli.getString("timeline"), row);
+    study::appendRecord(record, cli.getString("timeline"));
     return 0;
 }

@@ -28,10 +28,11 @@
  *      .html as a self-contained flame graph — the README "Profile a
  *      campaign" walkthrough).
  *
- * The run also appends one perf-timeline row (serial/parallel wall
- * clock, speedup, and each profiled frame's <frame>.self_ms) to
+ * The run also appends one run record (serial/parallel wall clock,
+ * speedup, and each profiled frame's <frame>.self_ms) to
  * results/timeline.jsonl so scripts/check_perf.py can flag cross-run
- * drift.
+ * drift; each of its two FleetEngine runs appends its own record to
+ * the ledger.
  */
 
 #include <array>
@@ -43,7 +44,7 @@
 
 #include "harness/campaign.hh"
 #include "harness/report.hh"
-#include "harness/timeline.hh"
+#include "harness/run_record.hh"
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
@@ -57,7 +58,7 @@ UVOLT_STUDY(ext_fleet)
     telemetry::Telemetry::setEnabled(true);
     const auto run_start = std::chrono::steady_clock::now();
     const std::size_t workers = ThreadPool::hardwareWorkers();
-    harness::TimelineRow row = harness::TimelineRow::start(
+    harness::RunRecord record = harness::RunRecord::start(
         "ext_fleet",
         strFormat("ext_fleet;dies=4;patterns=3;sweep=15;workers={}",
                   workers));
@@ -210,16 +211,16 @@ UVOLT_STUDY(ext_fleet)
                     static_cast<double>(frame.total) / 1e6);
     }
 
-    // --- perf timeline row ------------------------------------------------
-    row.workers = workers;
-    row.durationMs = study::msSince(run_start);
-    row.metrics = {{"serial_ms", serial_ms},
-                   {"parallel_ms", parallel_ms},
-                   {"speedup", serial_ms / parallel_ms}};
+    // --- run record ------------------------------------------------------
+    record.workers = workers;
+    record.durationMs = study::msSince(run_start);
+    record.metrics = {{"serial_ms", serial_ms},
+                      {"parallel_ms", parallel_ms},
+                      {"speedup", serial_ms / parallel_ms}};
     for (const auto &frame : profile.topFrames(SIZE_MAX))
-        row.metrics.emplace_back(frame.name + ".self_ms",
-                                 static_cast<double>(frame.self) / 1e6);
-    harness::Timeline::record(harness::Timeline::defaultPath(), row);
+        record.metrics.emplace_back(frame.name + ".self_ms",
+                                    static_cast<double>(frame.self) / 1e6);
+    study::appendRecord(record, harness::defaultTimelinePath());
     std::printf("  pmbus: %llu setpoint writes (%llu retried), link "
                 "retransmits %llu; fleet: %llu jobs, cache hit rate "
                 "above\n",
@@ -236,7 +237,7 @@ UVOLT_STUDY(ext_fleet)
                 ">= 4 cores with\nbit-identical sweeps, and the warm "
                 "cache must serve every die without a\nsingle "
                 "characterization sweep\n");
-    // The speedup is a measurement (table, CSV, timeline row), not a
+    // The speedup is a measurement (table, CSV, run record), not a
     // verdict: a busy host may run the pool slower than the serial run.
     telemetry::Telemetry::setEnabled(telemetry_on);
     return identical ? 0 : 1;

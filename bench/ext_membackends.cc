@@ -18,7 +18,7 @@
  *      function of the catalog specs and the seeded fault
  *      personalities — no wall-clock — so CI compares it byte-for-byte
  *      against the committed golden (goldens/ext_membackends.csv),
- *  (c) one perf-timeline row (serial/parallel wall clock, speedup) is
+ *  (c) one run record (serial/parallel wall clock, speedup) is
  *      appended for scripts/check_perf.py.
  */
 
@@ -27,7 +27,7 @@
 #include <iostream>
 
 #include "harness/campaign.hh"
-#include "harness/timeline.hh"
+#include "harness/run_record.hh"
 #include "mem/catalog.hh"
 #include "util/format.hh"
 #include "util/table.hh"
@@ -45,7 +45,7 @@ const char *const kFleet[] = {"VC707", "HBM2-A", "MORS-SRAM-A"};
 
 UVOLT_STUDY(ext_membackends)
 {
-    harness::TimelineRow row = harness::TimelineRow::start(
+    harness::RunRecord record = harness::RunRecord::start(
         "ext_membackends", "ext_membackends;devices=3;patterns=2;sweep=9");
     const auto run_start = std::chrono::steady_clock::now();
     std::printf("# Extension: heterogeneous memory fleet "
@@ -108,13 +108,13 @@ UVOLT_STUDY(ext_membackends)
     std::printf("\nwrote results/ext_membackends.csv (golden: "
                 "goldens/ext_membackends.csv)\n");
 
-    // --- (c) perf timeline row --------------------------------------------
-    row.workers = 8;
-    row.durationMs = study::msSince(run_start);
-    row.metrics = {{"serial_ms", serial_ms},
-                   {"parallel_ms", parallel_ms},
-                   {"speedup", serial_ms / parallel_ms}};
-    harness::Timeline::record(harness::Timeline::defaultPath(), row);
+    // --- (c) run record ----------------------------------------------------
+    record.workers = 8;
+    record.durationMs = study::msSince(run_start);
+    record.metrics = {{"serial_ms", serial_ms},
+                      {"parallel_ms", parallel_ms},
+                      {"speedup", serial_ms / parallel_ms}};
+    study::appendRecord(record, harness::defaultTimelinePath());
 
     std::printf("\nshape: three technologies through one FleetEngine, "
                 "bit-identical at\n0/1/8 workers; the envelope CSV is "

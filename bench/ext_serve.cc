@@ -21,9 +21,8 @@
  *     must balance: every admitted request was responded to exactly
  *     once, nothing lost, nothing duplicated, and the drained queue is
  *     empty. p50/p99 end-to-end latency and per-request cost go into
- *     the run's perf-timeline row (e2e_p50_ms / e2e_p99_ms /
- *     req_cost_ms), which scripts/check_perf.py holds to the committed
- *     baseline row.
+ *     the run's record (e2e_p50_ms / e2e_p99_ms / req_cost_ms), which
+ *     scripts/check_perf.py holds to the committed baseline record.
  *
  * Exit status is the robustness verdict: nonzero when identity or the
  * exactly-once accounting fails — the CI soak leg runs this binary
@@ -36,10 +35,10 @@
  * (--blackbox-dir; a scripted pressure storm under --noise guarantees
  * at least one degradation dump), the exact self-time profile of the
  * whole run folded from the recorded spans (--profile-out collapsed
- * stacks in ns, --flame-out self-contained flame graph), and a
- * run-ledger manifest recording where all of it went.
+ * stacks in ns, --flame-out self-contained flame graph), and the run
+ * record names where all of it went, with the serve.* counters.
  * scripts/check_trace.py validates the lot in the CI observability
- * leg; the perf-timeline row also carries each profiled frame's
+ * leg; the run record also carries each profiled frame's
  * <frame>.self_ms.
  */
 
@@ -58,9 +57,8 @@
 
 #include "data/synthetic.hh"
 #include "harness/experiment.hh"
-#include "harness/ledger.hh"
 #include "harness/report.hh"
-#include "harness/timeline.hh"
+#include "harness/run_record.hh"
 #include "nn/network.hh"
 #include "pmbus/fault_injector.hh"
 #include "serve/server.hh"
@@ -207,14 +205,12 @@ declareFlags(CliParser &cli)
                   "Prometheus text snapshot (\"\" disables)");
     cli.addString("blackbox-dir", "results",
                   "flight-recorder dump directory (\"\" disables)");
-    cli.addString("ledger-dir", "results/ledger",
-                  "run-manifest directory (\"\" disables)");
     cli.addString("profile-out", "results/profile_ext_serve.folded",
                   "collapsed-stack profile (\"\" writes none)");
     cli.addString("flame-out", "results/profile_ext_serve.html",
                   "flame graph HTML (\"\" disables)");
-    cli.addString("timeline", harness::Timeline::defaultPath(),
-                  "perf-timeline JSONL to append to (\"\" disables)");
+    cli.addString("timeline", harness::defaultTimelinePath(),
+                  "run-record JSONL to append to (\"\" disables)");
 }
 
 } // namespace
@@ -227,7 +223,7 @@ UVOLT_STUDY(ext_serve, declareFlags)
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     const bool noisy = cli.getBool("noise");
     const double noise_p = cli.getDouble("noise-p");
-    harness::TimelineRow row = harness::TimelineRow::start(
+    harness::RunRecord record = harness::RunRecord::start(
         "ext_serve",
         strFormat("serve;requests={};clients={};workers={};queue={};"
                   "noisy={};seed={}",
@@ -447,7 +443,7 @@ UVOLT_STUDY(ext_serve, declareFlags)
                                                      total.errors),
                      depth_after_drain);
 
-    // --- observability artifacts + run ledger ----------------------------
+    // --- observability artifacts ------------------------------------------
     const std::string trace_out = cli.getString("trace-out");
     const std::string prom_out = cli.getString("prom-out");
     if (!trace_out.empty() && harness::writeChromeTrace(trace_out))
@@ -479,45 +475,19 @@ UVOLT_STUDY(ext_serve, declareFlags)
             std::printf("flame graph -> %s\n", flame_out.c_str());
     }
 
-    const std::string ledger_dir = cli.getString("ledger-dir");
-    if (!ledger_dir.empty()) {
-        harness::RunManifest manifest;
-        manifest.tool = "UvoltServer";
-        manifest.gitSha = row.gitSha;
-        manifest.startedAtIso = row.startedAtIso;
-        manifest.configDigest = row.configDigest;
-        manifest.runId = strFormat(
-            "{}-{}", manifest.configDigest.substr(0, 8),
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::system_clock::now().time_since_epoch())
-                .count());
-        manifest.workers = static_cast<std::uint64_t>(
-            cli.getInt("workers"));
-        manifest.durationMs = load_ms;
-        manifest.artifacts.push_back("results/ext_serve.csv");
-        manifest.tracePath = trace_out;
-        manifest.prometheusPath = prom_out;
-        manifest.blackboxPaths = blackboxes;
-        for (const auto &[name, value] :
-             telemetry::Registry::global().metrics().counters) {
-            if (name.rfind("serve.", 0) == 0)
-                manifest.counters.emplace_back(name, value);
-        }
-        if (auto recorded =
-                harness::Ledger(ledger_dir).record(manifest);
-            !recorded.ok()) {
-            std::fprintf(stderr, "ledger: %s\n",
-                         recorded.error().message.c_str());
-        } else {
-            std::printf("manifest -> %s/run_manifest.json\n",
-                        ledger_dir.c_str());
-        }
+    // --- run record --------------------------------------------------------
+    record.workers = static_cast<std::uint64_t>(cli.getInt("workers"));
+    record.durationMs = load_ms;
+    record.artifacts.push_back("results/ext_serve.csv");
+    record.tracePath = trace_out;
+    record.prometheusPath = prom_out;
+    record.blackboxPaths = blackboxes;
+    for (const auto &[name, value] :
+         telemetry::Registry::global().metrics().counters) {
+        if (name.rfind("serve.", 0) == 0)
+            record.counters.emplace_back(name, value);
     }
-
-    // --- perf timeline row ------------------------------------------------
-    row.workers = static_cast<std::uint64_t>(cli.getInt("workers"));
-    row.durationMs = load_ms;
-    row.metrics = {
+    record.metrics = {
         {"e2e_p50_ms", p50_ms},
         {"e2e_p99_ms", p99_ms},
         {"req_cost_ms",
@@ -525,9 +495,9 @@ UVOLT_STUDY(ext_serve, declareFlags)
                          : 0.0},
         {"throughput_rps", throughput}};
     for (const auto &frame : profile.topFrames(SIZE_MAX))
-        row.metrics.emplace_back(frame.name + ".self_ms",
-                                 static_cast<double>(frame.self) / 1e6);
-    harness::Timeline::record(cli.getString("timeline"), row);
+        record.metrics.emplace_back(frame.name + ".self_ms",
+                                    static_cast<double>(frame.self) / 1e6);
+    study::appendRecord(record, cli.getString("timeline"));
 
     std::printf("shape: every admitted request answered exactly once, "
                 "queue drained to\nempty, and the noisy identity run "

@@ -14,6 +14,7 @@
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
+#include "util/format.hh"
 #include "util/table.hh"
 #include "study.hh"
 
@@ -70,8 +71,7 @@ UVOLT_STUDY(fig07_fvm_die2die)
     for (std::uint32_t b = 0; b < map_a.bramCount() && listed < 5; ++b) {
         if (map_a.faultsOf(b) >= 20 && map_b.faultsOf(b) == 0) {
             const fpga::Site site = plan.siteOf(b);
-            examples.addRow({"(" + std::to_string(site.y) + "," +
-                                 std::to_string(site.x) + ")",
+            examples.addRow({strFormat("({},{})", site.y, site.x),
                              std::to_string(map_a.faultsOf(b)),
                              std::to_string(map_b.faultsOf(b))});
             ++listed;

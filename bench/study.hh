@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <string>
 
 #include "harness/fleet.hh"
+#include "harness/run_record.hh"
 #include "util/cli.hh"
 
 namespace uvolt::study
@@ -59,6 +62,23 @@ sameFleet(const harness::FleetResult &a, const harness::FleetResult &b)
                       b.jobs.end(), [](const auto &p, const auto &q) {
                           return sameSweep(p.sweep, q.sweep);
                       });
+}
+
+/**
+ * Append @a record to the run-record file at @a path ("" appends
+ * nothing) and say where on stdout.
+ */
+inline void
+appendRecord(const harness::RunRecord &record, const std::string &path)
+{
+    if (path.empty())
+        return;
+    if (auto appended = record.append(path); !appended.ok())
+        std::fprintf(stderr, "run record: %s\n",
+                     appended.error().message.c_str());
+    else
+        std::printf("run record: appended run %s -> %s\n",
+                    record.runId.c_str(), path.c_str());
 }
 
 } // namespace uvolt::study

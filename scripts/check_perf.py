@@ -1,29 +1,31 @@
 #!/usr/bin/env python3
-"""The perf gate over one uvolt-timeline-v2 history.
+"""The perf gate over one history of uvolt-run-v1 run records.
 
 Usage:
     scripts/check_perf.py HISTORY.jsonl [--warn-only]
     scripts/check_perf.py --selftest
 
 HISTORY is the committed seed (bench/timeline_seed.jsonl) followed by
-the rows fresh runs appended (bench_all, ext_serve, ext_fleet and
-ext_membackends each append one per run). The newest row of every tool
-goes through two checks in one pass:
+the records fresh runs appended (bench_all, ext_serve, ext_fleet and
+ext_membackends each append one per run to the timeline; a FleetEngine
+appends one per run to its ledger's runs.jsonl). Every line must be a
+uvolt-run-v1 record (src/harness/run_record.hh), or the exit status is
+2. The newest record of every tool goes through two checks in one pass:
 
-  floor  Against the tool's baseline row ("baseline": true). Every
-         metric the baseline row carries fails when
+  floor  Against the tool's baseline record ("baseline": true). Every
+         metric the baseline record carries fails when
 
              newest > baseline * (1 + tolerance)
 
          with tolerance 0.5 (a 50 % slack for machine-to-machine
          noise; an injected 2x slowdown still trips it) unless
          DEFAULT_OVERRIDES below says otherwise. The floor applies
-         whatever machine either row came from. A zero baseline is
+         whatever machine either record came from. A zero baseline is
          skipped with a warning.
 
-  drift  Against the tool's earlier rows whose machine digest matches
-         the newest row's (CPU, cores, ISA, compiler, build flags,
-         telemetry state). Per metric:
+  drift  Against the tool's earlier records whose machine digest
+         matches the newest record's (CPU, cores, ISA, compiler, build
+         flags, telemetry state). Per metric:
            step   the newest value is a robust-z outlier against its
                   history, |x - median| / (1.4826 * MAD) > 3.5, AND it
                   moved more than 5 % (so a tight series with
@@ -35,8 +37,9 @@ goes through two checks in one pass:
                   than 10 % from the median of its oldest half.
          Latency/cost metrics fail upward; metrics naming "speedup",
          "throughput" or "rps" fail downward. A metric with fewer than
-         5 comparable rows is warming up and not gated; a tool with no
-         earlier row on its machine prints "no comparable history".
+         5 comparable records is warming up and not gated; a tool with
+         no earlier record on its machine prints "no comparable
+         history". A record without metrics (a FleetEngine's) passes.
 
 Exit status: 0 clean, 1 regression or drift, 2 bad input. --warn-only
 reports but exits 0 (sanitizer builds, whose timings mean nothing).
@@ -49,7 +52,7 @@ import json
 import os
 import sys
 
-SCHEMA = "uvolt-timeline-v2"
+SCHEMA = "uvolt-run-v1"
 SEED = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "bench", "timeline_seed.jsonl")
 
@@ -166,35 +169,35 @@ def bad_input(message):
     sys.exit(2)
 
 
-def load_rows(path):
-    """Every row of a timeline file, oldest first."""
+def load_records(path):
+    """Every record of a history file, oldest first."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as err:
         bad_input(f"cannot read '{path}': {err}")
-    rows = []
+    records = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            record = json.loads(line)
         except json.JSONDecodeError as err:
             bad_input(f"{path}:{number}: {err}")
-        if not isinstance(row, dict) or row.get("schema") != SCHEMA:
-            bad_input(f"{path}:{number}: not a {SCHEMA} row")
-        rows.append(row)
-    return rows
+        if not isinstance(record, dict) or record.get("schema") != SCHEMA:
+            bad_input(f"{path}:{number}: not a {SCHEMA} record")
+        records.append(record)
+    return records
 
 
-def metrics_of(row):
+def metrics_of(record):
     return {name: float(value)
-            for name, value in row.get("metrics", {}).items()
+            for name, value in record.get("metrics", {}).items()
             if isinstance(value, (int, float))}
 
 
-def digest_of(row):
-    return row.get("machine", {}).get("digest", "unknown")
+def digest_of(record):
+    return record.get("machine", {}).get("digest", "unknown")
 
 
 def fmt(value):
@@ -213,7 +216,7 @@ def table_lines(rows):
 
 
 def check_floor(tool, baseline, newest, out, problems):
-    """The newest row against its tool's baseline row."""
+    """The newest record against its tool's baseline record."""
     out.append(f"# floor: {tool} run {newest.get('run_id', '?')} vs "
                f"baseline {baseline.get('git_sha', '?')}")
     base_metrics = metrics_of(baseline)
@@ -225,7 +228,7 @@ def check_floor(tool, baseline, newest, out, problems):
         tolerance = DEFAULT_OVERRIDES.get(name, DEFAULT_TOLERANCE)
         if name not in new_metrics:
             notes.append(f"note: {tool}/{name} is missing from the "
-                         f"newest row (not gated)")
+                         f"newest record (not gated)")
             continue
         cand = new_metrics[name]
         if base <= 0.0:
@@ -247,10 +250,9 @@ def check_floor(tool, baseline, newest, out, problems):
 
 
 def check_drift(tool, earlier, newest, out, problems):
-    """The newest row against the tool's same-machine history."""
+    """The newest record against the tool's same-machine history."""
     digest = digest_of(newest)
-    history = [metrics_of(row) for row in earlier
-               if digest_of(row) == digest]
+    history = [metrics_of(r) for r in earlier if digest_of(r) == digest]
     if not history:
         out.append(f"# drift: {tool}: no comparable history for "
                    f"{digest}")
@@ -272,24 +274,24 @@ def check_drift(tool, earlier, newest, out, problems):
             problems.append(f"DRIFT [{kind}] {tool}/{metric}: {detail}")
 
 
-def gate(rows):
+def gate(records):
     """(report lines, problems) for a whole history."""
     out, problems = [], []
-    tools = list(dict.fromkeys(row.get("tool", "?") for row in rows))
+    tools = list(dict.fromkeys(r.get("tool", "?") for r in records))
     for tool in tools:
-        own = [row for row in rows if row.get("tool", "?") == tool]
-        runs = [i for i, row in enumerate(own) if not row.get("baseline")]
+        own = [r for r in records if r.get("tool", "?") == tool]
+        runs = [i for i, r in enumerate(own) if not r.get("baseline")]
         if not runs:
             continue
         newest = own[runs[-1]]
-        baselines = [row for row in own if row.get("baseline")]
+        baselines = [r for r in own if r.get("baseline")]
         if baselines:
             check_floor(tool, baselines[-1], newest, out, problems)
         check_drift(tool, own[:runs[-1]], newest, out, problems)
     return out, problems
 
 
-def synthetic_row(tool, metrics, digest="machine-a", baseline=False):
+def synthetic_record(tool, metrics, digest="machine-a", baseline=False):
     return {"schema": SCHEMA, "tool": tool, "run_id": "selftest",
             "machine": {"digest": digest}, "baseline": baseline,
             "metrics": metrics}
@@ -318,10 +320,10 @@ def selftest():
 
     # -- the floor and its tolerances ---------------------------------
     def floor_case(name, tool, metric, ratio, expected):
-        rows = [synthetic_row(tool, {metric: 100.0}, "seed-machine",
-                              baseline=True),
-                synthetic_row(tool, {metric: 100.0 * ratio})]
-        _, problems = gate(rows)
+        records = [synthetic_record(tool, {metric: 100.0}, "seed-machine",
+                                    baseline=True),
+                   synthetic_record(tool, {metric: 100.0 * ratio})]
+        _, problems = gate(records)
         cases.append((name, expected, len(problems),
                       "; ".join(problems) or "within tolerance"))
 
@@ -333,12 +335,12 @@ def selftest():
     floor_case("floor-default-ok", "bench_all",
                "BM_KMeansClustering.min_ns", 1.49, 0)
 
-    # -- drift compares only rows of the same machine -----------------
-    history = [synthetic_row("ext_fleet", {"serial_ms": value})
+    # -- drift compares only records of the same machine --------------
+    history = [synthetic_record("ext_fleet", {"serial_ms": value})
                for value in flat[:9]]
     for name, digest, expected in [("step-foreign", "machine-b", 0),
                                    ("step-same", "machine-a", 1)]:
-        newest = synthetic_row("ext_fleet", {"serial_ms": 120.0}, digest)
+        newest = synthetic_record("ext_fleet", {"serial_ms": 120.0}, digest)
         out, problems = gate(history + [newest])
         detail = "; ".join(problems) or "clean"
         if expected == 0 and not any(
@@ -348,8 +350,8 @@ def selftest():
         cases.append((name, expected, len(problems), detail))
 
     # -- the committed seed gates exactly the expected quantities -----
-    seed = {row["tool"]: metrics_of(row) for row in load_rows(SEED)
-            if row.get("baseline")}
+    seed = {r["tool"]: metrics_of(r) for r in load_records(SEED)
+            if r.get("baseline")}
     bench = seed.get("bench_all", {})
     serve = seed.get("ext_serve", {})
     pinned = (len(bench) == 22 and
@@ -378,7 +380,7 @@ def main():
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("history", nargs="?",
-                        help="uvolt-timeline-v2 JSONL history")
+                        help="uvolt-run-v1 JSONL history")
     parser.add_argument("--warn-only", action="store_true",
                         help="report problems but exit 0")
     parser.add_argument("--selftest", action="store_true",
@@ -391,11 +393,11 @@ def main():
     if not args.history:
         parser.error("a history file is required")
 
-    rows = load_rows(args.history)
-    if not rows:
-        print("empty timeline: nothing to gate")
+    records = load_records(args.history)
+    if not records:
+        print("empty history: nothing to gate")
         return 0
-    out, problems = gate(rows)
+    out, problems = gate(records)
     print("\n".join(out))
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -40,8 +40,12 @@ echo "== examples smoke: quickstart, characterize_board, fvm_cache, heat_chamber
 # FVM disk cache and temperature paths end to end (each well under a
 # second). fvm_cache runs twice: the second run must load the FVM the
 # first one stored. They run from a scratch directory so nothing lands
-# in the tree, with the run ledger under build/ and the committed model
-# cache (fvm_cache deploys the cached Forest model).
+# in the tree, with the run ledger under build/ and the repo's model
+# cache, uvolt_model_cache/ (git-ignored: the first run that needs a
+# model trains it there; fvm_cache deploys the cached Forest model).
+# scripts/check_perf.py then reads the FleetEngine run records the
+# examples appended to the ledger's runs.jsonl: it exits 2 on any line
+# that is not a record of its schema.
 examples_dir="$PWD/build/examples_smoke"
 rm -rf "$examples_dir" && mkdir -p "$examples_dir"
 (cd "$examples_dir" &&
@@ -58,23 +62,25 @@ rm -rf "$examples_dir" && mkdir -p "$examples_dir"
         --dir "$examples_dir/fvm" > fvm_cache_warm.txt &&
     grep -q 'cache hit' fvm_cache_warm.txt &&
     "$OLDPWD/build/examples/heat_chamber" --runs 5 > heat_chamber.txt)
+python3 scripts/check_perf.py --warn-only "$examples_dir/ledger/runs.jsonl" \
+    > "$examples_dir/check_perf.txt"
 echo "examples ran clean"
 
 echo "== perf gate: bench_all + ext_serve vs baseline and history =="
-# One history: the committed seed (one baseline row per gated tool)
-# plus this run's fresh perf-timeline rows. scripts/check_perf.py holds
-# each tool's newest row to its baseline row (min ns per benchmark;
+# One history: the committed seed (one baseline record per gated tool)
+# plus this run's fresh run records. scripts/check_perf.py holds each
+# tool's newest record to its baseline record (min ns per benchmark;
 # ext_serve's p50, p99 and req-cost; per-metric tolerance widenings
 # live in its DEFAULT_OVERRIDES, since tail latency is noisier than a
-# calibrated micro-bench minimum) and, strictly, to the earlier rows
-# from the same machine digest (robust-z steps, EWMA creep); rows from
-# another machine or build are never compared. ext_serve's exit code
+# calibrated micro-bench minimum) and, strictly, to the earlier records
+# from the same machine digest (robust-z steps, EWMA creep); records
+# from another machine or build are never compared. ext_serve's exit code
 # is the serving daemon's identity phase (injector on vs off must be
 # bit-identical) and exactly-once ledger. Reduced repeats keep the leg
 # fast; the floor metric is the min across repeats, which converges
 # quickly. To refresh a baseline, run the tool with --timeline on the
-# host that owns the baseline, set "baseline": true on the new row,
-# and let it replace the tool's baseline row in
+# host that owns the baseline, set "baseline": true on the new record,
+# and let it replace the tool's baseline record in
 # bench/timeline_seed.jsonl.
 perf_history="build/perf_history.jsonl"
 cp bench/timeline_seed.jsonl "$perf_history"
@@ -97,15 +103,14 @@ UVOLT_TELEMETRY=ON ./build/bench/uvolt_bench ext_serve --noise --skip-identity \
     --trace-out "$obs_dir/trace.json" \
     --prom-out "$obs_dir/metrics.prom" \
     --blackbox-dir "$obs_dir" \
-    --ledger-dir "$obs_dir/ledger" \
     --profile-out "" --timeline "" > /dev/null
 python3 scripts/check_trace.py "$obs_dir/trace.json" --min-flows 100 \
     --prometheus "$obs_dir/metrics.prom" \
     --blackbox "$obs_dir/blackbox_degraded.json"
 # The fleet side: ext_fleet records every job as one flow (submit,
 # queue wait, done) and writes its metrics snapshot as Prometheus text.
-# It runs from a scratch directory so its results/, ledger and timeline
-# row stay under build/.
+# It runs from a scratch directory so its results/, ledger and run
+# record stay under build/.
 fleet_obs_dir="$PWD/$obs_dir/fleet"
 mkdir -p "$fleet_obs_dir"
 (cd "$fleet_obs_dir" &&
@@ -130,7 +135,7 @@ UVOLT_TELEMETRY=ON ./build/bench/uvolt_bench ext_serve \
     --profile-out "$prof_dir/profile_ext_serve.folded" \
     --flame-out "$prof_dir/profile_ext_serve.html" \
     --timeline "" --trace-out "" --prom-out "" --blackbox-dir "" \
-    --ledger-dir "" > /dev/null
+    > /dev/null
 test -s "$prof_dir/profile_ext_serve.folded"
 test -s "$prof_dir/profile_ext_serve.html"
 grep -q 'id="graph"' "$prof_dir/profile_ext_serve.html"
@@ -281,14 +286,14 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # build is fast enough to run the four suites that exercise every one
 # of those paths on each CI pass — ASan's memory instrumentation isn't
 # needed here and would double the leg. The flavor also checks float
-# casts, so the timeline and ledger suites ride along for their
-# writers' number formatting.
+# casts, so the run-record suite rides along for its writer's number
+# formatting.
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
     --target fpga_test vmodel_test harness_test membackend_test \
-    timeline_test report_test
+    run_record_test report_test
 for suite in fpga_test vmodel_test harness_test membackend_test \
-        timeline_test report_test; do
+        run_record_test report_test; do
     UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$suite"
 done
 

@@ -230,6 +230,9 @@ renderImage(const MnistDraws &draws, const MnistOptions &options,
     }
 }
 
+/** Share of a Reuters-like document's words drawn from its class topic. */
+constexpr double reutersTopicWeight = 0.40;
+
 } // namespace
 
 Dataset
@@ -307,7 +310,7 @@ makeForestLike(std::size_t count, std::uint64_t seed)
 }
 
 Dataset
-makeReutersLike(std::size_t count, std::uint64_t seed, double topic_weight)
+makeReutersLike(std::size_t count, std::uint64_t seed)
 {
     Dataset set("reuters-like", reutersVocab, reutersClasses);
     // Topic structure is corpus-fixed (see makeForestLike).
@@ -386,7 +389,7 @@ makeReutersLike(std::size_t count, std::uint64_t seed, double topic_weight)
         std::fill(sample.begin(), sample.end(), 0.0f);
         const auto length = 25 + rng.poisson(35.0);
         for (std::uint64_t w = 0; w < length; ++w) {
-            const bool topical = rng.chance(topic_weight);
+            const bool topical = rng.chance(reutersTopicWeight);
             const int word = draw_word(
                 rng, topical
                     ? topic_cdfs[static_cast<std::size_t>(label)]

@@ -85,12 +85,11 @@ constexpr int reutersVocab = 600;
 constexpr int reutersClasses = 8;
 
 /**
- * Generate a Reuters-like bag-of-words dataset.
- * @param topic_weight share of each document drawn from its class topic
- *        (the remainder comes from a shared background distribution)
+ * Generate a Reuters-like bag-of-words dataset. Each word comes from
+ * the document's class topic with probability 0.40 and from a shared
+ * background distribution otherwise.
  */
-Dataset makeReutersLike(std::size_t count, std::uint64_t seed,
-                        double topic_weight = 0.40);
+Dataset makeReutersLike(std::size_t count, std::uint64_t seed);
 
 } // namespace uvolt::data
 

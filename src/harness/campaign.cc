@@ -1,6 +1,6 @@
 #include "harness/campaign.hh"
 
-#include "harness/ledger.hh"
+#include "harness/run_record.hh"
 #include "util/logging.hh"
 
 namespace uvolt::harness
@@ -8,7 +8,7 @@ namespace uvolt::harness
 
 Campaign::Campaign()
 {
-    options_.ledgerDir = Ledger::defaultDirectory();
+    options_.ledgerDir = defaultLedgerDir();
 }
 
 Campaign

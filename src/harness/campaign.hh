@@ -86,10 +86,11 @@ class Campaign
     Campaign &cacheInto(FvmCache &cache);
 
     /**
-     * Archive a run-provenance manifest here after every successful
-     * run (default: Ledger::defaultDirectory(), i.e. results/ledger or
-     * $UVOLT_LEDGER_DIR). Pass "" to disable the ledger — hot loops
-     * that run thousands of tiny campaigns (benchmarks) want that.
+     * Append each successful run's "uvolt-run-v1" record to
+     * <directory>/runs.jsonl (default: defaultLedgerDir(), i.e.
+     * results/ledger or $UVOLT_LEDGER_DIR). Pass "" to disable the
+     * ledger — hot loops that run thousands of tiny campaigns
+     * (benchmarks) want that.
      */
     Campaign &ledgerUnder(std::string directory);
 
@@ -103,7 +104,7 @@ class Campaign
     Expected<FleetResult> run(ThreadPool &pool) const;
 
   private:
-    Campaign(); ///< defaults the ledger to Ledger::defaultDirectory()
+    Campaign(); ///< defaults the ledger to defaultLedgerDir()
 
     std::vector<std::string> platforms_;
     std::vector<PatternSpec> patterns_;

@@ -11,8 +11,7 @@
 #include "fpga/platform.hh"
 #include "harness/checkpoint.hh"
 #include "harness/fvm_io.hh"
-#include "harness/ledger.hh"
-#include "harness/timeline.hh"
+#include "harness/run_record.hh"
 #include "mem/bram_backend.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -561,54 +560,45 @@ canonicalPlan(const FleetPlan &plan)
     return canonical;
 }
 
-/** Archive a finished run's provenance; failures warn, never fail. */
+/** Append a finished run's record to the ledger; failures warn. */
 void
-recordManifest(const FleetOptions &options, const FleetPlan &plan,
-               const FleetResult &result, std::size_t workers,
-               double duration_ms)
+recordRun(const FleetOptions &options, const FleetPlan &plan,
+          const FleetResult &result, std::size_t workers,
+          double duration_ms)
 {
-    RunManifest manifest;
-    manifest.gitSha = buildGitSha();
-    manifest.startedAtIso = nowIso8601();
-    manifest.configDigest = configDigest(canonicalPlan(plan));
-    manifest.runId = strFormat(
-        "{}-{}", manifest.configDigest.substr(0, 8),
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
+    RunRecord record = RunRecord::start("FleetEngine", canonicalPlan(plan));
+    record.workers = workers;
+    record.durationMs = duration_ms;
+    RunRecord::Fleet &fleet = record.fleet.emplace();
+    fleet.runsPerLevel = plan.runsPerLevel;
+    fleet.stepMv = plan.stepMv;
+    fleet.collectPerBram = plan.collectPerBram;
+    fleet.discoverRegions = plan.discoverRegions;
+    fleet.maxAttemptsPerJob = attemptsPerJob;
     for (const auto &job : plan.jobs) {
-        manifest.jobLabels.push_back(job.label());
-        manifest.noiseSeeds.push_back(job.noise ? job.noise->seed : 0);
-        manifest.backends.push_back(mem::technologyName(
-            mem::technologyOfName(job.platform)));
+        fleet.jobs.push_back(
+            {job.label(), job.noise ? job.noise->seed : 0,
+             mem::technologyName(mem::technologyOfName(job.platform))});
     }
-    manifest.runsPerLevel = plan.runsPerLevel;
-    manifest.stepMv = plan.stepMv;
-    manifest.collectPerBram = plan.collectPerBram;
-    manifest.discoverRegions = plan.discoverRegions;
-    manifest.maxAttemptsPerJob = attemptsPerJob;
-    manifest.workers = workers;
-    manifest.durationMs = duration_ms;
-    manifest.jobRetries = result.jobRetries;
-    manifest.crashRecoveries = result.resilience.crashRecoveries;
-    manifest.checkpointResumes = result.resilience.checkpointResumes;
+    fleet.jobRetries = result.jobRetries;
+    fleet.crashRecoveries = result.resilience.crashRecoveries;
+    fleet.checkpointResumes = result.resilience.checkpointResumes;
     for (const auto &die : result.dies)
-        manifest.dieRates.emplace_back(die.platform,
-                                       die.faultsPerMbitAtVcrash);
+        fleet.dieRates.emplace_back(die.platform, die.faultsPerMbitAtVcrash);
     if (!options.checkpointDir.empty())
-        manifest.artifacts.push_back(options.checkpointDir);
+        record.artifacts.push_back(options.checkpointDir);
     if (options.fvmCache)
-        manifest.artifacts.push_back(options.fvmCache->directory());
-    manifest.blackboxPaths = blackbox::dumps();
+        record.artifacts.push_back(options.fvmCache->directory());
+    record.blackboxPaths = blackbox::dumps();
     for (const auto &[name, value] :
          telemetry::Registry::global().metrics().counters) {
         if (value)
-            manifest.counters.emplace_back(name, value);
+            record.counters.emplace_back(name, value);
     }
 
-    const Ledger ledger(options.ledgerDir);
-    if (auto recorded = ledger.record(manifest); !recorded.ok())
-        warnc("ledger", "{}", recorded.error().message);
+    if (auto appended = record.append(options.ledgerDir + "/runs.jsonl");
+        !appended.ok())
+        warnc("ledger", "{}", appended.error().message);
 }
 
 } // namespace
@@ -766,8 +756,7 @@ FleetEngine::run(const FleetPlan &plan, ThreadPool &pool)
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - run_start)
                 .count();
-        recordManifest(options_, plan, result, pool.workerCount(),
-                       duration_ms);
+        recordRun(options_, plan, result, pool.workerCount(), duration_ms);
     }
     return result;
 }

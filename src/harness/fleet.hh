@@ -293,10 +293,11 @@ struct FleetOptions
 
     /**
      * Run-provenance ledger directory ("" = no ledger). A successful
-     * run archives a "uvolt-run-manifest-v1" document here — config
-     * digest, seeds, worker count, duration, telemetry counters — as
-     * both run_manifest.json (latest) and <run_id>.json (history).
-     * The Campaign facade defaults this to Ledger::defaultDirectory().
+     * run appends one "uvolt-run-v1" record (harness/run_record.hh) to
+     * <dir>/runs.jsonl: config digest, machine, plan and noise seeds,
+     * worker count, duration, execution counters, per-die rates and
+     * telemetry counters. The Campaign facade defaults this to
+     * defaultLedgerDir().
      */
     std::string ledgerDir;
 };

@@ -16,6 +16,12 @@ constexpr double vthV = 0.35;
 /** Velocity-saturation exponent of the alpha-power law (28 nm). */
 constexpr double alpha = 1.3;
 
+/** Dynamic share of logic power at (Vnom, Fnom) (28 nm logic). */
+constexpr double dynamicFraction = 0.6;
+
+/** Exponential leakage slope of logic power, 1/V (28 nm). */
+constexpr double leakageSlope = 6.0;
+
 } // namespace
 
 TimingModel::TimingModel(double fmax_nom_mhz) : fmaxNomMhz_(fmax_nom_mhz)
@@ -41,25 +47,20 @@ TimingModel::fmaxMhz(double volts) const
     return fmaxNomMhz_ / relativeDelay(volts);
 }
 
-LogicPowerModel::LogicPowerModel(double nominal_w, double fnom_mhz,
-                                 double dynamic_fraction,
-                                 double leakage_slope)
-    : nominalW_(nominal_w), fnomMhz_(fnom_mhz),
-      dynamicFraction_(dynamic_fraction), leakageSlope_(leakage_slope)
+LogicPowerModel::LogicPowerModel(double nominal_w, double fnom_mhz)
+    : nominalW_(nominal_w), fnomMhz_(fnom_mhz)
 {
     if (nominal_w <= 0.0 || fnom_mhz <= 0.0)
         fatal("LogicPowerModel needs positive power and clock");
-    if (dynamic_fraction < 0.0 || dynamic_fraction > 1.0)
-        fatal("dynamic fraction {} outside [0, 1]", dynamic_fraction);
 }
 
 double
 LogicPowerModel::watts(double vcc_int_v, double clock_mhz) const
 {
-    const double dynamic = dynamicFraction_ * vcc_int_v * vcc_int_v *
+    const double dynamic = dynamicFraction * vcc_int_v * vcc_int_v *
         clock_mhz / fnomMhz_;
-    const double leakage = (1.0 - dynamicFraction_) *
-        std::exp(-leakageSlope_ * (1.0 - vcc_int_v));
+    const double leakage = (1.0 - dynamicFraction) *
+        std::exp(-leakageSlope * (1.0 - vcc_int_v));
     return nominalW_ * (dynamic + leakage);
 }
 

@@ -60,7 +60,8 @@ struct OperatingPoint
 /**
  * Logic ("rest of chip") power under scaled voltage and frequency:
  * dynamic CV^2 f plus exponential leakage, normalized to the design's
- * nominal logic power.
+ * nominal logic power. The dynamic share at nominal (0.6) and the
+ * leakage slope (6 /V) are 28 nm constants of dvfs.cc.
  */
 class LogicPowerModel
 {
@@ -68,12 +69,8 @@ class LogicPowerModel
     /**
      * @param nominal_w logic power at (Vnom, Fnom)
      * @param fnom_mhz nominal clock
-     * @param dynamic_fraction dynamic share at nominal (~0.6 for logic)
-     * @param leakage_slope exponential leakage slope (1/V)
      */
-    LogicPowerModel(double nominal_w, double fnom_mhz,
-                    double dynamic_fraction = 0.6,
-                    double leakage_slope = 6.0);
+    LogicPowerModel(double nominal_w, double fnom_mhz);
 
     /** Power at an operating point, watts. */
     double watts(double vcc_int_v, double clock_mhz) const;
@@ -81,8 +78,6 @@ class LogicPowerModel
   private:
     double nominalW_;
     double fnomMhz_;
-    double dynamicFraction_;
-    double leakageSlope_;
 };
 
 /**

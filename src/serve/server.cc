@@ -5,7 +5,7 @@
 
 #include "fpga/floorplan.hh"
 #include "harness/fvm.hh"
-#include "harness/ledger.hh"
+#include "harness/run_record.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"

@@ -26,10 +26,10 @@
  * per sweep pass) — free provenance when telemetry is enabled, all
  * zeros when it is off.
  *
- * A suite run is recorded as one perf-timeline row
- * (harness/timeline.hh) whose metrics timelineMetrics() names:
- * "<bench>.min_ns" and "<bench>.median_ns" per benchmark. The row
- * carries the machine and build; scripts/check_perf.py gates it.
+ * A suite run is recorded as one run record (harness/run_record.hh)
+ * whose metrics timelineMetrics() names: "<bench>.min_ns" and
+ * "<bench>.median_ns" per benchmark. The record carries the machine
+ * and build; scripts/check_perf.py gates it.
  */
 
 #ifndef UVOLT_UTIL_BENCH_HH

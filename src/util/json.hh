@@ -3,9 +3,9 @@
  * JSON string escaping for the writers.
  *
  * The observability layer emits several JSON artifacts (Chrome traces,
- * perf-timeline rows, run manifests, flight-recorder black boxes). The
- * toolchain ships no JSON library, so this header provides the one
- * piece every writer needs: RFC 8259 string escaping. The library
+ * run records, black boxes). The toolchain ships no JSON library, so
+ * this header provides the one piece every writer needs: RFC 8259
+ * string escaping. The library
  * reads none of these documents back; scripts/check_perf.py and
  * scripts/check_trace.py are their readers.
  */

@@ -4,7 +4,7 @@
  * synthetic vectors (including the empty and single-repeat edge cases),
  * the UVOLT_BENCHMARK registration macro, runOne() calibration and
  * result fields, telemetry counter-delta capture around the timed
- * repeats, and a parse-back of a bench_all-style perf-timeline row
+ * repeats, and a parse-back of a bench_all-style run record
  * (min and median per benchmark, machine block, git SHA) through the
  * repo's own JSON parser.
  */
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/timeline.hh"
+#include "harness/run_record.hh"
 #include "util/bench.hh"
 #include "json_value.hh"
 #include "util/telemetry.hh"
@@ -207,23 +207,23 @@ TEST(BenchJson, ParsesBackThroughTheRepoParser)
 {
     BenchOptions options = quickOptions();
     options.filter = "BM_Test";
-    harness::TimelineRow row =
-        harness::TimelineRow::start("bench_all", "bench_test");
+    harness::RunRecord record =
+        harness::RunRecord::start("bench_all", "bench_test");
     const std::vector<BenchResult> results =
         Registry::global().runAll(options);
     ASSERT_EQ(results.size(), 2u);
-    row.metrics = timelineMetrics(results);
+    record.metrics = timelineMetrics(results);
 
-    const auto doc = json::Value::parse(row.toJsonLine());
+    const auto doc = json::Value::parse(record.toJsonLine());
     ASSERT_TRUE(doc.ok()) << doc.error().message;
     const json::Value &root = doc.value();
-    EXPECT_EQ(root.stringOr("schema", ""), "uvolt-timeline-v2");
+    EXPECT_EQ(root.stringOr("schema", ""), "uvolt-run-v1");
     EXPECT_EQ(root.stringOr("tool", ""), "bench_all");
     EXPECT_FALSE(root.at("git_sha").string().empty());
 
     const json::Value &machine = root.at("machine");
-    EXPECT_EQ(machine.stringOr("digest", ""), row.machine.digest);
-    EXPECT_EQ(machine.stringOr("digest", ""), row.machine.fingerprint());
+    EXPECT_EQ(machine.stringOr("digest", ""), record.machine.digest);
+    EXPECT_EQ(machine.stringOr("digest", ""), record.machine.fingerprint());
     EXPECT_GE(machine.numberOr("cores", 0.0), 1.0);
     EXPECT_FALSE(machine.stringOr("compiler", "").empty());
     EXPECT_TRUE(machine.at("telemetry_enabled").isBool());

@@ -91,9 +91,10 @@ expectSameFleet(const FleetResult &a, const FleetResult &b)
                   b.dies[i].faultsPerMbitAtVcrash);
         ASSERT_EQ(a.dies[i].mergedFvm.has_value(),
                   b.dies[i].mergedFvm.has_value());
-        if (a.dies[i].mergedFvm)
+        if (a.dies[i].mergedFvm) {
             EXPECT_EQ(a.dies[i].mergedFvm->perBramFaults(),
                       b.dies[i].mergedFvm->perBramFaults());
+        }
     }
     EXPECT_EQ(a.dieToDieRatio(), b.dieToDieRatio());
 }

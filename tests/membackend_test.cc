@@ -30,7 +30,6 @@
 #include "fpga/platform.hh"
 #include "harness/campaign.hh"
 #include "harness/fleet.hh"
-#include "harness/ledger.hh"
 #include "mem/bram_backend.hh"
 #include "mem/catalog.hh"
 #include "mem/hbm_backend.hh"
@@ -1024,25 +1023,6 @@ TEST(FvmCacheKeys, NonBramKeysAreTechnologyTagged)
     EXPECT_NE(hbm_key, sram_key);
 }
 
-TEST(LedgerBackends, ManifestRoundTripsPerJobBackendTags)
-{
-    harness::RunManifest manifest;
-    manifest.tool = "membackend_test";
-    manifest.runId = "test-run";
-    manifest.jobLabels = {"ZC702-ones-50C", "HBM2-A-ones-50C",
-                          "MORS-SRAM-A-ones-50C"};
-    manifest.noiseSeeds = {0, 0, 0};
-    manifest.backends = {"bram", "hbm", "sram"};
-
-    // Each job carries its own tag, byte for byte as the fixture has it.
-    std::ifstream fixture(std::string(UVOLT_TEST_FIXTURES) +
-                          "/run_manifest_backends.json");
-    ASSERT_TRUE(fixture) << "missing manifest fixture";
-    std::ostringstream expected;
-    expected << fixture.rdbuf();
-    EXPECT_EQ(manifest.toJson(), expected.str());
-}
-
 TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)
 {
     const auto dir = std::filesystem::temp_directory_path() /
@@ -1056,10 +1036,10 @@ TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)
             .run();
     ASSERT_TRUE(result.ok()) << result.error().message;
 
-    const auto manifest = json::Value::parseFile(
-        harness::Ledger(dir.string()).latestPath());
-    ASSERT_TRUE(manifest.ok()) << manifest.error().message;
-    const auto &jobs = manifest.value().at("plan").at("jobs").items();
+    const auto record =
+        json::Value::parseFile((dir / "runs.jsonl").string());
+    ASSERT_TRUE(record.ok()) << record.error().message;
+    const auto &jobs = record.value().at("plan").at("jobs").items();
     ASSERT_EQ(jobs.size(), 2u);
     EXPECT_EQ(jobs[0].stringOr("backend", ""), "bram");
     EXPECT_EQ(jobs[1].stringOr("backend", ""), "hbm");

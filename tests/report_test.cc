@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the observability exporters and the provenance plumbing
- * underneath them: CSV quoting, JSON string escaping (through the
- * tests' JSON parser), histogram quantile interpolation, Prometheus
- * name sanitizing, Chrome-trace thread_name metadata,
- * the exact span-profile fold (golden text, live spans, an 8-thread
- * churn, and a real campaign, each checked for exactness per thread),
- * and the run-provenance ledger (manifest bytes against a committed
- * fixture, digest stability, and the Campaign end-to-end flow leaving
- * a well-formed run_manifest.json).
+ * Tests for the observability exporters: CSV quoting, JSON string
+ * escaping (through the tests' JSON parser), histogram quantile
+ * interpolation, Prometheus name sanitizing, Chrome-trace thread_name
+ * metadata, and the exact span-profile fold (golden text, live spans,
+ * an 8-thread churn, and a real campaign, each checked for exactness
+ * per thread).
+ * The run records have their own suite, run_record_test.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "harness/campaign.hh"
-#include "harness/ledger.hh"
 #include "harness/report.hh"
 #include "json_value.hh"
 #include "util/format.hh"
@@ -39,37 +36,6 @@ namespace uvolt::harness
 {
 namespace
 {
-
-/** The whole file at @a path ("" when it cannot be read). */
-std::string
-readText(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream content;
-    content << in.rdbuf();
-    return content.str();
-}
-
-/** The manifest a ledger in @a dir recorded last, parsed. */
-json::Value
-latestManifest(const std::string &dir)
-{
-    auto parsed = json::Value::parseFile(Ledger(dir).latestPath());
-    EXPECT_TRUE(parsed.ok()) << parsed.error().message;
-    return parsed.ok() ? parsed.value() : json::Value();
-}
-
-/** Fresh scratch directory under the system temp root. */
-std::string
-scratchDir(const std::string &name)
-{
-    const auto path = std::filesystem::temp_directory_path() / name;
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-    return path.string();
-}
-
-// --- CSV and JSON escaping ----------------------------------------------
 
 TEST(CsvEscaping, QuotesCommasQuotesAndNewlines)
 {
@@ -446,141 +412,6 @@ TEST(Profiler, EightThreadSpanChurn)
     EXPECT_EQ(profile.folded.size(), 16u); // 8 roots, 8 nested pairs
     for (const auto &[stack, ns] : profile.folded)
         EXPECT_EQ(stack.rfind("churn.", 0), 0u) << stack;
-}
-
-// --- the run-provenance ledger ------------------------------------------
-
-RunManifest
-sampleManifest()
-{
-    RunManifest manifest;
-    manifest.runId = "deadbeef-123456";
-    manifest.gitSha = "abc1234";
-    manifest.startedAtIso = "2026-08-05T12:00:00Z";
-    manifest.configDigest = configDigest("sample");
-    manifest.jobLabels = {"VC707-p16_hFFFF-t50", "ZC702-p16_h0000-t50"};
-    manifest.noiseSeeds = {0, 42};
-    manifest.runsPerLevel = 15;
-    manifest.stepMv = 10;
-    manifest.collectPerBram = false;
-    manifest.discoverRegions = true;
-    manifest.maxAttemptsPerJob = 3;
-    manifest.workers = 8;
-    manifest.durationMs = 123.5;
-    manifest.jobRetries = 1;
-    manifest.crashRecoveries = 2;
-    manifest.checkpointResumes = 3;
-    manifest.dieRates = {{"VC707", 642.0}, {"ZC702", 151.25}};
-    manifest.artifacts = {"results/ledger", "uvolt_model_cache"};
-    manifest.counters = {{"fleet.jobs", 2}, {"sweep.campaigns", 2}};
-    manifest.tracePath = "results/ext_serve_trace.json";
-    manifest.prometheusPath = "results/ext_serve_metrics.prom";
-    manifest.blackboxPaths = {"results/blackbox_degraded.json",
-                              "results/blackbox_deadline_storm.json"};
-    return manifest;
-}
-
-TEST(Ledger, ManifestRoundTripsThroughJson)
-{
-    // Every field of the sample lands in the document, byte for byte as
-    // the committed fixture has it: the archive format does not drift.
-    EXPECT_EQ(sampleManifest().toJson(),
-              readText(std::string(UVOLT_TEST_FIXTURES) +
-                       "/run_manifest_sample.json"));
-}
-
-TEST(Ledger, ConfigDigestIsStableAndDiscriminating)
-{
-    EXPECT_EQ(configDigest("abc"), configDigest("abc"));
-    EXPECT_NE(configDigest("abc"), configDigest("abd"));
-    EXPECT_EQ(configDigest("x").size(), 16u);
-    EXPECT_EQ(configDigest("x").find_first_not_of("0123456789abcdef"),
-              std::string::npos);
-}
-
-TEST(Ledger, RecordWritesLatestAndHistory)
-{
-    const std::string dir = scratchDir("uvolt-ledger-record");
-    const Ledger ledger(dir);
-    const RunManifest manifest = sampleManifest();
-    ASSERT_TRUE(ledger.record(manifest).ok());
-    EXPECT_TRUE(std::filesystem::exists(ledger.latestPath()));
-    EXPECT_TRUE(std::filesystem::exists(
-        std::filesystem::path(dir) / (manifest.runId + ".json")));
-
-    EXPECT_EQ(readText(ledger.latestPath()), manifest.toJson());
-    EXPECT_EQ(readText(strFormat("{}/{}.json", dir, manifest.runId)),
-              manifest.toJson());
-}
-
-TEST(Ledger, CampaignRunLeavesALoadableManifest)
-{
-    const std::string dir = scratchDir("uvolt-ledger-campaign");
-    Campaign campaign = Campaign::onPlatform("ZC702");
-    campaign.sweep(2).stepMv(50).perBramMaps(false).ledgerUnder(dir);
-    const FleetResult result = campaign.run().orFatal();
-    ASSERT_EQ(result.jobs.size(), 1u);
-
-    const json::Value m = latestManifest(dir);
-    ASSERT_TRUE(m.isObject());
-    EXPECT_EQ(m.stringOr("schema", ""), RunManifest::schema);
-    EXPECT_EQ(m.stringOr("tool", ""), "FleetEngine");
-    EXPECT_FALSE(m.stringOr("run_id", "").empty());
-    EXPECT_FALSE(m.stringOr("started_at", "").empty());
-    EXPECT_EQ(m.stringOr("config_digest", "").size(), 16u);
-    const json::Value &plan = m.at("plan");
-    const auto &jobs = plan.at("jobs").items();
-    ASSERT_EQ(jobs.size(), 1u);
-    EXPECT_EQ(jobs[0].stringOr("label", ""), result.jobs[0].job.label());
-    EXPECT_EQ(plan.numberOr("runs_per_level", 0), 2.0);
-    EXPECT_EQ(plan.numberOr("step_mv", 0), 50.0);
-    EXPECT_FALSE(plan.at("collect_per_bram").boolean());
-    const json::Value &execution = m.at("execution");
-    EXPECT_EQ(execution.numberOr("workers", -1), 0.0); // serial run
-    EXPECT_GE(execution.numberOr("duration_ms", -1), 0.0);
-    const auto &dies = m.at("dies").items();
-    ASSERT_EQ(dies.size(), 1u);
-    EXPECT_EQ(dies[0].stringOr("platform", ""), "ZC702");
-}
-
-TEST(Ledger, DisabledLedgerWritesNothing)
-{
-    const std::string dir = scratchDir("uvolt-ledger-disabled");
-    Campaign campaign = Campaign::onPlatform("ZC702");
-    campaign.sweep(1).stepMv(50).perBramMaps(false).ledgerUnder("");
-    (void)campaign.run().orFatal();
-    EXPECT_FALSE(std::filesystem::exists(
-        std::filesystem::path(dir) / "run_manifest.json"));
-}
-
-TEST(Ledger, IdenticalPlansShareADigestDistinctPlansDoNot)
-{
-    Campaign a = Campaign::onPlatform("ZC702");
-    a.sweep(2).stepMv(50).perBramMaps(false);
-    Campaign b = Campaign::onPlatform("ZC702");
-    b.sweep(2).stepMv(50).perBramMaps(false);
-    const std::string dir_a = scratchDir("uvolt-ledger-digest-a");
-    const std::string dir_b = scratchDir("uvolt-ledger-digest-b");
-    a.ledgerUnder(dir_a);
-    b.ledgerUnder(dir_b);
-    (void)a.run().orFatal();
-    (void)b.run().orFatal();
-    const std::string digest_a =
-        latestManifest(dir_a).stringOr("config_digest", "");
-    const std::string digest_b =
-        latestManifest(dir_b).stringOr("config_digest", "");
-    ASSERT_FALSE(digest_a.empty());
-    EXPECT_EQ(digest_a, digest_b);
-
-    Campaign c = Campaign::onPlatform("ZC702");
-    c.sweep(3).stepMv(50).perBramMaps(false);
-    const std::string dir_c = scratchDir("uvolt-ledger-digest-c");
-    c.ledgerUnder(dir_c);
-    (void)c.run().orFatal();
-    const std::string digest_c =
-        latestManifest(dir_c).stringOr("config_digest", "");
-    ASSERT_FALSE(digest_c.empty());
-    EXPECT_NE(digest_a, digest_c);
 }
 
 } // namespace
