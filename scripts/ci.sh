@@ -195,7 +195,7 @@ echo "== batched-evaluation identity check (fig11) =="
 # thread and once fanned over a 4-worker pool — and require
 # byte-identical CSVs. (Identity with the scalar classify() at every
 # batch width is nn_test's BatchedEval suite.) A scratch directory
-# keeps the committed results/ untouched; the shared model cache avoids
+# keeps the tree's results/ untouched; the shared model cache avoids
 # retraining; a reduced --eval-limit keeps the leg seconds-scale
 # (identity must hold at ANY limit, so a small one proves as much as
 # the full sweep).

@@ -256,8 +256,6 @@ RunRecord::toJsonLine() const
 Expected<void>
 RunRecord::append(const std::string &path) const
 {
-    if (path.empty())
-        return {};
     return appendFileRecord(path, toJsonLine());
 }
 

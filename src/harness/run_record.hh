@@ -151,9 +151,9 @@ struct RunRecord
     std::string toJsonLine() const;
 
     /**
-     * Append this record as one line to the file at @a path; "" appends
-     * nothing. I/O failure comes back as an Error so runs in read-only
-     * checkouts keep working.
+     * Append this record as one line to the file at @a path. I/O
+     * failure comes back as an Error so runs in read-only checkouts
+     * keep working.
      */
     Expected<void> append(const std::string &path) const;
 };

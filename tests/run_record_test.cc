@@ -234,9 +234,6 @@ TEST(Timeline, AppendThenLoadPreservesOrder)
                   sampleMetricsRecord(strFormat("run-{}", i)).toJsonLine());
     }
     EXPECT_EQ(lines[3], sampleFleetRecord().toJsonLine());
-
-    // An empty path is the binaries' --timeline "": nothing is written.
-    EXPECT_TRUE(sampleFleetRecord().append("").ok());
     std::filesystem::remove_all(testDir());
 }
 
