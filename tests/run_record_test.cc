@@ -328,17 +328,6 @@ ledgerRecords(const std::filesystem::path &dir)
     return records;
 }
 
-/** The config digest of a ledger's one record ("" if not exactly one). */
-std::string
-ledgerDigest(const std::filesystem::path &dir)
-{
-    const std::vector<json::Value> records = ledgerRecords(dir);
-    EXPECT_EQ(records.size(), 1u);
-    return records.size() == 1
-        ? records[0].stringOr("config_digest", "")
-        : "";
-}
-
 TEST(Ledger, CampaignRunAppendsOneRecord)
 {
     const auto dir = testDir();
@@ -403,7 +392,10 @@ TEST(Ledger, IdenticalPlansShareADigestDistinctPlansDoNot)
         campaign.sweep(runs_per_level).stepMv(50).perBramMaps(false);
         campaign.ledgerUnder(dir.string());
         (void)campaign.run().orFatal();
-        return ledgerDigest(dir);
+        const std::vector<json::Value> records = ledgerRecords(dir);
+        EXPECT_EQ(records.size(), 1u);
+        return records.empty() ? std::string()
+                               : records[0].stringOr("config_digest", "");
     };
     const std::string digest_a = digestOf(2, "a");
     const std::string digest_b = digestOf(2, "b");
