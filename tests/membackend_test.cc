@@ -30,6 +30,7 @@
 #include "fpga/platform.hh"
 #include "harness/campaign.hh"
 #include "harness/fleet.hh"
+#include "harness/run_record.hh"
 #include "mem/bram_backend.hh"
 #include "mem/catalog.hh"
 #include "mem/hbm_backend.hh"
@@ -1021,6 +1022,27 @@ TEST(FvmCacheKeys, NonBramKeysAreTechnologyTagged)
     EXPECT_EQ(hbm_key.rfind("hbm-", 0), 0u) << hbm_key;
     EXPECT_EQ(sram_key.rfind("sram-", 0), 0u) << sram_key;
     EXPECT_NE(hbm_key, sram_key);
+}
+
+TEST(LedgerBackends, ManifestRoundTripsPerJobBackendTags)
+{
+    harness::RunRecord record;
+    record.tool = "membackend_test";
+    record.runId = "test-run";
+    harness::RunRecord::Fleet &fleet = record.fleet.emplace();
+    fleet.jobs = {{"ZC702-ones-50C", 0, "bram"},
+                  {"HBM2-A-ones-50C", 0, "hbm"},
+                  {"MORS-SRAM-A-ones-50C", 0, "sram"}};
+
+    // Each job carries its own tag through the record, in plan order.
+    const auto parsed = json::Value::parse(record.toJsonLine());
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const auto &jobs = parsed.value().at("plan").at("jobs").items();
+    ASSERT_EQ(jobs.size(), fleet.jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs[i].stringOr("label", ""), fleet.jobs[i].label);
+        EXPECT_EQ(jobs[i].stringOr("backend", ""), fleet.jobs[i].backend);
+    }
 }
 
 TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)

@@ -135,29 +135,102 @@ sampleMetricsRecord(const std::string &run_id)
     return record;
 }
 
-TEST(RunRecord, JsonLinesMatchTheFixture)
+/** The fixture's lines: [0] the fleet record, [1] the metrics record. */
+std::vector<std::string>
+fixtureLines()
 {
-    // Every field of both samples, escapes included, lands in one line
-    // byte for byte as the committed fixture has it: the format does
-    // not drift.
-    const std::vector<std::string> fixture = readLines(
-        std::string(UVOLT_TEST_FIXTURES) + "/run_record_sample.jsonl");
-    ASSERT_EQ(fixture.size(), 2u);
-    const std::string fleet = sampleFleetRecord().toJsonLine();
-    const std::string metrics = sampleMetricsRecord("run-1").toJsonLine();
-    EXPECT_EQ(fleet.find('\n'), std::string::npos);
-    EXPECT_EQ(metrics.find('\n'), std::string::npos);
-    EXPECT_EQ(fleet, fixture[0]);
-    EXPECT_EQ(metrics, fixture[1]);
+    return readLines(std::string(UVOLT_TEST_FIXTURES) +
+                     "/run_record_sample.jsonl");
+}
 
-    // The fixture parses, and the plan is present only when a
-    // FleetEngine produced the record.
-    const auto plan = json::Value::parse(fixture[0]);
-    const auto bare = json::Value::parse(fixture[1]);
-    ASSERT_TRUE(plan.ok() && bare.ok());
-    EXPECT_EQ(plan.value().stringOr("schema", ""), RunRecord::schema);
-    EXPECT_EQ(plan.value().at("plan").at("jobs").items().size(), 3u);
-    EXPECT_EQ(bare.value().find("plan"), nullptr);
+TEST(Ledger, ManifestRoundTripsThroughJson)
+{
+    // The record a FleetEngine appends to its ledger: every field of the
+    // sample lands in one line byte for byte as the committed fixture
+    // has it, so the format does not drift.
+    const std::vector<std::string> fixture = fixtureLines();
+    ASSERT_EQ(fixture.size(), 2u);
+    const RunRecord record = sampleFleetRecord();
+    const std::string line = record.toJsonLine();
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    EXPECT_EQ(line, fixture[0]);
+
+    // And it parses back to the values it was written from.
+    const auto parsed = json::Value::parse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const json::Value &v = parsed.value();
+    EXPECT_EQ(v.stringOr("schema", ""), RunRecord::schema);
+    EXPECT_EQ(v.stringOr("tool", ""), record.tool);
+    EXPECT_EQ(v.stringOr("run_id", ""), record.runId);
+    EXPECT_EQ(v.stringOr("config_digest", ""), record.configDigest);
+    EXPECT_EQ(v.at("machine").stringOr("digest", ""),
+              record.machine.digest);
+    EXPECT_EQ(v.numberOr("workers", -1), 8.0);
+    EXPECT_EQ(v.numberOr("duration_ms", -1), 123.5);
+
+    const RunRecord::Fleet &fleet = *record.fleet;
+    const json::Value &plan = v.at("plan");
+    EXPECT_EQ(plan.numberOr("runs_per_level", 0), fleet.runsPerLevel);
+    EXPECT_EQ(plan.numberOr("step_mv", 0), fleet.stepMv);
+    EXPECT_FALSE(plan.at("collect_per_bram").boolean());
+    EXPECT_TRUE(plan.at("discover_regions").boolean());
+    EXPECT_EQ(plan.numberOr("max_attempts_per_job", 0),
+              fleet.maxAttemptsPerJob);
+    const auto &jobs = plan.at("jobs").items();
+    ASSERT_EQ(jobs.size(), fleet.jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs[i].stringOr("label", ""), fleet.jobs[i].label);
+        EXPECT_EQ(jobs[i].numberOr("noise_seed", -1),
+                  static_cast<double>(fleet.jobs[i].noiseSeed));
+    }
+
+    const json::Value &execution = v.at("execution");
+    EXPECT_EQ(execution.numberOr("job_retries", 0), 1.0);
+    EXPECT_EQ(execution.numberOr("crash_recoveries", 0), 2.0);
+    EXPECT_EQ(execution.numberOr("checkpoint_resumes", 0), 3.0);
+    const auto &dies = v.at("dies").items();
+    ASSERT_EQ(dies.size(), fleet.dieRates.size());
+    for (std::size_t i = 0; i < dies.size(); ++i) {
+        EXPECT_EQ(dies[i].stringOr("platform", ""), fleet.dieRates[i].first);
+        EXPECT_EQ(dies[i].numberOr("faults_per_mbit_at_vcrash", 0),
+                  fleet.dieRates[i].second);
+    }
+    EXPECT_EQ(v.at("artifacts").items().size(), record.artifacts.size());
+    EXPECT_EQ(v.at("observability").at("blackboxes").items()[0].string(),
+              record.blackboxPaths[0]);
+    EXPECT_EQ(v.at("telemetry").numberOr("fleet.jobs", 0), 3.0);
+}
+
+TEST(TimelineRow, JsonRoundtrip)
+{
+    // The record a bench appends to the timeline: every field of the
+    // sample, escapes included, lands in one line byte for byte as the
+    // committed fixture has it.
+    const std::vector<std::string> fixture = fixtureLines();
+    ASSERT_EQ(fixture.size(), 2u);
+    const RunRecord record = sampleMetricsRecord("run-1");
+    const std::string line = record.toJsonLine();
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    EXPECT_EQ(line, fixture[1]);
+
+    // It parses back with every metric, and with no plan: only a
+    // FleetEngine record has one.
+    const auto parsed = json::Value::parse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const json::Value &v = parsed.value();
+    EXPECT_EQ(v.stringOr("tool", ""), record.tool);
+    EXPECT_EQ(v.stringOr("run_id", ""), "run-1");
+    EXPECT_TRUE(v.at("baseline").boolean());
+    EXPECT_EQ(v.at("observability").stringOr("trace", ""), record.tracePath);
+    EXPECT_EQ(v.at("observability").stringOr("prometheus", ""),
+              record.prometheusPath);
+    const json::Value &metrics = v.at("metrics");
+    ASSERT_EQ(metrics.members().size(), record.metrics.size());
+    for (const auto &[name, value] : record.metrics)
+        EXPECT_EQ(metrics.numberOr(name, 0), value) << name;
+    EXPECT_EQ(v.at("telemetry").numberOr("serve.admitted", 0), 300.0);
+    EXPECT_EQ(v.find("plan"), nullptr);
+    EXPECT_EQ(v.find("execution"), nullptr);
 }
 
 TEST(Timeline, NowIso8601Shape)
