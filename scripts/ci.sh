@@ -287,13 +287,14 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # of those paths on each CI pass — ASan's memory instrumentation isn't
 # needed here and would double the leg. The flavor also checks float
 # casts, so the run-record suite rides along for its writer's number
-# formatting.
+# formatting, and resilience_test for the checkpoint log's writer and
+# parser (the torn-tail and corrupt-byte cases included).
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
     --target fpga_test vmodel_test harness_test membackend_test \
-    run_record_test report_test
+    run_record_test report_test resilience_test
 for suite in fpga_test vmodel_test harness_test membackend_test \
-        run_record_test report_test; do
+        run_record_test report_test resilience_test; do
     UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$suite"
 done
 

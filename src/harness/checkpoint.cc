@@ -1,15 +1,21 @@
 #include "harness/checkpoint.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string_view>
 
+#include "util/format.hh"
 #include "util/fsio.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::harness
@@ -18,12 +24,11 @@ namespace uvolt::harness
 namespace
 {
 
-constexpr const char *magicLine = "uvolt-sweep-checkpoint v1";
+constexpr const char *magicLine = "uvolt-sweep-checkpoint v2";
 
-// Checkpoint text is built in one string. Integers print through
+// The text of a save is built in one string. Integers print through
 // std::to_chars. Doubles print as %.17g, which is what an ostream at
-// setprecision(17) prints, so the bytes match files written through
-// iostreams.
+// setprecision(17) prints.
 
 template <std::integral T>
 void
@@ -83,20 +88,33 @@ appendList(std::string &out, std::string_view key,
     out += '\n';
 }
 
-/** The checkpoint's text, sized up front from its list lengths. */
-std::string
-formatCheckpoint(const SweepCheckpoint &checkpoint)
+/** Append "end <length> <digest>\n" for the section @a body. */
+void
+appendTrailer(std::string &out, std::string_view body)
 {
-    std::size_t doubles = checkpoint.currentRunCounts.size();
-    std::size_t ints = 0;
-    for (const auto &point : checkpoint.completedPoints) {
-        doubles += point.runCounts.size() + 4;
-        ints += point.perBramFaults.size();
-    }
-    std::string out;
-    out.reserve(512 + 25 * doubles + 12 * ints +
-                100 * checkpoint.completedPoints.size());
+    const std::uint64_t digest = fnv1a64(body);
+    out += "end ";
+    appendValue(out, body.size());
+    out += ' ';
+    for (int shift = 60; shift >= 0; shift -= 4)
+        out += "0123456789abcdef"[(digest >> shift) & 0xf];
+    out += '\n';
+}
 
+/** Close the section that starts at @a from in @a out. */
+void
+closeSection(std::string &out, std::size_t from)
+{
+    std::string trailer;
+    appendTrailer(trailer,
+                  std::string_view(out).substr(from));
+    out += trailer;
+}
+
+void
+appendHeader(std::string &out, const SweepCheckpoint &checkpoint)
+{
+    const std::size_t from = out.size();
     appendLine(out, magicLine);
     appendLine(out, "valid", checkpoint.valid ? 1 : 0);
     appendLine(out, "platform", std::string_view(checkpoint.platform));
@@ -110,11 +128,19 @@ formatCheckpoint(const SweepCheckpoint &checkpoint)
     appendLine(out, "stepMv", checkpoint.stepMv);
     appendLine(out, "fromMv", checkpoint.fromMv);
     appendLine(out, "downToMv", checkpoint.downToMv);
-    appendLine(out, "currentLevelMv", checkpoint.currentLevelMv);
-    appendLine(out, "runsStarted", checkpoint.runsStarted);
-    appendList(out, "currentRunCounts", checkpoint.currentRunCounts);
-    appendLine(out, "points", checkpoint.completedPoints.size());
-    for (const auto &point : checkpoint.completedPoints) {
+    closeSection(out, from);
+}
+
+/** One record: the completed points from @a first on, then the cursor. */
+void
+appendRecord(std::string &out, const SweepCheckpoint &checkpoint,
+             std::size_t first)
+{
+    const std::size_t from = out.size();
+    appendLine(out, "points", checkpoint.completedPoints.size() - first);
+    for (std::size_t i = first; i < checkpoint.completedPoints.size();
+         ++i) {
+        const SweepPoint &point = checkpoint.completedPoints[i];
         appendLine(out, "point", point.vccBramMv);
         appendList(out, "runCounts", point.runCounts);
         appendLine(out, "medianFaults", point.medianFaults);
@@ -123,189 +149,281 @@ formatCheckpoint(const SweepCheckpoint &checkpoint)
         appendLine(out, "oneToZeroFraction", point.oneToZeroFraction);
         appendList(out, "perBramFaults", point.perBramFaults);
     }
-    appendLine(out, "end");
-    return out;
+    appendLine(out, "currentLevelMv", checkpoint.currentLevelMv);
+    appendLine(out, "runsStarted", checkpoint.runsStarted);
+    appendList(out, "currentRunCounts", checkpoint.currentRunCounts);
+    closeSection(out, from);
 }
 
-/** Read one expected keyword; badCheckpoint otherwise. */
-Expected<void>
-expectKey(std::istream &in, const char *key)
+/** An upper estimate of appendRecord()'s length, to size the text once. */
+std::size_t
+recordSizeHint(const SweepCheckpoint &checkpoint, std::size_t first)
 {
-    std::string token;
-    if (!(in >> token) || token != key)
+    std::size_t doubles = checkpoint.currentRunCounts.size();
+    std::size_t ints = 0;
+    for (std::size_t i = first; i < checkpoint.completedPoints.size();
+         ++i) {
+        const SweepPoint &point = checkpoint.completedPoints[i];
+        doubles += point.runCounts.size() + 4;
+        ints += point.perBramFaults.size();
+    }
+    return 256 + 25 * doubles + 12 * ints +
+        100 * (checkpoint.completedPoints.size() - first);
+}
+
+/**
+ * Split the section at the front of @a text off it: its body, or
+ * nullopt when no trailer line matching the body follows (a torn or
+ * corrupt section).
+ */
+std::optional<std::string_view>
+takeSection(std::string_view &text)
+{
+    std::string trailer;
+    for (std::size_t at = 0;;) {
+        const std::size_t eol = text.find('\n', at);
+        if (eol == std::string_view::npos)
+            return std::nullopt;
+        if (text.substr(at).starts_with("end ")) {
+            const std::string_view body = text.substr(0, at);
+            appendTrailer(trailer, body);
+            if (text.substr(at, eol + 1 - at) != trailer)
+                return std::nullopt;
+            text.remove_prefix(eol + 1);
+            return body;
+        }
+        at = eol + 1;
+    }
+}
+
+/**
+ * The space-separated fields of one section, read in order. The first
+ * failure sticks: later reads do nothing, and finish() reports it.
+ */
+class Fields
+{
+  public:
+    explicit Fields(std::string_view text) : rest_(text) {}
+
+    bool ok() const { return error_.empty(); }
+
+    /** Read the keyword @a key. */
+    Fields &
+    expect(std::string_view key)
+    {
+        if (!ok())
+            return *this;
+        if (const std::string_view found = token(); found != key)
+            error_ = strFormat("expected key '{}', found '{}'", key, found);
+        return *this;
+    }
+
+    /** Read one value of the field @a what into @a value. */
+    template <typename T>
+    Fields &
+    value(T &field, std::string_view what)
+    {
+        if (ok() && !parse(token(), field))
+            error_ = strFormat("bad value for key '{}'", what);
+        return *this;
+    }
+
+    /** Read "key value". */
+    template <typename T>
+    Fields &
+    read(std::string_view key, T &field)
+    {
+        return expect(key).value(field, key);
+    }
+
+    /** Read a counted list "key n v1 ... vn". */
+    template <typename T>
+    Fields &
+    readList(std::string_view key, std::vector<T> &values)
+    {
+        std::size_t count = 0;
+        read(key, count);
+        values.clear();
+        // Each value takes two bytes or more, so a corrupt count can
+        // not reserve past the text.
+        values.reserve(std::min(count, rest_.size() / 2));
+        for (std::size_t i = 0; i < count && ok(); ++i)
+            value(values.emplace_back(), key);
+        return *this;
+    }
+
+    /** badCheckpoint for the first failure or for text left over. */
+    Expected<void>
+    finish()
+    {
+        if (ok()) {
+            if (const std::string_view extra = token(); !extra.empty())
+                error_ = strFormat("unexpected '{}' after the last field",
+                                   extra);
+        }
+        if (!ok())
+            return makeError(Errc::badCheckpoint, "{}", error_);
+        return {};
+    }
+
+  private:
+    std::string_view
+    token()
+    {
+        const std::size_t begin = rest_.find_first_not_of(" \n");
+        if (begin == std::string_view::npos) {
+            rest_ = {};
+            return {};
+        }
+        const std::size_t end = rest_.find_first_of(" \n", begin);
+        const std::string_view found = rest_.substr(begin, end - begin);
+        rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+                                                          : end);
+        return found;
+    }
+
+    static bool
+    parse(std::string_view token, std::string &value)
+    {
+        value = token;
+        return !token.empty();
+    }
+
+    template <typename T>
+    static bool
+    parse(std::string_view token, T &value)
+    {
+        const char *end = token.data() + token.size();
+        const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+        return ec == std::errc() && ptr == end && !token.empty();
+    }
+
+    std::string_view rest_;
+    std::string error_;
+};
+
+Expected<void>
+readHeader(std::string_view body, SweepCheckpoint &checkpoint)
+{
+    Fields fields(body.substr(std::string_view(magicLine).size()));
+    int valid = 0;
+    std::string kind;
+    fields.read("valid", valid)
+        .read("platform", checkpoint.platform)
+        .read("pattern", kind);
+    if (kind == "fixed") {
+        checkpoint.pattern.kind = PatternSpec::Kind::Fixed;
+        fields.value(checkpoint.pattern.word, "pattern");
+    } else if (kind == "random") {
+        checkpoint.pattern.kind = PatternSpec::Kind::Random;
+        fields.value(checkpoint.pattern.oneDensity, "pattern")
+            .value(checkpoint.pattern.seed, "pattern");
+    } else if (fields.ok()) {
+        return makeError(Errc::badCheckpoint, "unknown pattern kind '{}'",
+                         kind);
+    }
+    fields.read("ambientC", checkpoint.ambientC)
+        .read("runsPerLevel", checkpoint.runsPerLevel)
+        .read("stepMv", checkpoint.stepMv)
+        .read("fromMv", checkpoint.fromMv)
+        .read("downToMv", checkpoint.downToMv);
+    if (auto done = fields.finish(); !done.ok())
+        return done.error();
+    if (!checkpoint.pattern.wellFormed())
         return makeError(Errc::badCheckpoint,
-                         "expected key '{}', found '{}'", key, token);
+                         "random pattern density {} is not in [0, 1]",
+                         checkpoint.pattern.oneDensity);
+    checkpoint.valid = valid != 0;
     return {};
 }
 
-template <typename T>
-Expected<T>
-readScalar(std::istream &in, const char *key)
+Expected<void>
+readRecord(std::string_view body, SweepCheckpoint &checkpoint)
 {
-    if (auto ok = expectKey(in, key); !ok.ok())
-        return ok.error();
-    T value{};
-    if (!(in >> value))
-        return makeError(Errc::badCheckpoint, "bad value for key '{}'",
-                         key);
-    return value;
-}
-
-Expected<std::vector<double>>
-readDoubles(std::istream &in, const char *key)
-{
-    auto count = readScalar<std::size_t>(in, key);
-    if (!count.ok())
-        return count.error();
-    std::vector<double> values(count.value());
-    for (auto &v : values) {
-        if (!(in >> v))
-            return makeError(Errc::badCheckpoint,
-                             "truncated list for key '{}'", key);
+    Fields fields(body);
+    std::size_t count = 0;
+    fields.read("points", count);
+    for (std::size_t i = 0; i < count && fields.ok(); ++i) {
+        SweepPoint &point = checkpoint.completedPoints.emplace_back();
+        fields.read("point", point.vccBramMv)
+            .readList("runCounts", point.runCounts)
+            .read("medianFaults", point.medianFaults)
+            .read("faultsPerMbit", point.faultsPerMbit)
+            .read("bramPowerW", point.bramPowerW)
+            .read("oneToZeroFraction", point.oneToZeroFraction)
+            .readList("perBramFaults", point.perBramFaults);
+        // Rebuild the streaming statistics by replaying the counts in
+        // their original order (Welford is order-sensitive, so replay
+        // reproduces the uninterrupted accumulator bit for bit).
+        for (double run_count : point.runCounts)
+            point.runStats.add(run_count);
     }
-    return values;
-}
-
-Expected<std::vector<int>>
-readInts(std::istream &in, const char *key)
-{
-    auto count = readScalar<std::size_t>(in, key);
-    if (!count.ok())
-        return count.error();
-    std::vector<int> values(count.value());
-    for (auto &v : values) {
-        if (!(in >> v))
-            return makeError(Errc::badCheckpoint,
-                             "truncated list for key '{}'", key);
-    }
-    return values;
+    fields.read("currentLevelMv", checkpoint.currentLevelMv)
+        .read("runsStarted", checkpoint.runsStarted)
+        .readList("currentRunCounts", checkpoint.currentRunCounts);
+    return fields.finish();
 }
 
 } // namespace
 
 void
-saveCheckpointFile(const SweepCheckpoint &checkpoint,
-                   const std::string &path)
+saveCheckpointFile(SweepCheckpoint &checkpoint, const std::string &path)
 {
     UVOLT_TRACE_SCOPE("checkpoint.save", [&] {
         return telemetry::TraceArgs{{"path", path}};
     });
-    telemetry::Registry::global().counter("checkpoint.saves").increment();
-    if (auto written = writeFileAtomic(path, formatCheckpoint(checkpoint),
-                                       Errc::badCheckpoint);
+    auto &registry = telemetry::Registry::global();
+    registry.counter("checkpoint.saves").increment();
+
+    SweepCheckpoint::SavedLog &saved = checkpoint.saved;
+    std::error_code ec;
+    const bool append = saved.path == path &&
+        saved.levels <= checkpoint.completedPoints.size() &&
+        std::filesystem::file_size(path, ec) == saved.bytes && !ec;
+    if (!append)
+        saved = {path, 0, 0};
+
+    std::string text;
+    text.reserve(recordSizeHint(checkpoint, saved.levels) +
+                 (append ? 0 : 512));
+    if (!append)
+        appendHeader(text, checkpoint);
+    appendRecord(text, checkpoint, saved.levels);
+    if (auto written =
+            append ? appendFileRecord(path, text, Errc::badCheckpoint)
+                   : writeFileAtomic(path, text, Errc::badCheckpoint);
         !written.ok())
         fatal("{}", written.error().message);
+    saved.levels = checkpoint.completedPoints.size();
+    saved.bytes += text.size();
+    registry.counter("checkpoint.bytes_written").add(text.size());
 }
 
 Expected<SweepCheckpoint>
 loadCheckpoint(std::istream &in)
 {
-    std::string magic;
-    if (!std::getline(in, magic) || magic != magicLine)
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    std::string_view rest = text;
+    if (!rest.starts_with(std::string(magicLine) + '\n'))
         return makeError(Errc::badCheckpoint,
-                         "not a sweep checkpoint (header '{}')", magic);
+                         "not a sweep checkpoint (header '{}')",
+                         rest.substr(0, std::min<std::size_t>(
+                                            rest.find('\n'), 64)));
+    const auto header = takeSection(rest);
+    if (!header)
+        return makeError(Errc::badCheckpoint,
+                         "torn or corrupt checkpoint header");
 
     SweepCheckpoint checkpoint;
-
-    auto valid = readScalar<int>(in, "valid");
-    if (!valid.ok())
-        return valid.error();
-    checkpoint.valid = valid.value() != 0;
-
-    auto platform = readScalar<std::string>(in, "platform");
-    if (!platform.ok())
-        return platform.error();
-    checkpoint.platform = platform.value();
-
-    auto kind = readScalar<std::string>(in, "pattern");
-    if (!kind.ok())
-        return kind.error();
-    if (kind.value() == "fixed") {
-        checkpoint.pattern.kind = PatternSpec::Kind::Fixed;
-        if (!(in >> checkpoint.pattern.word))
-            return makeError(Errc::badCheckpoint, "bad fixed pattern");
-    } else if (kind.value() == "random") {
-        checkpoint.pattern.kind = PatternSpec::Kind::Random;
-        if (!(in >> checkpoint.pattern.oneDensity >>
-              checkpoint.pattern.seed))
-            return makeError(Errc::badCheckpoint, "bad random pattern");
-        if (!checkpoint.pattern.wellFormed())
-            return makeError(Errc::badCheckpoint,
-                             "random pattern density {} is not in [0, 1]",
-                             checkpoint.pattern.oneDensity);
-    } else {
-        return makeError(Errc::badCheckpoint, "unknown pattern kind '{}'",
-                         kind.value());
+    if (auto read = readHeader(*header, checkpoint); !read.ok())
+        return read.error();
+    bool resumable = false;
+    while (const auto record = takeSection(rest)) {
+        if (auto read = readRecord(*record, checkpoint); !read.ok())
+            return read.error();
+        resumable = true;
     }
-
-#define UVOLT_READ_FIELD(name, type)                                       \
-    do {                                                                   \
-        auto field = readScalar<type>(in, #name);                          \
-        if (!field.ok())                                                   \
-            return field.error();                                          \
-        checkpoint.name = field.value();                                   \
-    } while (0)
-
-    UVOLT_READ_FIELD(ambientC, double);
-    UVOLT_READ_FIELD(runsPerLevel, int);
-    UVOLT_READ_FIELD(stepMv, int);
-    UVOLT_READ_FIELD(fromMv, int);
-    UVOLT_READ_FIELD(downToMv, int);
-    UVOLT_READ_FIELD(currentLevelMv, int);
-    UVOLT_READ_FIELD(runsStarted, std::uint64_t);
-#undef UVOLT_READ_FIELD
-
-    auto partial = readDoubles(in, "currentRunCounts");
-    if (!partial.ok())
-        return partial.error();
-    checkpoint.currentRunCounts = partial.take();
-
-    auto point_count = readScalar<std::size_t>(in, "points");
-    if (!point_count.ok())
-        return point_count.error();
-    checkpoint.completedPoints.reserve(point_count.value());
-    for (std::size_t i = 0; i < point_count.value(); ++i) {
-        SweepPoint point;
-        auto mv = readScalar<int>(in, "point");
-        if (!mv.ok())
-            return mv.error();
-        point.vccBramMv = mv.value();
-        auto counts = readDoubles(in, "runCounts");
-        if (!counts.ok())
-            return counts.error();
-        point.runCounts = counts.take();
-        // Rebuild the streaming statistics by replaying the counts in
-        // their original order (Welford is order-sensitive, so replay
-        // reproduces the uninterrupted accumulator bit for bit).
-        for (double count : point.runCounts)
-            point.runStats.add(count);
-
-        auto median_faults = readScalar<double>(in, "medianFaults");
-        if (!median_faults.ok())
-            return median_faults.error();
-        point.medianFaults = median_faults.value();
-        auto per_mbit = readScalar<double>(in, "faultsPerMbit");
-        if (!per_mbit.ok())
-            return per_mbit.error();
-        point.faultsPerMbit = per_mbit.value();
-        auto power = readScalar<double>(in, "bramPowerW");
-        if (!power.ok())
-            return power.error();
-        point.bramPowerW = power.value();
-        auto polarity = readScalar<double>(in, "oneToZeroFraction");
-        if (!polarity.ok())
-            return polarity.error();
-        point.oneToZeroFraction = polarity.value();
-        auto per_bram = readInts(in, "perBramFaults");
-        if (!per_bram.ok())
-            return per_bram.error();
-        point.perBramFaults = per_bram.take();
-
-        checkpoint.completedPoints.push_back(std::move(point));
-    }
-
-    if (auto end = expectKey(in, "end"); !end.ok())
-        return end.error();
+    checkpoint.valid = checkpoint.valid && resumable;
     return checkpoint;
 }
 
@@ -316,7 +434,7 @@ loadCheckpointFile(const std::string &path)
         return telemetry::TraceArgs{{"path", path}};
     });
     telemetry::Registry::global().counter("checkpoint.loads").increment();
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return makeError(Errc::badCheckpoint,
                          "cannot open checkpoint file '{}'", path);

@@ -445,7 +445,8 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
             point.runCounts.push_back(
                 static_cast<double>(count.value()));
             if (checkpoint) {
-                checkpoint->currentRunCounts = point.runCounts;
+                checkpoint->currentRunCounts.push_back(
+                    point.runCounts.back());
                 checkpoint->runsStarted = board.runsStarted();
             }
         }
@@ -458,6 +459,8 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
                 return maps.error();
         }
 
+        if (checkpoint)
+            checkpoint->completedPoints.push_back(point);
         result.points.push_back(std::move(point));
         ++levels_this_call;
         sweepMetrics().levels.increment();
@@ -468,7 +471,6 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
         }
 
         if (checkpoint) {
-            checkpoint->completedPoints = result.points;
             checkpoint->currentLevelMv = mv - options.stepMv;
             checkpoint->currentRunCounts.clear();
             checkpoint->runsStarted = board.runsStarted();

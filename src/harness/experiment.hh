@@ -170,7 +170,9 @@ struct SweepPoint
  * Resumable campaign state: everything needed to continue a sweep that
  * was interrupted mid-level — completed points plus the partial run
  * counts of the level in progress and the run-jitter stream cursor.
- * Serialize with harness/checkpoint.hh to survive process death.
+ * Serialize with harness/checkpoint.hh to survive process death; the
+ * sweep only ever appends to @a completedPoints, which is what lets a
+ * save append just the new levels to the log on disk.
  */
 struct SweepCheckpoint
 {
@@ -186,6 +188,19 @@ struct SweepCheckpoint
     std::uint64_t runsStarted = 0; ///< Board run-jitter stream cursor
     std::vector<double> currentRunCounts; ///< finished runs at the level
     std::vector<SweepPoint> completedPoints;
+
+    /**
+     * What saveCheckpointFile() last left on disk: the log at @a path,
+     * @a bytes long, holds the first @a levels completed points. Empty
+     * in a fresh or freshly loaded checkpoint, so its first save writes
+     * the whole log.
+     */
+    struct SavedLog
+    {
+        std::string path;
+        std::size_t levels = 0;
+        std::uintmax_t bytes = 0;
+    } saved;
 };
 
 /** A full Listing-1 campaign. */

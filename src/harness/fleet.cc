@@ -560,11 +560,28 @@ canonicalPlan(const FleetPlan &plan)
     return canonical;
 }
 
-/** Append a finished run's record to the ledger; failures warn. */
+/** What the process had counted when a run started. */
+struct RunBaseline
+{
+    telemetry::MetricsSnapshot metrics;
+    std::size_t blackboxDumps = 0;
+
+    static RunBaseline
+    now()
+    {
+        return {telemetry::Registry::global().metrics(),
+                blackbox::dumps().size()};
+    }
+};
+
+/**
+ * Append a finished run's record to the ledger; failures warn. Its
+ * counters and black-box dumps are those added since @a baseline.
+ */
 void
 recordRun(const FleetOptions &options, const FleetPlan &plan,
           const FleetResult &result, std::size_t workers,
-          double duration_ms)
+          double duration_ms, const RunBaseline &baseline)
 {
     RunRecord record = RunRecord::start("FleetEngine", canonicalPlan(plan));
     record.workers = workers;
@@ -589,11 +606,16 @@ recordRun(const FleetOptions &options, const FleetPlan &plan,
         record.artifacts.push_back(options.checkpointDir);
     if (options.fvmCache)
         record.artifacts.push_back(options.fvmCache->directory());
-    record.blackboxPaths = blackbox::dumps();
+    std::vector<std::string> dumps = blackbox::dumps();
+    record.blackboxPaths.assign(
+        dumps.begin() + static_cast<std::ptrdiff_t>(std::min(
+                            baseline.blackboxDumps, dumps.size())),
+        dumps.end());
     for (const auto &[name, value] :
          telemetry::Registry::global().metrics().counters) {
-        if (value)
-            record.counters.emplace_back(name, value);
+        if (const std::uint64_t before = baseline.metrics.counter(name);
+            value > before)
+            record.counters.emplace_back(name, value - before);
     }
 
     if (auto appended = record.append(options.ledgerDir + "/runs.jsonl");
@@ -614,6 +636,9 @@ FleetEngine::run(const FleetPlan &plan, ThreadPool &pool)
     FleetResult result;
     if (plan.jobs.empty())
         return result;
+    const RunBaseline baseline = options_.ledgerDir.empty()
+        ? RunBaseline{}
+        : RunBaseline::now();
 
     // Warm the per-die personalities serially so workers alias instead
     // of queueing on the synthesis lock, and create the checkpoint
@@ -756,7 +781,8 @@ FleetEngine::run(const FleetPlan &plan, ThreadPool &pool)
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - run_start)
                 .count();
-        recordRun(options_, plan, result, pool.workerCount(), duration_ms);
+        recordRun(options_, plan, result, pool.workerCount(), duration_ms,
+                  baseline);
     }
     return result;
 }

@@ -295,9 +295,11 @@ struct FleetOptions
      * Run-provenance ledger directory ("" = no ledger). A successful
      * run appends one "uvolt-run-v1" record (harness/run_record.hh) to
      * <dir>/runs.jsonl: config digest, machine, plan and noise seeds,
-     * worker count, duration, execution counters, per-die rates and
-     * telemetry counters. The Campaign facade defaults this to
-     * defaultLedgerDir().
+     * worker count, duration, execution counters, per-die rates, and
+     * the telemetry counters and black-box dumps the process added
+     * during the run. Counters are process-wide, so runs that overlap
+     * in one process each count the other's work too. The Campaign
+     * facade defaults this to defaultLedgerDir().
      */
     std::string ledgerDir;
 };

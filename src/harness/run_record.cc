@@ -13,6 +13,7 @@
 #include "util/format.hh"
 #include "util/fsio.hh"
 #include "util/json.hh"
+#include "util/rng.hh"
 #include "util/telemetry.hh"
 
 namespace uvolt::harness
@@ -120,12 +121,7 @@ writeFleet(std::ostringstream &out, const RunRecord::Fleet &fleet)
 std::string
 configDigest(const std::string &canonical)
 {
-    std::uint64_t hash = 14695981039346656037ull; // FNV offset basis
-    for (char c : canonical) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull; // FNV prime
-    }
-    return strFormat("{:016x}", hash);
+    return strFormat("{:016x}", fnv1a64(canonical));
 }
 
 std::string

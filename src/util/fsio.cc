@@ -58,9 +58,12 @@ appendFileRecord(const std::string &path, std::string_view record,
                                             ec);
     }
 
-    std::string line(record);
-    if (line.empty() || line.back() != '\n')
-        line.push_back('\n');
+    std::string line;
+    if (record.empty() || record.back() != '\n') {
+        line.reserve(record.size() + 1);
+        line.append(record).push_back('\n');
+        record = line;
+    }
 
     const int fd = ::open(path.c_str(),
                           O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
@@ -71,12 +74,12 @@ appendFileRecord(const std::string &path, std::string_view record,
     }
     // One write() call: O_APPEND makes the offset advance atomic, and a
     // single syscall keeps the record contiguous under concurrency.
-    const ssize_t written = ::write(fd, line.data(), line.size());
+    const ssize_t written = ::write(fd, record.data(), record.size());
     ::close(fd);
-    if (written != static_cast<ssize_t>(line.size())) {
+    if (written != static_cast<ssize_t>(record.size())) {
         return makeError(error_code, "short append to '{}' ({} of {})",
                          path, static_cast<long long>(written),
-                         line.size());
+                         record.size());
     }
     return {};
 }

@@ -62,14 +62,21 @@ splitMix64(std::uint64_t &state)
 }
 
 std::uint64_t
-hashSeed(std::string_view text)
+fnv1a64(std::string_view text)
 {
-    // FNV-1a folded through one SplitMix64 step for avalanche.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : text) {
         h ^= c;
         h *= 0x100000001b3ULL;
     }
+    return h;
+}
+
+std::uint64_t
+hashSeed(std::string_view text)
+{
+    // FNV-1a folded through one SplitMix64 step for avalanche.
+    std::uint64_t h = fnv1a64(text);
     return splitMix64(h);
 }
 

@@ -24,6 +24,9 @@ namespace uvolt
 /** SplitMix64 step; used for seeding and for cheap hashing of seed strings. */
 std::uint64_t splitMix64(std::uint64_t &state);
 
+/** FNV-1a, 64-bit: a stable digest of @a text (not for seeding). */
+std::uint64_t fnv1a64(std::string_view text);
+
 /**
  * Stable 64-bit hash of a string, for deriving seeds from human-readable
  * identifiers such as chip serial numbers ("1308-6520").

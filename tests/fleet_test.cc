@@ -330,9 +330,57 @@ TEST(FleetCheckpoint, ResumesAfterKillAndMatchesFreshRun)
     EXPECT_FALSE(std::filesystem::exists(ckpt_path));
 }
 
+// A host that dies halfway through appending a level leaves a torn
+// log; the restarted fleet resumes from its last whole level.
+TEST(FleetCheckpoint, ResumesFromATornLogAndMatchesFreshRun)
+{
+    const std::string dir = scratchDir("uvolt-fleet-torn");
+
+    FleetPlan plan = FleetPlan::crossProduct(
+        {"ZC702"}, {PatternSpec::allOnes()}, {50.0});
+    plan.runsPerLevel = 5;
+
+    FleetEngine fresh_engine;
+    auto fresh = fresh_engine.run(plan);
+    ASSERT_TRUE(fresh.ok());
+
+    const std::string ckpt_path =
+        dir + "/" + plan.jobs.front().label() + ".ckpt";
+    std::uintmax_t two_levels = 0;
+    {
+        Board board(fpga::findPlatform("ZC702"));
+        SweepCheckpoint checkpoint;
+        SweepOptions options;
+        options.runsPerLevel = plan.runsPerLevel;
+        options.maxLevels = 2;
+        options.checkpoint = &checkpoint;
+        options.checkpointPath = ckpt_path;
+        ASSERT_TRUE(tryRunCriticalSweep(board, options).ok());
+        two_levels = std::filesystem::file_size(ckpt_path);
+        options.maxLevels = 1;
+        ASSERT_TRUE(tryRunCriticalSweep(board, options).ok());
+    }
+    const std::uintmax_t three_levels = std::filesystem::file_size(ckpt_path);
+    ASSERT_GT(three_levels, two_levels);
+    std::filesystem::resize_file(ckpt_path, (two_levels + three_levels) / 2);
+    auto torn = loadCheckpointFile(ckpt_path);
+    ASSERT_TRUE(torn.ok());
+    EXPECT_EQ(torn.value().completedPoints.size(), 2u);
+
+    FleetOptions options;
+    options.checkpointDir = dir;
+    FleetEngine engine(options);
+    auto resumed = engine.run(plan);
+    ASSERT_TRUE(resumed.ok());
+
+    EXPECT_TRUE(resumed.value().jobs.front().resumed);
+    expectSameFleet(fresh.value(), resumed.value());
+    EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+}
+
 TEST(CampaignFacade, MatchesHandWiredSweep)
 {
-    auto result = Campaign::onPlatform("ZC702").sweep(5).run();
+    auto result = Campaign::onPlatform("ZC702").sweep(5).ledgerUnder("").run();
     ASSERT_TRUE(result.ok());
 
     Board board(fpga::findPlatform("ZC702"));

@@ -342,7 +342,7 @@ TEST(ProfilerFold, ExactOnTelemetryOnCampaign)
 {
     TelemetryOn on;
     const FleetResult fleet =
-        Campaign::onPlatform("ZC702").sweep(5).run().orFatal();
+        Campaign::onPlatform("ZC702").sweep(5).ledgerUnder("").run().orFatal();
     ASSERT_FALSE(fleet.jobs.empty());
 
     const auto events = telemetry::Registry::global().traceEvents();

@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -32,6 +35,7 @@
 #include "pmbus/fault_injector.hh"
 #include "pmbus/serial_link.hh"
 #include "util/error.hh"
+#include "util/rng.hh"
 
 namespace uvolt::harness
 {
@@ -276,22 +280,102 @@ TEST(ResilientSweep, DiscoverRegionsSurvivesNoise)
 }
 
 /**
- * The bytes saveCheckpointFile writes for @a checkpoint, through a
- * scratch file of this process's own (ctest runs tests in parallel
- * processes, possibly from several build trees at once).
+ * A scratch checkpoint path of this process's own (ctest runs tests in
+ * parallel processes, possibly from several build trees at once).
  */
 std::string
-savedText(const SweepCheckpoint &checkpoint)
+scratchCheckpointPath(const std::string &tag)
 {
-    const auto path = std::filesystem::temp_directory_path() /
-        ("uvolt_resilience_" + std::to_string(::getpid()) + ".ckpt");
-    saveCheckpointFile(checkpoint, path.string());
+    return (std::filesystem::temp_directory_path() /
+            ("uvolt_resilience_" + std::to_string(::getpid()) + tag +
+             ".ckpt"))
+        .string();
+}
+
+std::string
+fileText(const std::string &path)
+{
     std::ifstream in(path, std::ios::binary);
     std::ostringstream text;
     text << in.rdbuf();
-    in.close();
-    std::filesystem::remove(path);
     return text.str();
+}
+
+/** The bytes saveCheckpointFile writes for a first save of @a checkpoint. */
+std::string
+savedText(SweepCheckpoint checkpoint)
+{
+    const std::string path = scratchCheckpointPath("");
+    saveCheckpointFile(checkpoint, path);
+    std::string text = fileText(path);
+    std::filesystem::remove(path);
+    return text;
+}
+
+Expected<SweepCheckpoint>
+loadText(const std::string &text)
+{
+    std::stringstream stream(text);
+    return loadCheckpoint(stream);
+}
+
+/** Where each section of a checkpoint log ends: past its trailer line. */
+std::vector<std::size_t>
+sectionEnds(const std::string &log)
+{
+    std::vector<std::size_t> ends;
+    for (std::size_t at = 0; at < log.size();) {
+        const std::size_t eol = log.find('\n', at);
+        if (eol == std::string::npos)
+            break;
+        if (log.compare(at, 4, "end ") == 0)
+            ends.push_back(eol + 1);
+        at = eol + 1;
+    }
+    return ends;
+}
+
+/** Field-by-field equality, bit for bit (NaN equals NaN). */
+void
+expectSameCheckpoint(const SweepCheckpoint &a, const SweepCheckpoint &b)
+{
+    const auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    const auto same_all = [&](const std::vector<double> &x,
+                              const std::vector<double> &y) {
+        return x.size() == y.size() &&
+            std::equal(x.begin(), x.end(), y.begin(), same);
+    };
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.platform, b.platform);
+    EXPECT_EQ(a.pattern.kind, b.pattern.kind);
+    EXPECT_EQ(a.pattern.word, b.pattern.word);
+    EXPECT_TRUE(same(a.pattern.oneDensity, b.pattern.oneDensity));
+    EXPECT_EQ(a.pattern.seed, b.pattern.seed);
+    EXPECT_TRUE(same(a.ambientC, b.ambientC));
+    EXPECT_EQ(a.runsPerLevel, b.runsPerLevel);
+    EXPECT_EQ(a.stepMv, b.stepMv);
+    EXPECT_EQ(a.fromMv, b.fromMv);
+    EXPECT_EQ(a.downToMv, b.downToMv);
+    EXPECT_EQ(a.currentLevelMv, b.currentLevelMv);
+    EXPECT_EQ(a.runsStarted, b.runsStarted);
+    EXPECT_TRUE(same_all(a.currentRunCounts, b.currentRunCounts));
+    ASSERT_EQ(a.completedPoints.size(), b.completedPoints.size());
+    for (std::size_t i = 0; i < a.completedPoints.size(); ++i) {
+        const SweepPoint &p = a.completedPoints[i];
+        const SweepPoint &q = b.completedPoints[i];
+        EXPECT_EQ(p.vccBramMv, q.vccBramMv);
+        EXPECT_TRUE(same_all(p.runCounts, q.runCounts));
+        EXPECT_EQ(p.runStats.count(), q.runStats.count());
+        EXPECT_TRUE(same(p.runStats.mean(), q.runStats.mean()));
+        EXPECT_TRUE(same(p.runStats.variance(), q.runStats.variance()));
+        EXPECT_TRUE(same(p.medianFaults, q.medianFaults));
+        EXPECT_TRUE(same(p.faultsPerMbit, q.faultsPerMbit));
+        EXPECT_TRUE(same(p.bramPowerW, q.bramPowerW));
+        EXPECT_TRUE(same(p.oneToZeroFraction, q.oneToZeroFraction));
+        EXPECT_EQ(p.perBramFaults, q.perBramFaults);
+    }
 }
 
 TEST(Checkpoint, StreamRoundTrip)
@@ -305,8 +389,7 @@ TEST(Checkpoint, StreamRoundTrip)
     EXPECT_TRUE(partial.truncated);
     ASSERT_TRUE(checkpoint.valid);
 
-    std::stringstream stream(savedText(checkpoint));
-    auto loaded = loadCheckpoint(stream);
+    auto loaded = loadText(savedText(checkpoint));
     ASSERT_TRUE(loaded.ok());
     const SweepCheckpoint &restored = loaded.value();
     EXPECT_EQ(restored.platform, checkpoint.platform);
@@ -369,26 +452,155 @@ edgeValueCheckpoints()
     return {random, fixed};
 }
 
+std::string
+fixtureText()
+{
+    return fileText(std::string(UVOLT_TEST_FIXTURES) +
+                    "/checkpoint_edge_values.txt");
+}
+
 TEST(Checkpoint, SavedBytesMatchTheFixture)
 {
     std::string saved;
     for (const SweepCheckpoint &checkpoint : edgeValueCheckpoints())
         saved += savedText(checkpoint);
-    std::ifstream fixture(std::string(UVOLT_TEST_FIXTURES) +
-                          "/checkpoint_edge_values.txt",
-                          std::ios::binary);
-    ASSERT_TRUE(fixture) << "missing checkpoint fixture";
-    std::ostringstream expected;
-    expected << fixture.rdbuf();
-    EXPECT_EQ(saved, expected.str());
+    const std::string expected = fixtureText();
+    ASSERT_FALSE(expected.empty()) << "missing checkpoint fixture";
+    EXPECT_EQ(saved, expected);
+}
+
+// The fixture holds one log per edge-value checkpoint. Each loads back
+// to the checkpoint it was saved from and saves again to its own bytes.
+TEST(Checkpoint, FixtureLogsLoadAndSaveToTheirOwnBytes)
+{
+    const std::string fixture = fixtureText();
+    const std::string magic = "uvolt-sweep-checkpoint v2\n";
+    std::vector<SweepCheckpoint> edges = edgeValueCheckpoints();
+    std::size_t at = 0;
+    for (SweepCheckpoint &edge : edges) {
+        // A load rebuilds each point's statistics from its run counts.
+        for (SweepPoint &point : edge.completedPoints) {
+            for (double count : point.runCounts)
+                point.runStats.add(count);
+        }
+        ASSERT_EQ(fixture.compare(at, magic.size(), magic), 0);
+        const std::size_t next = fixture.find(magic, at + 1);
+        const std::string log = fixture.substr(at, next - at);
+        auto loaded = loadText(log);
+        ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+        expectSameCheckpoint(loaded.value(), edge);
+        EXPECT_EQ(savedText(loaded.value()), log);
+        at = next;
+    }
+    EXPECT_EQ(at, std::string::npos);
 }
 
 TEST(Checkpoint, RejectsGarbage)
 {
-    std::stringstream stream("not a checkpoint at all");
-    auto loaded = loadCheckpoint(stream);
+    auto loaded = loadText("not a checkpoint at all");
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.code(), Errc::badCheckpoint);
+}
+
+/**
+ * A ZC702 sweep run one level per call, saving to one log after each
+ * level: the checkpoint after each of three levels, and the log.
+ */
+struct LevelLog
+{
+    std::vector<SweepCheckpoint> after;
+    std::string text;
+};
+
+LevelLog
+threeLevelLog()
+{
+    const std::string path = scratchCheckpointPath("-levels");
+    std::filesystem::remove(path);
+    Board board(fpga::findPlatform("ZC702"));
+    SweepCheckpoint checkpoint;
+    SweepOptions options = fastSweepOptions();
+    options.maxLevels = 1;
+    options.checkpoint = &checkpoint;
+    options.checkpointPath = path;
+    LevelLog log;
+    for (int level = 0; level < 3; ++level) {
+        EXPECT_TRUE(runCriticalSweep(board, options).truncated);
+        log.after.push_back(checkpoint);
+        // Each save appends: the earlier levels' bytes stay as written.
+        const std::string text = fileText(path);
+        EXPECT_TRUE(text.starts_with(log.text));
+        log.text = text;
+    }
+    std::filesystem::remove(path);
+    return log;
+}
+
+TEST(Checkpoint, SavesAppendOneRecordPerLevel)
+{
+    const LevelLog log = threeLevelLog();
+    EXPECT_EQ(sectionEnds(log.text).size(), 4u); // header + 3 records
+    auto loaded = loadText(log.text);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    expectSameCheckpoint(loaded.value(), log.after.back());
+}
+
+// A crash mid-append leaves any prefix of the log on disk. Each one
+// loads to the checkpoint of its last whole record, or to badCheckpoint
+// while the header itself is torn.
+TEST(Checkpoint, TornLogLoadsItsLongestWholePrefix)
+{
+    const LevelLog log = threeLevelLog();
+    const std::vector<std::size_t> ends = sectionEnds(log.text);
+    ASSERT_EQ(ends.size(), 4u);
+    ASSERT_EQ(ends.back(), log.text.size());
+    for (std::size_t cut = 0; cut <= log.text.size(); ++cut) {
+        auto loaded = loadText(log.text.substr(0, cut));
+        if (cut < ends[0]) {
+            ASSERT_FALSE(loaded.ok()) << cut;
+            EXPECT_EQ(loaded.code(), Errc::badCheckpoint);
+            continue;
+        }
+        ASSERT_TRUE(loaded.ok()) << cut << ": " << loaded.error().message;
+        const std::size_t whole = static_cast<std::size_t>(
+            std::upper_bound(ends.begin() + 1, ends.end(), cut) -
+            (ends.begin() + 1));
+        if (whole == 0) {
+            // Nothing to resume: a fresh sweep starts over.
+            EXPECT_FALSE(loaded.value().valid) << cut;
+            EXPECT_TRUE(loaded.value().completedPoints.empty()) << cut;
+            continue;
+        }
+        SCOPED_TRACE(cut);
+        expectSameCheckpoint(loaded.value(), log.after[whole - 1]);
+    }
+}
+
+// A corrupt byte anywhere in the last record drops that record alone;
+// one in the header refuses the log.
+TEST(Checkpoint, CorruptByteDropsItsRecordOrRefusesTheHeader)
+{
+    const LevelLog log = threeLevelLog();
+    const std::vector<std::size_t> ends = sectionEnds(log.text);
+    ASSERT_EQ(ends.size(), 4u);
+    for (const unsigned char mask : {0xFFu, 0x20u, 0x01u}) {
+        for (std::size_t at = 0; at < log.text.size(); ++at) {
+            if (at >= ends[0] && at < ends[2])
+                continue;
+            std::string corrupt = log.text;
+            corrupt[at] = static_cast<char>(corrupt[at] ^ mask);
+            auto loaded = loadText(corrupt);
+            if (at < ends[0]) {
+                ASSERT_FALSE(loaded.ok()) << at;
+                EXPECT_EQ(loaded.code(), Errc::badCheckpoint);
+                continue;
+            }
+            ASSERT_TRUE(loaded.ok()) << at << ": "
+                                     << loaded.error().message;
+            SCOPED_TRACE(at);
+            expectSameCheckpoint(loaded.value(), log.after[1]);
+        }
+    }
 }
 
 TEST(Checkpoint, ResumedSweepEqualsUninterrupted)
@@ -397,33 +609,57 @@ TEST(Checkpoint, ResumedSweepEqualsUninterrupted)
     const SweepResult reference =
         runCriticalSweep(reference_board, fastSweepOptions());
 
-    // First process: measure two levels, then "die". Ship the
-    // checkpoint through its serialized form, as a real resume would.
+    // First process: measure three levels, saving after each, then
+    // "die" halfway through appending the third.
+    const std::string path = scratchCheckpointPath("-resume");
+    std::filesystem::remove(path);
     SweepCheckpoint checkpoint;
     {
         Board board(fpga::findPlatform("ZC702"));
         SweepOptions options = fastSweepOptions();
-        options.maxLevels = 2;
+        options.maxLevels = 3;
         options.checkpoint = &checkpoint;
+        options.checkpointPath = path;
         const SweepResult partial = runCriticalSweep(board, options);
         EXPECT_TRUE(partial.truncated);
-        EXPECT_EQ(partial.points.size(), 2u);
+        EXPECT_EQ(partial.points.size(), 3u);
     }
-    std::stringstream stream(savedText(checkpoint));
-    auto reloaded = loadCheckpoint(stream);
-    ASSERT_TRUE(reloaded.ok());
-    SweepCheckpoint resumed_checkpoint = reloaded.take();
+    const std::string log = fileText(path);
+    const std::vector<std::size_t> ends = sectionEnds(log);
+    ASSERT_EQ(ends.size(), 4u);
+    std::filesystem::resize_file(path, (ends[2] + ends[3]) / 2);
 
-    // Second process: fresh board, resume, finish the campaign.
-    Board resumed_board(fpga::findPlatform("ZC702"));
-    SweepOptions options = fastSweepOptions();
-    options.checkpoint = &resumed_checkpoint;
-    const SweepResult resumed = runCriticalSweep(resumed_board, options);
-    EXPECT_FALSE(resumed.truncated);
-    EXPECT_EQ(resumed.resilience.checkpointResumes, 1u);
-    EXPECT_FALSE(resumed_checkpoint.valid);
+    // Second process: fresh board, resume from the whole in-memory
+    // checkpoint shipped through its serialized form, or from the cut
+    // log on disk; either way finish the campaign.
+    for (const bool cut : {false, true}) {
+        SCOPED_TRACE(cut ? "cut log" : "whole checkpoint");
+        auto reloaded =
+            cut ? loadCheckpointFile(path) : loadText(savedText(checkpoint));
+        ASSERT_TRUE(reloaded.ok());
+        SweepCheckpoint resumed_checkpoint = reloaded.take();
+        EXPECT_EQ(resumed_checkpoint.completedPoints.size(), cut ? 2u : 3u);
 
-    expectSameSweep(reference, resumed);
+        Board resumed_board(fpga::findPlatform("ZC702"));
+        SweepOptions options = fastSweepOptions();
+        options.checkpoint = &resumed_checkpoint;
+        if (cut)
+            options.checkpointPath = path;
+        const SweepResult resumed =
+            runCriticalSweep(resumed_board, options);
+        EXPECT_FALSE(resumed.truncated);
+        EXPECT_EQ(resumed.resilience.checkpointResumes, 1u);
+        EXPECT_FALSE(resumed_checkpoint.valid);
+
+        expectSameSweep(reference, resumed);
+    }
+    // The first save after the resume rewrote the log whole, so no torn
+    // tail sits in front of the levels appended after it.
+    auto finished = loadCheckpointFile(path);
+    ASSERT_TRUE(finished.ok());
+    EXPECT_EQ(finished.value().completedPoints.size(),
+              reference.points.size());
+    std::filesystem::remove(path);
 }
 
 TEST(Checkpoint, ResumeUnderNoiseStillMatches)
@@ -497,6 +733,19 @@ TEST(Checkpoint, ValidationRejectsADifferentPatternDensity)
     EXPECT_EQ(resumed.code(), Errc::badCheckpoint);
 }
 
+/** @a text with its header's trailer recomputed for an edited header. */
+std::string
+reframedHeader(std::string text)
+{
+    const std::size_t at = text.find("\nend ") + 1;
+    const std::size_t eol = text.find('\n', at);
+    char trailer[48];
+    std::snprintf(trailer, sizeof trailer, "end %zu %016llx", at,
+                  static_cast<unsigned long long>(
+                      fnv1a64(std::string_view(text).substr(0, at))));
+    return text.replace(at, eol - at, trailer);
+}
+
 // A density outside [0, 1] in a checkpoint file is refused at load,
 // before anything can label or fill with it.
 TEST(Checkpoint, RejectsAnOutOfRangePatternDensity)
@@ -509,18 +758,23 @@ TEST(Checkpoint, RejectsAnOutOfRangePatternDensity)
     const std::string line = "pattern random 0.5 7";
     const std::size_t at = text.find(line);
     ASSERT_NE(at, std::string::npos);
-    {
-        std::stringstream stream(text);
-        ASSERT_TRUE(loadCheckpoint(stream).ok());
-    }
+    ASSERT_TRUE(loadText(text).ok());
+    ASSERT_EQ(reframedHeader(text), text);
     for (const char *density : {"1e300", "1.5", "-0.25", "1.0000000001"}) {
         std::string edited = text;
         edited.replace(at, line.size(),
                        std::string("pattern random ") + density + " 7");
-        std::stringstream stream(edited);
-        auto loaded = loadCheckpoint(stream);
+        // Edited in place, the header no longer matches its digest.
+        auto torn = loadText(edited);
+        ASSERT_FALSE(torn.ok()) << density;
+        EXPECT_EQ(torn.code(), Errc::badCheckpoint) << density;
+        // Framed again, it is refused for the density itself.
+        auto loaded = loadText(reframedHeader(edited));
         ASSERT_FALSE(loaded.ok()) << density;
         EXPECT_EQ(loaded.code(), Errc::badCheckpoint) << density;
+        EXPECT_NE(loaded.error().message.find("density"),
+                  std::string::npos)
+            << loaded.error().message;
     }
 }
 

@@ -444,6 +444,33 @@ TEST(Ledger, CampaignRunAppendsOneRecord)
     std::filesystem::remove_all(dir);
 }
 
+// Counters are process-wide; each record carries what its own run
+// added, so a second run does not count the first one's jobs again.
+TEST(Ledger, EachRecordCountsItsOwnRun)
+{
+    const auto dir = testDir();
+    std::filesystem::remove_all(dir);
+    Campaign campaign = Campaign::onPlatform("ZC702");
+    campaign.withPatterns({PatternSpec::allOnes(), PatternSpec::fixed(0xAAAA)})
+        .sweep(1)
+        .stepMv(50)
+        .perBramMaps(false)
+        .ledgerUnder(dir.string());
+    const bool was = telemetry::Telemetry::enabled();
+    telemetry::Telemetry::setEnabled(true); // counters count only when on
+    (void)campaign.run().orFatal();
+    (void)campaign.run().orFatal();
+    telemetry::Telemetry::setEnabled(was);
+
+    const std::vector<json::Value> records = ledgerRecords(dir);
+    ASSERT_EQ(records.size(), 2u);
+    for (const json::Value &record : records) {
+        EXPECT_EQ(record.at("plan").at("jobs").items().size(), 2u);
+        EXPECT_EQ(record.at("telemetry").numberOr("fleet.jobs", -1), 2.0);
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Ledger, DisabledLedgerWritesNothing)
 {
     const auto dir = testDir();

@@ -238,6 +238,7 @@ TEST(TelemetryTest, FleetTraceContainsNestedInstrumentation)
 
     auto result = harness::Campaign::onPlatform("ZC702")
                       .sweep(3)
+                      .ledgerUnder("")
                       .run();
     ASSERT_TRUE(result.ok());
 
@@ -300,12 +301,14 @@ TEST(TelemetryTest, EnablingTelemetryDoesNotChangeSweepResults)
     const bool was = Telemetry::enabled();
 
     Telemetry::setEnabled(false);
-    auto off = harness::Campaign::onPlatform("ZC702").sweep(3).run();
+    auto off =
+        harness::Campaign::onPlatform("ZC702").sweep(3).ledgerUnder("").run();
     ASSERT_TRUE(off.ok());
 
     Registry::global().resetForTest();
     Telemetry::setEnabled(true);
-    auto on = harness::Campaign::onPlatform("ZC702").sweep(3).run();
+    auto on =
+        harness::Campaign::onPlatform("ZC702").sweep(3).ledgerUnder("").run();
     Telemetry::setEnabled(was);
     Registry::global().resetForTest();
     ASSERT_TRUE(on.ok());
