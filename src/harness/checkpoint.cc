@@ -106,8 +106,7 @@ void
 closeSection(std::string &out, std::size_t from)
 {
     std::string trailer;
-    appendTrailer(trailer,
-                  std::string_view(out).substr(from));
+    appendTrailer(trailer, std::string_view(out).substr(from));
     out += trailer;
 }
 
@@ -207,18 +206,7 @@ class Fields
 
     bool ok() const { return error_.empty(); }
 
-    /** Read the keyword @a key. */
-    Fields &
-    expect(std::string_view key)
-    {
-        if (!ok())
-            return *this;
-        if (const std::string_view found = token(); found != key)
-            error_ = strFormat("expected key '{}', found '{}'", key, found);
-        return *this;
-    }
-
-    /** Read one value of the field @a what into @a value. */
+    /** Read one value of the field @a what into @a field. */
     template <typename T>
     Fields &
     value(T &field, std::string_view what)
@@ -233,7 +221,12 @@ class Fields
     Fields &
     read(std::string_view key, T &field)
     {
-        return expect(key).value(field, key);
+        if (ok()) {
+            if (const std::string_view found = token(); found != key)
+                error_ = strFormat("expected key '{}', found '{}'", key,
+                                   found);
+        }
+        return value(field, key);
     }
 
     /** Read a counted list "key n v1 ... vn". */

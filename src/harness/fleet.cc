@@ -606,10 +606,9 @@ recordRun(const FleetOptions &options, const FleetPlan &plan,
         record.artifacts.push_back(options.checkpointDir);
     if (options.fvmCache)
         record.artifacts.push_back(options.fvmCache->directory());
-    std::vector<std::string> dumps = blackbox::dumps();
+    const std::vector<std::string> dumps = blackbox::dumps();
     record.blackboxPaths.assign(
-        dumps.begin() + static_cast<std::ptrdiff_t>(std::min(
-                            baseline.blackboxDumps, dumps.size())),
+        dumps.begin() + std::min(baseline.blackboxDumps, dumps.size()),
         dumps.end());
     for (const auto &[name, value] :
          telemetry::Registry::global().metrics().counters) {

@@ -44,11 +44,12 @@ Expected<void> writeFileAtomic(const std::string &path,
  * same timeline) interleave whole records — never torn or overlapping
  * lines. A trailing newline is added when @a record does not end with
  * one; parent directories are created. Built for line-oriented logs
- * (the uvolt-run-v1 records of harness/run_record.hh). The pipe-buffer
- * bound (4 KB) does not apply to regular files: Linux holds the inode
- * lock across one write(2), and Timeline.ConcurrentAppendersNeverTear-
- * Rows shows 8 writers of records up to 17 KB on a local filesystem,
- * none torn. Network filesystems make no such promise.
+ * (the uvolt-run-v1 records of harness/run_record.hh, the records of a
+ * sweep checkpoint log). The pipe-buffer bound (4 KB) does not apply to
+ * regular files: Linux holds the inode lock across one write(2), and
+ * Timeline.ConcurrentAppendersNeverTearRows shows 8 writers of records
+ * up to 17 KB on a local filesystem, none torn. Network filesystems make
+ * no such promise.
  */
 Expected<void> appendFileRecord(const std::string &path,
                                 std::string_view record,
