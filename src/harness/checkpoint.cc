@@ -24,7 +24,7 @@ namespace uvolt::harness
 namespace
 {
 
-constexpr const char *magicLine = "uvolt-sweep-checkpoint v2";
+constexpr std::string_view magicLine = "uvolt-sweep-checkpoint v2";
 
 // The text of a save is built in one string. Integers print through
 // std::to_chars. Doubles print as %.17g, which is what an ostream at
@@ -298,7 +298,7 @@ class Fields
 Expected<void>
 readHeader(std::string_view body, SweepCheckpoint &checkpoint)
 {
-    Fields fields(body.substr(std::string_view(magicLine).size()));
+    Fields fields(body.substr(magicLine.size()));
     int valid = 0;
     std::string kind;
     fields.read("valid", valid)
@@ -397,11 +397,11 @@ loadCheckpoint(std::istream &in)
 {
     const std::string text{std::istreambuf_iterator<char>(in), {}};
     std::string_view rest = text;
-    if (!rest.starts_with(std::string(magicLine) + '\n'))
+    const std::size_t eol = rest.find('\n');
+    if (eol == std::string_view::npos || rest.substr(0, eol) != magicLine)
         return makeError(Errc::badCheckpoint,
                          "not a sweep checkpoint (header '{}')",
-                         rest.substr(0, std::min<std::size_t>(
-                                            rest.find('\n'), 64)));
+                         rest.substr(0, std::min<std::size_t>(eol, 64)));
     const auto header = takeSection(rest);
     if (!header)
         return makeError(Errc::badCheckpoint,

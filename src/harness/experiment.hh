@@ -250,7 +250,8 @@ struct SweepOptions
      */
     SweepCheckpoint *checkpoint = nullptr;
 
-    /** If nonempty, serialize the checkpoint here after every level. */
+    /** If nonempty, save the checkpoint to the log here after every
+     *  level (harness/checkpoint.hh: one appended record per level). */
     std::string checkpointPath;
 };
 
